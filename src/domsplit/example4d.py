@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import words
-from .errors import ConditioningError, NumericalError
+from .errors import ConditioningError, DomsplitError, NumericalError
 from .grassmann import ConeSample, Plane, line_trace, pairwise_distances, projectivize
 from .multicone import MulticoneConfig, build_multicone, strictly_invariant
 from .words import FamilySource, MatrixFamily, SearchConfig
@@ -531,7 +531,7 @@ def _run_side(
     )
     try:
         cone = build_multicone(refined_family, 2, mc_cfg)
-    except Exception as exc:  # construction failure is a reportable outcome
+    except DomsplitError as exc:  # construction failure is a reportable outcome
         return SideResult(
             verdict=report.verdict.kind,
             fitted_log_tau=log_tau,

@@ -226,13 +226,42 @@ def frame_stack_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(min_cos_pairs(A, B), 0.0, 1.0))
 
 
+# Allowance, in sin^2 of the largest angle, by which a row's upper bound may
+# fall short of the lower bound on the answer and still be evaluated exactly;
+# far above the rounding of the projection GEMM and of the closed form.
+NEAREST_PRUNE_SLACK = 1e-6
+
+
 def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     """``max over A of (distance to the nearest frame of B)``.
+
+    One GEMM on flattened projection matrices gives, for every pair,
+    ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most
+    ``k = min(i, d - i)`` principal angles are nonzero, so
+    ``s / k <= sin^2(theta_max) <= s``.  Each row's nearest distance is
+    then at most its ``u_a = min_b s_ab`` and the answer at least
+    ``max_a u_a / k``.  A row whose upper bound lies below that lower bound
+    (by more than ``NEAREST_PRUNE_SLACK``, which absorbs rounding) cannot
+    hold the maximum, so the exact closed form runs only on the remaining
+    rows, against all of B.  The pruning is conservative: it drops only rows
+    that provably do not set the result.
 
     The angle is monotone in the cosine, so the reduction happens on the
     cosine matrix and a single arccos finishes the job.
     """
-    cos = min_cos_pairs(A, B)
+    d, i = A.shape[1], A.shape[2]
+    k = max(min(i, d - i), 1)
+    PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
+    PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
+    upper = i - (PA @ PB.T).max(axis=1)
+    floor = upper.max() / k - NEAREST_PRUNE_SLACK
+    if upper.size > 1:
+        # a one-row product takes the matrix-vector BLAS path, which rounds
+        # differently from the all-rows product; two rows keep the pair
+        # cosines those of the unpruned evaluation
+        floor = min(floor, np.partition(upper, -2)[-2])
+    keep = upper >= floor
+    cos = min_cos_pairs(A[keep], B)
     return float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
 
 

@@ -116,12 +116,13 @@ def _batched_act(matrix: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return Q * signs[:, None, :]
 
 
+# image-center pairs per nearest-point search in ``strictly_invariant``;
+# bounds the memory of one search
+_GROUP_PAIRS = 5_000_000
+
+
 def _frames_of(cone_points) -> np.ndarray:
     return np.stack([p.frame for p in cone_points])
-
-
-def _distance_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return frame_stack_distances(A, B)
 
 
 def iterate_cone(family: MatrixFamily, cone: ConeSample, dedup_tol: float = 1e-9) -> ConeSample:
@@ -139,28 +140,6 @@ def iterate_cone(family: MatrixFamily, cone: ConeSample, dedup_tol: float = 1e-9
         if all(grass_distance(q, r) > dedup_tol for r in kept):
             kept.append(q)
     return ConeSample(grass_index=cone.grass_index, points=tuple(kept), radius=0.0)
-
-
-def _curve_spread_allowance(
-    family: MatrixFamily, cone: ConeSample, probes: np.ndarray | None = None
-) -> float:
-    """Max action discrepancy between adjacent curve samples on the cone points.
-
-    First-order guard against the unsampled continuum for families obtained
-    by sampling a curve; zero for explicit families.
-    """
-    if family.source.kind != "sampled_curve" or family.size < 2 or not cone.points:
-        return 0.0
-    frames = _frames_of(cone.points) if probes is None else probes
-    worst = 0.0
-    prev = _batched_act(family.matrix(0), frames)
-    for j in range(1, family.size):
-        cur = _batched_act(family.matrix(j), frames)
-        grams = np.einsum("adi,adj->aij", prev, cur)
-        cos = min_cos_principal(grams)
-        worst = max(worst, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
-        prev = cur
-    return worst
 
 
 def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
@@ -202,10 +181,19 @@ def strictly_invariant(
     The sampled set is the union of radius-balls around the points, so the
     image sweep covers the centers and geodesic boundary probes of each
     ball.  margin = radius - max over images of the distance to the nearest
-    cone point - adjacent-sample spread allowance.  A sample whose points
-    cover the whole (reference-sampled) Grassmannian is never declared
-    strictly invariant, whatever the margin: interior inclusion needs slack
-    that the full space cannot offer.
+    cone point - adjacent-sample spread allowance.  The nearest-point search
+    (``worst_nearest_angle``) brackets each image-center pair by
+    ``s / k <= sin^2(theta_max) <= s`` from one projection-matrix GEMM, with
+    ``s`` the sum of squared principal sines and ``k = min(i, d - i)``, and
+    evaluates the exact principal angles only for images whose upper bound
+    reaches the best lower bound; the images it skips provably lie nearer
+    to the cone than the worst one, so the margin is that of the full
+    search.  For a sampled curve the spread allowance is the largest
+    distance between the images of one probe under adjacent members, taken
+    from the same images.  A sample whose points cover the whole
+    (reference-sampled) Grassmannian is never declared strictly invariant,
+    whatever the margin: interior inclusion needs slack that the full space
+    cannot offer.
     """
     if not cone.points:
         raise ValueError("cone sample must be non-empty")
@@ -214,19 +202,27 @@ def strictly_invariant(
         raise ValueError("family and cone dimensions do not match")
     frames = _frames_of(cone.points)
     probes = _ball_probes(frames, cone.radius)
-    worst = 0.0
+    curve = family.source.kind == "sampled_curve"
+    worst = spread = 0.0
+    prev = None
     # group members so each distance computation is one large BLAS product
-    group = max(1, 5_000_000 // max(probes.shape[0] * frames.shape[0], 1))
+    group = max(1, _GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
     mats = family.matrices
     for lo in range(0, family.size, group):
-        images = np.concatenate(
-            [_batched_act(M, probes) for M in mats[lo : lo + group]], axis=0
-        )
-        worst = max(worst, worst_nearest_angle(images, frames))
-    margin = cone.radius - worst - _curve_spread_allowance(family, cone, probes)
+        images = [_batched_act(M, probes) for M in mats[lo : lo + group]]
+        if curve:
+            # first-order guard against the unsampled continuum between
+            # adjacent curve samples; the last image carries to the next group
+            for cur in images:
+                if prev is not None:
+                    cos = min_cos_principal(np.einsum("adi,adj->aij", prev, cur))
+                    spread = max(spread, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
+                prev = cur
+        worst = max(worst, worst_nearest_angle(np.concatenate(images, axis=0), frames))
+    margin = cone.radius - worst - spread
 
     refs = reference_frames(d, cone.grass_index, cover_check_points)
-    ref_dist = _distance_matrix(_frames_of(refs), frames)
+    ref_dist = frame_stack_distances(_frames_of(refs), frames)
     if bool(np.all(ref_dist.min(axis=1) <= cone.radius)):
         return False, margin
     return margin > 0.0, margin
@@ -369,7 +365,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     if not pts:
         raise MulticoneConstructionError("attractor sample is empty", table=[])
     frames = _frames_of(pts)
-    dist = _distance_matrix(frames, frames)
+    dist = frame_stack_distances(frames, frames)
     np.fill_diagonal(dist, 0.0)
 
     positive = dist[dist > cfg.dedup_tol]

@@ -3,7 +3,10 @@
 These deliberately avoid the production code paths: compound matrices are
 assembled entry by entry from explicit minor index lists, derivatives come
 from central differences, and word-product maxima come from exhaustive
-enumeration with plainly formed products.
+enumeration with plainly formed products.  The two invariance-check
+references are the exception: they are the full, unpruned reductions the
+production code replaced, built on the same closed form and image map, so
+they pin the restructuring and not the per-pair arithmetic.
 """
 
 from __future__ import annotations
@@ -11,6 +14,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from domsplit.grassmann import min_cos_pairs, min_cos_principal
+from domsplit.multicone import _batched_act
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -74,3 +80,27 @@ def diagonal_projective_angles(top: float, bottom: float, slope: float, steps: i
         out.append(float(np.arctan(abs(s))))
         s *= bottom / top
     return out
+
+
+def brute_force_worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
+    """Max over frames of A of the distance to the nearest frame of B, from
+    the full cosine matrix of every pair."""
+    cos = min_cos_pairs(A, B)
+    return float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
+
+
+def curve_spread_oracle(family, probes: np.ndarray) -> float:
+    """Max distance between the images of one probe under adjacent members
+    of a sampled curve (zero for explicit families), acting on every probe
+    once per member in a loop of its own."""
+    if family.source.kind != "sampled_curve" or family.size < 2:
+        return 0.0
+    worst = 0.0
+    prev = _batched_act(family.matrix(0), probes)
+    for j in range(1, family.size):
+        cur = _batched_act(family.matrix(j), probes)
+        grams = np.einsum("adi,adj->aij", prev, cur)
+        cos = min_cos_principal(grams)
+        worst = max(worst, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
+        prev = cur
+    return worst

@@ -8,6 +8,7 @@ import pytest
 from oracles import central_difference
 
 from domsplit import example4d as ex
+from domsplit.errors import MulticoneConstructionError
 from domsplit.grassmann import transverse
 from domsplit.linalg import cross_ratio
 
@@ -151,6 +152,28 @@ def test_invariance_scan_rejects_weak_scaling():
     assert report.failing_stage == "invariance_scan"
     assert report.lam is None
     assert all(not entry.passed for entry in report.scan)
+
+
+@pytest.mark.parametrize(
+    "error, reported",
+    [(MulticoneConstructionError("no plateau", table=[]), True), (ValueError("bad plane"), False)],
+)
+def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
+    # a construction failure is a reportable outcome; any other exception
+    # is a defect and propagates
+    def failing_build(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(ex, "build_multicone", failing_build)
+    fam = ex.curve_family(32.0, 8)
+    cfg = ex.ExampleConfig(search=ex.SearchConfig(max_len=6, budget=20_000, beam_width=64))
+    if reported:
+        side = ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
+        assert not side.passed
+        assert side.failing_stage == "multicone: no plateau"
+    else:
+        with pytest.raises(ValueError, match="bad plane"):
+            ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
 
 
 def test_report_json_round_trip_small():

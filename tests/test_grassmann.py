@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import random_invertible, random_orthogonal
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_force_worst_nearest_angle, random_invertible, random_orthogonal
 
 from domsplit import grassmann
 from domsplit.grassmann import ConeSample, Plane, ProjectiveLine
@@ -107,6 +109,40 @@ def test_pairwise_distances_matches_scalar():
             assert D[a, b] == pytest.approx(
                 grassmann.grass_distance(planes[a], planes[b]), abs=1e-7
             )
+
+
+def _orthonormal_stack(raw: np.ndarray) -> np.ndarray:
+    Q, _ = np.linalg.qr(raw)
+    return Q
+
+
+@st.composite
+def frame_stacks(draw):
+    """(A, B) stacks of frames in G(i, d): random, clustered around B
+    (1e-3 jitter) or exact duplicates of frames of B."""
+    i = draw(st.sampled_from((1, 2, 3)))
+    d = draw(st.integers(min_value=max(2, i), max_value=5))
+    n = draw(st.integers(min_value=1, max_value=40))
+    m = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(("random", "clustered", "duplicate")))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    B = _orthonormal_stack(rng.normal(size=(m, d, i)))
+    if kind == "random":
+        A = _orthonormal_stack(rng.normal(size=(n, d, i)))
+    else:
+        A = B[rng.integers(m, size=n)].copy()
+        if kind == "clustered":
+            A = _orthonormal_stack(A + 1e-3 * rng.normal(size=A.shape))
+    return A, B
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frame_stacks())
+def test_worst_nearest_angle_matches_full_reduction(stacks):
+    A, B = stacks
+    got = grassmann.worst_nearest_angle(A, B)
+    want = brute_force_worst_nearest_angle(A, B)
+    assert abs(math.cos(got) - math.cos(want)) <= 1e-9
 
 
 def test_transverse_examples():

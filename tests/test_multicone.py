@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import rotation2
-from oracles import diagonal_projective_angles
+from oracles import brute_force_worst_nearest_angle, curve_spread_oracle, diagonal_projective_angles
 
 from domsplit import multicone, words
 from domsplit.errors import DominationGateError, MulticoneConstructionError
@@ -97,6 +98,42 @@ def test_strictly_invariant_spread_allowance_only_for_curves():
     ok_s, margin_s = strictly_invariant(sampled, cone)
     assert ok_e and ok_s
     assert margin_s < margin_e
+
+
+@pytest.mark.parametrize("group_pairs", [1, 2_000, multicone._GROUP_PAIRS])
+@pytest.mark.parametrize("dim, index", [(2, 1), (4, 2)])
+def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pairs, dim, index):
+    # the spread taken from the member images inside the grouped sweep equals
+    # the standalone adjacent-member loop exactly, whatever the grouping; an
+    # explicit family with the same members gets no spread
+    rng = np.random.default_rng(5)
+    base = np.diag(np.geomspace(4.0, 1.0, dim))
+    gen = rng.normal(size=(dim, dim))
+    gen = 0.05 * (gen - gen.T)
+    mats = [np.linalg.matrix_power(expm(gen), j) @ base for j in range(7)]
+    labels = tuple(f"M{j}" for j in range(7))
+    explicit = MatrixFamily.from_matrices(mats, list(labels))
+    sampled = MatrixFamily(
+        members=tuple(zip(labels, mats)),
+        source=words.FamilySource(kind="sampled_curve", description="t", sample_count=7),
+    )
+    top = Plane.from_spanning(np.eye(dim)[:, :index])
+    pts = (top,) + tuple(
+        Plane.from_spanning(top.frame + 0.1 * rng.normal(size=(dim, index))) for _ in range(12)
+    )
+    cone = ConeSample(index, pts, 0.3)
+    monkeypatch.setattr(multicone, "_GROUP_PAIRS", group_pairs)
+    _, margin_e = strictly_invariant(explicit, cone)
+    _, margin_s = strictly_invariant(sampled, cone)
+
+    frames = multicone._frames_of(pts)
+    probes = multicone._ball_probes(frames, cone.radius)
+    images = np.concatenate([multicone._batched_act(M, probes) for M in mats], axis=0)
+    worst = brute_force_worst_nearest_angle(images, frames)
+    spread = curve_spread_oracle(sampled, probes)
+    assert spread > 0.0 and curve_spread_oracle(explicit, probes) == 0.0
+    assert margin_e == pytest.approx(cone.radius - worst, abs=1e-12)
+    assert margin_s == margin_e - spread
 
 
 def test_attractor_single_diagonal(diag21):
