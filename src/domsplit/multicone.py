@@ -10,12 +10,17 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy.cluster.hierarchy import linkage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from . import linalg, words
 from .errors import DominationGateError, MulticoneConstructionError
 from .grassmann import (
+    TRANSVERSALITY_TOL,
     ConeSample,
     Plane,
     act,
@@ -25,7 +30,6 @@ from .grassmann import (
     min_cos_principal,
     projectivize,
     reference_frames,
-    transverse,
     worst_nearest_angle,
 )
 from .words import MatrixFamily, SearchConfig
@@ -91,14 +95,16 @@ class Multicone:
         )
 
 
-def _batched_act(matrix: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Re-orthonormalized M @ frame over a stack of frames.
+def _batched_act(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Re-orthonormalized M @ frame for every matrix of a stack and every
+    frame of a stack, member-major: image ``j * len(frames) + k`` is that of
+    frame k under matrix j.
 
     One- and two-column frames use vectorized Gram-Schmidt (with a second
     projection pass for stability); distances only see the span, so basis
     choice within the image is irrelevant.
     """
-    images = np.matmul(matrix, frames)
+    images = np.matmul(matrices[:, None], frames[None]).reshape(-1, *frames.shape[1:])
     width = frames.shape[2]
     if width == 1:
         return images / np.linalg.norm(images, axis=1, keepdims=True)
@@ -123,6 +129,15 @@ _GROUP_PAIRS = 5_000_000
 
 def _frames_of(cone_points) -> np.ndarray:
     return np.stack([p.frame for p in cone_points])
+
+
+@lru_cache(maxsize=64)
+def _reference_stack(count: int, ambient_dim: int, dim: int) -> np.ndarray:
+    """Read-only frame stack of ``reference_frames(ambient_dim, dim, count)``,
+    built once per shape for the cover check."""
+    stack = _frames_of(reference_frames(ambient_dim, dim, count))
+    stack.setflags(write=False)
+    return stack
 
 
 def iterate_cone(family: MatrixFamily, cone: ConeSample, dedup_tol: float = 1e-9) -> ConeSample:
@@ -209,20 +224,20 @@ def strictly_invariant(
     group = max(1, _GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
     mats = family.matrices
     for lo in range(0, family.size, group):
-        images = [_batched_act(M, probes) for M in mats[lo : lo + group]]
+        images = _batched_act(np.stack(mats[lo : lo + group]), probes)
         if curve:
             # first-order guard against the unsampled continuum between
             # adjacent curve samples; the last image carries to the next group
-            for cur in images:
+            for cur in images.reshape(-1, *probes.shape):
                 if prev is not None:
                     cos = min_cos_principal(np.einsum("adi,adj->aij", prev, cur))
                     spread = max(spread, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
                 prev = cur
-        worst = max(worst, worst_nearest_angle(np.concatenate(images, axis=0), frames))
+        worst = max(worst, worst_nearest_angle(images, frames))
     margin = cone.radius - worst - spread
 
-    refs = reference_frames(d, cone.grass_index, cover_check_points)
-    ref_dist = frame_stack_distances(_frames_of(refs), frames)
+    refs = _reference_stack(cover_check_points, d, cone.grass_index)
+    ref_dist = frame_stack_distances(refs, frames)
     if bool(np.all(ref_dist.min(axis=1) <= cone.radius)):
         return False, margin
     return margin > 0.0, margin
@@ -286,19 +301,26 @@ def adapted_metric(
     truncation indicator, logged at DEBUG level.  Under domination every
     family member strictly contracts this metric.
     """
-    for p in stable_sample.points:
-        for plane in (first, second):
-            ok, _ = transverse(plane, p)
-            if not ok:
-                raise ValueError("input plane is not transverse to the stable sample")
+    if stable_sample.points:
+        planes = np.stack([first.frame, second.frame])
+        stable = _frames_of(stable_sample.points)
+        d = planes.shape[1]
+        if stable.shape[1] != d or planes.shape[2] + stable.shape[2] != d:
+            raise ValueError("input planes and the stable sample must be complementary")
+        # every (plane, stable point) pair in one batch; transverse iff the
+        # concatenated frames have full rank, as in ``grassmann.transverse``
+        m = len(stable)
+        pairs = np.concatenate([np.repeat(planes, m, axis=0), np.tile(stable, (2, 1, 1))], axis=2)
+        if not np.all(np.linalg.svd(pairs, compute_uv=False)[:, -1] > TRANSVERSALITY_TOL):
+            raise ValueError("input plane is not transverse to the stable sample")
     total = grass_distance(first, second)
     beam_a = first.frame[None]
     beam_b = second.frame[None]
-    mats = family.matrices
+    mats = np.stack(family.matrices)
     last = total
     for _ in range(1, n_trunc + 1):
-        imgs_a = np.concatenate([_batched_act(M, beam_a) for M in mats], axis=0)
-        imgs_b = np.concatenate([_batched_act(M, beam_b) for M in mats], axis=0)
+        imgs_a = _batched_act(mats, beam_a)
+        imgs_b = _batched_act(mats, beam_b)
         grams = np.einsum("adi,adj->aij", imgs_a, imgs_b)
         cos = min_cos_principal(grams)
         dists = np.arccos(np.clip(cos, 0.0, 1.0))
@@ -313,26 +335,50 @@ def adapted_metric(
     return float(total)
 
 
-def _union_find_components(dist: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
+def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage merge tree of the points and their component count at
+    each link radius.
+
+    Only the upper triangle of ``dist`` is read: a distance matrix built by
+    matrix products need not be bitwise symmetric.  The tree's n - 1 merge
+    heights are exact entries of ``dist`` in ascending order, and the points
+    joined by pairs at distance <= t are joined by the tree's merges of
+    height <= t, so the count at t is n minus the number of those merges
+    (Gower & Ross 1969).
+    """
     n = dist.shape[0]
-    parent = list(range(n))
+    merges = linkage(dist[np.triu_indices(n, 1)], method="single") if n > 1 else np.empty((0, 4))
+    counts = n - np.searchsorted(merges[:, 2], link_radii, side="right")
+    return merges, counts
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            if dist[a, b] <= link_radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+def _components_at(merges: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
+    """Components of the points joined by the merges of height <= link_radius,
+    ordered by smallest member, members ascending."""
+    n = len(merges) + 1
+    k = int(np.searchsorted(merges[:, 2], link_radius, side="right"))
+    # merge m creates tree node n + m, linked to the two nodes it joins; the
+    # points reachable from one another through these links form a component
+    children = merges[:k, :2].astype(np.intp).ravel()
+    parents = np.repeat(n + np.arange(k), 2)
+    graph = coo_matrix((np.ones(2 * k), (children, parents)), shape=(n + k, n + k))
+    _, labels = connected_components(graph, directed=False)
     groups: dict[int, list[int]] = {}
-    for a in range(n):
-        groups.setdefault(find(a), []).append(a)
-    return tuple(tuple(groups[r]) for r in sorted(groups))
+    # points in ascending order: each component first appears at its smallest
+    for a, label in enumerate(labels[:n].tolist()):
+        groups.setdefault(label, []).append(a)
+    return tuple(tuple(g) for g in groups.values())
+
+
+def _component_gap(dist: np.ndarray, comps, eps: float) -> float:
+    """Smallest distance between points of different components, minus 2 eps;
+    +inf for a single component."""
+    if len(comps) <= 1:
+        return math.inf
+    label = np.empty(dist.shape[0], dtype=np.intp)
+    for which, members in enumerate(comps):
+        label[list(members)] = which
+    return float(dist[label[:, None] < label[None, :]].min()) - 2.0 * eps
 
 
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
@@ -344,6 +390,13 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     invariance check and have a positive component gap.  With no passing
     candidate the (epsilon, component count) table is raised as a
     construction failure.
+
+    The counts come from one single-linkage tree of the attractor cloud:
+    points at link distance <= 2 epsilon fall in one component exactly when
+    the tree joins them by merges of height <= 2 epsilon, so the count at
+    epsilon is n minus the number of such merges (Gower & Ross 1969).  Only
+    the upper triangle of the pairwise distance matrix is read for the tree;
+    the components themselves are formed only for the radii the scan tries.
     """
     cfg = config or MulticoneConfig()
     if not cfg.override_domination_gate:
@@ -377,22 +430,8 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
         grid = np.geomspace(lo, hi, cfg.epsilon_grid_size)
 
-    table: list[tuple[float, int]] = []
-    comps_at: list[tuple[tuple[int, ...], ...]] = []
-    for eps in grid:
-        comps = _union_find_components(dist, 2.0 * float(eps))
-        comps_at.append(comps)
-        table.append((float(eps), len(comps)))
-
-    def component_gap_at(comps, eps: float) -> float:
-        if len(comps) <= 1:
-            return math.inf
-        inter = min(
-            float(dist[np.ix_(ca, cb)].min())
-            for i, ca in enumerate(comps)
-            for cb in comps[i + 1 :]
-        )
-        return inter - 2.0 * eps
+    merges, counts = _single_linkage(dist, 2.0 * grid)
+    table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
 
     # images of the bare centers bound the viable radius from below: the
     # probe sweep only widens with the radius, so margins grow at most
@@ -415,10 +454,10 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             continue
         if best is not None and table[a][1] != len(best.components):
             break  # next plateau has a different component count: keep the best
-        comps = comps_at[a]
+        comps = _components_at(merges, 2.0 * eps)
         cone = ConeSample(grass_index=index, points=pts, radius=eps)
         ok, margin = strictly_invariant(family, cone, cfg.cover_check_points)
-        gap = component_gap_at(comps, eps)
+        gap = _component_gap(dist, comps, eps)
         if ok and gap > 0.0:
             candidate = Multicone(
                 cone=cone, components=comps, invariance_margin=margin, component_gap=gap

@@ -6,7 +6,8 @@ from central differences, and word-product maxima come from exhaustive
 enumeration with plainly formed products.  The two invariance-check
 references are the exception: they are the full, unpruned reductions the
 production code replaced, built on the same closed form and image map, so
-they pin the restructuring and not the per-pair arithmetic.
+they pin the restructuring and not the per-pair arithmetic.  The component
+references are the pair-by-pair loops the single-linkage tree replaced.
 """
 
 from __future__ import annotations
@@ -96,11 +97,49 @@ def curve_spread_oracle(family, probes: np.ndarray) -> float:
     if family.source.kind != "sampled_curve" or family.size < 2:
         return 0.0
     worst = 0.0
-    prev = _batched_act(family.matrix(0), probes)
+    prev = _batched_act(family.matrix(0)[None], probes)
     for j in range(1, family.size):
-        cur = _batched_act(family.matrix(j), probes)
+        cur = _batched_act(family.matrix(j)[None], probes)
         grams = np.einsum("adi,adj->aij", prev, cur)
         cos = min_cos_principal(grams)
         worst = max(worst, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
         prev = cur
     return worst
+
+
+def union_find_components(dist: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
+    """Single-linkage components at one link radius from a union-find over
+    every pair a < b (so only the upper triangle of ``dist`` is read); roots
+    are minimal indices, so components come ordered by smallest member."""
+    n = dist.shape[0]
+    parent = list(range(n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(n):
+        for b in range(a + 1, n):
+            if dist[a, b] <= link_radius:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[int]] = {}
+    for a in range(n):
+        groups.setdefault(find(a), []).append(a)
+    return tuple(tuple(groups[r]) for r in sorted(groups))
+
+
+def component_gap_oracle(dist: np.ndarray, comps, eps: float) -> float:
+    """Smallest distance between points of different components minus
+    2 eps, taken block by block over component pairs (+inf for one)."""
+    if len(comps) <= 1:
+        return float("inf")
+    inter = min(
+        float(dist[np.ix_(ca, cb)].min())
+        for i, ca in enumerate(comps)
+        for cb in comps[i + 1 :]
+    )
+    return inter - 2.0 * eps

@@ -7,11 +7,26 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import rotation2
-from oracles import brute_force_worst_nearest_angle, curve_spread_oracle, diagonal_projective_angles
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    brute_force_worst_nearest_angle,
+    component_gap_oracle,
+    curve_spread_oracle,
+    diagonal_projective_angles,
+    union_find_components,
+)
 
 from domsplit import multicone, words
 from domsplit.errors import DominationGateError, MulticoneConstructionError
-from domsplit.grassmann import ConeSample, Plane, grass_distance, pairwise_distances
+from domsplit.grassmann import (
+    ConeSample,
+    Plane,
+    frame_stack_distances,
+    grass_distance,
+    pairwise_distances,
+    reference_frames,
+)
 from domsplit.multicone import (
     MulticoneConfig,
     adapted_metric,
@@ -128,12 +143,25 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
 
     frames = multicone._frames_of(pts)
     probes = multicone._ball_probes(frames, cone.radius)
-    images = np.concatenate([multicone._batched_act(M, probes) for M in mats], axis=0)
+    images = multicone._batched_act(np.stack(mats), probes)
     worst = brute_force_worst_nearest_angle(images, frames)
     spread = curve_spread_oracle(sampled, probes)
     assert spread > 0.0 and curve_spread_oracle(explicit, probes) == 0.0
     assert margin_e == pytest.approx(cone.radius - worst, abs=1e-12)
     assert margin_s == margin_e - spread
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_batched_act_member_major(index):
+    # image j * len(frames) + k is frame k moved by matrix j
+    rng = np.random.default_rng(11)
+    mats = [rng.normal(size=(4, 4)) for _ in range(3)]
+    planes = [Plane.from_spanning(rng.normal(size=(4, index))) for _ in range(5)]
+    images = multicone._batched_act(np.stack(mats), multicone._frames_of(planes))
+    assert images.shape == (15, 4, index)
+    for j, M in enumerate(mats):
+        for k, p in enumerate(planes):
+            assert grass_distance(Plane(images[j * 5 + k]), multicone.act(M, p)) < 1e-12
 
 
 def test_attractor_single_diagonal(diag21):
@@ -230,6 +258,80 @@ def test_build_multicone_two_components():
         return next(ci for ci, comp in enumerate(mc.components) if idx in comp)
 
     assert component_of(direction(0.0)) != component_of(direction(math.pi / 4))
+
+
+@st.composite
+def linkage_clouds(draw):
+    """(dist, link radii) of a clustered cloud of frames in G(i, d).
+
+    Points are cluster centers plus jitter (none: exact duplicates, so zero
+    distances), the radii are the 48-point build grid doubled plus zero and
+    entries of ``dist`` itself (ties), and ``dist`` may have its lower
+    triangle nudged up by one ulp, as a GEMM-built matrix can differ from its
+    transpose in the last bits.
+    """
+    i = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(min_value=i + 1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=30))
+    clusters = draw(st.integers(min_value=1, max_value=4))
+    jitter = draw(st.sampled_from((0.0, 1e-3, 0.05)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    centers = np.linalg.qr(rng.normal(size=(clusters, d, i)))[0]
+    frames = centers[rng.integers(clusters, size=n)]
+    if jitter:
+        frames = np.linalg.qr(frames + jitter * rng.normal(size=frames.shape))[0]
+        frames[rng.random(n) < 0.3] = frames[0]
+    dist = frame_stack_distances(frames, frames)
+    np.fill_diagonal(dist, 0.0)
+    if draw(st.booleans()):
+        lower = np.tril_indices(n, -1)
+        dist[lower] = np.nextafter(dist[lower], np.inf)
+    upper = dist[np.triu_indices(n, 1)]
+    top = max(float(upper.max(initial=0.0)), 1e-6)
+    grid = np.geomspace(top / 1e4, 0.75 * top, 48)
+    ties = rng.choice(upper, size=min(4, upper.size), replace=False) if upper.size else []
+    return dist, np.concatenate([2.0 * grid, [0.0], np.sort(ties)])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(linkage_clouds())
+def test_single_linkage_matches_union_find(cloud):
+    # one tree reproduces the pair-by-pair union-find at every radius: the
+    # counts, the partitions and their order (by smallest member), and the
+    # gap between components
+    dist, link_radii = cloud
+    merges, counts = multicone._single_linkage(dist, link_radii)
+    assert len(counts) == len(link_radii)
+    assert np.all(np.diff(merges[:, 2]) >= 0.0)
+    for link, count in zip(link_radii.tolist(), counts.tolist()):
+        want = union_find_components(dist, link)
+        comps = multicone._components_at(merges, link)
+        assert comps == want
+        assert count == len(want)
+        eps = link / 2.0
+        assert multicone._component_gap(dist, comps, eps) == component_gap_oracle(dist, comps, eps)
+
+
+def test_build_multicone_all_duplicate_cloud(diag21):
+    # every attractor point of diag(2, 1) is the same plane, so every pair
+    # distance is an exact zero; zero-length tree edges must still join
+    cfg = MulticoneConfig()
+    cloud = attractor(diag21, 1, cfg.attractor_word_len, words_per_seed=cfg.attractor_words)
+    frames = multicone._frames_of(cloud.points)
+    dist = frame_stack_distances(frames, frames)
+    assert np.all(dist == 0.0)
+    assert multicone._single_linkage(dist, np.array([0.0]))[1].tolist() == [1]
+    mc = build_multicone(diag21, 1, cfg)
+    assert mc.components == (tuple(range(len(cloud.points))),)
+
+
+def test_reference_stack_cached_read_only():
+    stack = multicone._reference_stack(128, 4, 2)
+    assert multicone._reference_stack(128, 4, 2) is stack
+    assert np.array_equal(stack, np.stack([p.frame for p in reference_frames(4, 2, 128)]))
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 1.0
 
 
 def test_build_multicone_gate():
