@@ -16,7 +16,7 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .grassmann import ConeSample, Plane, ProjectiveLine, act, grass_distance, transverse
+from .grassmann import ConeSample, Plane, act, grass_distance, transverse
 from .linalg import (
     SingularSpectrum,
     conorm,
@@ -58,7 +58,6 @@ __all__ = [
     "MulticoneConstructionError",
     "NumericalError",
     "Plane",
-    "ProjectiveLine",
     "SearchConfig",
     "SingularMatrixError",
     "SingularSpectrum",

@@ -20,6 +20,7 @@ import numpy as np
 from . import words
 from .errors import ConditioningError, DomsplitError, NumericalError
 from .grassmann import ConeSample, Plane, line_trace, pairwise_distances, projectivize
+from .jsonio import JsonRecord
 from .multicone import MulticoneConfig, build_multicone, strictly_invariant
 from .words import FamilySource, MatrixFamily, SearchConfig
 
@@ -144,22 +145,6 @@ def skewness_margin(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class RuledFamily:
-    """Sampled ruled line family: (parameter, base point, unit direction)."""
-
-    which: str
-    samples: tuple[tuple[float, np.ndarray, np.ndarray], ...]
-
-    @classmethod
-    def build(cls, which: str, ts) -> "RuledFamily":
-        samples = []
-        for t in np.asarray(ts, dtype=float):
-            s = line(which, float(t))
-            samples.append((float(t), s.base, s.direction))
-        return cls(which=which, samples=tuple(samples))
-
-
 def lift_line(base, direction) -> Plane:
     """Homogeneous lift of a line in R^3 to a 2-plane in R^4.
 
@@ -267,27 +252,15 @@ class ExampleConfig:
 
 
 @dataclass(frozen=True)
-class LambdaScanEntry:
-    lam: float
+class LambdaScanEntry(JsonRecord):
+    lam: float = field(metadata={"key": "lambda"})
     unstable_margin: float
     stable_margin: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "unstable_margin": self.unstable_margin,
-            "stable_margin": self.stable_margin,
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "LambdaScanEntry":
-        return cls(float(d["lambda"]), float(d["unstable_margin"]), float(d["stable_margin"]), bool(d["passed"]))
-
 
 @dataclass(frozen=True)
-class MulticoneSummary:
+class MulticoneSummary(JsonRecord):
     component_count: int
     invariance_margin: float
     component_gap: float | None
@@ -297,34 +270,9 @@ class MulticoneSummary:
     excluded_all: bool
     single_relevant_component: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "component_count": self.component_count,
-            "invariance_margin": self.invariance_margin,
-            "component_gap": self.component_gap,
-            "contained_max_distance": self.contained_max_distance,
-            "contained_all": self.contained_all,
-            "excluded_min_distance": self.excluded_min_distance,
-            "excluded_all": self.excluded_all,
-            "single_relevant_component": self.single_relevant_component,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MulticoneSummary":
-        return cls(
-            int(d["component_count"]),
-            float(d["invariance_margin"]),
-            None if d["component_gap"] is None else float(d["component_gap"]),
-            float(d["contained_max_distance"]),
-            bool(d["contained_all"]),
-            float(d["excluded_min_distance"]),
-            bool(d["excluded_all"]),
-            bool(d["single_relevant_component"]),
-        )
-
 
 @dataclass(frozen=True)
-class TraceSummary:
+class TraceSummary(JsonRecord):
     arc_count: int
     arcs: tuple[tuple[float, float], ...]
     axis_points: tuple[tuple[str, float, bool], ...]  # (name, angle, occupied)
@@ -332,30 +280,9 @@ class TraceSummary:
     occupancy_ok: bool
     interleaving_ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "arc_count": self.arc_count,
-            "arcs": [list(a) for a in self.arcs],
-            "axis_points": [list(p) for p in self.axis_points],
-            "expected_occupied": list(self.expected_occupied),
-            "occupancy_ok": self.occupancy_ok,
-            "interleaving_ok": self.interleaving_ok,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TraceSummary":
-        return cls(
-            int(d["arc_count"]),
-            tuple((float(a), float(b)) for a, b in d["arcs"]),
-            tuple((str(n), float(a), bool(o)) for n, a, o in d["axis_points"]),
-            tuple(d["expected_occupied"]),
-            bool(d["occupancy_ok"]),
-            bool(d["interleaving_ok"]),
-        )
-
 
 @dataclass(frozen=True)
-class SideResult:
+class SideResult(JsonRecord):
     """Verdicts for one side (unstable: forward family, stable: inverse)."""
 
     verdict: str
@@ -366,36 +293,13 @@ class SideResult:
     passed: bool
     failing_stage: str | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "fitted_log_tau": self.fitted_log_tau,
-            "fit_residual": self.fit_residual,
-            "multicone": None if self.multicone is None else self.multicone.to_json_dict(),
-            "trace": None if self.trace is None else self.trace.to_json_dict(),
-            "passed": self.passed,
-            "failing_stage": self.failing_stage,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SideResult":
-        return cls(
-            verdict=str(d["verdict"]),
-            fitted_log_tau=float(d["fitted_log_tau"]),
-            fit_residual=float(d["fit_residual"]),
-            multicone=None if d["multicone"] is None else MulticoneSummary.from_json_dict(d["multicone"]),
-            trace=None if d["trace"] is None else TraceSummary.from_json_dict(d["trace"]),
-            passed=bool(d["passed"]),
-            failing_stage=d["failing_stage"],
-        )
-
 
 @dataclass(frozen=True)
-class ExampleReport:
+class ExampleReport(JsonRecord):
     """Full certificate for the two-curve family (and its perturbation)."""
 
     grid_n: int
-    lam: float | None
+    lam: float | None = field(metadata={"key": "lambda"})
     scan: tuple[LambdaScanEntry, ...]
     skew_min_distance: float
     skew_min_parallelism_defect: float
@@ -405,42 +309,6 @@ class ExampleReport:
     perturbed_stable: SideResult | None
     passed: bool
     failing_stage: str | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid_n": self.grid_n,
-            "lambda": self.lam,
-            "scan": [e.to_json_dict() for e in self.scan],
-            "skew_min_distance": self.skew_min_distance,
-            "skew_min_parallelism_defect": self.skew_min_parallelism_defect,
-            "unstable": None if self.unstable is None else self.unstable.to_json_dict(),
-            "stable": None if self.stable is None else self.stable.to_json_dict(),
-            "perturbed_unstable": None
-            if self.perturbed_unstable is None
-            else self.perturbed_unstable.to_json_dict(),
-            "perturbed_stable": None
-            if self.perturbed_stable is None
-            else self.perturbed_stable.to_json_dict(),
-            "passed": self.passed,
-            "failing_stage": self.failing_stage,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ExampleReport":
-        side = lambda key: None if d[key] is None else SideResult.from_json_dict(d[key])
-        return cls(
-            grid_n=int(d["grid_n"]),
-            lam=None if d["lambda"] is None else float(d["lambda"]),
-            scan=tuple(LambdaScanEntry.from_json_dict(e) for e in d["scan"]),
-            skew_min_distance=float(d["skew_min_distance"]),
-            skew_min_parallelism_defect=float(d["skew_min_parallelism_defect"]),
-            unstable=side("unstable"),
-            stable=side("stable"),
-            perturbed_unstable=side("perturbed_unstable"),
-            perturbed_stable=side("perturbed_stable"),
-            passed=bool(d["passed"]),
-            failing_stage=d["failing_stage"],
-        )
 
 
 _AXIS_POINTS = (
@@ -510,18 +378,18 @@ def _run_side(
     cfg: ExampleConfig,
 ) -> SideResult:
     report = words.is_dominated(family, 2, cfg.search)
-    log_tau = report.fit.log_tau
-    residual = report.fit.residual
+    # every later outcome is this failure with more stages filled in
+    failed = SideResult(
+        verdict=report.verdict.kind,
+        fitted_log_tau=report.fit.log_tau,
+        fit_residual=report.fit.residual,
+        multicone=None,
+        trace=None,
+        passed=False,
+        failing_stage="domination",
+    )
     if report.verdict.kind != words.DOMINATED:
-        return SideResult(
-            verdict=report.verdict.kind,
-            fitted_log_tau=log_tau,
-            fit_residual=residual,
-            multicone=None,
-            trace=None,
-            passed=False,
-            failing_stage="domination",
-        )
+        return failed
     # the multicone is certified on the refined sampling (the gate already
     # ran on the coarse family above)
     mc_cfg = MulticoneConfig(
@@ -532,15 +400,7 @@ def _run_side(
     try:
         cone = build_multicone(refined_family, 2, mc_cfg)
     except DomsplitError as exc:  # construction failure is a reportable outcome
-        return SideResult(
-            verdict=report.verdict.kind,
-            fitted_log_tau=log_tau,
-            fit_residual=residual,
-            multicone=None,
-            trace=None,
-            passed=False,
-            failing_stage=f"multicone: {exc}",
-        )
+        return replace(failed, failing_stage=f"multicone: {exc}")
 
     dist_in = pairwise_distances(contained_planes, list(cone.cone.points))
     dist_out = pairwise_distances(excluded_planes, list(cone.cone.points))
@@ -568,26 +428,11 @@ def _run_side(
         single_relevant_component=single_comp,
     )
     if not (contained_all and excluded_all and single_comp):
-        return SideResult(
-            verdict=report.verdict.kind,
-            fitted_log_tau=log_tau,
-            fit_residual=residual,
-            multicone=summary,
-            trace=None,
-            passed=False,
-            failing_stage="containment",
-        )
-    relevant_sample = ConeSample(
-        cone.cone.grass_index,
-        tuple(cone.cone.points[i] for i in cone.components[relevant]),
-        cone.cone.radius,
-    )
-    trace = _trace_summary(relevant_sample, expected_axis, cfg)
+        return replace(failed, multicone=summary, failing_stage="containment")
+    trace = _trace_summary(cone.component_cone(relevant), expected_axis, cfg)
     trace_ok = trace.arc_count >= 2 and trace.occupancy_ok and trace.interleaving_ok
-    return SideResult(
-        verdict=report.verdict.kind,
-        fitted_log_tau=log_tau,
-        fit_residual=residual,
+    return replace(
+        failed,
         multicone=summary,
         trace=trace,
         passed=trace_ok,
@@ -654,20 +499,21 @@ def verify_example(
         if passed and selected is None:
             selected = float(lam_value)
 
+    scan_failed = ExampleReport(
+        grid_n=cfg.grid_n,
+        lam=None,
+        scan=tuple(scan_entries),
+        skew_min_distance=skew.min_distance,
+        skew_min_parallelism_defect=skew.min_parallelism_defect,
+        unstable=None,
+        stable=None,
+        perturbed_unstable=None,
+        perturbed_stable=None,
+        passed=False,
+        failing_stage="invariance_scan",
+    )
     if selected is None:
-        return ExampleReport(
-            grid_n=cfg.grid_n,
-            lam=None,
-            scan=tuple(scan_entries),
-            skew_min_distance=skew.min_distance,
-            skew_min_parallelism_defect=skew.min_parallelism_defect,
-            unstable=None,
-            stable=None,
-            perturbed_unstable=None,
-            perturbed_stable=None,
-            passed=False,
-            failing_stage="invariance_scan",
-        )
+        return scan_failed
 
     family = curve_family(selected, cfg.grid_n)
     fine_family = fine_families[selected]
@@ -712,12 +558,9 @@ def verify_example(
                 break
         if failing is None:
             failing = "skewness"
-    return ExampleReport(
-        grid_n=cfg.grid_n,
+    return replace(
+        scan_failed,
         lam=selected,
-        scan=tuple(scan_entries),
-        skew_min_distance=skew.min_distance,
-        skew_min_parallelism_defect=skew.min_parallelism_defect,
         unstable=unstable,
         stable=stable,
         perturbed_unstable=perturbed_unstable,

@@ -89,15 +89,6 @@ class Plane:
         return self.frame.T @ np.asarray(vector, dtype=float)
 
 
-class ProjectiveLine(Plane):
-    """A 2-plane whose projectivization is a projective line."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.dim != 2:
-            raise ValueError("a projective line is the projectivization of a 2-plane")
-
-
 @dataclass(frozen=True, eq=False)
 class ConeSample:
     """Finite sample of a cone-like subset of G(i, d): planes plus a radius."""
@@ -340,35 +331,6 @@ def projectivize(cone: ConeSample, resolution: int = 64) -> ConeSample:
         for j in range(vecs.shape[1]):
             directions.append(Plane(_canonical_signs(vecs[:, j][:, None])))
     return ConeSample(grass_index=1, points=tuple(directions), radius=cone.radius)
-
-
-def cone_around(base: Plane, complement: Plane, ratio_bound: float):
-    """Membership predicate for the cone around ``base`` transverse to ``complement``.
-
-    A direction v with oblique decomposition v = v_base + v_comp is a member
-    iff ``|v_comp| <= ratio_bound * |v_base|``; membership is scale-invariant.
-    """
-    ok, _ = transverse(base, complement)
-    if not ok:
-        raise ValueError("cone_around requires a transverse pair of planes")
-    if ratio_bound < 0:
-        raise ValueError("ratio bound must be non-negative")
-    basis = np.hstack([base.frame, complement.frame])
-    inv = np.linalg.inv(basis)
-    split = base.dim
-
-    def contains(vector) -> bool:
-        v = np.asarray(vector, dtype=float).ravel()
-        if v.size != base.ambient_dim:
-            raise ValueError("direction has wrong dimension")
-        if np.linalg.norm(v) == 0.0:
-            raise ValueError("zero vector is not a direction")
-        coeff = inv @ v
-        in_base = np.linalg.norm(base.frame @ coeff[:split])
-        in_comp = np.linalg.norm(complement.frame @ coeff[split:])
-        return bool(in_comp <= ratio_bound * in_base)
-
-    return contains
 
 
 def line_trace(

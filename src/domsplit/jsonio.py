@@ -1,0 +1,92 @@
+"""The JSON layout of domsplit's result records, decided in one place.
+
+A record is a dataclass that inherits ``JsonRecord``; its
+``to_json_dict``/``from_json_dict`` follow these rules:
+
+- A field is written under its name, or under the ``key`` its field
+  metadata gives (``lam`` as ``"lambda"``, for instance), in field order.
+- Tuples become lists, a ``Plane`` becomes its frame as nested lists, and
+  any value with its own ``to_json_dict`` is written by it.
+- A field whose metadata sets ``inf_as_null`` writes +inf as ``null`` and
+  reads ``null`` back as +inf.
+- Decoding follows the field annotations: ``X | None``, ``tuple[T, ...]``,
+  fixed-length tuples, ``Plane``, nested records (anything with
+  ``from_json_dict``) and ``int``/``float``/``bool``/``str`` coercion.
+- Keys the record does not declare are ignored; a missing key leaves the
+  field at its default.
+
+Layouts that are not field-by-field (``ConeSample``, ``GapReport``) keep
+short methods of their own built from ``encode``.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+import types
+import typing
+
+import numpy as np
+
+from .grassmann import Plane
+
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata.get("key", f.name)
+
+
+def encode(value):
+    """JSON form of one field value (records, tuples, planes, scalars)."""
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    if isinstance(value, Plane):
+        return value.frame.tolist()
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    return value
+
+
+def decode(tp, value):
+    """Value of annotated type ``tp`` from its JSON form."""
+    args = typing.get_args(tp)
+    origin = typing.get_origin(tp)
+    if origin in (types.UnionType, typing.Union):
+        if value is None:
+            return None
+        (inner,) = [a for a in args if a is not type(None)]
+        return decode(inner, value)
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            return tuple(decode(args[0], v) for v in value)
+        return tuple(decode(a, v) for a, v in zip(args, value))
+    if tp is Plane:
+        return Plane(np.asarray(value, dtype=float))
+    if hasattr(tp, "from_json_dict"):
+        return tp.from_json_dict(value)
+    return tp(value)
+
+
+class JsonRecord:
+    """Mixin giving a dataclass its JSON layout under the module rules."""
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            null = f.metadata.get("inf_as_null") and value == math.inf
+            out[_key(f)] = None if null else encode(value)
+        return out
+
+    @classmethod
+    def from_json_dict(cls, data: dict):
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if _key(f) not in data:
+                continue
+            value = data[_key(f)]
+            if value is None and f.metadata.get("inf_as_null"):
+                kwargs[f.name] = math.inf
+            else:
+                kwargs[f.name] = decode(hints[f.name], value)
+        return cls(**kwargs)

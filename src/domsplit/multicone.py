@@ -1,5 +1,5 @@
-"""Invariant multicones: cone iteration, attractor sampling, the adapted
-metric, epsilon-neighborhood component analysis, and semiconvexity audits.
+"""Invariant multicones: attractor sampling, the adapted metric,
+epsilon-neighborhood component analysis, and semiconvexity audits.
 
 Interior/closure conditions on finite samples are realized as numeric
 margins; every verdict carries its margin rather than a bare boolean.
@@ -23,7 +23,6 @@ from .grassmann import (
     TRANSVERSALITY_TOL,
     ConeSample,
     Plane,
-    act,
     frame_stack_distances,
     grass_distance,
     line_trace,
@@ -32,6 +31,7 @@ from .grassmann import (
     reference_frames,
     worst_nearest_angle,
 )
+from .jsonio import JsonRecord
 from .words import MatrixFamily, SearchConfig
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,7 @@ class MulticoneConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class Multicone:
+class Multicone(JsonRecord):
     """Strictly invariant cone sample split into isolated components.
 
     ``component_gap`` is the minimum distance between points of different
@@ -63,7 +63,7 @@ class Multicone:
     cone: ConeSample
     components: tuple[tuple[int, ...], ...]
     invariance_margin: float
-    component_gap: float
+    component_gap: float = field(metadata={"inf_as_null": True})
 
     def __post_init__(self):
         assigned = sorted(i for comp in self.components for i in comp)
@@ -75,24 +75,6 @@ class Multicone:
     def component_cone(self, which: int) -> ConeSample:
         pts = tuple(self.cone.points[i] for i in self.components[which])
         return ConeSample(self.cone.grass_index, pts, self.cone.radius)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "cone": self.cone.to_json_dict(),
-            "components": [list(c) for c in self.components],
-            "invariance_margin": self.invariance_margin,
-            "component_gap": None if math.isinf(self.component_gap) else self.component_gap,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Multicone":
-        gap = data["component_gap"]
-        return cls(
-            cone=ConeSample.from_json_dict(data["cone"]),
-            components=tuple(tuple(int(i) for i in c) for c in data["components"]),
-            invariance_margin=float(data["invariance_margin"]),
-            component_gap=math.inf if gap is None else float(gap),
-        )
 
 
 def _batched_act(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -138,23 +120,6 @@ def _reference_stack(count: int, ambient_dim: int, dim: int) -> np.ndarray:
     stack = _frames_of(reference_frames(ambient_dim, dim, count))
     stack.setflags(write=False)
     return stack
-
-
-def iterate_cone(family: MatrixFamily, cone: ConeSample, dedup_tol: float = 1e-9) -> ConeSample:
-    """One-step image of the cone sample under every family member.
-
-    Image points are exact, so the radius resets to zero; points closer than
-    ``dedup_tol`` are merged (first occurrence kept, member-major order).
-    """
-    images: list[Plane] = []
-    for _, M in family.members:
-        for p in cone.points:
-            images.append(act(M, p))
-    kept: list[Plane] = []
-    for q in images:
-        if all(grass_distance(q, r) > dedup_tol for r in kept):
-            kept.append(q)
-    return ConeSample(grass_index=cone.grass_index, points=tuple(kept), radius=0.0)
 
 
 def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
@@ -319,8 +284,11 @@ def adapted_metric(
     mats = np.stack(family.matrices)
     last = total
     for _ in range(1, n_trunc + 1):
-        imgs_a = _batched_act(mats, beam_a)
-        imgs_b = _batched_act(mats, beam_b)
+        # both beams in one call; each member's images of beam_a come first
+        imgs = _batched_act(mats, np.concatenate([beam_a, beam_b]))
+        imgs = imgs.reshape(len(mats), 2, -1, *imgs.shape[1:])
+        imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
+        imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
         grams = np.einsum("adi,adj->aij", imgs_a, imgs_b)
         cos = min_cos_principal(grams)
         dists = np.arccos(np.clip(cos, 0.0, 1.0))

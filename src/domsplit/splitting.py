@@ -12,13 +12,14 @@ composition reuses the same code path by construction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, words
 from .errors import IllDefinedSplittingError
 from .grassmann import Plane, grass_distance
+from .jsonio import JsonRecord
 from .words import MatrixFamily, Word
 
 # Relative gap below which singular frames are treated as ill-defined.
@@ -30,11 +31,11 @@ WINDOW_CAP = 200
 
 
 @dataclass(frozen=True, eq=False)
-class SplittingEstimate:
+class SplittingEstimate(JsonRecord):
     """Transverse pair (expanding, contracting) estimated from finite windows."""
 
-    expanding: Plane
-    contracting: Plane
+    expanding: Plane = field(metadata={"key": "expanding_frame"})
+    contracting: Plane = field(metadata={"key": "contracting_frame"})
     window_past: Word
     window_future: Word
     angle: float
@@ -45,27 +46,6 @@ class SplittingEstimate:
             raise ValueError("planes must share the ambient dimension")
         if self.expanding.dim + self.contracting.dim != self.expanding.ambient_dim:
             raise ValueError("plane dimensions must sum to the ambient dimension")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "expanding_frame": self.expanding.frame.tolist(),
-            "contracting_frame": self.contracting.frame.tolist(),
-            "window_past": list(self.window_past),
-            "window_future": list(self.window_future),
-            "angle": self.angle,
-            "convergence_indicator": self.convergence_indicator,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SplittingEstimate":
-        return cls(
-            expanding=Plane(np.asarray(data["expanding_frame"], dtype=float)),
-            contracting=Plane(np.asarray(data["contracting_frame"], dtype=float)),
-            window_past=tuple(int(j) for j in data["window_past"]),
-            window_future=tuple(int(j) for j in data["window_future"]),
-            angle=float(data["angle"]),
-            convergence_indicator=float(data["convergence_indicator"]),
-        )
 
 
 def _check_gap(svals: np.ndarray, index: int) -> None:

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
+from .jsonio import JsonRecord, encode
+
 Word = tuple[int, ...]
 
 RESCALE_PERIOD = 16
@@ -32,23 +34,12 @@ RESCALE_PERIOD = 16
 
 
 @dataclass(frozen=True)
-class FamilySource:
+class FamilySource(JsonRecord):
     """Where a family came from; sampled curves carry their sampling density."""
 
     kind: str = "explicit"  # "explicit" | "sampled_curve"
     description: str = ""
     sample_count: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "description": self.description, "sample_count": self.sample_count}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FamilySource":
-        return cls(
-            kind=data.get("kind", "explicit"),
-            description=data.get("description", ""),
-            sample_count=data.get("sample_count"),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,15 +151,6 @@ def compound_matrix(matrix, k: int) -> np.ndarray:
     return np.linalg.det(blocks)
 
 
-def word_product(family: MatrixFamily, word) -> np.ndarray:
-    """Plain left-to-right product; only safe for short words."""
-    w = _validate_word(family, word)
-    P = np.eye(family.dim)
-    for j in w:
-        P = P @ family.matrix(j)
-    return P
-
-
 def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
     """Product in the form ``exp(log_scale) * P_hat`` with ``|P_hat|_F = 1``.
 
@@ -188,22 +170,18 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
     return P / s, log_scale + math.log(s)
 
 
-def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
-    """``out[n, j] = log sigma_{j+1}(product(word[:n]))`` for n = 0..len(word).
-
-    Computed through compound accumulations of every order, renormalized at
-    each step; row 0 is all zeros (the identity).
-    """
+def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
+    """The compound accumulation behind both walks below."""
     w = _validate_word(family, word)
     d = family.dim
     comps = {k: [compound_matrix(M, k) for M in family.matrices] for k in range(1, d + 1)}
     acc = {k: np.eye(math.comb(d, k)) for k in range(1, d + 1)}
     logs = {k: 0.0 for k in range(1, d + 1)}
     out = np.zeros((len(w) + 1, d))
-    for n, j in enumerate(w, start=1):
+    for n, j in enumerate(reversed(w) if suffix else w, start=1):
         top = np.zeros(d + 1)
         for k in range(1, d + 1):
-            acc[k] = acc[k] @ comps[k][j]
+            acc[k] = comps[k][j] @ acc[k] if suffix else acc[k] @ comps[k][j]
             s = float(np.linalg.norm(acc[k]))
             acc[k] /= s
             logs[k] += math.log(s)
@@ -211,6 +189,15 @@ def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
             top[k] = logs[k] + math.log(sigma1)
         out[n] = np.diff(top)
     return out
+
+
+def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
+    """``out[n, j] = log sigma_{j+1}(product(word[:n]))`` for n = 0..len(word).
+
+    Computed through compound accumulations of every order, renormalized at
+    each step; row 0 is all zeros (the identity).
+    """
+    return _compound_log_walk(family, word, suffix=False)
 
 
 def log_singular_value_suffixes(family: MatrixFamily, word) -> np.ndarray:
@@ -219,23 +206,7 @@ def log_singular_value_suffixes(family: MatrixFamily, word) -> np.ndarray:
     Suffix products are the nested forward maps at a fixed anchor point:
     each step multiplies the next matrix on the left.
     """
-    w = _validate_word(family, word)
-    d = family.dim
-    comps = {k: [compound_matrix(M, k) for M in family.matrices] for k in range(1, d + 1)}
-    acc = {k: np.eye(math.comb(d, k)) for k in range(1, d + 1)}
-    logs = {k: 0.0 for k in range(1, d + 1)}
-    out = np.zeros((len(w) + 1, d))
-    for n, j in enumerate(reversed(w), start=1):
-        top = np.zeros(d + 1)
-        for k in range(1, d + 1):
-            acc[k] = comps[k][j] @ acc[k]
-            s = float(np.linalg.norm(acc[k]))
-            acc[k] /= s
-            logs[k] += math.log(s)
-            sigma1 = float(np.linalg.svd(acc[k], compute_uv=False)[0])
-            top[k] = logs[k] + math.log(sigma1)
-        out[n] = np.diff(top)
-    return out
+    return _compound_log_walk(family, word, suffix=True)
 
 
 def log_singular_values(family: MatrixFamily, word) -> np.ndarray:
@@ -257,7 +228,7 @@ def log_gap_ratio(family: MatrixFamily, word, index: int) -> float:
 
 
 @dataclass(frozen=True)
-class GapLengthStat:
+class GapLengthStat(JsonRecord):
     """Worst (largest) log gap ratio over the words examined at one length."""
 
     length: int
@@ -266,40 +237,14 @@ class GapLengthStat:
     exact: bool
     witness: Word
 
-    def to_json_dict(self) -> dict:
-        return {
-            "length": self.length,
-            "max_log_ratio": self.max_log_ratio,
-            "words_examined": self.words_examined,
-            "exact": self.exact,
-            "witness": list(self.witness),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GapLengthStat":
-        return cls(
-            length=int(data["length"]),
-            max_log_ratio=float(data["max_log_ratio"]),
-            words_examined=int(data["words_examined"]),
-            exact=bool(data["exact"]),
-            witness=tuple(int(j) for j in data["witness"]),
-        )
-
 
 @dataclass(frozen=True)
-class DecayFit:
+class DecayFit(JsonRecord):
     """Least-squares line ``log_C + N * log_tau`` through the per-length maxima."""
 
     log_C: float
     log_tau: float
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {"log_C": self.log_C, "log_tau": self.log_tau, "residual": self.residual}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DecayFit":
-        return cls(float(data["log_C"]), float(data["log_tau"]), float(data["residual"]))
 
 
 DOMINATED = "dominated"
@@ -308,30 +253,19 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
-class Verdict:
+class Verdict(JsonRecord):
     kind: str
     witness: Word | None = None
     reason: str | None = None
 
-    def to_json_dict(self, labels: tuple[str, ...] | None = None) -> dict:
-        data = {"kind": self.kind, "witness": None if self.witness is None else list(self.witness), "reason": self.reason}
-        if labels is not None and self.witness is not None:
-            data["witness_labels"] = [labels[j] for j in self.witness]
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Verdict":
-        w = data.get("witness")
-        return cls(
-            kind=data["kind"],
-            witness=None if w is None else tuple(int(j) for j in w),
-            reason=data.get("reason"),
-        )
-
 
 @dataclass(frozen=True)
-class GapReport:
-    """Per-length gap maxima, fitted decay, and the domination verdict."""
+class GapReport(JsonRecord):
+    """Per-length gap maxima, fitted decay, and the domination verdict.
+
+    Its JSON nests the family fields as ``family: {dim, labels, source}`` and
+    adds the witness's member labels to the verdict.
+    """
 
     index: int
     family_dim: int
@@ -342,30 +276,26 @@ class GapReport:
     verdict: Verdict | None = None
 
     def to_json_dict(self) -> dict:
+        verdict = encode(self.verdict)
+        if verdict is not None and self.verdict.witness is not None:
+            verdict["witness_labels"] = [self.family_labels[j] for j in self.verdict.witness]
         return {
             "index": self.index,
             "family": {
                 "dim": self.family_dim,
-                "labels": list(self.family_labels),
-                "source": self.family_source.to_json_dict(),
+                "labels": encode(self.family_labels),
+                "source": encode(self.family_source),
             },
-            "per_length": [s.to_json_dict() for s in self.per_length],
-            "fit": None if self.fit is None else self.fit.to_json_dict(),
-            "verdict": None if self.verdict is None else self.verdict.to_json_dict(self.family_labels),
+            "per_length": encode(self.per_length),
+            "fit": encode(self.fit),
+            "verdict": verdict,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GapReport":
         fam = data["family"]
-        return cls(
-            index=int(data["index"]),
-            family_dim=int(fam["dim"]),
-            family_labels=tuple(fam["labels"]),
-            family_source=FamilySource.from_json_dict(fam["source"]),
-            per_length=tuple(GapLengthStat.from_json_dict(s) for s in data["per_length"]),
-            fit=None if data.get("fit") is None else DecayFit.from_json_dict(data["fit"]),
-            verdict=None if data.get("verdict") is None else Verdict.from_json_dict(data["verdict"]),
-        )
+        flat = dict(data, family_dim=fam["dim"], family_labels=fam["labels"], family_source=fam["source"])
+        return super().from_json_dict(flat)
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["N", "max_log_ratio", "words_examined", "exact"]]

@@ -37,6 +37,15 @@ def central_difference(f, t: float, h: float = 1e-6) -> np.ndarray:
     return (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
 
 
+def word_product(family, word) -> np.ndarray:
+    """Plain left-to-right product of a word's members; only safe for short
+    words."""
+    P = np.eye(family.dim)
+    for j in word:
+        P = P @ family.matrix(int(j))
+    return P
+
+
 def brute_force_max_log_gap(matrices, index: int, length: int) -> tuple[float, tuple[int, ...]]:
     """Exhaustive worst log gap ratio over all words of one length.
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import brute_force_worst_nearest_angle, random_invertible, random_orthogonal
 
 from domsplit import grassmann
-from domsplit.grassmann import ConeSample, Plane, ProjectiveLine
+from domsplit.grassmann import ConeSample, Plane
 
 
 def e(i, d=4):
@@ -33,12 +33,6 @@ def test_plane_rejects_bad_frames():
         Plane(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Plane.from_spanning(np.column_stack([e(0), e(0)]))
-
-
-def test_projective_line_requires_dim_2():
-    ProjectiveLine(np.eye(4)[:, :2])
-    with pytest.raises(ValueError):
-        ProjectiveLine(np.eye(4)[:, :3])
 
 
 def test_act_examples():
@@ -206,26 +200,6 @@ def test_projectivize_preserves_strict_invariance_margin():
     assert ok_p
     sampling_slack = math.pi / resolution
     assert margin_p >= margin - sampling_slack
-
-
-def test_cone_around_membership():
-    E = Plane.span(e(0, 2, d=2) if False else np.array([1.0, 0.0]))
-    F = Plane.span(np.array([0.0, 1.0]))
-    member = grassmann.cone_around(E, F, 1.0)
-    assert member(np.array([1.0, 1.0]))
-    tight = grassmann.cone_around(E, F, 0.999)
-    assert not tight(np.array([1.0, 1.0]))
-    assert member(np.array([5.0, 0.0]))  # inside the base plane, any bound
-    zero = grassmann.cone_around(E, F, 0.0)
-    assert zero(np.array([2.0, 0.0]))
-    assert not member(np.array([0.0, 3.0]))  # complement direction never inside
-    # scale invariance
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        v = rng.normal(size=2)
-        assert member(v) == member(v * float(rng.uniform(0.1, 100.0)))
-    with pytest.raises(ValueError):
-        grassmann.cone_around(E, Plane.span(np.array([1.0, 0.0])), 1.0)
 
 
 def test_line_trace_half_plane_cone():

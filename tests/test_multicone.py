@@ -1,4 +1,4 @@
-"""Cone iteration, invariance margins, attractors, multicone construction."""
+"""Invariance margins, attractors, multicone construction."""
 
 import math
 
@@ -22,6 +22,7 @@ from domsplit.errors import DominationGateError, MulticoneConstructionError
 from domsplit.grassmann import (
     ConeSample,
     Plane,
+    act,
     frame_stack_distances,
     grass_distance,
     pairwise_distances,
@@ -32,7 +33,6 @@ from domsplit.multicone import (
     adapted_metric,
     attractor,
     build_multicone,
-    iterate_cone,
     strictly_invariant,
 )
 from domsplit.words import MatrixFamily
@@ -45,28 +45,6 @@ def direction(theta):
 @pytest.fixture(scope="module")
 def diag21():
     return MatrixFamily.from_matrices([np.diag([2.0, 1.0])], ["A"])
-
-
-def test_iterate_cone_fixed_plane(diag21):
-    cone = ConeSample(1, (direction(0.0),), 0.3)
-    out = iterate_cone(diag21, cone)
-    assert len(out.points) == 1
-    assert grass_distance(out.points[0], direction(0.0)) < 1e-12
-    assert out.radius == 0.0
-
-
-def test_iterate_cone_identity_family():
-    fam = MatrixFamily.from_matrices([np.eye(2)], ["I"])
-    pts = tuple(direction(t) for t in (0.0, 0.5, 1.0))
-    out = iterate_cone(fam, ConeSample(1, pts, 0.1))
-    assert len(out.points) == 3
-
-
-def test_iterate_cone_cardinality_without_dedup():
-    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(0.7)], ["A", "R"])
-    pts = tuple(direction(t) for t in (0.1, 0.6, 1.2))
-    out = iterate_cone(fam, ConeSample(1, pts, 0.0), dedup_tol=0.0)
-    assert len(out.points) == 6
 
 
 def test_strictly_invariant_contracting_ball(diag21):
@@ -161,7 +139,7 @@ def test_batched_act_member_major(index):
     assert images.shape == (15, 4, index)
     for j, M in enumerate(mats):
         for k, p in enumerate(planes):
-            assert grass_distance(Plane(images[j * 5 + k]), multicone.act(M, p)) < 1e-12
+            assert grass_distance(Plane(images[j * 5 + k]), act(M, p)) < 1e-12
 
 
 def test_attractor_single_diagonal(diag21):
@@ -394,7 +372,7 @@ def test_attractor_invariance_bound(dominated_suite):
     pts = list(cloud.points)
     for _, M in fam.members:
         for p in pts:
-            moved = multicone.act(M, p)
+            moved = act(M, p)
             dist = min(grass_distance(moved, q) for q in pts)
             assert dist < 0.05
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
-from oracles import brute_force_max_log_gap, random_invertible
+from oracles import brute_force_max_log_gap, random_invertible, word_product
 
 from domsplit import words
 from domsplit.words import (
@@ -48,7 +48,7 @@ def test_log_singular_values_match_direct_svd():
     rng = np.random.default_rng(4)
     fam = MatrixFamily.from_matrices([random_invertible(3, rng) for _ in range(2)])
     word = tuple(rng.integers(2, size=6))
-    expected = np.log(np.linalg.svd(words.word_product(fam, word), compute_uv=False))
+    expected = np.log(np.linalg.svd(word_product(fam, word), compute_uv=False))
     got = words.log_singular_values(fam, word)
     assert np.allclose(got, expected, atol=1e-9)
 
