@@ -19,7 +19,15 @@ import numpy as np
 
 from . import words
 from .errors import ConditioningError, DomsplitError, NumericalError
-from .grassmann import ConeSample, Plane, line_trace, pairwise_distances, projectivize
+from .grassmann import (
+    ConeSample,
+    Plane,
+    frame_stack,
+    line_trace,
+    pairwise_distances,
+    pairwise_grams,
+    projectivize,
+)
 from .jsonio import JsonRecord
 from .multicone import MulticoneConfig, build_multicone, strictly_invariant
 from .words import FamilySource, MatrixFamily, SearchConfig
@@ -86,18 +94,6 @@ def line(which: str, t, extension: float = DOMAIN_EXTENSION) -> LineSample:
         raise NumericalError("zero curve tangent")  # cannot occur on the domain
     direction = v / n + np.array([0.0, 0.0, 1.0])
     return LineSample(base=base, direction=direction / np.linalg.norm(direction))
-
-
-def line_distance(base1, dir1, base2, dir2) -> float:
-    """Distance between two lines in R^3 (parallel pairs handled)."""
-    b1, d1 = np.asarray(base1, float), np.asarray(dir1, float)
-    b2, d2 = np.asarray(base2, float), np.asarray(dir2, float)
-    cross = np.cross(d1, d2)
-    n = float(np.linalg.norm(cross))
-    delta = b2 - b1
-    if n < 1e-12:
-        return float(np.linalg.norm(np.cross(delta, d1)) / np.linalg.norm(d1))
-    return float(abs(delta @ cross) / n)
 
 
 class SkewnessMargin(NamedTuple):
@@ -263,7 +259,7 @@ class LambdaScanEntry(JsonRecord):
 class MulticoneSummary(JsonRecord):
     component_count: int
     invariance_margin: float
-    component_gap: float | None
+    component_gap: float = field(metadata={"inf_as_null": True})
     contained_max_distance: float
     contained_all: bool
     excluded_min_distance: float
@@ -321,11 +317,8 @@ _AXIS_POINTS = (
 
 def _min_principal_angle(first: list[Plane], second: list[Plane]) -> float:
     """Smallest principal angle over all plane pairs (batched)."""
-    from .grassmann import pairwise_grams
-
-    A = np.stack([p.frame for p in first])
-    B = np.stack([p.frame for p in second])
-    top_cos = np.linalg.svd(pairwise_grams(A, B), compute_uv=False)[..., 0]
+    grams = pairwise_grams(frame_stack(first), frame_stack(second))
+    top_cos = np.linalg.svd(grams, compute_uv=False)[..., 0]
     return float(np.arccos(np.clip(np.max(top_cos), 0.0, 1.0)))
 
 
@@ -402,17 +395,16 @@ def _run_side(
     except DomsplitError as exc:  # construction failure is a reportable outcome
         return replace(failed, failing_stage=f"multicone: {exc}")
 
-    dist_in = pairwise_distances(contained_planes, list(cone.cone.points))
-    dist_out = pairwise_distances(excluded_planes, list(cone.cone.points))
+    dist_in = pairwise_distances(contained_planes, cone.cone.frames)
+    dist_out = pairwise_distances(excluded_planes, cone.cone.frames)
     contained_dists = dist_in.min(axis=1)
     excluded_dists = dist_out.min(axis=1)
     contained_all = bool(np.all(contained_dists <= cone.cone.radius))
     excluded_all = bool(np.all(excluded_dists > cone.cone.radius))
 
-    point_comp = np.empty(len(cone.cone.points), dtype=int)
+    point_comp = np.empty(len(cone.cone.frames), dtype=int)
     for ci, comp in enumerate(cone.components):
-        for idx in comp:
-            point_comp[idx] = ci
+        point_comp[list(comp)] = ci
     nearest_comp = point_comp[np.argmin(dist_in, axis=1)]
     single_comp = bool(np.all(nearest_comp == nearest_comp[0]))
     relevant = int(nearest_comp[0])
@@ -420,7 +412,7 @@ def _run_side(
     summary = MulticoneSummary(
         component_count=len(cone.components),
         invariance_margin=float(cone.invariance_margin),
-        component_gap=None if math.isinf(cone.component_gap) else float(cone.component_gap),
+        component_gap=cone.component_gap,
         contained_max_distance=float(np.max(contained_dists)),
         contained_all=contained_all,
         excluded_min_distance=float(np.min(excluded_dists)),

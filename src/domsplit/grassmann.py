@@ -2,13 +2,14 @@
 
 A plane is stored as an orthonormal frame; the metric is the largest
 principal angle, which is a true metric on G(i, d) and costs one small
-SVD.  Cone-like sets are finite point clouds of planes plus a radius.
+SVD.  Cone-like sets are finite (n, d, i) frame stacks plus a radius.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.special import ndtri
@@ -17,21 +18,32 @@ from scipy.stats import qmc
 from . import linalg
 from .errors import NumericalError
 
-FRAME_ORTHO_TOL = 1e-12
-
 # Margin threshold for declaring two complementary planes transverse; far
 # above rounding noise, far below geometric margins in shipped examples.
 TRANSVERSALITY_TOL = 1e-8
 
 
-def _canonical_signs(frame: np.ndarray) -> np.ndarray:
-    """Flip column signs so the largest-magnitude entry of each is positive."""
-    out = frame.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+def _canonical_signs(frames: np.ndarray) -> np.ndarray:
+    """Flip column signs so the largest-magnitude entry of each is positive,
+    for one frame or a stack of them."""
+    top = np.argmax(np.abs(frames), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(frames, top, axis=-2) < 0, -frames, frames)
+
+
+def orthonormal_frames(vectors: np.ndarray) -> np.ndarray:
+    """Canonically signed orthonormal frames spanning each column set of a
+    (..., d, i) stack; raises if any is numerically rank-deficient."""
+    U, s, _ = np.linalg.svd(vectors, full_matrices=False)
+    if np.any(s[..., -1] <= 1e-12 * s[..., 0]):
+        raise ValueError("spanning vectors are numerically rank-deficient")
+    return _canonical_signs(U)
+
+
+def frame_stack(planes) -> np.ndarray:
+    """(n, d, i) stack of the frames of planes or raw frames; arrays pass through."""
+    if isinstance(planes, np.ndarray):
+        return planes
+    return np.stack([getattr(p, "frame", p) for p in planes])
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +87,7 @@ class Plane:
         V = np.asarray(vectors, dtype=float)
         if V.ndim == 1:
             V = V[:, None]
-        U, s, _ = np.linalg.svd(V, full_matrices=False)
-        if s[-1] <= 1e-12 * s[0]:
-            raise ValueError("spanning vectors are numerically rank-deficient")
-        return cls(_canonical_signs(U))
+        return cls(orthonormal_frames(V))
 
     @classmethod
     def span(cls, *vectors) -> "Plane":
@@ -91,47 +100,59 @@ class Plane:
 
 @dataclass(frozen=True, eq=False)
 class ConeSample:
-    """Finite sample of a cone-like subset of G(i, d): planes plus a radius."""
+    """Finite sample of a cone-like subset of G(i, d): frames plus a radius.
+
+    ``frames`` takes a sequence of planes (or raw frames) or an (n, d, i)
+    stack and holds a read-only (n, d, i) stack, each frame validated as
+    ``Plane`` validates one; an empty sample holds shape (0, 0, i).
+    """
 
     grass_index: int
-    points: tuple[Plane, ...]
+    frames: np.ndarray
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
         if self.grass_index < 1:
             raise ValueError("grass_index must be >= 1")
         if self.radius < 0:
             raise ValueError("radius must be non-negative")
-        dims = {p.dim for p in self.points}
-        ambients = {p.ambient_dim for p in self.points}
-        if dims and dims != {self.grass_index}:
+        # frames of mixed shape fail to stack; a frame wider than tall cannot
+        # have orthonormal columns
+        F = frame_stack(self.frames) if len(self.frames) else np.empty((0, 0, self.grass_index))
+        F = np.array(F, dtype=float)
+        if F.ndim != 3 or F.shape[2] != self.grass_index:
             raise ValueError("all points must have dimension grass_index")
-        if len(ambients) > 1:
-            raise ValueError("all points must share the ambient dimension")
+        gram = np.matmul(np.swapaxes(F, 1, 2), F)
+        if len(F) and np.max(np.abs(gram - np.eye(F.shape[2]))) > 1e-10:
+            raise ValueError("frame columns are not orthonormal")
+        F.setflags(write=False)
+        object.__setattr__(self, "frames", F)
+
+    @cached_property
+    def points(self) -> tuple[Plane, ...]:
+        return tuple(Plane(f) for f in self.frames)
 
     @property
     def ambient_dim(self) -> int | None:
-        return self.points[0].ambient_dim if self.points else None
+        return self.frames.shape[1] if len(self.frames) else None
 
     def to_json_dict(self) -> dict:
         return {
             "grass_index": self.grass_index,
             "radius": self.radius,
-            "frames": [p.frame.tolist() for p in self.points],
+            "frames": self.frames.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ConeSample":
-        points = tuple(Plane(np.asarray(f, dtype=float)) for f in data["frames"])
-        return cls(grass_index=int(data["grass_index"]), points=points, radius=float(data["radius"]))
+        return cls(int(data["grass_index"]), data["frames"], float(data["radius"]))
 
     def csv_rows(self) -> list[list]:
         """One row per frame column: point index, column index, then entries."""
         rows = []
-        for idx, p in enumerate(self.points):
-            for col in range(p.dim):
-                rows.append([idx, col] + [repr(float(x)) for x in p.frame[:, col]])
+        for idx, frame in enumerate(self.frames):
+            for col in range(frame.shape[1]):
+                rows.append([idx, col] + [repr(float(x)) for x in frame[:, col]])
         return rows
 
 
@@ -164,6 +185,41 @@ def grass_distance(first: Plane, second: Plane) -> float:
     return float(np.arcsin(np.clip(sin, 0.0, 1.0)))
 
 
+def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Re-orthonormalized M @ frame for every matrix of a stack and every
+    frame of a stack, member-major: image ``j * len(frames) + k`` is that of
+    frame k under matrix j.
+
+    One- and two-column frames use vectorized Gram-Schmidt (with a second
+    projection pass for stability); distances only see the span, so basis
+    choice within the image is irrelevant.
+    """
+    images = np.matmul(matrices[:, None], frames[None]).reshape(-1, *frames.shape[1:])
+    width = frames.shape[2]
+    if width == 1:
+        return images / np.linalg.norm(images, axis=1, keepdims=True)
+    if width == 2:
+        q1 = images[:, :, 0]
+        q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
+        v2 = images[:, :, 1]
+        v2 = v2 - q1 * np.sum(q1 * v2, axis=1, keepdims=True)
+        v2 = v2 - q1 * np.sum(q1 * v2, axis=1, keepdims=True)
+        q2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
+        return np.stack([q1, q2], axis=2)
+    Q, R = np.linalg.qr(images)
+    signs = np.sign(np.einsum("...ii->...i", R))
+    signs[signs == 0] = 1.0
+    return Q * signs[:, None, :]
+
+
+def _min_cos_2x2(a, b, c, d):
+    """Smaller singular value of [[a, b], [c, d]], elementwise, in closed form."""
+    f = 0.5 * (a * a + b * b + c * c + d * d)
+    det = a * d - b * c
+    low = f - np.sqrt(np.maximum(f * f - det * det, 0.0))
+    return np.sqrt(np.maximum(low, 0.0))
+
+
 def min_cos_principal(grams: np.ndarray) -> np.ndarray:
     """Smallest singular value over a stack of k-by-k frame Gram matrices.
 
@@ -174,13 +230,14 @@ def min_cos_principal(grams: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.abs(grams[..., 0, 0])
     if k == 2:
-        a, b = grams[..., 0, 0], grams[..., 0, 1]
-        c, d = grams[..., 1, 0], grams[..., 1, 1]
-        f = 0.5 * (a * a + b * b + c * c + d * d)
-        det = a * d - b * c
-        low = f - np.sqrt(np.maximum(f * f - det * det, 0.0))
-        return np.sqrt(np.maximum(low, 0.0))
+        return _min_cos_2x2(grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 0], grams[..., 1, 1])
     return np.linalg.svd(grams, compute_uv=False)[..., -1]
+
+
+def aligned_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Largest principal angle between ``A[k]`` and ``B[k]`` for every row k."""
+    cos = min_cos_principal(np.einsum("adi,adj->aij", A, B))
+    return np.arccos(np.clip(cos, 0.0, 1.0))
 
 
 def pairwise_grams(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -201,14 +258,7 @@ def min_cos_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if i == j == 2:
         a1, a2 = A[:, :, 0], A[:, :, 1]
         b1, b2 = B[:, :, 0], B[:, :, 1]
-        g00 = a1 @ b1.T
-        g01 = a1 @ b2.T
-        g10 = a2 @ b1.T
-        g11 = a2 @ b2.T
-        f = 0.5 * (g00 * g00 + g01 * g01 + g10 * g10 + g11 * g11)
-        det = g00 * g11 - g01 * g10
-        low = f - np.sqrt(np.maximum(f * f - det * det, 0.0))
-        return np.sqrt(np.maximum(low, 0.0))
+        return _min_cos_2x2(a1 @ b1.T, a1 @ b2.T, a2 @ b1.T, a2 @ b2.T)
     return min_cos_principal(pairwise_grams(A, B))
 
 
@@ -256,17 +306,15 @@ def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
 
 
-def pairwise_distances(first: list[Plane] | tuple[Plane, ...], second) -> np.ndarray:
-    """Matrix of grass_distance values between two lists of planes (batched).
+def pairwise_distances(first, second) -> np.ndarray:
+    """Matrix of grass_distance values between two plane lists or frame stacks (batched).
 
     Uses the cosine formulation; for nearly equal planes it is accurate to
     about sqrt(eps) only, which the margin-style callers tolerate.
     """
     if len(first) == 0 or len(second) == 0:
         return np.zeros((len(first), len(second)))
-    A = np.stack([p.frame for p in first])
-    B = np.stack([p.frame for p in second])
-    return frame_stack_distances(A, B)
+    return frame_stack_distances(frame_stack(first), frame_stack(second))
 
 
 def transverse(first: Plane, second: Plane) -> tuple[bool, float]:
@@ -298,12 +346,16 @@ def sphere_sample(dim: int, count: int) -> np.ndarray:
     return out
 
 
-def reference_frames(ambient_dim: int, dim: int, count: int) -> list[Plane]:
-    """Deterministic low-discrepancy sample of G(dim, ambient_dim)."""
+@lru_cache(maxsize=64)
+def reference_frames(ambient_dim: int, dim: int, count: int) -> np.ndarray:
+    """Deterministic low-discrepancy sample of G(dim, ambient_dim), as a
+    read-only (count, ambient_dim, dim) frame stack built once per shape."""
     seq = qmc.Halton(d=ambient_dim * dim, scramble=False)
     seq.fast_forward(1)
     raw = ndtri(seq.random(count)).reshape(count, ambient_dim, dim)
-    return [Plane.from_spanning(raw[i]) for i in range(count)]
+    stack = orthonormal_frames(raw)
+    stack.setflags(write=False)
+    return stack
 
 
 def projectivize(cone: ConeSample, resolution: int = 64) -> ConeSample:
@@ -317,20 +369,20 @@ def projectivize(cone: ConeSample, resolution: int = 64) -> ConeSample:
     """
     if resolution < 1:
         raise ValueError("resolution must be positive")
-    directions: list[Plane] = []
-    for plane in cone.points:
-        i = plane.dim
-        if i == 1:
-            coeffs = np.ones((1, 1))
-        elif i == 2:
-            theta = np.arange(resolution) * math.pi / resolution
-            coeffs = np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
-            coeffs = sphere_sample(i, resolution)
-        vecs = plane.frame @ coeffs.T
-        for j in range(vecs.shape[1]):
-            directions.append(Plane(_canonical_signs(vecs[:, j][:, None])))
-    return ConeSample(grass_index=1, points=tuple(directions), radius=cone.radius)
+    if not len(cone.frames):
+        return ConeSample(1, (), cone.radius)
+    i = cone.grass_index
+    if i == 1:
+        coeffs = np.ones((1, 1))
+    elif i == 2:
+        theta = np.arange(resolution) * math.pi / resolution
+        coeffs = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        coeffs = sphere_sample(i, resolution)
+    # one product per plane; the directions of plane 0 come first
+    vecs = np.stack([frame @ coeffs.T for frame in cone.frames])
+    directions = np.swapaxes(vecs, 1, 2).reshape(-1, vecs.shape[1], 1)
+    return ConeSample(1, _canonical_signs(directions), cone.radius)
 
 
 def line_trace(
@@ -352,15 +404,14 @@ def line_trace(
         raise ValueError("line_trace requires a sample of directions (G(1, d))")
     if arc_resolution < 4:
         raise ValueError("arc_resolution must be at least 4")
-    if not directions.points:
+    if not len(directions.frames):
         return []
     if directions.ambient_dim != line.ambient_dim:
         raise ValueError("directions and line must share the ambient dimension")
 
     cell = math.pi / arc_resolution
     tol = 2.0 * cell if occupancy_tol is None else float(occupancy_tol)
-    vecs = np.stack([p.frame[:, 0] for p in directions.points])
-    coords = vecs @ line.frame
+    coords = directions.frames[:, :, 0] @ line.frame
     centers = (np.arange(arc_resolution) + 0.5) * cell
     dots = np.abs(
         np.outer(coords[:, 0], np.cos(centers)) + np.outer(coords[:, 1], np.sin(centers))

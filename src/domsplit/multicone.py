@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.cluster.hierarchy import linkage
@@ -23,10 +22,12 @@ from .grassmann import (
     TRANSVERSALITY_TOL,
     ConeSample,
     Plane,
+    act_frames,
+    aligned_distances,
     frame_stack_distances,
     grass_distance,
     line_trace,
-    min_cos_principal,
+    orthonormal_frames,
     projectivize,
     reference_frames,
     worst_nearest_angle,
@@ -67,59 +68,18 @@ class Multicone(JsonRecord):
 
     def __post_init__(self):
         assigned = sorted(i for comp in self.components for i in comp)
-        if assigned != list(range(len(self.cone.points))):
+        if assigned != list(range(len(self.cone.frames))):
             raise ValueError("components must partition the cone points")
         if len(self.components) < 1:
             raise ValueError("need at least one component")
 
     def component_cone(self, which: int) -> ConeSample:
-        pts = tuple(self.cone.points[i] for i in self.components[which])
-        return ConeSample(self.cone.grass_index, pts, self.cone.radius)
-
-
-def _batched_act(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Re-orthonormalized M @ frame for every matrix of a stack and every
-    frame of a stack, member-major: image ``j * len(frames) + k`` is that of
-    frame k under matrix j.
-
-    One- and two-column frames use vectorized Gram-Schmidt (with a second
-    projection pass for stability); distances only see the span, so basis
-    choice within the image is irrelevant.
-    """
-    images = np.matmul(matrices[:, None], frames[None]).reshape(-1, *frames.shape[1:])
-    width = frames.shape[2]
-    if width == 1:
-        return images / np.linalg.norm(images, axis=1, keepdims=True)
-    if width == 2:
-        q1 = images[:, :, 0]
-        q1 = q1 / np.linalg.norm(q1, axis=1, keepdims=True)
-        v2 = images[:, :, 1]
-        v2 = v2 - q1 * np.sum(q1 * v2, axis=1, keepdims=True)
-        v2 = v2 - q1 * np.sum(q1 * v2, axis=1, keepdims=True)
-        q2 = v2 / np.linalg.norm(v2, axis=1, keepdims=True)
-        return np.stack([q1, q2], axis=2)
-    Q, R = np.linalg.qr(images)
-    signs = np.sign(np.einsum("...ii->...i", R))
-    signs[signs == 0] = 1.0
-    return Q * signs[:, None, :]
+        return replace(self.cone, frames=self.cone.frames[list(self.components[which])])
 
 
 # image-center pairs per nearest-point search in ``strictly_invariant``;
 # bounds the memory of one search
 _GROUP_PAIRS = 5_000_000
-
-
-def _frames_of(cone_points) -> np.ndarray:
-    return np.stack([p.frame for p in cone_points])
-
-
-@lru_cache(maxsize=64)
-def _reference_stack(count: int, ambient_dim: int, dim: int) -> np.ndarray:
-    """Read-only frame stack of ``reference_frames(ambient_dim, dim, count)``,
-    built once per shape for the cover check."""
-    stack = _frames_of(reference_frames(ambient_dim, dim, count))
-    stack.setflags(write=False)
-    return stack
 
 
 def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
@@ -175,12 +135,12 @@ def strictly_invariant(
     whatever the margin: interior inclusion needs slack that the full space
     cannot offer.
     """
-    if not cone.points:
+    frames = cone.frames
+    if not len(frames):
         raise ValueError("cone sample must be non-empty")
-    d = cone.points[0].ambient_dim
+    d = frames.shape[1]
     if d != family.dim:
         raise ValueError("family and cone dimensions do not match")
-    frames = _frames_of(cone.points)
     probes = _ball_probes(frames, cone.radius)
     curve = family.source.kind == "sampled_curve"
     worst = spread = 0.0
@@ -189,19 +149,18 @@ def strictly_invariant(
     group = max(1, _GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
     mats = family.matrices
     for lo in range(0, family.size, group):
-        images = _batched_act(np.stack(mats[lo : lo + group]), probes)
+        images = act_frames(np.stack(mats[lo : lo + group]), probes)
         if curve:
             # first-order guard against the unsampled continuum between
             # adjacent curve samples; the last image carries to the next group
             for cur in images.reshape(-1, *probes.shape):
                 if prev is not None:
-                    cos = min_cos_principal(np.einsum("adi,adj->aij", prev, cur))
-                    spread = max(spread, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
+                    spread = max(spread, float(np.max(aligned_distances(prev, cur))))
                 prev = cur
         worst = max(worst, worst_nearest_angle(images, frames))
     margin = cone.radius - worst - spread
 
-    refs = _reference_stack(cover_check_points, d, cone.grass_index)
+    refs = reference_frames(d, cone.grass_index, cover_check_points)
     ref_dist = frame_stack_distances(refs, frames)
     if bool(np.all(ref_dist.min(axis=1) <= cone.radius)):
         return False, margin
@@ -231,7 +190,7 @@ def attractor(
     if word_len < 1:
         raise ValueError("word_len must be positive")
     n_streams = max(1, len(seeds) if seeds is not None else 1)
-    points: list[Plane] = []
+    spans: list[np.ndarray] = []
     warned = 0
     for stream in range(n_streams):
         rng = np.random.default_rng(rng_seed + 7919 * stream)
@@ -244,10 +203,10 @@ def attractor(
             if spec.values[index] >= spec.values[index - 1] * (1.0 - gap_warning_tol):
                 warned += 1
                 continue
-            points.append(Plane.from_spanning(spec.left[:, :index]))
+            spans.append(spec.left[:, :index])
     if warned:
         log.warning("attractor: %d sampled products had ill-defined top frames", warned)
-    return ConeSample(grass_index=index, points=tuple(points), radius=0.0)
+    return ConeSample(index, orthonormal_frames(np.stack(spans)) if spans else (), 0.0)
 
 
 def adapted_metric(
@@ -266,9 +225,9 @@ def adapted_metric(
     truncation indicator, logged at DEBUG level.  Under domination every
     family member strictly contracts this metric.
     """
-    if stable_sample.points:
+    stable = stable_sample.frames
+    if len(stable):
         planes = np.stack([first.frame, second.frame])
-        stable = _frames_of(stable_sample.points)
         d = planes.shape[1]
         if stable.shape[1] != d or planes.shape[2] + stable.shape[2] != d:
             raise ValueError("input planes and the stable sample must be complementary")
@@ -285,13 +244,11 @@ def adapted_metric(
     last = total
     for _ in range(1, n_trunc + 1):
         # both beams in one call; each member's images of beam_a come first
-        imgs = _batched_act(mats, np.concatenate([beam_a, beam_b]))
+        imgs = act_frames(mats, np.concatenate([beam_a, beam_b]))
         imgs = imgs.reshape(len(mats), 2, -1, *imgs.shape[1:])
         imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
         imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
-        grams = np.einsum("adi,adj->aij", imgs_a, imgs_b)
-        cos = min_cos_principal(grams)
-        dists = np.arccos(np.clip(cos, 0.0, 1.0))
+        dists = aligned_distances(imgs_a, imgs_b)
         last = float(np.max(dists))
         total += last
         if imgs_a.shape[0] > beam_width:
@@ -382,10 +339,9 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         rng_seed=cfg.attractor_rng_seed,
         gap_warning_tol=cfg.gap_warning_tol,
     )
-    pts = cloud.points
-    if not pts:
+    frames = cloud.frames
+    if not len(frames):
         raise MulticoneConstructionError("attractor sample is empty", table=[])
-    frames = _frames_of(pts)
     dist = frame_stack_distances(frames, frames)
     np.fill_diagonal(dist, 0.0)
 
@@ -404,9 +360,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     # images of the bare centers bound the viable radius from below: the
     # probe sweep only widens with the radius, so margins grow at most
     # linearly and candidates under this deficit cannot pass
-    _, center_margin = strictly_invariant(
-        family, ConeSample(grass_index=index, points=pts, radius=0.0), cfg.cover_check_points
-    )
+    _, center_margin = strictly_invariant(family, cloud, cfg.cover_check_points)
     skip_below = max(0.0, -center_margin)
 
     failures: list[str] = []
@@ -423,7 +377,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         if best is not None and table[a][1] != len(best.components):
             break  # next plateau has a different component count: keep the best
         comps = _components_at(merges, 2.0 * eps)
-        cone = ConeSample(grass_index=index, points=pts, radius=eps)
+        cone = replace(cloud, radius=eps)
         ok, margin = strictly_invariant(family, cone, cfg.cover_check_points)
         gap = _component_gap(dist, comps, eps)
         if ok and gap > 0.0:

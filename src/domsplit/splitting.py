@@ -105,13 +105,14 @@ def default_window_length(family: MatrixFamily, index: int, seed: int = 0) -> in
     Capped at WINDOW_CAP; the convergence of the singular frames is geometric
     so this is far past saturation in double precision.
     """
-    rng = np.random.default_rng(seed)
-    word: list[int] = []
-    for n in range(1, WINDOW_CAP + 1):
-        word.append(int(rng.integers(family.size)))
-        if words.log_gap_ratio(family, tuple(word), index) < math.log(WINDOW_GAP_TARGET):
-            return n
-    return WINDOW_CAP
+    d = family.dim
+    if not 1 <= index <= d - 1:
+        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+    # one walk over the capped word gives the gap ratio of every prefix
+    word = np.random.default_rng(seed).integers(family.size, size=WINDOW_CAP)
+    logs = words.log_singular_value_prefixes(family, word)[1:]
+    below = np.flatnonzero(logs[:, index] - logs[:, index - 1] < math.log(WINDOW_GAP_TARGET))
+    return int(below[0]) + 1 if below.size else WINDOW_CAP
 
 
 @dataclass(frozen=True)

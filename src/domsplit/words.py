@@ -516,12 +516,9 @@ def _periodic_witness(
         n_powers = max_len // len(root)
         if n_powers < config.min_witness_powers:
             continue
-        flat = True
-        for k in range(1, n_powers + 1):
-            if log_gap_ratio(family, root * k, index) < log_floor:
-                flat = False
-                break
-        if flat:
+        # row k * len(root) of one walk over the top power is the k-th power
+        logs = log_singular_value_prefixes(family, root * n_powers)[len(root) :: len(root)]
+        if not np.any(logs[:, index] - logs[:, index - 1] < log_floor):
             return root
     return None
 

@@ -8,16 +8,20 @@ references are the exception: they are the full, unpruned reductions the
 production code replaced, built on the same closed form and image map, so
 they pin the restructuring and not the per-pair arithmetic.  The component
 references are the pair-by-pair loops the single-linkage tree replaced.
+``projectivize_oracle``, ``window_length_oracle`` and
+``periodic_witness_oracle`` are the per-direction, per-prefix and per-power
+loops that the stacked versions replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from domsplit.grassmann import min_cos_pairs, min_cos_principal
-from domsplit.multicone import _batched_act
+from domsplit import words
+from domsplit.grassmann import Plane, act_frames, aligned_distances, min_cos_pairs, sphere_sample
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -106,12 +110,10 @@ def curve_spread_oracle(family, probes: np.ndarray) -> float:
     if family.source.kind != "sampled_curve" or family.size < 2:
         return 0.0
     worst = 0.0
-    prev = _batched_act(family.matrix(0)[None], probes)
+    prev = act_frames(family.matrix(0)[None], probes)
     for j in range(1, family.size):
-        cur = _batched_act(family.matrix(j)[None], probes)
-        grams = np.einsum("adi,adj->aij", prev, cur)
-        cos = min_cos_principal(grams)
-        worst = max(worst, float(np.max(np.arccos(np.clip(cos, 0.0, 1.0)))))
+        cur = act_frames(family.matrix(j)[None], probes)
+        worst = max(worst, float(np.max(aligned_distances(prev, cur))))
         prev = cur
     return worst
 
@@ -152,3 +154,77 @@ def component_gap_oracle(dist: np.ndarray, comps, eps: float) -> float:
         for cb in comps[i + 1 :]
     )
     return inter - 2.0 * eps
+
+
+def line_distance(base1, dir1, base2, dir2) -> float:
+    """Distance between two lines in R^3 (parallel pairs handled)."""
+    b1, d1 = np.asarray(base1, float), np.asarray(dir1, float)
+    b2, d2 = np.asarray(base2, float), np.asarray(dir2, float)
+    cross = np.cross(d1, d2)
+    n = float(np.linalg.norm(cross))
+    delta = b2 - b1
+    if n < 1e-12:
+        return float(np.linalg.norm(np.cross(delta, d1)) / np.linalg.norm(d1))
+    return float(abs(delta @ cross) / n)
+
+
+def _column_canonical_signs(frame: np.ndarray) -> np.ndarray:
+    out = frame.copy()
+    for j in range(out.shape[1]):
+        k = int(np.argmax(np.abs(out[:, j])))
+        if out[k, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def projectivize_oracle(planes, resolution: int) -> list[np.ndarray]:
+    """Direction frames of every plane, one validated ``Plane`` per sampled
+    direction, with the column-by-column sign rule."""
+    directions = []
+    for plane in planes:
+        i = plane.dim
+        if i == 1:
+            coeffs = np.ones((1, 1))
+        elif i == 2:
+            theta = np.arange(resolution) * math.pi / resolution
+            coeffs = np.column_stack([np.cos(theta), np.sin(theta)])
+        else:
+            coeffs = sphere_sample(i, resolution)
+        vecs = plane.frame @ coeffs.T
+        for j in range(vecs.shape[1]):
+            directions.append(Plane(_column_canonical_signs(vecs[:, j][:, None])).frame)
+    return directions
+
+
+def window_length_oracle(family, index: int, seed: int, target: float, cap: int) -> int:
+    """First prefix length whose gap ratio falls below ``target``, drawing one
+    letter at a time and walking every prefix from scratch."""
+    rng = np.random.default_rng(seed)
+    word: list[int] = []
+    for n in range(1, cap + 1):
+        word.append(int(rng.integers(family.size)))
+        if words.log_gap_ratio(family, tuple(word), index) < math.log(target):
+            return n
+    return cap
+
+
+def periodic_witness_oracle(family, index: int, report, config):
+    """First candidate root all of whose powers stay at or above the ratio
+    floor, walking each power from scratch."""
+    max_len = report.per_length[-1].length
+    candidates = [(j,) for j in range(family.size)] + [s.witness for s in report.per_length]
+    seen = set()
+    for cand in candidates:
+        root = words._primitive_root(cand)
+        if root in seen:
+            continue
+        seen.add(root)
+        n_powers = max_len // len(root)
+        if n_powers < config.min_witness_powers:
+            continue
+        if all(
+            words.log_gap_ratio(family, root * k, index) >= math.log(config.ratio_floor)
+            for k in range(1, n_powers + 1)
+        ):
+            return root
+    return None

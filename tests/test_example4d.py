@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference
+from oracles import central_difference, line_distance
 
 from domsplit import example4d as ex
 from domsplit.errors import MulticoneConstructionError
@@ -59,12 +59,22 @@ def test_lines_never_parallel():
 
 def test_line_distance_self_is_zero():
     s = ex.line("first", 1.0)
-    assert ex.line_distance(s.base, s.direction, s.base, s.direction) == pytest.approx(0.0)
+    assert line_distance(s.base, s.direction, s.base, s.direction) == pytest.approx(0.0)
     shifted = s.base + 2.5 * s.direction
-    assert ex.line_distance(s.base, s.direction, shifted, s.direction) == pytest.approx(0.0, abs=1e-12)
+    assert line_distance(s.base, s.direction, shifted, s.direction) == pytest.approx(0.0, abs=1e-12)
     parallel_offset = s.base + np.array([0.0, 0.0, 1.0]) * 0.0 + np.cross(s.direction, [1.0, 0, 0])
-    d = ex.line_distance(s.base, s.direction, s.base + parallel_offset, s.direction)
+    d = line_distance(s.base, s.direction, s.base + parallel_offset, s.direction)
     assert d > 0
+
+
+@pytest.mark.parametrize("grid_n", [2, 5, 9])
+def test_skewness_margin_matches_line_distance_oracle(grid_n):
+    # the batched minimum equals the pair-by-pair line distance minimum
+    ts = np.linspace(-ex.DOMAIN_EXTENSION, math.pi + ex.DOMAIN_EXTENSION, grid_n)
+    first = [ex.line("first", float(t)) for t in ts]
+    second = [ex.line("second", float(t)) for t in ts]
+    want = min(line_distance(a.base, a.direction, b.base, b.direction) for a in first for b in second)
+    assert ex.skewness_margin(grid_n).min_distance == pytest.approx(want, abs=1e-12)
 
 
 def test_skewness_margin_golden():

@@ -1,5 +1,6 @@
 """Planes, the group action, metric properties, cones, and line traces."""
 
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,12 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import brute_force_worst_nearest_angle, random_invertible, random_orthogonal
+from oracles import (
+    brute_force_worst_nearest_angle,
+    projectivize_oracle,
+    random_invertible,
+    random_orthogonal,
+)
 
 from domsplit import grassmann
 from domsplit.grassmann import ConeSample, Plane
@@ -241,3 +247,109 @@ def test_cone_sample_serialization_round_trip():
         assert grassmann.grass_distance(p, q) < 1e-12
     rows = cone.csv_rows()
     assert len(rows) == 6  # two columns per 2-plane
+
+
+def test_cone_sample_from_planes_equals_stack():
+    rng = np.random.default_rng(12)
+    planes = tuple(Plane.from_spanning(rng.normal(size=(4, 2))) for _ in range(5))
+    stack = np.stack([p.frame for p in planes])
+    a = ConeSample(2, planes, 0.2)
+    b = ConeSample(2, stack, 0.2)
+    assert np.array_equal(a.frames, b.frames)
+    assert a.frames.shape == (5, 4, 2) and a.ambient_dim == 4
+    assert a.to_json_dict() == b.to_json_dict()
+    assert a.csv_rows() == b.csv_rows()
+    assert all(np.array_equal(p.frame, q.frame) for p, q in zip(a.points, planes))
+    # the sample owns a read-only copy of its frames
+    assert not b.frames.flags.writeable
+    stack[0] = 0.0
+    assert np.array_equal(b.frames, a.frames)
+    back = ConeSample.from_json_dict(json.loads(json.dumps(b.to_json_dict())))
+    assert np.array_equal(back.frames, a.frames)
+
+
+def test_cone_sample_rejects_bad_stacks():
+    rng = np.random.default_rng(13)
+    stack = np.stack([Plane.from_spanning(rng.normal(size=(3, 2))).frame for _ in range(4)])
+    bad = stack.copy()
+    bad[2, :, 1] *= 1.01
+    with pytest.raises(ValueError, match="orthonormal"):
+        ConeSample(2, bad, 0.1)
+    with pytest.raises(ValueError, match="dimension grass_index"):
+        ConeSample(1, stack, 0.1)
+    with pytest.raises(ValueError, match="dimension grass_index"):
+        ConeSample(2, stack[:, :, 0], 0.1)
+    # mixed dimensions and mixed ambient dimensions
+    with pytest.raises(ValueError):
+        ConeSample(2, (Plane.span(e(0, 3), e(1, 3)), Plane.span(e(0, 3))), 0.1)
+    with pytest.raises(ValueError):
+        ConeSample(1, (Plane.span(e(0, 3)), Plane.span(e(0, 4))), 0.1)
+    # frames wider than tall
+    with pytest.raises(ValueError, match="orthonormal"):
+        ConeSample(2, np.ones((1, 1, 2)) / math.sqrt(2.0), 0.1)
+    with pytest.raises(ValueError):
+        ConeSample(2, stack, -0.1)
+
+
+def test_cone_sample_empty():
+    cone = ConeSample(2, (), 0.3)
+    assert cone.frames.shape == (0, 0, 2)
+    assert cone.points == () and cone.ambient_dim is None and cone.csv_rows() == []
+    assert cone.to_json_dict() == {"grass_index": 2, "radius": 0.3, "frames": []}
+    assert ConeSample.from_json_dict(cone.to_json_dict()).frames.shape == (0, 0, 2)
+    out = grassmann.projectivize(cone, 8)
+    assert out.grass_index == 1 and len(out.frames) == 0 and out.radius == 0.3
+
+
+@pytest.mark.parametrize(
+    "index,dim", [(i, d) for i in (1, 2, 3) for d in range(2, 6) if d >= i]
+)
+def test_projectivize_matches_per_direction_loop(index, dim):
+    rng = np.random.default_rng(100 * index + dim)
+    planes = tuple(Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(6))
+    for resolution in (1, 7, 16):
+        out = grassmann.projectivize(ConeSample(index, planes, 0.1), resolution)
+        want = np.stack(projectivize_oracle(planes, resolution))
+        assert out.frames.shape == want.shape
+        assert np.array_equal(out.frames, want)
+
+
+def _aligned_pairs(index, dim, nudge):
+    rng = np.random.default_rng(7 * index + dim)
+    first = [Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(20)]
+    if nudge is None:
+        second = [Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(20)]
+    else:
+        second = [Plane.from_spanning(p.frame + nudge * rng.normal(size=(dim, index))) for p in first]
+    got = grassmann.aligned_distances(grassmann.frame_stack(first), grassmann.frame_stack(second))
+    return got, np.array([grassmann.grass_distance(p, q) for p, q in zip(first, second)])
+
+
+@pytest.mark.parametrize("index,dim", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+def test_aligned_distances_match_grass_distance(index, dim):
+    got, want = _aligned_pairs(index, dim, None)
+    assert got.shape == (20,)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-7)
+
+
+_CLOSED_FORM_CANCELLATION = pytest.mark.xfail(
+    strict=True,
+    reason="2x2 closed form: f - sqrt(f^2 - det^2) with a near-zero discriminant "
+    "loses about 1e-8 in cos^2, up to 1e-4 rad in the angle",
+)
+
+
+@pytest.mark.parametrize(
+    "index,dim",
+    [
+        (1, 2),
+        (1, 4),
+        pytest.param(2, 3, marks=_CLOSED_FORM_CANCELLATION),
+        pytest.param(2, 4, marks=_CLOSED_FORM_CANCELLATION),
+        (3, 5),
+    ],
+)
+def test_aligned_distances_near_coincident(index, dim):
+    # planes 1e-4 apart, where the cosine form is least accurate
+    got, want = _aligned_pairs(index, dim, 1e-4)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-7)

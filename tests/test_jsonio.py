@@ -203,6 +203,23 @@ def test_multicone_round_trip_two_components():
         assert np.array_equal(p.frame, q.frame)
 
 
+def test_multicone_summary_single_component_gap_round_trip():
+    # one component: the gap is +inf in memory and null in JSON
+    summary = ex.MulticoneSummary(
+        component_count=1,
+        invariance_margin=0.01,
+        component_gap=math.inf,
+        contained_max_distance=0.1,
+        contained_all=True,
+        excluded_min_distance=0.5,
+        excluded_all=True,
+        single_relevant_component=True,
+    )
+    data = json.loads(json.dumps(summary.to_json_dict()))
+    assert data["component_gap"] is None
+    assert ex.MulticoneSummary.from_json_dict(data) == summary
+
+
 def test_gap_report_decodes_without_fit_and_verdict():
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0])], ["A"])
     report = words.enumerate_gaps(fam, 1, max_len=4, budget=10)

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from conftest import rotation2
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from domsplit.grassmann import (
     ConeSample,
     Plane,
     act,
+    act_frames,
+    frame_stack,
     frame_stack_distances,
     grass_distance,
     pairwise_distances,
@@ -119,9 +123,9 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
     _, margin_e = strictly_invariant(explicit, cone)
     _, margin_s = strictly_invariant(sampled, cone)
 
-    frames = multicone._frames_of(pts)
+    frames = frame_stack(pts)
     probes = multicone._ball_probes(frames, cone.radius)
-    images = multicone._batched_act(np.stack(mats), probes)
+    images = act_frames(np.stack(mats), probes)
     worst = brute_force_worst_nearest_angle(images, frames)
     spread = curve_spread_oracle(sampled, probes)
     assert spread > 0.0 and curve_spread_oracle(explicit, probes) == 0.0
@@ -135,7 +139,7 @@ def test_batched_act_member_major(index):
     rng = np.random.default_rng(11)
     mats = [rng.normal(size=(4, 4)) for _ in range(3)]
     planes = [Plane.from_spanning(rng.normal(size=(4, index))) for _ in range(5)]
-    images = multicone._batched_act(np.stack(mats), multicone._frames_of(planes))
+    images = act_frames(np.stack(mats), frame_stack(planes))
     assert images.shape == (15, 4, index)
     for j, M in enumerate(mats):
         for k, p in enumerate(planes):
@@ -295,18 +299,22 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     # distance is an exact zero; zero-length tree edges must still join
     cfg = MulticoneConfig()
     cloud = attractor(diag21, 1, cfg.attractor_word_len, words_per_seed=cfg.attractor_words)
-    frames = multicone._frames_of(cloud.points)
-    dist = frame_stack_distances(frames, frames)
+    dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
     assert multicone._single_linkage(dist, np.array([0.0]))[1].tolist() == [1]
     mc = build_multicone(diag21, 1, cfg)
-    assert mc.components == (tuple(range(len(cloud.points))),)
+    assert mc.components == (tuple(range(len(cloud.frames))),)
 
 
 def test_reference_stack_cached_read_only():
-    stack = multicone._reference_stack(128, 4, 2)
-    assert multicone._reference_stack(128, 4, 2) is stack
-    assert np.array_equal(stack, np.stack([p.frame for p in reference_frames(4, 2, 128)]))
+    stack = reference_frames(4, 2, 128)
+    assert reference_frames(4, 2, 128) is stack
+    # the stack holds, bit for bit, the planes spanned one by one by the raw
+    # Halton sample
+    seq = qmc.Halton(d=8, scramble=False)
+    seq.fast_forward(1)
+    raw = ndtri(seq.random(128)).reshape(128, 4, 2)
+    assert np.array_equal(stack, np.stack([Plane.from_spanning(r).frame for r in raw]))
     assert not stack.flags.writeable
     with pytest.raises(ValueError):
         stack[0, 0, 0] = 1.0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
+from oracles import window_length_oracle
 
 from domsplit import splitting, words
 from domsplit.errors import IllDefinedSplittingError
@@ -56,6 +57,25 @@ def test_default_window_length(diag21):
     n = default_window_length(diag21, 1)
     # gap ratio 2^-n crosses 1e-8 at n = 27
     assert n == math.ceil(8 / math.log10(2.0))
+
+
+def test_default_window_length_matches_per_prefix_loop(cross_validation_suite):
+    # one walk over the capped word finds the prefix the letter-by-letter
+    # loop finds: dominated families of 2 and 3 members in d = 2..4, and a
+    # planar isometry pair, which never drops below the target and so
+    # reaches the cap
+    cases = [(j, seed) for j in (0, 3, 5, 9) for seed in (0, 4)] + [(12, 0)]
+    for j, seed in cases:
+        fam, index = cross_validation_suite[j].family, cross_validation_suite[j].index
+        want = window_length_oracle(fam, index, seed, splitting.WINDOW_GAP_TARGET, splitting.WINDOW_CAP)
+        assert default_window_length(fam, index, seed) == want
+    assert want == splitting.WINDOW_CAP
+
+
+def test_default_window_length_checks_index(diag21):
+    for index in (0, 2):
+        with pytest.raises(ValueError, match="index"):
+            default_window_length(diag21, index)
 
 
 def test_verify_domination_diagonal(diag21):

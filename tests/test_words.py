@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
-from oracles import brute_force_max_log_gap, random_invertible, word_product
+from oracles import brute_force_max_log_gap, periodic_witness_oracle, random_invertible, word_product
 
 from domsplit import words
 from domsplit.words import (
@@ -145,6 +145,25 @@ def _assert_flat_witness(family, witness, index, max_len=12, floor=0.1):
     for k in range(1, reps + 1):
         ratio = math.exp(words.log_gap_ratio(family, witness * k, index))
         assert ratio >= floor
+
+
+def test_periodic_witness_matches_per_power_loop(cross_validation_suite):
+    # one walk over the top power decides as a walk per power does, on
+    # dominated families (no witness), on isometries (a witness), on a
+    # diagonal whose 8th power is the first below the ratio floor, and on a
+    # pair whose products AB are flat while the prefixes ABA are not
+    cfg = SearchConfig(max_len=8, budget=2_000, beam_width=64)
+    last_power = MatrixFamily.from_matrices([np.diag([1.36, 1.0])], ["D"])
+    alternating = MatrixFamily.from_matrices([np.diag([20.0, 1.0]), np.diag([1.0, 20.0])], ["A", "B"])
+    cases = [(c.family, c.index) for c in cross_validation_suite] + [(last_power, 1), (alternating, 1)]
+    found = []
+    for fam, index in cases:
+        report = words.fit_decay(words.enumerate_gaps(fam, index, config=cfg), cfg.tail_fraction)
+        got = words._periodic_witness(fam, index, report, cfg)
+        assert got == periodic_witness_oracle(fam, index, report, cfg)
+        found.append(got)
+    assert found[-2:] == [None, (0, 1)]
+    assert 0 < sum(w is not None for w in found[:-2]) < len(cross_validation_suite)
 
 
 def test_submultiplicative_exterior_norms():

@@ -1,0 +1,110 @@
+"""Print the sha256 of every output file of a fixed set of domsplit runs.
+
+Run from a checkout:
+
+    python tools/output_digest.py
+
+Every run writes into a fresh temporary directory; one line per file is
+printed as ``<sha256>  <relative path>``, sorted by path, so the output of
+two checkouts can be compared with ``diff``.  The runs are:
+
+- ``domsplit check``/``multicone``/``splitting`` on diag(2, 1), on
+  diag(2, 1) with a 0.1 rad rotation, and on a perturbed 3-d
+  ``conjugated_diagonal`` generator at indices 1 and 2;
+- ``domsplit example4d --grid 8 --lambda 1.01 --skip-perturbed`` and
+  ``--grid 12 --skip-perturbed``;
+- the report of ``verify_example`` with grid_n 40, 128 attractor words and
+  no perturbed rerun (the benchmark's ``example4d`` settings);
+- ``domsplit multicone`` on the ten dominated benchmark families
+  (``bench/suite.py``) at workload seeds 0 and 3.
+
+Exit codes are collected in ``exit_codes.txt``, which is hashed with the
+rest.  The whole set takes about 30 s on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+
+from domsplit import cli, example4d  # noqa: E402
+
+import suite  # noqa: E402
+
+ROTATION = 0.1
+PERTURBED_3D = {
+    "generator": {
+        "kind": "random_perturbation",
+        "base": {"generator": {"kind": "conjugated_diagonal", "entries": [4, 2, 1], "rotation_seed": 4}},
+        "noise": 0.02,
+        "seed": 7,
+        "copies": 3,
+    }
+}
+
+
+def _families() -> dict[str, tuple[dict, tuple[int, ...]]]:
+    c, s = math.cos(ROTATION), math.sin(ROTATION)
+    diag = {"label": "A", "entries": [2, 0, 0, 1]}
+    return {
+        "diag21": ({"dim": 2, "matrices": [diag]}, (1,)),
+        "diag21_rot": ({"dim": 2, "matrices": [diag, {"label": "R", "entries": [c, -s, s, c]}]}, (1,)),
+        "perturbed3d": (PERTURBED_3D, (1, 2)),
+    }
+
+
+def _run(codes: list[str], name: str, argv: list[str]) -> None:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    codes.append(f"{code} {name}")
+
+
+def run_all(out: Path) -> None:
+    codes: list[str] = []
+    for name, (spec, indices) in _families().items():
+        path = out / "specs" / f"{name}.json"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(json.dumps(spec))
+        for index in indices:
+            for command in ("check", "multicone", "splitting"):
+                run = f"{command}_{name}_i{index}"
+                _run(codes, run, [command, str(path), "--index", str(index), "--out", str(out / run)])
+    _run(codes, "example4d_grid8", ["example4d", "--grid", "8", "--lambda", "1.01", "--skip-perturbed",
+                                    "--out", str(out / "example4d_grid8")])
+    _run(codes, "example4d_grid12", ["example4d", "--grid", "12", "--skip-perturbed",
+                                     "--out", str(out / "example4d_grid12")])
+
+    config = example4d.ExampleConfig(grid_n=40, attractor_words=128, run_perturbed=False)
+    report = example4d.verify_example(config=config)
+    (out / "verify_example.json").write_text(json.dumps(report.to_json_dict(), indent=2))
+
+    for seed in (0, 3):
+        specs = out / f"suite_seed{seed}_specs"
+        specs.mkdir()
+        for case in suite.dominated_cases(seed, specs):
+            run = f"multicone_suite_seed{seed}/{case.name}"
+            _run(codes, run, ["multicone", str(case.spec), "--index", str(case.index), "--out", str(out / run)])
+    (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        run_all(out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
