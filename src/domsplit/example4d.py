@@ -46,17 +46,17 @@ def _check_which(which: str) -> None:
         raise ValueError(f"which must be '{FIRST}' or '{SECOND}'")
 
 
-def _check_domain(t: np.ndarray, extension: float) -> None:
-    lo, hi = CURVE_DOMAIN
-    if np.any(t < lo - extension - 1e-12) or np.any(t > hi + extension + 1e-12):
-        raise ValueError(f"parameter outside [{lo - extension}, {hi + extension}]")
+def _check_domain(t: np.ndarray) -> None:
+    lo, hi = CURVE_DOMAIN[0] - DOMAIN_EXTENSION, CURVE_DOMAIN[1] + DOMAIN_EXTENSION
+    if np.any(t < lo - 1e-12) or np.any(t > hi + 1e-12):
+        raise ValueError(f"parameter outside [{lo}, {hi}]")
 
 
-def gamma(which: str, t, extension: float = DOMAIN_EXTENSION) -> np.ndarray:
+def gamma(which: str, t) -> np.ndarray:
     """Point of the first or second planar curve at parameter t."""
     _check_which(which)
     t = np.asarray(t, dtype=float)
-    _check_domain(t, extension)
+    _check_domain(t)
     zero = np.zeros_like(t)
     if which == FIRST:
         out = np.stack([t - np.sin(t), 0.5 * np.sin(t), zero], axis=-1)
@@ -65,11 +65,11 @@ def gamma(which: str, t, extension: float = DOMAIN_EXTENSION) -> np.ndarray:
     return out
 
 
-def tangent(which: str, t, extension: float = DOMAIN_EXTENSION) -> np.ndarray:
+def tangent(which: str, t) -> np.ndarray:
     """Curve tangent (unnormalized) at parameter t."""
     _check_which(which)
     t = np.asarray(t, dtype=float)
-    _check_domain(t, extension)
+    _check_domain(t)
     zero = np.zeros_like(t)
     if which == FIRST:
         return np.stack([1.0 - np.cos(t), 0.5 * np.cos(t), zero], axis=-1)
@@ -81,14 +81,14 @@ class LineSample(NamedTuple):
     direction: np.ndarray
 
 
-def line(which: str, t, extension: float = DOMAIN_EXTENSION) -> LineSample:
+def line(which: str, t) -> LineSample:
     """Ruled line at parameter t: through the curve point, tilted out of plane.
 
     The direction is the normalized tangent plus the vertical unit vector,
     renormalized; its vertical component is always positive.
     """
-    base = gamma(which, t, extension)
-    v = tangent(which, t, extension)
+    base = gamma(which, t)
+    v = tangent(which, t)
     n = float(np.linalg.norm(v))
     if n < 1e-12:
         raise NumericalError("zero curve tangent")  # cannot occur on the domain
@@ -101,12 +101,7 @@ class SkewnessMargin(NamedTuple):
     min_parallelism_defect: float
 
 
-def skewness_margin(
-    grid_n: int,
-    extension: float = DOMAIN_EXTENSION,
-    noise: float = 0.0,
-    rng_seed: int = 0,
-) -> SkewnessMargin:
+def skewness_margin(grid_n: int, noise: float = 0.0, rng_seed: int = 0) -> SkewnessMargin:
     """Minimum inter-line distance and direction cross-product norm on a grid.
 
     Both positive certifies (at grid resolution) that every line of the
@@ -116,9 +111,9 @@ def skewness_margin(
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     lo, hi = CURVE_DOMAIN
-    ts = np.linspace(lo - extension, hi + extension, grid_n)
-    first = [line(FIRST, t, extension) for t in ts]
-    second = [line(SECOND, t, extension) for t in ts]
+    ts = np.linspace(lo - DOMAIN_EXTENSION, hi + DOMAIN_EXTENSION, grid_n)
+    first = [line(FIRST, t) for t in ts]
+    second = [line(SECOND, t) for t in ts]
     if noise > 0.0:
         rng = np.random.default_rng(rng_seed)
         first = [
@@ -159,9 +154,9 @@ def lift_point(point) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def curve_plane(which: str, t, extension: float = DOMAIN_EXTENSION) -> Plane:
+def curve_plane(which: str, t) -> Plane:
     """Lifted 2-plane of the ruled line at parameter t."""
-    s = line(which, t, extension)
+    s = line(which, t)
     return lift_line(s.base, s.direction)
 
 
@@ -217,33 +212,36 @@ def curve_family(lam: float, samples: int) -> MatrixFamily:
 # pipeline
 
 
+# Invariance certificates (the lambda scan and the multicone) run on a
+# REFINE_FACTOR times finer curve sampling than ``grid_n``: the sampled-curve
+# spread allowance shrinks with the sampling step while the admissible
+# neighborhood radius is capped by the fixed transversality angle between
+# the two plane families, and at the default ``grid_n`` the allowance alone
+# would exceed the cap.  The domination verdict and the
+# containment/exclusion targets use the ``grid_n`` sampling itself.
+REFINE_FACTOR = 3
+# neighborhood radius as a share of that transversality angle
+NEIGHBORHOOD_FRACTION = 0.6
+# directions per plane and cells of the axis circle in the semiconvexity trace
+PROJECTION_RESOLUTION = 64
+ARC_RESOLUTION = 180
+# entrywise noise and seed of the perturbed rerun
+PERTURBATION_NOISE = 1e-3
+PERTURBATION_SEED = 11
+
+
 @dataclass(frozen=True)
 class ExampleConfig:
-    """Pipeline knobs.
-
-    Invariance certificates (the lambda scan and the multicone) run on a
-    ``refine_factor`` times finer curve sampling than ``grid_n``: the
-    sampled-curve spread allowance shrinks with the sampling step while the
-    admissible neighborhood radius is capped by the fixed transversality
-    angle between the two plane families, and at the default ``grid_n`` the
-    allowance alone would exceed the cap.  The domination verdict and the
-    containment/exclusion targets use the ``grid_n`` sampling itself.
-    """
+    """Pipeline knobs; the fixed ones are the module constants above."""
 
     grid_n: int = 64
-    refine_factor: int = 3
     lambda_scan: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0)
     skew_grid: int = 101
-    neighborhood_fraction: float = 0.6
     search: SearchConfig = field(
         default_factory=lambda: SearchConfig(max_len=8, budget=300_000, beam_width=256)
     )
     attractor_word_len: int = 40
     attractor_words: int = 192
-    projection_resolution: int = 64
-    arc_resolution: int = 180
-    perturbation_noise: float = 1e-3
-    perturbation_seed: int = 11
     run_perturbed: bool = True
 
 
@@ -337,9 +335,9 @@ def _angle_in_arcs(angle: float, arcs) -> bool:
     return False
 
 
-def _trace_summary(component_sample: ConeSample, expected: tuple[str, ...], cfg: ExampleConfig) -> TraceSummary:
-    directions = projectivize(component_sample, cfg.projection_resolution)
-    arcs = line_trace(axis_plane(), directions, cfg.arc_resolution)
+def _trace_summary(component_sample: ConeSample, expected: tuple[str, ...]) -> TraceSummary:
+    directions = projectivize(component_sample, PROJECTION_RESOLUTION)
+    arcs = line_trace(axis_plane(), directions, ARC_RESOLUTION)
     pts = []
     ok = True
     for name, point in _AXIS_POINTS:
@@ -421,7 +419,7 @@ def _run_side(
     )
     if not (contained_all and excluded_all and single_comp):
         return replace(failed, multicone=summary, failing_stage="containment")
-    trace = _trace_summary(cone.component_cone(relevant), expected_axis, cfg)
+    trace = _trace_summary(cone.component_cone(relevant), expected_axis)
     trace_ok = trace.arc_count >= 2 and trace.occupancy_ok and trace.interleaving_ok
     return replace(
         failed,
@@ -457,7 +455,7 @@ def verify_example(
     first_planes = [curve_plane(FIRST, float(t)) for t in ts]
     second_planes = [curve_plane(SECOND, float(t)) for t in ts]
 
-    fine_n = cfg.grid_n * cfg.refine_factor
+    fine_n = cfg.grid_n * REFINE_FACTOR
     fine_ts = parameter_grid(fine_n)
     fine_first = [curve_plane(FIRST, float(t)) for t in fine_ts]
     fine_second = [curve_plane(SECOND, float(t)) for t in fine_ts]
@@ -466,7 +464,7 @@ def verify_example(
     # angle can never contain a direction of the second family, so it cannot
     # get stuck under the dynamics; this cap is far below the grass-distance
     # separation, so disjointness of the two neighborhoods is automatic
-    radius = cfg.neighborhood_fraction * _min_principal_angle(fine_first, fine_second)
+    radius = NEIGHBORHOOD_FRACTION * _min_principal_angle(fine_first, fine_second)
     hood_first = ConeSample(2, tuple(fine_first), radius)
     hood_second = ConeSample(2, tuple(fine_second), radius)
 
@@ -518,10 +516,8 @@ def verify_example(
 
     perturbed_unstable = perturbed_stable = None
     if cfg.run_perturbed:
-        perturbed = words.perturb_family(family, cfg.perturbation_noise, cfg.perturbation_seed)
-        fine_perturbed = words.perturb_family(
-            fine_family, cfg.perturbation_noise, cfg.perturbation_seed
-        )
+        perturbed = words.perturb_family(family, PERTURBATION_NOISE, PERTURBATION_SEED)
+        fine_perturbed = words.perturb_family(fine_family, PERTURBATION_NOISE, PERTURBATION_SEED)
         perturbed_unstable = _run_side(
             perturbed, fine_perturbed, first_planes, second_planes, ("a", "c"), cfg
         )

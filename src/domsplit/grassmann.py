@@ -339,11 +339,9 @@ def sphere_sample(dim: int, count: int) -> np.ndarray:
     seq = qmc.Halton(d=dim, scramble=False)
     seq.fast_forward(1)  # skip the all-zeros first point
     raw = ndtri(seq.random(count))
-    norms = np.linalg.norm(raw, axis=1)
-    norms[norms == 0.0] = 1.0
-    out = raw / norms[:, None]
-    out[norms == 0.0] = np.eye(dim)[0]
-    return out
+    # no row is zero: the base-3 Halton coordinate is never 1/2, so its
+    # ndtri is never 0
+    return raw / np.linalg.norm(raw, axis=1)[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -385,18 +383,18 @@ def projectivize(cone: ConeSample, resolution: int = 64) -> ConeSample:
     return ConeSample(1, _canonical_signs(directions), cone.radius)
 
 
-def line_trace(
-    line: Plane,
-    directions: ConeSample,
-    arc_resolution: int = 180,
-    occupancy_tol: float | None = None,
-) -> list[tuple[float, float]]:
+# a cell of ``line_trace`` is occupied by directions within this many cell
+# widths of its center direction
+OCCUPANCY_CELLS = 2.0
+
+
+def line_trace(line: Plane, directions: ConeSample, arc_resolution: int = 180) -> list[tuple[float, float]]:
     """Arcs of the projective line P(line) hit by a sample of directions.
 
     The circle P(line) is parametrized by angle in [0, pi).  A cell is
-    occupied iff some sampled direction is within ``occupancy_tol`` (default
-    twice the cell width) of the cell-center direction; maximal occupied
-    runs are merged circularly and returned as (start, end) angle intervals.
+    occupied iff some sampled direction is within OCCUPANCY_CELLS cell
+    widths of the cell-center direction; maximal occupied runs are merged
+    circularly and returned as (start, end) angle intervals.
     """
     if line.dim != 2:
         raise ValueError("line_trace requires a 2-plane")
@@ -410,7 +408,7 @@ def line_trace(
         raise ValueError("directions and line must share the ambient dimension")
 
     cell = math.pi / arc_resolution
-    tol = 2.0 * cell if occupancy_tol is None else float(occupancy_tol)
+    tol = OCCUPANCY_CELLS * cell
     coords = directions.frames[:, :, 0] @ line.frame
     centers = (np.arange(arc_resolution) + 0.5) * cell
     dots = np.abs(

@@ -43,11 +43,6 @@ class MulticoneConfig:
     attractor_word_len: int = 40
     attractor_words: int = 256
     attractor_rng_seed: int = 2024
-    plateau_factor: float = 1.5
-    epsilon_grid_size: int = 48
-    dedup_tol: float = 1e-9
-    cover_check_points: int = 128
-    gap_warning_tol: float = 1e-6
     override_domination_gate: bool = False
     gate_search: SearchConfig = field(default_factory=SearchConfig)
 
@@ -113,9 +108,12 @@ def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
     return np.concatenate(probes, axis=0)
 
 
-def strictly_invariant(
-    family: MatrixFamily, cone: ConeSample, cover_check_points: int = 128
-) -> tuple[bool, float]:
+# reference planes of the Grassmannian whose cover by the sample rules
+# strict invariance out
+COVER_CHECK_POINTS = 128
+
+
+def strictly_invariant(family: MatrixFamily, cone: ConeSample) -> tuple[bool, float]:
     """Margin test for the image of the cone landing inside the cone.
 
     The sampled set is the union of radius-balls around the points, so the
@@ -160,50 +158,50 @@ def strictly_invariant(
         worst = max(worst, worst_nearest_angle(images, frames))
     margin = cone.radius - worst - spread
 
-    refs = reference_frames(d, cone.grass_index, cover_check_points)
+    refs = reference_frames(d, cone.grass_index, COVER_CHECK_POINTS)
     ref_dist = frame_stack_distances(refs, frames)
     if bool(np.all(ref_dist.min(axis=1) <= cone.radius)):
         return False, margin
     return margin > 0.0, margin
 
 
+# products whose gap ratio at the index is within GAP_WARNING_TOL of 1 have
+# ill-defined top frames
+GAP_WARNING_TOL = 1e-6
+
+
 def attractor(
     family: MatrixFamily,
     index: int,
     word_len: int,
-    seeds: list[Plane] | None = None,
     words_per_seed: int = 64,
     rng_seed: int = 2024,
-    gap_warning_tol: float = 1e-6,
 ) -> ConeSample:
     """Sampled forward attractor: top singular frames of long word products.
 
-    Each sampled word of length ``word_len`` contributes the span of the
-    first ``index`` left singular directions of its product.  The first
-    letter of each word cycles through the members so every one-step target
-    is represented.  Seeds, when given, multiply the word streams (one
-    deterministic stream per seed).  Products whose gap ratio at ``index``
-    is within ``gap_warning_tol`` of 1 have ill-defined frames and are
-    logged as warnings.  The stable counterpart is this function on the
-    inverse family with index ``d - index``.
+    Each of the ``words_per_seed`` sampled words of length ``word_len``
+    contributes the span of the first ``index`` left singular directions of
+    its product.  The first letter of each word cycles through the members
+    so every one-step target is represented.  Products whose gap ratio at
+    ``index`` is within GAP_WARNING_TOL of 1 are skipped and logged as
+    warnings.  The stable counterpart is this function on the inverse
+    family with index ``d - index``.
     """
     if word_len < 1:
         raise ValueError("word_len must be positive")
-    n_streams = max(1, len(seeds) if seeds is not None else 1)
     spans: list[np.ndarray] = []
     warned = 0
-    for stream in range(n_streams):
-        rng = np.random.default_rng(rng_seed + 7919 * stream)
-        for w_idx in range(words_per_seed):
-            first = (stream * words_per_seed + w_idx) % family.size
-            rest = rng.integers(family.size, size=word_len - 1)
-            word = (first, *map(int, rest))
-            P, _ = words.scaled_word_product(family, word)
-            spec = linalg.singular_spectrum(P)
-            if spec.values[index] >= spec.values[index - 1] * (1.0 - gap_warning_tol):
-                warned += 1
-                continue
-            spans.append(spec.left[:, :index])
+    rng = np.random.default_rng(rng_seed)
+    for w_idx in range(words_per_seed):
+        first = w_idx % family.size
+        rest = rng.integers(family.size, size=word_len - 1)
+        word = (first, *map(int, rest))
+        P, _ = words.scaled_word_product(family, word)
+        spec = linalg.singular_spectrum(P)
+        if spec.values[index] >= spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
+            warned += 1
+            continue
+        spans.append(spec.left[:, :index])
     if warned:
         log.warning("attractor: %d sampled products had ill-defined top frames", warned)
     return ConeSample(index, orthonormal_frames(np.stack(spans)) if spans else (), 0.0)
@@ -306,12 +304,20 @@ def _component_gap(dist: np.ndarray, comps, eps: float) -> float:
     return float(dist[label[:, None] < label[None, :]].min()) - 2.0 * eps
 
 
+# the epsilon scan: EPSILON_GRID_SIZE geometric radii, a plateau spans a
+# factor of at least PLATEAU_FACTOR, and pairs nearer than DEDUP_TOL count
+# as one point when the grid's lower end is chosen
+PLATEAU_FACTOR = 1.5
+EPSILON_GRID_SIZE = 48
+DEDUP_TOL = 1e-9
+
+
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
 
     Requires (or overrides) a Dominated verdict.  The radius is chosen where
     the single-linkage component count is stable across a factor of at least
-    ``plateau_factor`` of radii; candidates must then pass the strict
+    PLATEAU_FACTOR of radii; candidates must then pass the strict
     invariance check and have a positive component gap.  With no passing
     candidate the (epsilon, component count) table is raised as a
     construction failure.
@@ -337,7 +343,6 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         cfg.attractor_word_len,
         words_per_seed=cfg.attractor_words,
         rng_seed=cfg.attractor_rng_seed,
-        gap_warning_tol=cfg.gap_warning_tol,
     )
     frames = cloud.frames
     if not len(frames):
@@ -345,14 +350,14 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     dist = frame_stack_distances(frames, frames)
     np.fill_diagonal(dist, 0.0)
 
-    positive = dist[dist > cfg.dedup_tol]
+    positive = dist[dist > DEDUP_TOL]
     if positive.size == 0:
-        grid = np.geomspace(1e-4, 1.0, cfg.epsilon_grid_size)
+        grid = np.geomspace(1e-4, 1.0, EPSILON_GRID_SIZE)
     else:
-        nearest = np.where(dist > cfg.dedup_tol, dist, np.inf).min(axis=1)
+        nearest = np.where(dist > DEDUP_TOL, dist, np.inf).min(axis=1)
         lo = max(float(np.min(nearest[np.isfinite(nearest)])) / 4.0, 1e-9)
         hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
-        grid = np.geomspace(lo, hi, cfg.epsilon_grid_size)
+        grid = np.geomspace(lo, hi, EPSILON_GRID_SIZE)
 
     merges, counts = _single_linkage(dist, 2.0 * grid)
     table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
@@ -360,7 +365,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     # images of the bare centers bound the viable radius from below: the
     # probe sweep only widens with the radius, so margins grow at most
     # linearly and candidates under this deficit cannot pass
-    _, center_margin = strictly_invariant(family, cloud, cfg.cover_check_points)
+    _, center_margin = strictly_invariant(family, cloud)
     skip_below = max(0.0, -center_margin)
 
     failures: list[str] = []
@@ -369,7 +374,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         b = a
         while b + 1 < len(grid) and table[b + 1][1] == table[a][1]:
             b += 1
-        if grid[b] / grid[a] < cfg.plateau_factor:
+        if grid[b] / grid[a] < PLATEAU_FACTOR:
             continue
         eps = float(grid[a])
         if eps < skip_below:
@@ -378,7 +383,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             break  # next plateau has a different component count: keep the best
         comps = _components_at(merges, 2.0 * eps)
         cone = replace(cloud, radius=eps)
-        ok, margin = strictly_invariant(family, cone, cfg.cover_check_points)
+        ok, margin = strictly_invariant(family, cone)
         gap = _component_gap(dist, comps, eps)
         if ok and gap > 0.0:
             candidate = Multicone(

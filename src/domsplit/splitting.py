@@ -115,13 +115,13 @@ def default_window_length(family: MatrixFamily, index: int, seed: int = 0) -> in
     return int(below[0]) + 1 if below.size else WINDOW_CAP
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    slope_margin: float = 0.01
-    tail_fraction: float = 0.5
-    # ratio level below which a flat tail is attributed to the precision of
-    # the estimated planes rather than to a genuine violation
-    floor_ratio: float = 1e-10
+# a passing ratio curve has its tail slope (over the final TAIL_FRACTION of
+# the fitted segment) and its whole-curve slope below -SLOPE_MARGIN
+SLOPE_MARGIN = 0.01
+TAIL_FRACTION = 0.5
+# ratio level below which a flat tail is attributed to the precision of the
+# estimated planes rather than to a genuine violation
+FLOOR_RATIO = 1e-10
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,7 @@ def _suffix_restricted_logs(family: MatrixFamily, word: Word, frame: np.ndarray)
     return out
 
 
-def verify_domination(
-    family: MatrixFamily,
-    estimate: SplittingEstimate,
-    word,
-    config: VerifyConfig | None = None,
-) -> DominationCheck:
+def verify_domination(family: MatrixFamily, estimate: SplittingEstimate, word) -> DominationCheck:
     """Check the domination inequality directly along one word.
 
     ``ratio_curve[n]`` is the norm of the n-step forward map restricted to
@@ -185,16 +180,15 @@ def verify_domination(
     word must extend the estimate's future window at the same anchor: the
     future window should be the word itself, possibly with extra distant
     symbols prepended.  Passing means the curve genuinely decays: both the
-    tail slope and the whole-curve slope must lie below ``-slope_margin``
+    tail slope and the whole-curve slope must lie below -SLOPE_MARGIN
     (the intercept is free, mirroring the transient-absorbing constant in
     the decay definition).
 
-    A curve that bottoms out below ``floor_ratio`` has hit the precision
+    A curve that bottoms out below FLOOR_RATIO has hit the precision
     floor of the estimated planes; the fit then reads only the decaying
     segment before the first arrival at that floor.  Flat tails ABOVE the
     floor level are genuine violations and fail.
     """
-    cfg = config or VerifyConfig()
     w = words._validate_word(family, word)
     contracting = _suffix_restricted_logs(family, w, estimate.contracting.frame)
     expanding = _suffix_restricted_logs(family, w, estimate.expanding.frame)
@@ -202,18 +196,18 @@ def verify_domination(
     x = np.arange(len(log_curve), dtype=float)
     y = np.array(log_curve)
     stop = len(y) - 1
-    if float(y.min()) < math.log(cfg.floor_ratio):
+    if float(y.min()) < math.log(FLOOR_RATIO):
         # cut ahead of the saturation bend: three log-units above the floor
         stop = int(np.nonzero(y <= y.min() + 3.0)[0][0])
     xf, yf = (x[: stop + 1], y[: stop + 1]) if stop >= 3 else (x, y)
-    n_tail = max(2, math.ceil(cfg.tail_fraction * len(yf)))
+    n_tail = max(2, math.ceil(TAIL_FRACTION * len(yf)))
     tail_slope, tail_intercept = np.polyfit(xf[-n_tail:], yf[-n_tail:], 1)
     global_slope, _ = np.polyfit(xf, yf, 1)
     resid = float(
         np.sqrt(np.mean((yf[-n_tail:] - (tail_intercept + tail_slope * xf[-n_tail:])) ** 2))
     )
     envelope_intercept = float(np.max(yf - tail_slope * xf))
-    passes = bool(tail_slope < -cfg.slope_margin and global_slope < -cfg.slope_margin)
+    passes = bool(tail_slope < -SLOPE_MARGIN and global_slope < -SLOPE_MARGIN)
     with np.errstate(over="ignore"):
         curve = tuple(float(np.exp(v)) for v in log_curve)
     return DominationCheck(

@@ -314,32 +314,27 @@ class LyapunovEstimate:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for gap enumeration and the domination verdict.
+    """Limits of the gap enumeration.
 
-    Words are enumerated exhaustively while ``|family|^N <= budget``; beyond
-    that a beam keeps the ``beam_width`` worst (largest) gap-ratio words per
-    length and extends only those, so the bias is toward not certifying
-    domination falsely.  A Dominated verdict needs the fitted slope below
-    ``-dominated_margin`` with residual below ``residual_bound`` and every
-    per-length maximum under the fitted line (slope slackened by
-    ``margin_slack``).  A NotDominated verdict needs a periodic witness whose
-    powers all keep a gap ratio at or above ``ratio_floor``.
+    Words are enumerated exhaustively while ``|family|^N <= budget``, for
+    N up to ``max_len``; beyond that a beam keeps the ``beam_width`` worst
+    (largest) gap-ratio words per length and extends only those.  A beam's
+    per-length maximum can only be at or below the exhaustive one, so the
+    decay looks faster than it is and the bias runs toward a false Dominated
+    verdict.
     """
 
     max_len: int = 12
     budget: int = 250_000
     beam_width: int = 1024
-    tail_fraction: float = 0.5
-    dominated_margin: float = 0.01
-    residual_bound: float = 0.05
-    margin_slack: float = 0.1
-    ratio_floor: float = 0.1
-    min_witness_powers: int = 2
-    chunk_size: int = 65536
 
 
 # ---------------------------------------------------------------------------
 # enumeration
+
+
+# words extended per batched product; bounds the memory of one batch
+CHUNK_SIZE = 65536
 
 
 class _GapSearch:
@@ -366,9 +361,10 @@ class _GapSearch:
         low = tops[i - 1] if i - 1 >= 1 else 0.0
         return tops[i + 1] + low - 2.0 * tops[i]
 
-    def run(self, max_len: int, budget: int) -> list[GapLengthStat]:
+    def run(self) -> list[GapLengthStat]:
         m = self.family.size
         cfg = self.config
+        max_len, budget = cfg.max_len, cfg.budget
         if budget < m:
             raise ValueError(f"budget ({budget}) is below the family size ({m})")
         if max_len < 2:
@@ -399,8 +395,8 @@ class _GapSearch:
             best_word: Word = ()
             examined = 0
             letters = np.arange(m, dtype=np.int32)
-            for lo in range(0, count, cfg.chunk_size):
-                sl = slice(lo, min(lo + cfg.chunk_size, count))
+            for lo in range(0, count, CHUNK_SIZE):
+                sl = slice(lo, min(lo + CHUNK_SIZE, count))
                 n_par = sl.stop - sl.start
                 cw = np.concatenate(
                     [
@@ -447,21 +443,13 @@ class _GapSearch:
         return stats
 
 
-def enumerate_gaps(
-    family: MatrixFamily,
-    index: int,
-    max_len: int | None = None,
-    budget: int | None = None,
-    config: SearchConfig | None = None,
-) -> GapReport:
+def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Per-length worst gap ratios (fit and verdict left empty).
 
     Exhaustive while the word count fits the budget, beam search beyond;
     deterministic for a fixed configuration.
     """
-    cfg = config or SearchConfig()
-    search = _GapSearch(family, index, cfg)
-    stats = search.run(max_len or cfg.max_len, budget or cfg.budget)
+    stats = _GapSearch(family, index, config or SearchConfig()).run()
     return GapReport(
         index=index,
         family_dim=family.dim,
@@ -471,13 +459,16 @@ def enumerate_gaps(
     )
 
 
-def fit_decay(report: GapReport, tail_fraction: float = 0.5) -> GapReport:
-    """Least-squares exponential-decay fit over the final fraction of lengths."""
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
+# share of the per-length maxima, taken from the long end, that the decay
+# fit reads
+TAIL_FRACTION = 0.5
+
+
+def fit_decay(report: GapReport) -> GapReport:
+    """Least-squares exponential-decay fit over the final TAIL_FRACTION of lengths."""
     if len(report.per_length) < 4:
         raise ValueError("need at least 4 per-length entries to fit a decay")
-    n_tail = max(2, math.ceil(tail_fraction * len(report.per_length)))
+    n_tail = max(2, math.ceil(TAIL_FRACTION * len(report.per_length)))
     tail = report.per_length[-n_tail:]
     x = np.array([s.length for s in tail], dtype=float)
     y = np.array([s.max_log_ratio for s in tail])
@@ -494,17 +485,21 @@ def _primitive_root(word: Word) -> Word:
     return word
 
 
-def _periodic_witness(
-    family: MatrixFamily, index: int, report: GapReport, config: SearchConfig
-) -> Word | None:
-    """First candidate word whose powers all stay at or above the ratio floor.
+# a NotDominated witness keeps a gap ratio at or above RATIO_FLOOR on each
+# of at least MIN_WITNESS_POWERS powers
+RATIO_FLOOR = 0.1
+MIN_WITNESS_POWERS = 2
+
+
+def _periodic_witness(family: MatrixFamily, index: int, report: GapReport) -> Word | None:
+    """First candidate word whose powers all stay at or above RATIO_FLOOR.
 
     Candidates are the single letters followed by the per-length worst words
     (reduced to their primitive roots); a single flat length is never enough,
-    the flatness must survive at least ``min_witness_powers`` powers.
+    the flatness must survive at least MIN_WITNESS_POWERS powers.
     """
     max_len = report.per_length[-1].length
-    log_floor = math.log(config.ratio_floor)
+    log_floor = math.log(RATIO_FLOOR)
     candidates: list[Word] = [(j,) for j in range(family.size)]
     candidates += [s.witness for s in report.per_length]
     seen = set()
@@ -514,7 +509,7 @@ def _periodic_witness(
             continue
         seen.add(root)
         n_powers = max_len // len(root)
-        if n_powers < config.min_witness_powers:
+        if n_powers < MIN_WITNESS_POWERS:
             continue
         # row k * len(root) of one walk over the top power is the k-th power
         logs = log_singular_value_prefixes(family, root * n_powers)[len(root) :: len(root)]
@@ -523,31 +518,36 @@ def _periodic_witness(
     return None
 
 
+# a Dominated verdict needs the fitted slope below -DOMINATED_MARGIN, the
+# fit residual below RESIDUAL_BOUND (scaled, see below) and every per-length
+# maximum under the fitted line with its slope slackened by MARGIN_SLACK
+DOMINATED_MARGIN = 0.01
+RESIDUAL_BOUND = 0.05
+MARGIN_SLACK = 0.1
+
+
 def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Gap enumeration, decay fit, and a three-way domination verdict.
 
     A periodic flat witness wins over the fit (constructive evidence beats
     extrapolation); Inconclusive is an explicit outcome with a reason.
     """
-    cfg = config or SearchConfig()
-    report = fit_decay(enumerate_gaps(family, index, config=cfg), cfg.tail_fraction)
-    witness = _periodic_witness(family, index, report, cfg)
+    report = fit_decay(enumerate_gaps(family, index, config))
+    witness = _periodic_witness(family, index, report)
     if witness is not None:
         verdict = Verdict(kind=NOT_DOMINATED, witness=witness)
     else:
         fit = report.fit
         problems = []
-        if not fit.log_tau < -cfg.dominated_margin:
-            problems.append(
-                f"fitted log_tau {fit.log_tau:.4f} is not below -{cfg.dominated_margin}"
-            )
+        if not fit.log_tau < -DOMINATED_MARGIN:
+            problems.append(f"fitted log_tau {fit.log_tau:.4f} is not below -{DOMINATED_MARGIN}")
         # per-length wobble grows with the decay rate, so the residual bound
         # scales with the slope magnitude (near-flat slopes keep the strict bound)
-        resid_bound = cfg.residual_bound * max(1.0, -fit.log_tau)
+        resid_bound = RESIDUAL_BOUND * max(1.0, -fit.log_tau)
         if not fit.residual < resid_bound:
             problems.append(f"fit residual {fit.residual:.4f} exceeds {resid_bound:.4f}")
         for s in report.per_length:
-            bound = fit.log_C + s.length * (fit.log_tau + cfg.margin_slack)
+            bound = fit.log_C + s.length * (fit.log_tau + MARGIN_SLACK)
             if s.max_log_ratio > bound:
                 problems.append(
                     f"length {s.length} maximum {s.max_log_ratio:.4f} exceeds fitted decay line"
@@ -571,20 +571,3 @@ def lyapunov_estimates(family: MatrixFamily, word) -> LyapunovEstimate:
     logs = np.sort(logs)[::-1]  # guard 1e-15 inversions from the log differences
     return LyapunovEstimate(exponents=tuple(float(x) for x in logs), word_length=len(w))
 
-
-def birkhoff_gap(family: MatrixFamily, word, e, f) -> float:
-    """Per-step log ratio ``(1/N) log(|P f| / |P e|)`` for the word product.
-
-    Negative values mean the direction ``f`` is outgrown by ``e``; for a
-    dominated family this is uniformly negative once words are long enough.
-    """
-    w = _validate_word(family, word)
-    ev = np.asarray(e, dtype=float).ravel()
-    fv = np.asarray(f, dtype=float).ravel()
-    if np.linalg.norm(ev) == 0.0 or np.linalg.norm(fv) == 0.0:
-        raise ValueError("directions must be non-zero")
-    P, _ = scaled_word_product(family, w)  # common scale cancels in the ratio
-    with np.errstate(divide="ignore"):
-        num = np.log(np.linalg.norm(P @ (fv / np.linalg.norm(fv))))
-        den = np.log(np.linalg.norm(P @ (ev / np.linalg.norm(ev))))
-    return float((num - den) / len(w))

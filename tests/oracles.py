@@ -208,7 +208,7 @@ def window_length_oracle(family, index: int, seed: int, target: float, cap: int)
     return cap
 
 
-def periodic_witness_oracle(family, index: int, report, config):
+def periodic_witness_oracle(family, index: int, report):
     """First candidate root all of whose powers stay at or above the ratio
     floor, walking each power from scratch."""
     max_len = report.per_length[-1].length
@@ -220,10 +220,10 @@ def periodic_witness_oracle(family, index: int, report, config):
             continue
         seen.add(root)
         n_powers = max_len // len(root)
-        if n_powers < config.min_witness_powers:
+        if n_powers < words.MIN_WITNESS_POWERS:
             continue
         if all(
-            words.log_gap_ratio(family, root * k, index) >= math.log(config.ratio_floor)
+            words.log_gap_ratio(family, root * k, index) >= math.log(words.RATIO_FLOOR)
             for k in range(1, n_powers + 1)
         ):
             return root

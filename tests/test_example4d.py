@@ -272,7 +272,7 @@ def test_lyapunov_gap_consequence_of_fit():
 
     fam = ex.curve_family(16.0, 12)
     cfg = W.SearchConfig(max_len=6, budget=3000, beam_width=64)
-    report = W.fit_decay(W.enumerate_gaps(fam, 2, config=cfg), 0.5)
+    report = W.fit_decay(W.enumerate_gaps(fam, 2, cfg))
     assert report.fit.log_tau < 0
     rng = np.random.default_rng(4)
     slack = 0.5

@@ -222,7 +222,7 @@ def test_multicone_summary_single_component_gap_round_trip():
 
 def test_gap_report_decodes_without_fit_and_verdict():
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0])], ["A"])
-    report = words.enumerate_gaps(fam, 1, max_len=4, budget=10)
+    report = words.enumerate_gaps(fam, 1, words.SearchConfig(max_len=4, budget=10))
     data = json.loads(json.dumps(report.to_json_dict()))
     del data["fit"], data["verdict"]
     assert GapReport.from_json_dict(data) == report

@@ -168,12 +168,6 @@ def test_attractor_conjugated_diagonal():
         assert grass_distance(p, target) < 1e-6
 
 
-def test_attractor_seeds_multiply_streams(diag21):
-    seeds = [direction(0.3), direction(1.0)]
-    out = attractor(diag21, 1, word_len=4, seeds=seeds, words_per_seed=3)
-    assert len(out.points) == 6
-
-
 def test_adapted_metric_zero_and_contraction(diag21):
     stable = ConeSample(1, (direction(math.pi / 2),), 0.0)
     E = direction(0.0)
@@ -320,14 +314,27 @@ def test_reference_stack_cached_read_only():
         stack[0, 0, 0] = 1.0
 
 
-def test_build_multicone_gate():
+def test_build_multicone_gate(caplog):
     fam = MatrixFamily.from_matrices([rotation2(1.0)], ["R"])
     with pytest.raises(DominationGateError):
         build_multicone(fam, 1)
-    with pytest.raises(MulticoneConstructionError):
-        # override the gate: a rotation has no invariant cone, so epsilon
-        # scanning must fail with the table attached
+    # override the gate: every power of a rotation has gap ratio 1, so every
+    # attractor product is skipped with a warning and no epsilon is scanned
+    with caplog.at_level("WARNING", logger="domsplit.multicone"):
+        with pytest.raises(MulticoneConstructionError, match="attractor sample is empty") as err:
+            build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
+    assert err.value.table == []
+    assert "256 sampled products had ill-defined top frames" in caplog.text
+
+
+def test_build_multicone_no_plateau_carries_table():
+    # diag(2, 1) with a rotation is not dominated; with the gate overridden
+    # the attractor is non-empty, so the epsilon scan runs and fails with its
+    # whole table attached
+    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
+    with pytest.raises(MulticoneConstructionError, match="no epsilon plateau") as err:
         build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
+    assert len(err.value.table) == multicone.EPSILON_GRID_SIZE == 48
 
 
 def test_multicone_json_round_trip(diag21):

@@ -64,7 +64,7 @@ def test_log_singular_values_survive_long_words():
 
 
 def test_enumerate_gaps_single_diagonal(diag21):
-    report = words.enumerate_gaps(diag21, 1, max_len=10, budget=100)
+    report = words.enumerate_gaps(diag21, 1, SearchConfig(max_len=10, budget=100))
     for stat in report.per_length:
         assert stat.exact
         assert stat.max_log_ratio == pytest.approx(-stat.length * math.log(2.0), abs=1e-10)
@@ -72,14 +72,14 @@ def test_enumerate_gaps_single_diagonal(diag21):
 
 def test_enumerate_gaps_isometry():
     fam = MatrixFamily.from_matrices([rotation2(1.0)], ["R"])
-    report = words.enumerate_gaps(fam, 1, max_len=8, budget=100)
+    report = words.enumerate_gaps(fam, 1, SearchConfig(max_len=8, budget=100))
     for stat in report.per_length:
         assert stat.max_log_ratio == pytest.approx(0.0, abs=1e-10)
 
 
 def test_enumerate_gaps_matches_brute_force():
     fam = scaled_rotation_pair()
-    report = words.enumerate_gaps(fam, 1, max_len=6, budget=1000)
+    report = words.enumerate_gaps(fam, 1, SearchConfig(max_len=6, budget=1000))
     for stat in report.per_length:
         expected, _ = brute_force_max_log_gap(list(fam.matrices), 1, stat.length)
         assert stat.max_log_ratio == pytest.approx(expected, abs=1e-10)
@@ -90,23 +90,28 @@ def test_enumerate_gaps_matches_brute_force():
 def test_enumerate_gaps_budget_validation():
     fam = scaled_rotation_pair()
     with pytest.raises(ValueError):
-        words.enumerate_gaps(fam, 1, max_len=4, budget=1)
+        words.enumerate_gaps(fam, 1, SearchConfig(max_len=4, budget=1))
     with pytest.raises(ValueError):
-        words.enumerate_gaps(fam, 1, max_len=1, budget=100)
+        words.enumerate_gaps(fam, 1, SearchConfig(max_len=1, budget=100))
     with pytest.raises(ValueError):
-        words.enumerate_gaps(fam, 2, max_len=4, budget=100)
+        words.enumerate_gaps(fam, 2, SearchConfig(max_len=4, budget=100))
+    # zero limits are rejected, not read as "use the default"
+    with pytest.raises(ValueError):
+        words.enumerate_gaps(fam, 1, SearchConfig(max_len=0, budget=100))
+    with pytest.raises(ValueError):
+        words.enumerate_gaps(fam, 1, SearchConfig(max_len=4, budget=0))
 
 
 def test_beam_marks_inexact_lengths():
     fam = scaled_rotation_pair()
-    report = words.enumerate_gaps(fam, 1, max_len=8, budget=8)
+    report = words.enumerate_gaps(fam, 1, SearchConfig(max_len=8, budget=8))
     flags = [(s.length, s.exact) for s in report.per_length]
     assert flags[:3] == [(1, True), (2, True), (3, True)]
     assert all(not e for _, e in flags[3:])
 
 
 def test_fit_decay_exact_line(diag21):
-    report = words.fit_decay(words.enumerate_gaps(diag21, 1, max_len=10, budget=100))
+    report = words.fit_decay(words.enumerate_gaps(diag21, 1, SearchConfig(max_len=10, budget=100)))
     assert report.fit.log_tau == pytest.approx(-math.log(2.0), abs=1e-9)
     assert report.fit.log_C == pytest.approx(0.0, abs=1e-9)
     assert report.fit.residual < 1e-9
@@ -114,12 +119,12 @@ def test_fit_decay_exact_line(diag21):
 
 def test_fit_decay_isometry_flat():
     fam = MatrixFamily.from_matrices([rotation2(1.0)], ["R"])
-    report = words.fit_decay(words.enumerate_gaps(fam, 1, max_len=8, budget=100))
+    report = words.fit_decay(words.enumerate_gaps(fam, 1, SearchConfig(max_len=8, budget=100)))
     assert report.fit.log_tau == pytest.approx(0.0, abs=1e-9)
 
 
 def test_fit_decay_needs_points(diag21):
-    report = words.enumerate_gaps(diag21, 1, max_len=3, budget=100)
+    report = words.enumerate_gaps(diag21, 1, SearchConfig(max_len=3, budget=100))
     with pytest.raises(ValueError):
         words.fit_decay(report)
 
@@ -158,9 +163,9 @@ def test_periodic_witness_matches_per_power_loop(cross_validation_suite):
     cases = [(c.family, c.index) for c in cross_validation_suite] + [(last_power, 1), (alternating, 1)]
     found = []
     for fam, index in cases:
-        report = words.fit_decay(words.enumerate_gaps(fam, index, config=cfg), cfg.tail_fraction)
-        got = words._periodic_witness(fam, index, report, cfg)
-        assert got == periodic_witness_oracle(fam, index, report, cfg)
+        report = words.fit_decay(words.enumerate_gaps(fam, index, cfg))
+        got = words._periodic_witness(fam, index, report)
+        assert got == periodic_witness_oracle(fam, index, report)
         found.append(got)
     assert found[-2:] == [None, (0, 1)]
     assert 0 < sum(w is not None for w in found[:-2]) < len(cross_validation_suite)
@@ -222,7 +227,7 @@ def test_report_json_round_trip():
 
 
 def test_report_csv_columns(diag21):
-    report = words.enumerate_gaps(diag21, 1, max_len=4, budget=10)
+    report = words.enumerate_gaps(diag21, 1, SearchConfig(max_len=4, budget=10))
     rows = report.csv_rows()
     assert rows[0] == ["N", "max_log_ratio", "words_examined", "exact"]
     assert len(rows) == 5
@@ -237,36 +242,6 @@ def test_lyapunov_estimates_diagonal():
     assert list(repeated.exponents) == sorted(repeated.exponents, reverse=True)
 
 
-def test_birkhoff_gap_examples():
-    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0])], ["A"])
-    e1 = np.array([1.0, 0.0])
-    e2 = np.array([0.0, 1.0])
-    assert words.birkhoff_gap(fam, (0,), e1, e2) == pytest.approx(-math.log(2.0))
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        v = rng.normal(size=2)
-        word = tuple(int(x) for x in rng.integers(1, size=rng.integers(1, 6)))
-        assert words.birkhoff_gap(fam, word, v, v) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        words.birkhoff_gap(fam, (0,), np.zeros(2), e2)
-
-
-def test_birkhoff_gap_negative_on_dominated_pairs(dominated_suite):
-    # directions sampled inside the constructed expanding/contracting spaces
-    rng = np.random.default_rng(10)
-    case = dominated_suite[2]
-    fam = case.family
-    d, i = fam.dim, case.index
-    for _ in range(10):
-        n = 16
-        word = tuple(int(x) for x in rng.integers(fam.size, size=n))
-        P, _ = words.scaled_word_product(fam, word)
-        U, s, Vt = np.linalg.svd(P)
-        e = Vt.T[:, :i] @ rng.normal(size=i)
-        f = Vt.T[:, i:] @ rng.normal(size=d - i)
-        assert words.birkhoff_gap(fam, word, e, f) < 0.0
-
-
 def test_perturb_family_deterministic():
     fam = scaled_rotation_pair()
     a = words.perturb_family(fam, 1e-3, seed=5)
@@ -275,32 +250,3 @@ def test_perturb_family_deterministic():
         assert np.array_equal(Ma, Mb)
     c = words.perturb_family(fam, 1e-3, seed=5, copies=3)
     assert c.size == fam.size * 3
-
-
-def test_birkhoff_gap_uniformly_negative_past_threshold(dominated_suite):
-    # with the splitting built from long windows, every word at least as
-    # long as the scanned threshold pushes the contracting direction below
-    # the expanding one
-    import itertools
-
-    from domsplit.splitting import default_window_length, splitting_from_window
-
-    case = dominated_suite[0]
-    fam, i = case.family, case.index
-    n = min(default_window_length(fam, i, seed=11), 40)
-    rng = np.random.default_rng(11)
-    window = tuple(int(x) for x in rng.integers(fam.size, size=n))
-    est = splitting_from_window(fam, window, window, i)
-    e = est.expanding.frame[:, 0]
-    f = est.contracting.frame[:, 0]
-    threshold = None
-    for length in range(1, 7):
-        worst = max(
-            words.birkhoff_gap(fam, word, e, f)
-            for word in itertools.product(range(fam.size), repeat=length)
-        )
-        if worst < 0 and threshold is None:
-            threshold = length
-    assert threshold is not None
-    for word in itertools.product(range(fam.size), repeat=6):
-        assert words.birkhoff_gap(fam, word, e, f) < 0
