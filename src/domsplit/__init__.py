@@ -21,7 +21,6 @@ from .linalg import (
     SingularSpectrum,
     conorm,
     cross_ratio,
-    cross_ratio_directions,
     exterior_norm,
     gap_ratio,
     operator_norm,
@@ -32,7 +31,6 @@ from .multicone import Multicone, MulticoneConfig, build_multicone, strictly_inv
 from .splitting import SplittingEstimate, splitting_from_window, verify_domination
 from .words import (
     GapReport,
-    LyapunovEstimate,
     MatrixFamily,
     SearchConfig,
     Verdict,
@@ -51,7 +49,6 @@ __all__ = [
     "DomsplitError",
     "GapReport",
     "IllDefinedSplittingError",
-    "LyapunovEstimate",
     "MatrixFamily",
     "Multicone",
     "MulticoneConfig",
@@ -67,7 +64,6 @@ __all__ = [
     "build_multicone",
     "conorm",
     "cross_ratio",
-    "cross_ratio_directions",
     "enumerate_gaps",
     "exterior_norm",
     "fit_decay",

@@ -114,10 +114,13 @@ def load_family_spec(path: str | Path) -> MatrixFamily:
 # commands
 
 
+def _search_config(args) -> SearchConfig:
+    return SearchConfig(max_len=args.max_len, budget=args.budget, beam_width=args.beam)
+
+
 def cmd_check(args) -> int:
     family = load_family_spec(args.input)
-    config = SearchConfig(max_len=args.max_len, budget=args.budget, beam_width=args.beam)
-    report = words.is_dominated(family, args.index, config)
+    report = words.is_dominated(family, args.index, _search_config(args))
     out = Path(args.out)
     _write_json(out / "gap_report.json", report.to_json_dict())
     _write_csv(out / "gap_report.csv", report.csv_rows())
@@ -136,7 +139,7 @@ def cmd_multicone(args) -> int:
         attractor_words=args.words,
         attractor_rng_seed=args.seed,
         override_domination_gate=args.override_domination_gate,
-        gate_search=SearchConfig(max_len=args.max_len, budget=args.budget, beam_width=args.beam),
+        gate_search=_search_config(args),
     )
     try:
         mc = multicone.build_multicone(family, args.index, config)
@@ -197,8 +200,7 @@ def cmd_example4d(args) -> int:
         grid_n=args.grid,
         run_perturbed=not args.skip_perturbed,
     )
-    lam = args.lam if args.lam is not None else None
-    report = example4d.verify_example(lam=lam, config=config)
+    report = example4d.verify_example(lam=args.lam, config=config)
     out = Path(args.out)
     _write_json(out / "example4d_report.json", report.to_json_dict())
     _write_csv(out / "curves.csv", example4d.curve_csv_rows())
@@ -222,21 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="gap-decay domination verdict for a family")
+    # the gap-search limits, with the library's defaults
+    search = argparse.ArgumentParser(add_help=False)
+    defaults = SearchConfig()
+    search.add_argument("--max-len", type=int, default=defaults.max_len)
+    search.add_argument("--budget", type=int, default=defaults.budget)
+    search.add_argument("--beam", type=int, default=defaults.beam_width)
+
+    p = sub.add_parser("check", parents=[search], help="gap-decay domination verdict for a family")
     p.add_argument("input", help="family spec JSON file")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--budget", type=int, default=250_000)
-    p.add_argument("--beam", type=int, default=1024)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("multicone", help="build a strictly invariant multicone")
+    p = sub.add_parser("multicone", parents=[search], help="build a strictly invariant multicone")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--max-len", type=int, default=12)
-    p.add_argument("--budget", type=int, default=250_000)
-    p.add_argument("--beam", type=int, default=1024)
     p.add_argument("--word-len", type=int, default=40)
     p.add_argument("--words", type=int, default=256)
     p.add_argument("--seed", type=int, default=2024)

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import words
+from . import linalg, words
 from .errors import ConditioningError, DomsplitError, NumericalError
 from .grassmann import (
     ConeSample,
@@ -25,7 +25,6 @@ from .grassmann import (
     frame_stack,
     line_trace,
     pairwise_distances,
-    pairwise_grams,
     projectivize,
 )
 from .jsonio import JsonRecord
@@ -313,13 +312,6 @@ _AXIS_POINTS = (
 )
 
 
-def _min_principal_angle(first: list[Plane], second: list[Plane]) -> float:
-    """Smallest principal angle over all plane pairs (batched)."""
-    grams = pairwise_grams(frame_stack(first), frame_stack(second))
-    top_cos = np.linalg.svd(grams, compute_uv=False)[..., 0]
-    return float(np.arccos(np.clip(np.max(top_cos), 0.0, 1.0)))
-
-
 def _axis_angle(point: np.ndarray) -> float:
     """Angle of the lifted axis point on the projective circle of the axis plane."""
     coords = axis_plane().coordinates(lift_point(point))
@@ -464,7 +456,8 @@ def verify_example(
     # angle can never contain a direction of the second family, so it cannot
     # get stuck under the dynamics; this cap is far below the grass-distance
     # separation, so disjointness of the two neighborhoods is automatic
-    radius = NEIGHBORHOOD_FRACTION * _min_principal_angle(fine_first, fine_second)
+    angles = linalg.principal_angles(frame_stack(fine_first)[:, None], frame_stack(fine_second)[None])
+    radius = NEIGHBORHOOD_FRACTION * float(np.min(angles))
     hood_first = ConeSample(2, tuple(fine_first), radius)
     hood_second = ConeSample(2, tuple(fine_second), radius)
 

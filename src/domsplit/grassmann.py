@@ -16,7 +16,6 @@ from scipy.special import ndtri
 from scipy.stats import qmc
 
 from . import linalg
-from .errors import NumericalError
 
 # Margin threshold for declaring two complementary planes transverse; far
 # above rounding noise, far below geometric margins in shipped examples.
@@ -46,6 +45,11 @@ def frame_stack(planes) -> np.ndarray:
     return np.stack([getattr(p, "frame", p) for p in planes])
 
 
+def _frames_of(plane) -> np.ndarray:
+    """The frame of a plane, or a raw (..., d, i) frame stack as a float array."""
+    return np.asarray(getattr(plane, "frame", plane), dtype=float)
+
+
 @dataclass(frozen=True, eq=False)
 class Plane:
     """An i-dimensional subspace of R^d held as a d-by-i orthonormal frame."""
@@ -59,7 +63,8 @@ class Plane:
         if F.ndim != 2 or F.shape[0] < F.shape[1] or F.shape[1] < 1:
             raise ValueError(f"frame must be a tall d-by-i matrix, got shape {F.shape}")
         gram = F.T @ F
-        if np.max(np.abs(gram - np.eye(F.shape[1]))) > 1e-10:
+        # written so that a NaN entry fails too
+        if not np.max(np.abs(gram - np.eye(F.shape[1]))) <= 1e-10:
             raise ValueError("frame columns are not orthonormal")
         F = np.ascontiguousarray(F)
         F.setflags(write=False)
@@ -114,7 +119,7 @@ class ConeSample:
     def __post_init__(self):
         if self.grass_index < 1:
             raise ValueError("grass_index must be >= 1")
-        if self.radius < 0:
+        if not self.radius >= 0:  # NaN fails too
             raise ValueError("radius must be non-negative")
         # frames of mixed shape fail to stack; a frame wider than tall cannot
         # have orthonormal columns
@@ -123,7 +128,7 @@ class ConeSample:
         if F.ndim != 3 or F.shape[2] != self.grass_index:
             raise ValueError("all points must have dimension grass_index")
         gram = np.matmul(np.swapaxes(F, 1, 2), F)
-        if len(F) and np.max(np.abs(gram - np.eye(F.shape[2]))) > 1e-10:
+        if len(F) and not np.max(np.abs(gram - np.eye(F.shape[2]))) <= 1e-10:
             raise ValueError("frame columns are not orthonormal")
         F.setflags(write=False)
         object.__setattr__(self, "frames", F)
@@ -157,32 +162,27 @@ class ConeSample:
 
 
 def act(matrix, plane: Plane) -> Plane:
-    """Image of a plane under an invertible matrix, re-orthonormalized."""
-    M = linalg.as_square(matrix)
-    if M.shape[0] != plane.ambient_dim:
-        raise ValueError("matrix and plane dimensions do not match")
-    image = M @ plane.frame
-    Q, R = np.linalg.qr(image)
-    diag = np.abs(np.diagonal(R))
-    if np.min(diag) <= 1e-14 * max(np.max(diag), 1e-300):
-        raise NumericalError("rank collapse while acting on a plane")
-    Q = Q * np.sign(np.diagonal(R))
-    return Plane(_canonical_signs(Q))
+    """Image of a plane under an invertible matrix, re-orthonormalized;
+    raises if the image is numerically rank-deficient."""
+    return Plane.from_spanning(linalg.as_square(matrix) @ plane.frame)
 
 
-def grass_distance(first: Plane, second: Plane) -> float:
-    """Largest principal angle between two planes of the same dimension.
+def grass_distance(first, second):
+    """Largest principal angle between two planes of the same dimension, or
+    between the frames of two (..., d, i) stacks, broadcast over the leading
+    axes; a pair of planes gives a float.
 
     Computed from the sine (the top singular value of one frame projected
     off the other), which stays accurate for nearly equal planes where the
     cosine formulation loses half the working precision.
     """
-    if first.dim != second.dim or first.ambient_dim != second.ambient_dim:
+    E, F = _frames_of(first), _frames_of(second)
+    if E.shape[-2:] != F.shape[-2:]:
         raise ValueError("grass_distance requires planes of identical type")
-    E, F = first.frame, second.frame
-    residual = E - F @ (F.T @ E)
-    sin = np.linalg.svd(residual, compute_uv=False)[0]
-    return float(np.arcsin(np.clip(sin, 0.0, 1.0)))
+    residual = E - F @ (np.swapaxes(F, -1, -2) @ E)
+    sin = np.linalg.svd(residual, compute_uv=False)[..., 0]
+    angle = np.arcsin(np.clip(sin, 0.0, 1.0))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -317,18 +317,27 @@ def pairwise_distances(first, second) -> np.ndarray:
     return frame_stack_distances(frame_stack(first), frame_stack(second))
 
 
-def transverse(first: Plane, second: Plane) -> tuple[bool, float]:
+def transverse(first, second):
     """Whether two complementary-dimension planes span the ambient space.
 
     The margin is the smallest singular value of the concatenated frames;
-    the pair is transverse iff it exceeds ``TRANSVERSALITY_TOL``.
+    the pair is transverse iff it exceeds ``TRANSVERSALITY_TOL``.  Frame
+    stacks ``(..., d, i)`` and ``(..., d, d - i)`` broadcast over their
+    leading axes and give arrays of flags and margins; a pair of planes
+    gives ``(bool, float)``.
     """
-    if first.ambient_dim != second.ambient_dim:
+    E, F = _frames_of(first), _frames_of(second)
+    if E.shape[-2] != F.shape[-2]:
         raise ValueError("planes must share the ambient dimension")
-    if first.dim + second.dim != first.ambient_dim:
+    if E.shape[-1] + F.shape[-1] != E.shape[-2]:
         raise ValueError("plane dimensions must sum to the ambient dimension")
-    stacked = np.hstack([first.frame, second.frame])
-    margin = float(np.linalg.svd(stacked, compute_uv=False)[-1])
+    lead = np.broadcast_shapes(E.shape[:-2], F.shape[:-2])
+    stacked = np.concatenate(
+        [np.broadcast_to(E, lead + E.shape[-2:]), np.broadcast_to(F, lead + F.shape[-2:])], axis=-1
+    )
+    margin = np.linalg.svd(stacked, compute_uv=False)[..., -1]
+    if margin.ndim == 0:
+        return bool(margin > TRANSVERSALITY_TOL), float(margin)
     return margin > TRANSVERSALITY_TOL, margin
 
 

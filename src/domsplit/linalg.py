@@ -56,12 +56,12 @@ class SingularSpectrum:
         return (self.left * self.values) @ self.right.T
 
 
-def singular_spectrum(matrix, label: str | None = None) -> SingularSpectrum:
+def singular_spectrum(matrix) -> SingularSpectrum:
     M = as_square(matrix)
     try:
         U, s, Vt = np.linalg.svd(M)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular value decomposition failed", label=label) from exc
+        raise NumericalError("singular value decomposition failed") from exc
     return SingularSpectrum(values=s, left=U, right=Vt.T)
 
 
@@ -83,9 +83,9 @@ def check_invertible(matrix, label: str | None = None) -> np.ndarray:
     return M
 
 
-def conorm(matrix, label: str | None = None) -> float:
+def conorm(matrix) -> float:
     """Smallest singular value; equals ``1 / |M^-1|`` for invertible inputs."""
-    M = check_invertible(matrix, label=label)
+    M = check_invertible(matrix)
     return float(singular_values(M)[-1])
 
 
@@ -134,10 +134,6 @@ def cross_ratio(a: float, b: float, c: float, d: float) -> float:
     infinities denote the same projective point).
     """
     pts = [_homogeneous_pair(x) for x in (a, b, c, d)]
-    return _cross_ratio_pairs(pts)
-
-
-def _cross_ratio_pairs(pts: list[tuple[float, float]]) -> float:
     scales = [math.hypot(*p) for p in pts]
     for i in range(4):
         for j in range(i + 1, 4):
@@ -151,37 +147,14 @@ def _cross_ratio_pairs(pts: list[tuple[float, float]]) -> float:
     return num / den
 
 
-def cross_ratio_directions(a, b, c, d) -> float:
-    """Cross-ratio of four distinct directions lying on one projective line.
-
-    Directions are non-zero vectors in R^d (defined up to scale).  A 2-point
-    chart is fixed by picking the two coordinates of largest combined
-    magnitude over the quadruple; the determinant form of the cross-ratio is
-    then invariant under any other choice of non-degenerate chart.
-    """
-    vs = []
-    for v in (a, b, c, d):
-        v = np.asarray(v, dtype=float).ravel()
-        n = np.linalg.norm(v)
-        if n == 0.0:
-            raise ValueError("zero vector is not a direction")
-        vs.append(v / n)
-    dim = vs[0].size
-    if any(v.size != dim for v in vs):
-        raise ValueError("directions must share one ambient dimension")
-    weight = np.sum([v**2 for v in vs], axis=0)
-    j1, j2 = np.argsort(-weight, kind="stable")[:2]
-    pts = [(float(v[j1]), float(v[j2])) for v in vs]
-    return _cross_ratio_pairs(pts)
-
-
 def principal_angles(first, second) -> np.ndarray:
     """Principal angles between two subspaces given by orthonormal frames.
 
-    Accepts raw ``(d, k)`` frames or objects with a ``frame`` attribute.
-    Returns ``min(p, q)`` angles in ``[0, pi/2]`` sorted non-decreasing;
-    cosines are clamped to ``[0, 1]`` before ``arccos`` so rounding can
-    never produce NaN.
+    Accepts raw ``(d, k)`` frames or objects with a ``frame`` attribute, or
+    ``(..., d, k)`` frame stacks, which broadcast over their leading axes.
+    Returns ``min(p, q)`` angles in ``[0, pi/2]`` per pair, sorted
+    non-decreasing; cosines are clamped to ``[0, 1]`` before ``arccos`` so
+    rounding can never produce NaN.
     """
     E = np.asarray(getattr(first, "frame", first), dtype=float)
     F = np.asarray(getattr(second, "frame", second), dtype=float)
@@ -189,8 +162,8 @@ def principal_angles(first, second) -> np.ndarray:
         E = E[:, None]
     if F.ndim == 1:
         F = F[:, None]
-    if E.shape[0] != F.shape[0]:
+    if E.shape[-2] != F.shape[-2]:
         raise ValueError("frames must share the ambient dimension")
-    cos = np.linalg.svd(E.T @ F, compute_uv=False)
+    cos = np.linalg.svd(np.swapaxes(E, -1, -2) @ F, compute_uv=False)
     cos = np.clip(cos, 0.0, 1.0)
     return np.arccos(cos)

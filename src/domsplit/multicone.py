@@ -19,7 +19,6 @@ from scipy.sparse.csgraph import connected_components
 from . import linalg, words
 from .errors import DominationGateError, MulticoneConstructionError
 from .grassmann import (
-    TRANSVERSALITY_TOL,
     ConeSample,
     Plane,
     act_frames,
@@ -30,6 +29,7 @@ from .grassmann import (
     orthonormal_frames,
     projectivize,
     reference_frames,
+    transverse,
     worst_nearest_angle,
 )
 from .jsonio import JsonRecord
@@ -174,12 +174,12 @@ def attractor(
     family: MatrixFamily,
     index: int,
     word_len: int,
-    words_per_seed: int = 64,
+    word_count: int = 64,
     rng_seed: int = 2024,
 ) -> ConeSample:
     """Sampled forward attractor: top singular frames of long word products.
 
-    Each of the ``words_per_seed`` sampled words of length ``word_len``
+    Each of the ``word_count`` sampled words of length ``word_len``
     contributes the span of the first ``index`` left singular directions of
     its product.  The first letter of each word cycles through the members
     so every one-step target is represented.  Products whose gap ratio at
@@ -192,7 +192,7 @@ def attractor(
     spans: list[np.ndarray] = []
     warned = 0
     rng = np.random.default_rng(rng_seed)
-    for w_idx in range(words_per_seed):
+    for w_idx in range(word_count):
         first = w_idx % family.size
         rest = rng.integers(family.size, size=word_len - 1)
         word = (first, *map(int, rest))
@@ -225,15 +225,9 @@ def adapted_metric(
     """
     stable = stable_sample.frames
     if len(stable):
-        planes = np.stack([first.frame, second.frame])
-        d = planes.shape[1]
-        if stable.shape[1] != d or planes.shape[2] + stable.shape[2] != d:
-            raise ValueError("input planes and the stable sample must be complementary")
-        # every (plane, stable point) pair in one batch; transverse iff the
-        # concatenated frames have full rank, as in ``grassmann.transverse``
-        m = len(stable)
-        pairs = np.concatenate([np.repeat(planes, m, axis=0), np.tile(stable, (2, 1, 1))], axis=2)
-        if not np.all(np.linalg.svd(pairs, compute_uv=False)[:, -1] > TRANSVERSALITY_TOL):
+        # every (plane, stable point) pair in one call
+        ok, _ = transverse(np.stack([first.frame, second.frame])[:, None], stable)
+        if not np.all(ok):
             raise ValueError("input plane is not transverse to the stable sample")
     total = grass_distance(first, second)
     beam_a = first.frame[None]
@@ -341,7 +335,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         family,
         index,
         cfg.attractor_word_len,
-        words_per_seed=cfg.attractor_words,
+        word_count=cfg.attractor_words,
         rng_seed=cfg.attractor_rng_seed,
     )
     frames = cloud.frames
@@ -396,8 +390,11 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             continue
         if best is not None:
             break
+        # strictly_invariant rejects a positive margin only when the sample
+        # covers the reference-sampled Grassmannian
+        cover = "; fails the cover check" if not ok and margin > 0.0 else ""
         failures.append(
-            f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}"
+            f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{cover}"
         )
         if margin < 0.0:
             skip_below = max(skip_below, eps - margin)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg, words
 from .errors import IllDefinedSplittingError
-from .grassmann import Plane, grass_distance
+from .grassmann import Plane, grass_distance, orthonormal_frames
 from .jsonio import JsonRecord
 from .words import MatrixFamily, Word
 
@@ -239,7 +239,7 @@ def angle_decay_check(family: MatrixFamily, word, index: int) -> list[AngleBound
     bottom right-singular frames of ``S_n`` and ``S_{n+1}``, the right side
     is ``max_norm * sigma_{index+1}(S_n) / sigma_index(S_{n+1})``.  The
     inequality lhs <= rhs holds whether or not the family is dominated;
-    steps with a degenerate gap are flagged and their frames skipped.
+    steps with a degenerate gap are flagged and given NaN sides.
     """
     w = words._validate_word(family, word)
     if len(w) < 2:
@@ -250,26 +250,25 @@ def angle_decay_check(family: MatrixFamily, word, index: int) -> list[AngleBound
     max_norm = max(linalg.operator_norm(M) for M in family.matrices)
     log_suffix = words.log_singular_value_suffixes(family, w)
 
-    frames: list[Plane | None] = []
+    # the suffix products, one SVD call for all of them
+    products = []
     P = np.eye(d)
     for step, j in enumerate(reversed(w), start=1):
         P = family.matrix(j) @ P
         if step % words.RESCALE_PERIOD == 0:
             P = P / np.linalg.norm(P)
-        spec = linalg.singular_spectrum(P)
-        if spec.values[index] >= spec.values[index - 1] * (1.0 - DEGENERATE_GAP_RTOL):
-            frames.append(None)
-        else:
-            frames.append(Plane.from_spanning(spec.right[:, index:]))
+        products.append(P)
+    _, svals, Vt = np.linalg.svd(np.stack(products))
+    degenerate = svals[:, index] >= svals[:, index - 1] * (1.0 - DEGENERATE_GAP_RTOL)
+    bottom = orthonormal_frames(np.swapaxes(Vt[:, index:, :], 1, 2))
+    angles = grass_distance(bottom[:-1], bottom[1:])
 
     out = []
     for n in range(1, len(w)):
-        bottom_n, bottom_next = frames[n - 1], frames[n]
-        degenerate = bottom_n is None or bottom_next is None
-        if degenerate:
+        if degenerate[n - 1] or degenerate[n]:
             out.append(AngleBoundSample(step=n, lhs=math.nan, rhs=math.nan, degenerate=True))
             continue
-        lhs = math.sin(grass_distance(bottom_n, bottom_next))
+        lhs = math.sin(angles[n - 1])
         log_rhs = log_suffix[n][index] - log_suffix[n + 1][index - 1]
         rhs = max_norm * math.exp(min(log_rhs, 700.0))
         out.append(AngleBoundSample(step=n, lhs=float(lhs), rhs=float(rhs), degenerate=False))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -105,6 +106,16 @@ class MatrixFamily:
     def word_labels(self, word: Word) -> tuple[str, ...]:
         return tuple(self.members[j][0] for j in word)
 
+    @cached_property
+    def compound_banks(self) -> dict[int, np.ndarray]:
+        """For k = 1..dim, the read-only stack of every member's k-th
+        compound matrix, in member order; built once per family."""
+        banks = {}
+        for k in range(1, self.dim + 1):
+            banks[k] = np.stack([compound_matrix(M, k) for M in self.matrices])
+            banks[k].setflags(write=False)
+        return banks
+
 
 def perturb_family(family: MatrixFamily, noise: float, seed: int, copies: int = 1) -> MatrixFamily:
     """Entrywise uniform(-noise, noise) perturbation of every member.
@@ -174,7 +185,7 @@ def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
     """The compound accumulation behind both walks below."""
     w = _validate_word(family, word)
     d = family.dim
-    comps = {k: [compound_matrix(M, k) for M in family.matrices] for k in range(1, d + 1)}
+    comps = family.compound_banks
     acc = {k: np.eye(math.comb(d, k)) for k in range(1, d + 1)}
     logs = {k: 0.0 for k in range(1, d + 1)}
     out = np.zeros((len(w) + 1, d))
@@ -305,14 +316,6 @@ class GapReport(JsonRecord):
 
 
 @dataclass(frozen=True)
-class LyapunovEstimate:
-    """Per-step log growth rates of singular values along one word."""
-
-    exponents: tuple[float, ...]
-    word_length: int
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     """Limits of the gap enumeration.
 
@@ -348,9 +351,7 @@ class _GapSearch:
         self.index = index
         self.config = config
         self.ks = tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
-        self.bank = {
-            k: np.stack([compound_matrix(M, k) for M in family.matrices]) for k in self.ks
-        }
+        self.bank = family.compound_banks
 
     def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray]) -> np.ndarray:
         tops = {}
@@ -564,10 +565,11 @@ def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None =
 # diagnostics
 
 
-def lyapunov_estimates(family: MatrixFamily, word) -> LyapunovEstimate:
-    """Finite-word growth rates: ``(1/N) log sigma_j(product(word))``."""
+def lyapunov_estimates(family: MatrixFamily, word) -> tuple[float, ...]:
+    """Finite-word growth rates ``(1/N) log sigma_j(product(word))``,
+    non-increasing."""
     w = _validate_word(family, word)
     logs = log_singular_values(family, w) / len(w)
     logs = np.sort(logs)[::-1]  # guard 1e-15 inversions from the log differences
-    return LyapunovEstimate(exponents=tuple(float(x) for x in logs), word_length=len(w))
+    return tuple(float(x) for x in logs)
 

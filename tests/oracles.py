@@ -8,9 +8,10 @@ references are the exception: they are the full, unpruned reductions the
 production code replaced, built on the same closed form and image map, so
 they pin the restructuring and not the per-pair arithmetic.  The component
 references are the pair-by-pair loops the single-linkage tree replaced.
-``projectivize_oracle``, ``window_length_oracle`` and
-``periodic_witness_oracle`` are the per-direction, per-prefix and per-power
-loops that the stacked versions replaced.
+``projectivize_oracle``, ``window_length_oracle``,
+``periodic_witness_oracle``, ``transverse_pairs_oracle`` and
+``angle_decay_oracle`` are the per-direction, per-prefix, per-power,
+per-pair and per-step loops that the stacked versions replaced.
 """
 
 from __future__ import annotations
@@ -20,8 +21,15 @@ import math
 
 import numpy as np
 
-from domsplit import words
-from domsplit.grassmann import Plane, act_frames, aligned_distances, min_cos_pairs, sphere_sample
+from domsplit import linalg, splitting, words
+from domsplit.grassmann import (
+    TRANSVERSALITY_TOL,
+    Plane,
+    act_frames,
+    aligned_distances,
+    min_cos_pairs,
+    sphere_sample,
+)
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -228,3 +236,50 @@ def periodic_witness_oracle(family, index: int, report):
         ):
             return root
     return None
+
+
+def transverse_pairs_oracle(planes, stable) -> tuple[np.ndarray, np.ndarray]:
+    """Transversality flags and margins of every (plane, stable frame) pair,
+    one pair at a time: the smallest singular value of the two frames side
+    by side."""
+    margins = np.array(
+        [[np.linalg.svd(np.hstack([E, F]), compute_uv=False)[-1] for F in stable] for E in planes]
+    )
+    return margins > TRANSVERSALITY_TOL, margins
+
+
+def _sine_distance(E: np.ndarray, F: np.ndarray) -> float:
+    """Largest principal angle of one frame pair, from its sine."""
+    sin = np.linalg.svd(E - F @ (F.T @ E), compute_uv=False)[0]
+    return float(np.arcsin(np.clip(sin, 0.0, 1.0)))
+
+
+def angle_decay_oracle(family, word, index: int) -> list:
+    """The angle-bound samples of ``angle_decay_check``, with one SVD and
+    one validated ``Plane`` per suffix product and one distance per
+    consecutive pair."""
+    w = tuple(int(j) for j in word)
+    max_norm = max(linalg.operator_norm(M) for M in family.matrices)
+    log_suffix = words.log_singular_value_suffixes(family, w)
+    frames = []
+    P = np.eye(family.dim)
+    for step, j in enumerate(reversed(w), start=1):
+        P = family.matrix(j) @ P
+        if step % words.RESCALE_PERIOD == 0:
+            P = P / np.linalg.norm(P)
+        spec = linalg.singular_spectrum(P)
+        if spec.values[index] >= spec.values[index - 1] * (1.0 - splitting.DEGENERATE_GAP_RTOL):
+            frames.append(None)
+        else:
+            frames.append(Plane.from_spanning(spec.right[:, index:]))
+    out = []
+    for n in range(1, len(w)):
+        bottom_n, bottom_next = frames[n - 1], frames[n]
+        if bottom_n is None or bottom_next is None:
+            out.append(splitting.AngleBoundSample(step=n, lhs=math.nan, rhs=math.nan, degenerate=True))
+            continue
+        lhs = math.sin(_sine_distance(bottom_n.frame, bottom_next.frame))
+        log_rhs = log_suffix[n][index] - log_suffix[n + 1][index - 1]
+        rhs = max_norm * math.exp(min(log_rhs, 700.0))
+        out.append(splitting.AngleBoundSample(step=n, lhs=float(lhs), rhs=float(rhs), degenerate=False))
+    return out

@@ -122,7 +122,7 @@ def test_criterion_5_adapted_metric_contraction(dominated_suite):
     for case in dominated_suite:
         fam, i = case.family, case.index
         d = fam.dim
-        stable = attractor(fam.inverse(), d - i, word_len=16, words_per_seed=8)
+        stable = attractor(fam.inverse(), d - i, word_len=16, word_count=8)
 
         def sample_plane():
             word = tuple(int(x) for x in rng.integers(fam.size, size=6))

@@ -13,6 +13,7 @@ from oracles import (
     projectivize_oracle,
     random_invertible,
     random_orthogonal,
+    transverse_pairs_oracle,
 )
 
 from domsplit import grassmann
@@ -39,6 +40,8 @@ def test_plane_rejects_bad_frames():
         Plane(np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         Plane.from_spanning(np.column_stack([e(0), e(0)]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        Plane(np.full((3, 2), np.nan))
 
 
 def test_act_examples():
@@ -275,6 +278,10 @@ def test_cone_sample_rejects_bad_stacks():
     bad[2, :, 1] *= 1.01
     with pytest.raises(ValueError, match="orthonormal"):
         ConeSample(2, bad, 0.1)
+    with pytest.raises(ValueError, match="orthonormal"):
+        ConeSample.from_json_dict({"grass_index": 2, "radius": 0.1, "frames": np.full((2, 3, 2), np.nan).tolist()})
+    with pytest.raises(ValueError, match="non-negative"):
+        ConeSample(2, stack, math.nan)
     with pytest.raises(ValueError, match="dimension grass_index"):
         ConeSample(1, stack, 0.1)
     with pytest.raises(ValueError, match="dimension grass_index"):
@@ -353,3 +360,45 @@ def test_aligned_distances_near_coincident(index, dim):
     # planes 1e-4 apart, where the cosine form is least accurate
     got, want = _aligned_pairs(index, dim, 1e-4)
     assert np.allclose(got, want, rtol=0.0, atol=1e-7)
+
+
+@st.composite
+def plane_stacks(draw, complementary: bool):
+    """(A, B) stacks of frames in G(i, d) and G(i, d) or G(d - i, d): random,
+    B clustered around frames of A (1e-3 jitter), or B sharing a column with
+    a frame of A (not transverse)."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    i = draw(st.integers(min_value=1, max_value=d - 1 if complementary else d))
+    j = d - i if complementary else i
+    n = draw(st.integers(min_value=1, max_value=12))
+    m = draw(st.integers(min_value=1, max_value=12))
+    kind = draw(st.sampled_from(("random", "shared" if complementary else "clustered")))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    A = _orthonormal_stack(rng.normal(size=(n, d, i)))
+    raw = rng.normal(size=(m, d, j))
+    if kind == "clustered":
+        raw = A[rng.integers(n, size=m)] + 1e-3 * raw
+    elif kind == "shared":
+        raw[:, :, 0] = A[rng.integers(n, size=m), :, 0]
+    return A, _orthonormal_stack(raw)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(plane_stacks(complementary=False))
+def test_grass_distance_stacks_match_per_pair_calls(stacks):
+    A, B = stacks
+    want = np.array([[grassmann.grass_distance(Plane(a), Plane(b)) for b in B] for a in A])
+    assert np.array_equal(grassmann.grass_distance(A[:, None], B[None]), want)
+    k = min(len(A), len(B))
+    assert np.array_equal(grassmann.grass_distance(A[:k], B[:k]), want[np.arange(k), np.arange(k)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(plane_stacks(complementary=True))
+def test_transverse_stacks_match_per_pair_loop(stacks):
+    A, B = stacks
+    ok, margin = grassmann.transverse(A[:, None], B)
+    want_ok, want_margin = transverse_pairs_oracle(A, B)
+    assert np.array_equal(ok, want_ok) and np.array_equal(margin, want_margin)
+    single_ok, single_margin = grassmann.transverse(Plane(A[0]), Plane(B[0]))
+    assert single_ok is bool(want_ok[0, 0]) and single_margin == want_margin[0, 0]

@@ -147,7 +147,7 @@ def test_batched_act_member_major(index):
 
 
 def test_attractor_single_diagonal(diag21):
-    out = attractor(diag21, 1, word_len=5, words_per_seed=8)
+    out = attractor(diag21, 1, word_len=5, word_count=8)
     assert len(out.points) == 8
     for p in out.points:
         assert grass_distance(p, direction(0.0)) < 1e-12
@@ -162,7 +162,7 @@ def test_attractor_conjugated_diagonal():
     fam = MatrixFamily.from_matrices([M], ["A"])
     # the top frame of M^n is exactly Q[:, :2]; much longer words would let
     # the inner sigma_2/sigma_1 collapse below eps and blur the formed frame
-    out = attractor(fam, 2, word_len=16, words_per_seed=4)
+    out = attractor(fam, 2, word_len=16, word_count=4)
     target = Plane.from_spanning(Q[:, :2])
     for p in out.points:
         assert grass_distance(p, target) < 1e-6
@@ -292,7 +292,7 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     # every attractor point of diag(2, 1) is the same plane, so every pair
     # distance is an exact zero; zero-length tree edges must still join
     cfg = MulticoneConfig()
-    cloud = attractor(diag21, 1, cfg.attractor_word_len, words_per_seed=cfg.attractor_words)
+    cloud = attractor(diag21, 1, cfg.attractor_word_len, word_count=cfg.attractor_words)
     dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
     assert multicone._single_linkage(dist, np.array([0.0]))[1].tolist() == [1]
@@ -335,6 +335,8 @@ def test_build_multicone_no_plateau_carries_table():
     with pytest.raises(MulticoneConstructionError, match="no epsilon plateau") as err:
         build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
     assert len(err.value.table) == multicone.EPSILON_GRID_SIZE == 48
+    # every tried radius has a positive margin: the cover check rejected it
+    assert "fails the cover check" in str(err.value)
 
 
 def test_multicone_json_round_trip(diag21):
@@ -383,7 +385,7 @@ def test_attractor_invariance_bound(dominated_suite):
     # images of attractor points stay near the attractor set
     case = dominated_suite[1]
     fam, i = case.family, case.index
-    cloud = attractor(fam, i, word_len=30, words_per_seed=32)
+    cloud = attractor(fam, i, word_len=30, word_count=32)
     pts = list(cloud.points)
     for _, M in fam.members:
         for p in pts:
@@ -396,7 +398,7 @@ def test_strictly_invariant_monotone_under_subfamily(dominated_suite):
     # dropping members can only shrink the worst image excursion
     case = dominated_suite[0]
     fam, i = case.family, case.index
-    cloud = attractor(fam, i, word_len=20, words_per_seed=16)
+    cloud = attractor(fam, i, word_len=20, word_count=16)
     cone = ConeSample(i, cloud.points, 0.2)
     _, full_margin = strictly_invariant(fam, cone)
     sub = MatrixFamily(members=fam.members[:1], source=fam.source)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
-from oracles import window_length_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import angle_decay_oracle, random_invertible, random_orthogonal, window_length_oracle
 
 from domsplit import splitting, words
 from domsplit.errors import IllDefinedSplittingError
@@ -177,6 +179,33 @@ def test_angle_decay_check_unconditional_on_not_dominated():
     for sample in angle_decay_check(fam, word, 1):
         if not sample.degenerate:
             assert sample.lhs <= sample.rhs + 1e-9
+
+
+@st.composite
+def decay_cases(draw):
+    """A family of random invertible or orthogonal (gap-degenerate) members
+    in d = 2..5, a word that may cross the rescale period, and an index."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    index = draw(st.integers(min_value=1, max_value=d - 1))
+    members = draw(st.integers(min_value=1, max_value=3))
+    length = draw(st.integers(min_value=2, max_value=40))
+    make = draw(st.sampled_from((random_invertible, random_orthogonal)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    fam = MatrixFamily.from_matrices([make(d, rng) for _ in range(members)])
+    return fam, tuple(int(x) for x in rng.integers(members, size=length)), index
+
+
+def _sample_rows(samples):
+    return np.array([(s.step, s.lhs, s.rhs, s.degenerate) for s in samples], dtype=float)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(decay_cases())
+def test_angle_decay_check_matches_per_step_loop(case):
+    fam, word, index = case
+    got = _sample_rows(angle_decay_check(fam, word, index))
+    want = _sample_rows(angle_decay_oracle(fam, word, index))
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_detector_consistency(cross_validation_suite):

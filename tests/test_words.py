@@ -44,6 +44,16 @@ def test_compound_matrix_multiplicativity():
             assert np.allclose(left, right, rtol=1e-9, atol=1e-12)
 
 
+def test_compound_banks_built_once_per_family():
+    rng = np.random.default_rng(3)
+    fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
+    banks = fam.compound_banks
+    assert fam.compound_banks is banks and sorted(banks) == [1, 2, 3, 4]
+    for k, bank in banks.items():
+        assert not bank.flags.writeable
+        assert np.array_equal(bank, np.stack([words.compound_matrix(M, k) for M in fam.matrices]))
+
+
 def test_log_singular_values_match_direct_svd():
     rng = np.random.default_rng(4)
     fam = MatrixFamily.from_matrices([random_invertible(3, rng) for _ in range(2)])
@@ -236,10 +246,10 @@ def test_report_csv_columns(diag21):
 def test_lyapunov_estimates_diagonal():
     fam = MatrixFamily.from_matrices([np.diag([4.0, 2.0, 1.0])], ["A"])
     single = words.lyapunov_estimates(fam, (0,))
-    assert single.exponents == pytest.approx([math.log(4.0), math.log(2.0), 0.0])
+    assert single == pytest.approx([math.log(4.0), math.log(2.0), 0.0])
     repeated = words.lyapunov_estimates(fam, (0,) * 10)
-    assert repeated.exponents == pytest.approx(single.exponents, abs=1e-12)
-    assert list(repeated.exponents) == sorted(repeated.exponents, reverse=True)
+    assert repeated == pytest.approx(single, abs=1e-12)
+    assert list(repeated) == sorted(repeated, reverse=True)
 
 
 def test_perturb_family_deterministic():
