@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -237,13 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
+    # the attractor and audit settings, with the library's defaults
+    attractor = multicone.MulticoneConfig()
+    audit = inspect.signature(multicone.semiconvexity_audit).parameters
     p = sub.add_parser("multicone", parents=[search], help="build a strictly invariant multicone")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--word-len", type=int, default=40)
-    p.add_argument("--words", type=int, default=256)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--arc-resolution", type=int, default=180)
+    p.add_argument("--word-len", type=int, default=attractor.attractor_word_len)
+    p.add_argument("--words", type=int, default=attractor.attractor_words)
+    p.add_argument("--seed", type=int, default=attractor.attractor_rng_seed)
+    p.add_argument("--arc-resolution", type=int, default=audit["arc_resolution"].default)
     p.add_argument("--override-domination-gate", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_multicone)
@@ -258,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_splitting)
 
     p = sub.add_parser("example4d", help="run the 4-dimensional two-curve certificate")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=int, default=example4d.ExampleConfig().grid_n)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--skip-perturbed", action="store_true")
     p.add_argument("--out", default=".")

@@ -4,6 +4,11 @@ Singular spectra, operator norms and co-norms, singular-value gap ratios,
 exterior-power norms, cross-ratios on the projective line, and principal
 angles between subspaces.  Everything here is a pure function of its
 arguments and is safe to call concurrently.
+
+``top_singular_values`` is the gap search's sigma_1 kernel: batched over
+``(..., n, n)`` stacks without LAPACK SVD (``|x|``, a 2x2 closed form, or
+the largest eigenvalue of ``C C^T``), within 1e-14 relative of
+``svd(...)[..., 0]``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,31 @@ def as_square(matrix) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     return M
+
+
+def top_singular_values(stack) -> np.ndarray:
+    """sigma_1 of every matrix in an ``(..., n, n)`` stack, without LAPACK SVD.
+
+    n = 1 is ``|x|`` and n = 2 the closed form
+    ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``, whose two terms are
+    non-negative so their sum cannot cancel.  For n >= 3 it is the square
+    root of the largest eigenvalue of ``C C^T`` (batched ``eigvalsh``);
+    that eigenvalue is at least ``|C|_F^2 / n``, so it is well conditioned.
+    Relative error against ``svd(...)[..., 0]`` is below 1e-14 for entries
+    whose squares neither overflow nor underflow; the gap search passes
+    Frobenius-normalized stacks.
+    """
+    C = np.asarray(stack, dtype=float)
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] == 0:
+        raise ValueError(f"expected a stack of square matrices, got shape {C.shape}")
+    n = C.shape[-1]
+    if n == 1:
+        return np.abs(C[..., 0, 0])
+    if n == 2:
+        a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
+        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+    gram = C @ np.swapaxes(C, -1, -2)
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
 def singular_values(matrix, label: str | None = None) -> np.ndarray:

@@ -153,21 +153,21 @@ def _suffix_restricted_logs(family: MatrixFamily, word: Word, frame: np.ndarray)
     The frame block is pushed through the word from its last letter with a
     shared rescale each step, so no cancellation against the large part of
     the product ever occurs and the restricted norms stay accurate for long
-    words.
+    words.  Every step's block is kept, and one batched SVD after the walk
+    gives the singular values of all of them.
     """
-    block = frame.copy()
-    log_acc = 0.0
-    out = []
-    svals = np.linalg.svd(block, compute_uv=False)
-    out.append((log_acc + math.log(svals[0]), log_acc + math.log(svals[-1])))
-    for j in reversed(word):
+    blocks = np.empty((len(word) + 1, *frame.shape))
+    blocks[0] = frame
+    block = frame
+    log_accs = [0.0]
+    for n, j in enumerate(reversed(word), start=1):
         block = family.matrix(j) @ block
         s = float(np.linalg.norm(block))
         block /= s
-        log_acc += math.log(s)
-        svals = np.linalg.svd(block, compute_uv=False)
-        out.append((log_acc + math.log(svals[0]), log_acc + math.log(svals[-1])))
-    return out
+        log_accs.append(log_accs[-1] + math.log(s))
+        blocks[n] = block
+    svals = np.linalg.svd(blocks, compute_uv=False)
+    return [(acc + math.log(sv[0]), acc + math.log(sv[-1])) for acc, sv in zip(log_accs, svals)]
 
 
 def verify_domination(family: MatrixFamily, estimate: SplittingEstimate, word) -> DominationCheck:

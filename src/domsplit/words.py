@@ -11,6 +11,11 @@ log |wedge^(k-1) P|``.  This keeps gap ratios accurate far beyond the length
 where the small singular values of a directly formed product drown in
 rounding.  The plain-matrix path (needed for singular frames) rescales every
 ``RESCALE_PERIOD`` multiplications.
+
+Only sigma_1 of each normalized compound is ever needed.  It comes from the
+batched kernel ``linalg.top_singular_values`` (``|x|`` for 1x1, a closed
+form for 2x2, ``eigvalsh`` of the Gram matrix above), within 1e-14 relative
+of LAPACK's SVD, so no SVD runs here.
 """
 
 from __future__ import annotations
@@ -182,24 +187,30 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
 
 
 def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
-    """The compound accumulation behind both walks below."""
+    """The compound accumulation behind both walks below.
+
+    The walk renormalizes each order's product step by step and keeps every
+    step's normalized compound; sigma_1 of all of them comes from one
+    ``linalg.top_singular_values`` call per order after the walk.
+    """
     w = _validate_word(family, word)
     d = family.dim
     comps = family.compound_banks
-    acc = {k: np.eye(math.comb(d, k)) for k in range(1, d + 1)}
-    logs = {k: 0.0 for k in range(1, d + 1)}
-    out = np.zeros((len(w) + 1, d))
-    for n, j in enumerate(reversed(w) if suffix else w, start=1):
-        top = np.zeros(d + 1)
-        for k in range(1, d + 1):
-            acc[k] = comps[k][j] @ acc[k] if suffix else acc[k] @ comps[k][j]
-            s = float(np.linalg.norm(acc[k]))
-            acc[k] /= s
-            logs[k] += math.log(s)
-            sigma1 = float(np.linalg.svd(acc[k], compute_uv=False)[0])
-            top[k] = logs[k] + math.log(sigma1)
-        out[n] = np.diff(top)
-    return out
+    top = np.zeros((len(w) + 1, d + 1))
+    for k in range(1, d + 1):
+        acc = np.eye(math.comb(d, k))
+        steps = np.empty((len(w), *acc.shape))
+        logs = np.empty(len(w))
+        log_acc = 0.0
+        for n, j in enumerate(reversed(w) if suffix else w):
+            acc = comps[k][j] @ acc if suffix else acc @ comps[k][j]
+            s = float(np.linalg.norm(acc))
+            acc /= s
+            log_acc += math.log(s)
+            steps[n] = acc
+            logs[n] = log_acc
+        top[1:, k] = logs + np.log(linalg.top_singular_values(steps))
+    return np.diff(top, axis=1)
 
 
 def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
@@ -356,8 +367,7 @@ class _GapSearch:
     def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray]) -> np.ndarray:
         tops = {}
         for k in self.ks:
-            sigma1 = np.linalg.svd(mats[k], compute_uv=False)[..., 0]
-            tops[k] = logs[k] + np.log(sigma1)
+            tops[k] = logs[k] + np.log(linalg.top_singular_values(mats[k]))
         i = self.index
         low = tops[i - 1] if i - 1 >= 1 else 0.0
         return tops[i + 1] + low - 2.0 * tops[i]

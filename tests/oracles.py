@@ -9,9 +9,12 @@ production code replaced, built on the same closed form and image map, so
 they pin the restructuring and not the per-pair arithmetic.  The component
 references are the pair-by-pair loops the single-linkage tree replaced.
 ``projectivize_oracle``, ``window_length_oracle``,
-``periodic_witness_oracle``, ``transverse_pairs_oracle`` and
-``angle_decay_oracle`` are the per-direction, per-prefix, per-power,
-per-pair and per-step loops that the stacked versions replaced.
+``periodic_witness_oracle``, ``transverse_pairs_oracle``,
+``angle_decay_oracle``, ``compound_log_walk_oracle`` and
+``suffix_restricted_logs_oracle`` are the per-direction, per-prefix,
+per-power, per-pair and per-step loops that the stacked versions replaced.
+``top_singular_values_oracle`` is the LAPACK SVD that the sigma_1 kernel
+replaced.
 """
 
 from __future__ import annotations
@@ -282,4 +285,46 @@ def angle_decay_oracle(family, word, index: int) -> list:
         log_rhs = log_suffix[n][index] - log_suffix[n + 1][index - 1]
         rhs = max_norm * math.exp(min(log_rhs, 700.0))
         out.append(splitting.AngleBoundSample(step=n, lhs=float(lhs), rhs=float(rhs), degenerate=False))
+    return out
+
+
+def top_singular_values_oracle(stack) -> np.ndarray:
+    """sigma_1 of every matrix in a stack, from the full LAPACK SVD."""
+    return np.linalg.svd(np.asarray(stack, dtype=float), compute_uv=False)[..., 0]
+
+
+def compound_log_walk_oracle(family, word, suffix: bool) -> np.ndarray:
+    """The prefix (or suffix) log-singular-value walk with one SVD of every
+    order's compound at every step."""
+    d = family.dim
+    acc = {k: np.eye(math.comb(d, k)) for k in range(1, d + 1)}
+    logs = {k: 0.0 for k in range(1, d + 1)}
+    out = np.zeros((len(word) + 1, d))
+    for n, j in enumerate(reversed(word) if suffix else word, start=1):
+        top = np.zeros(d + 1)
+        for k in range(1, d + 1):
+            C = words.compound_matrix(family.matrix(int(j)), k)
+            acc[k] = C @ acc[k] if suffix else acc[k] @ C
+            s = float(np.linalg.norm(acc[k]))
+            acc[k] /= s
+            logs[k] += math.log(s)
+            top[k] = logs[k] + math.log(float(np.linalg.svd(acc[k], compute_uv=False)[0]))
+        out[n] = np.diff(top)
+    return out
+
+
+def suffix_restricted_logs_oracle(family, word, frame: np.ndarray) -> list[tuple[float, float]]:
+    """(log sigma_max, log sigma_min) of product(word[-n:]) @ frame, with
+    one SVD per step of the rescaled block walk."""
+    block = frame.copy()
+    log_acc = 0.0
+    svals = np.linalg.svd(block, compute_uv=False)
+    out = [(log_acc + math.log(svals[0]), log_acc + math.log(svals[-1]))]
+    for j in reversed(word):
+        block = family.matrix(j) @ block
+        s = float(np.linalg.norm(block))
+        block /= s
+        log_acc += math.log(s)
+        svals = np.linalg.svd(block, compute_uv=False)
+        out.append((log_acc + math.log(svals[0]), log_acc + math.log(svals[-1])))
     return out

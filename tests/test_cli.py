@@ -1,13 +1,14 @@
 """Exit codes, file outputs, determinism, and spec-file validation."""
 
+import inspect
 import json
 import math
 
 import numpy as np
 import pytest
 
-from domsplit import cli
-from domsplit.words import GapReport
+from domsplit import cli, example4d, multicone
+from domsplit.words import GapReport, SearchConfig
 
 
 @pytest.fixture()
@@ -184,3 +185,29 @@ def test_example4d_weak_lambda_fails_with_margins(tmp_path, capsys):
     report = json.loads((out / "example4d_report.json").read_text())
     assert report["lambda"] is None
     assert not report["scan"][0]["passed"]
+
+
+def test_parser_defaults_are_library_defaults():
+    # every flag with a library counterpart defaults to that library value,
+    # so the CLI and the library cannot drift apart
+    parser = cli.build_parser()
+    search = SearchConfig()
+    attractor = multicone.MulticoneConfig()
+    audit = inspect.signature(multicone.semiconvexity_audit).parameters
+    expected = {
+        "check": {"max_len": search.max_len, "budget": search.budget, "beam": search.beam_width},
+        "multicone": {
+            "max_len": search.max_len,
+            "budget": search.budget,
+            "beam": search.beam_width,
+            "word_len": attractor.attractor_word_len,
+            "words": attractor.attractor_words,
+            "seed": attractor.attractor_rng_seed,
+            "arc_resolution": audit["arc_resolution"].default,
+        },
+        "example4d": {"grid": example4d.ExampleConfig().grid_n},
+    }
+    for command, flags in expected.items():
+        argv = [command] if command == "example4d" else [command, "spec.json", "--index", "1"]
+        args = vars(parser.parse_args(argv))
+        assert {name: args[name] for name in flags} == flags

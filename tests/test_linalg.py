@@ -7,7 +7,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import compound_matrix_oracle, random_invertible
+from oracles import compound_matrix_oracle, random_invertible, random_orthogonal, top_singular_values_oracle
 
 from domsplit import linalg
 from domsplit.errors import SingularMatrixError
@@ -183,3 +183,51 @@ def test_principal_angles_broadcast_matches_per_pair_calls(stacks):
     want = np.array([[linalg.principal_angles(a, b) for b in B] for a in A])
     assert got.shape == (len(A), len(B), min(A.shape[2], B.shape[2]))
     assert np.array_equal(got, want)
+
+
+@st.composite
+def square_stacks(draw):
+    """Stacks of n x n matrices, n = 1..6: random, orthogonal (isotropic
+    Gram), near rank 1, sigma_1 and sigma_2 equal to 1e-12, or empty, each
+    scaled by 10^e for e in -50..50."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "orthogonal", "rank1", "close_top", "empty"]))
+    count = 0 if kind == "empty" else draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-50, 50))
+    mats = []
+    for _ in range(count):
+        if kind == "orthogonal":
+            M = random_orthogonal(n, rng)
+        elif kind == "rank1":
+            M = np.outer(rng.normal(size=n), rng.normal(size=n)) + 1e-9 * rng.normal(size=(n, n))
+        elif kind == "close_top":
+            s = np.concatenate([[1.0, 1.0 - 1e-12], np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]])[:n]
+            M = random_orthogonal(n, rng) @ np.diag(s) @ random_orthogonal(n, rng)
+        else:
+            M = rng.normal(size=(n, n))
+        mats.append(scale * M)
+    return np.array(mats).reshape(count, n, n)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(square_stacks())
+def test_top_singular_values_match_svd(stack):
+    got = linalg.top_singular_values(stack)
+    want = top_singular_values_oracle(stack)
+    assert got.shape == want.shape == stack.shape[:1]
+    if stack.shape[-1] == 1:
+        assert np.array_equal(got, want)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+def test_top_singular_values_broadcast_and_shape_checks():
+    rng = np.random.default_rng(11)
+    stack = rng.normal(size=(2, 3, 4, 4))
+    assert np.allclose(linalg.top_singular_values(stack), top_singular_values_oracle(stack), rtol=1e-14, atol=0.0)
+    assert linalg.top_singular_values(np.diag([3.0, -5.0])) == pytest.approx(5.0, rel=1e-15)
+    for n in range(1, 7):
+        assert np.array_equal(linalg.top_singular_values(np.zeros((2, n, n))), np.zeros(2))
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 0, 0))):
+        with pytest.raises(ValueError):
+            linalg.top_singular_values(bad)

@@ -8,7 +8,13 @@ import pytest
 from conftest import rotation2, scaled_rotation_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import angle_decay_oracle, random_invertible, random_orthogonal, window_length_oracle
+from oracles import (
+    angle_decay_oracle,
+    random_invertible,
+    random_orthogonal,
+    suffix_restricted_logs_oracle,
+    window_length_oracle,
+)
 
 from domsplit import splitting, words
 from domsplit.errors import IllDefinedSplittingError
@@ -110,6 +116,22 @@ def test_verify_domination_long_word_no_rounding_floor(diag21):
     est = splitting_from_window(diag21, (0,) * 5, (0,) * 5, 1)
     check = verify_domination(diag21, est, (0,) * 120)
     assert check.log_ratio_curve[-1] == pytest.approx(-120 * math.log(2.0), rel=1e-9)
+
+
+def test_suffix_restricted_logs_match_per_step_svd(cross_validation_suite):
+    # one batched SVD after the walk is bit-equal to one SVD per step, for
+    # blocks of every shape (d, i) in the suite and words up to length 60
+    rng = np.random.default_rng(12)
+    shapes = set()
+    for case in cross_validation_suite:
+        d = case.family.dim
+        for i in range(1, d):
+            frame = random_orthogonal(d, rng)[:, :i]
+            word = tuple(int(j) for j in rng.integers(case.family.size, size=int(rng.integers(1, 61))))
+            got = splitting._suffix_restricted_logs(case.family, word, frame)
+            assert got == suffix_restricted_logs_oracle(case.family, word, frame)
+            shapes.add((d, i))
+    assert shapes == {(2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3)}
 
 
 def test_future_past_dependence(dominated_suite):

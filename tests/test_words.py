@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
-from oracles import brute_force_max_log_gap, periodic_witness_oracle, random_invertible, word_product
+from oracles import (
+    brute_force_max_log_gap,
+    compound_log_walk_oracle,
+    periodic_witness_oracle,
+    random_invertible,
+    top_singular_values_oracle,
+    word_product,
+)
 
-from domsplit import words
+from domsplit import linalg, words
 from domsplit.words import (
     DOMINATED,
     NOT_DOMINATED,
@@ -61,6 +68,25 @@ def test_log_singular_values_match_direct_svd():
     expected = np.log(np.linalg.svd(word_product(fam, word), compute_uv=False))
     got = words.log_singular_values(fam, word)
     assert np.allclose(got, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_log_singular_value_walks_match_per_step_svd(dim):
+    # the batched sigma_1 after the walk against one SVD per step and order,
+    # on short and long words, and on an isometry whose compounds are all
+    # orthogonal (sigma_1 of every normalized compound is 1/sqrt(rows))
+    rng = np.random.default_rng(40 + dim)
+    fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(3)])
+    iso = MatrixFamily.from_matrices([np.linalg.qr(rng.normal(size=(dim, dim)))[0]])
+    cases = [(fam, tuple(int(j) for j in rng.integers(3, size=n))) for n in (1, 7, 40, 200)]
+    cases.append((iso, (0,) * 30))
+    for family, word in cases:
+        for walk, suffix in ((words.log_singular_value_prefixes, False), (words.log_singular_value_suffixes, True)):
+            got = walk(family, word)
+            want = compound_log_walk_oracle(family, word, suffix)
+            assert got.shape == (len(word) + 1, dim)
+            assert np.all(got[0] == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-13
 
 
 def test_log_singular_values_survive_long_words():
@@ -179,6 +205,25 @@ def test_periodic_witness_matches_per_power_loop(cross_validation_suite):
         found.append(got)
     assert found[-2:] == [None, (0, 1)]
     assert 0 < sum(w is not None for w in found[:-2]) < len(cross_validation_suite)
+
+
+def test_gap_search_with_svd_oracle_kernel(cross_validation_suite, monkeypatch):
+    # the sigma_1 kernel moves the gap digits at the rounding level only:
+    # swapping in the LAPACK SVD keeps every count, exact flag and verdict,
+    # the per-length maxima to 1e-12, and the witnesses of dominated families
+    cfg = SearchConfig(max_len=8, budget=2_000, beam_width=64)
+    cases = [(c.family, c.index, c.dominated) for c in cross_validation_suite]
+    kernel = [words.is_dominated(fam, index, cfg) for fam, index, _ in cases]
+    monkeypatch.setattr(linalg, "top_singular_values", top_singular_values_oracle)
+    oracle = [words.is_dominated(fam, index, cfg) for fam, index, _ in cases]
+    assert any(not s.exact for r in kernel for s in r.per_length)
+    for (_, _, dominated), got, want in zip(cases, kernel, oracle):
+        assert got.verdict == want.verdict
+        for g, w in zip(got.per_length, want.per_length, strict=True):
+            assert (g.length, g.words_examined, g.exact) == (w.length, w.words_examined, w.exact)
+            assert abs(g.max_log_ratio - w.max_log_ratio) <= 1e-12
+            if dominated:
+                assert g.witness == w.witness
 
 
 def test_submultiplicative_exterior_norms():
