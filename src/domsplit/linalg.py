@@ -8,7 +8,11 @@ arguments and is safe to call concurrently.
 ``top_singular_values`` is the gap search's sigma_1 kernel: batched over
 ``(..., n, n)`` stacks without LAPACK SVD (``|x|``, a 2x2 closed form, or
 the largest eigenvalue of ``C C^T``), within 1e-14 relative of
-``svd(...)[..., 0]``.
+``svd(...)[..., 0]``.  ``top_singular_value_bounds`` brackets the same
+sigma_1 without an eigen-solver, so the search can skip the kernel on
+words that cannot matter: exact for n <= 2, and
+``[|G|_F / sqrt(tr G), |G|_F^(1/2)]`` with ``G = C C^T`` above, from
+``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,13 @@ def as_square(matrix) -> np.ndarray:
     return M
 
 
+def _square_stack(stack) -> np.ndarray:
+    C = np.asarray(stack, dtype=float)
+    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] == 0:
+        raise ValueError(f"expected a stack of square matrices, got shape {C.shape}")
+    return C
+
+
 def top_singular_values(stack) -> np.ndarray:
     """sigma_1 of every matrix in an ``(..., n, n)`` stack, without LAPACK SVD.
 
@@ -48,9 +59,7 @@ def top_singular_values(stack) -> np.ndarray:
     whose squares neither overflow nor underflow; the gap search passes
     Frobenius-normalized stacks.
     """
-    C = np.asarray(stack, dtype=float)
-    if C.ndim < 2 or C.shape[-1] != C.shape[-2] or C.shape[-1] == 0:
-        raise ValueError(f"expected a stack of square matrices, got shape {C.shape}")
+    C = _square_stack(stack)
     n = C.shape[-1]
     if n == 1:
         return np.abs(C[..., 0, 0])
@@ -59,6 +68,29 @@ def top_singular_values(stack) -> np.ndarray:
         return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
     gram = C @ np.swapaxes(C, -1, -2)
     return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+
+def top_singular_value_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
+    """``(lower, upper)`` with ``lower <= sigma_1 <= upper`` for every matrix
+    of an ``(..., n, n)`` stack, without an eigen-solver.
+
+    For n <= 2 both are ``top_singular_values`` (a closed form already).
+    For n >= 3, with ``G = C C^T`` and ``lambda`` its eigenvalues,
+    ``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)``, so
+    ``sigma_1`` lies in ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]``.  Both sides
+    hold up to rounding (1e-14 relative); they meet when the singular
+    values are all equal or all but one are zero.
+    """
+    C = _square_stack(stack)
+    if C.shape[-1] <= 2:
+        top = top_singular_values(C)
+        return top, top
+    gram = C @ np.swapaxes(C, -1, -2)
+    gram_sq = np.einsum("...ij,...ij->...", gram, gram)
+    trace = np.einsum("...ii->...", gram)
+    # a zero matrix has trace 0 and gram_sq 0: its lower bound is 0, not nan
+    lower = np.sqrt(gram_sq / np.where(trace > 0.0, trace, 1.0))
+    return lower, np.sqrt(np.sqrt(gram_sq))
 
 
 def singular_values(matrix, label: str | None = None) -> np.ndarray:

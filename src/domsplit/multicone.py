@@ -17,7 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from . import linalg, words
-from .errors import DominationGateError, MulticoneConstructionError
+from .errors import DominationGateError, MulticoneConstructionError, NumericalError
 from .grassmann import (
     ConeSample,
     Plane,
@@ -189,22 +189,20 @@ def attractor(
     """
     if word_len < 1:
         raise ValueError("word_len must be positive")
-    spans: list[np.ndarray] = []
-    warned = 0
     rng = np.random.default_rng(rng_seed)
-    for w_idx in range(word_count):
-        first = w_idx % family.size
-        rest = rng.integers(family.size, size=word_len - 1)
-        word = (first, *map(int, rest))
-        P, _ = words.scaled_word_product(family, word)
-        spec = linalg.singular_spectrum(P)
-        if spec.values[index] >= spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
-            warned += 1
-            continue
-        spans.append(spec.left[:, :index])
+    first = np.arange(word_count) % family.size
+    rest = rng.integers(family.size, size=(word_count, word_len - 1))
+    P, _ = words.scaled_word_product(family, np.column_stack([first, rest]))
+    try:
+        U, s, _ = np.linalg.svd(P)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("singular value decomposition failed") from exc
+    flat = s[:, index] >= s[:, index - 1] * (1.0 - GAP_WARNING_TOL)
+    spans = U[~flat, :, :index]
+    warned = int(np.count_nonzero(flat))
     if warned:
         log.warning("attractor: %d sampled products had ill-defined top frames", warned)
-    return ConeSample(index, orthonormal_frames(np.stack(spans)) if spans else (), 0.0)
+    return ConeSample(index, orthonormal_frames(spans) if len(spans) else (), 0.0)
 
 
 def adapted_metric(

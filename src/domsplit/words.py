@@ -16,6 +16,20 @@ Only sigma_1 of each normalized compound is ever needed.  It comes from the
 batched kernel ``linalg.top_singular_values`` (``|x|`` for 1x1, a closed
 form for 2x2, ``eigvalsh`` of the Gram matrix above), within 1e-14 relative
 of LAPACK's SVD, so no SVD runs here.
+
+The gap search reads only each length's maximum with its witness and, on a
+length before a beam length, the ``beam_width`` largest scores.  So it
+bounds every word's score first, from ``linalg.top_singular_value_bounds``
+(no eigen-solver): the upper bound takes the upper bounds at orders i - 1
+and i + 1 and the lower bound at order i, the lower bound the reverse.  The
+cut is the larger of the length's maximum so far and the chunk's largest
+lower bound; when the next length beams it is the chunk's
+``beam_width``-th largest lower bound instead (no cut when the chunk is
+smaller).  A word whose upper bound is more than ``GAP_PRUNE_SLACK``
+(1e-9 nats, for rounding) below the cut scores -inf; every other word gets
+the exact kernel.  A pruned word can neither be a maximum nor enter a beam,
+ties all survive, and the kernel gives the same bits on a row subset, so
+every output is exactly that of scoring all words.
 """
 
 from __future__ import annotations
@@ -171,19 +185,34 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
     """Product in the form ``exp(log_scale) * P_hat`` with ``|P_hat|_F = 1``.
 
     Rescales every RESCALE_PERIOD multiplications so entries never overflow
-    or underflow for long words.
+    or underflow for long words.  ``word`` may also be an ``(n, L)`` array
+    of n words of one length; the result is then an ``(n, d, d)`` stack and
+    an ``(n,)`` array of log scales, each row bit-equal to its own call.
     """
-    w = _validate_word(family, word)
-    P = np.eye(family.dim)
-    log_scale = 0.0
-    for step, j in enumerate(w, start=1):
-        P = P @ family.matrix(j)
+    batch = np.asarray(word)
+    single = batch.ndim == 1
+    if single:
+        batch = np.array([_validate_word(family, batch)])
+    elif batch.ndim != 2 or batch.shape[1] == 0:
+        raise ValueError("words must form a non-empty (n, L) array")
+    elif not np.issubdtype(batch.dtype, np.integer) or np.any((batch < 0) | (batch >= family.size)):
+        raise ValueError("word contains an invalid member index")
+    mats = np.stack(family.matrices)
+    P = np.repeat(np.eye(family.dim)[None], batch.shape[0], axis=0)
+    log_scale = np.zeros(batch.shape[0])
+    for step in range(1, batch.shape[1] + 1):
+        P = P @ mats[batch[:, step - 1]]
         if step % RESCALE_PERIOD == 0:
-            s = float(np.linalg.norm(P))
-            P = P / s
-            log_scale += math.log(s)
-    s = float(np.linalg.norm(P))
-    return P / s, log_scale + math.log(s)
+            P, log_scale = _rescaled(P, log_scale)
+    P, log_scale = _rescaled(P, log_scale)
+    return (P[0], float(log_scale[0])) if single else (P, log_scale)
+
+
+def _rescaled(P: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # one norm call per matrix: a batched norm(axis=(-2, -1)) sums in
+    # another order and moves the products at the 1e-15 level
+    s = np.array([float(np.linalg.norm(p)) for p in P])
+    return P / s[:, None, None], log_scale + np.array([math.log(x) for x in s])
 
 
 def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
@@ -350,6 +379,10 @@ class SearchConfig:
 # words extended per batched product; bounds the memory of one batch
 CHUNK_SIZE = 65536
 
+# a word is pruned only when its score's upper bound is this many nats below
+# the cut; absorbs the rounding of the bounds against the exact kernel
+GAP_PRUNE_SLACK = 1e-9
+
 
 class _GapSearch:
     """Breadth-wise enumeration with compound-matrix beam states."""
@@ -364,13 +397,50 @@ class _GapSearch:
         self.ks = tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
         self.bank = family.compound_banks
 
-    def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray]) -> np.ndarray:
-        tops = {}
+    def _candidates(
+        self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float, beam_next: bool
+    ) -> np.ndarray:
+        """Mask of the rows whose score bounds do not rule out that they beat
+        ``best_val`` or, when the next length beams, enter its beam."""
+        i = self.index
+        # the score adds log sigma_1 at orders i - 1 and i + 1 and takes
+        # twice the order i off: each bound takes each term from its own side
+        upper = lower = 0.0
         for k in self.ks:
-            tops[k] = logs[k] + np.log(linalg.top_singular_values(mats[k]))
+            lo, hi = linalg.top_singular_value_bounds(mats[k])
+            lo = logs[k] + np.log(lo)
+            hi = logs[k] + np.log(hi)
+            if k == i:
+                upper, lower = upper - 2.0 * lo, lower - 2.0 * hi
+            else:
+                upper, lower = upper + hi, lower + lo
+        width = self.config.beam_width
+        if not beam_next:
+            cut = max(best_val, float(np.max(lower)))
+        elif lower.size >= width:
+            cut = float(np.partition(lower, -width)[-width])
+        else:
+            cut = -math.inf
+        return upper >= cut - GAP_PRUNE_SLACK
+
+    def _log_gaps(
+        self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float, beam_next: bool
+    ) -> np.ndarray:
+        """Log gap ratio of every row; rows ruled out by ``_candidates`` get
+        -inf instead of their exact score."""
+        keep = self._candidates(mats, logs, best_val, beam_next)
+        whole = bool(np.all(keep))
+        # a plain slice is a view: no copy when every row is kept
+        rows = slice(None) if whole else keep
+        tops = {k: logs[k][rows] + np.log(linalg.top_singular_values(mats[k][rows])) for k in self.ks}
         i = self.index
         low = tops[i - 1] if i - 1 >= 1 else 0.0
-        return tops[i + 1] + low - 2.0 * tops[i]
+        scores = tops[i + 1] + low - 2.0 * tops[i]
+        if whole:
+            return scores
+        out = np.full(keep.shape, -math.inf)
+        out[keep] = scores
+        return out
 
     def run(self) -> list[GapLengthStat]:
         m = self.family.size
@@ -405,6 +475,8 @@ class _GapSearch:
             best_val = -math.inf
             best_word: Word = ()
             examined = 0
+            # the next length keeps only the beam_width best of these words
+            beam_next = length < max_len and count * m * m > budget and count * m > cfg.beam_width
             letters = np.arange(m, dtype=np.int32)
             for lo in range(0, count, CHUNK_SIZE):
                 sl = slice(lo, min(lo + CHUNK_SIZE, count))
@@ -425,7 +497,7 @@ class _GapSearch:
                     prod /= nrm[:, None, None]
                     cm[k] = prod
                     cl[k] = np.repeat(logs[k][sl], m) + np.log(nrm)
-                cs = self._log_gaps(cm, cl)
+                cs = self._log_gaps(cm, cl, best_val, beam_next)
                 examined += cs.size
                 arg = int(np.argmax(cs))
                 if cs[arg] > best_val:
@@ -471,14 +543,15 @@ def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None
 
 
 # share of the per-length maxima, taken from the long end, that the decay
-# fit reads
+# fit reads, and the fewest lengths a fit takes
 TAIL_FRACTION = 0.5
+MIN_FIT_LENGTHS = 4
 
 
 def fit_decay(report: GapReport) -> GapReport:
     """Least-squares exponential-decay fit over the final TAIL_FRACTION of lengths."""
-    if len(report.per_length) < 4:
-        raise ValueError("need at least 4 per-length entries to fit a decay")
+    if len(report.per_length) < MIN_FIT_LENGTHS:
+        raise ValueError(f"need at least {MIN_FIT_LENGTHS} per-length entries to fit a decay")
     n_tail = max(2, math.ceil(TAIL_FRACTION * len(report.per_length)))
     tail = report.per_length[-n_tail:]
     x = np.array([s.length for s in tail], dtype=float)
@@ -542,7 +615,11 @@ def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None =
 
     A periodic flat witness wins over the fit (constructive evidence beats
     extrapolation); Inconclusive is an explicit outcome with a reason.
+    A ``max_len`` too short to fit is refused before the search runs.
     """
+    config = config or SearchConfig()
+    if config.max_len < MIN_FIT_LENGTHS:
+        raise ValueError(f"max_len must be at least {MIN_FIT_LENGTHS} to fit a decay, got {config.max_len}")
     report = fit_decay(enumerate_gaps(family, index, config))
     witness = _periodic_witness(family, index, report)
     if witness is not None:

@@ -14,7 +14,11 @@ references are the pair-by-pair loops the single-linkage tree replaced.
 ``suffix_restricted_logs_oracle`` are the per-direction, per-prefix,
 per-power, per-pair and per-step loops that the stacked versions replaced.
 ``top_singular_values_oracle`` is the LAPACK SVD that the sigma_1 kernel
-replaced.
+replaced.  ``gap_search_oracle`` is the gap search without its bound-and-
+refine pruning or chunking: every word's exact score, from the same product
+and sigma_1 arithmetic, so the two must agree bit for bit.
+``attractor_oracle`` is the attractor's per-word loop of plain products and
+single-matrix SVDs.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from domsplit.grassmann import (
     act_frames,
     aligned_distances,
     min_cos_pairs,
+    orthonormal_frames,
     sphere_sample,
 )
+from domsplit.multicone import GAP_WARNING_TOL
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -328,3 +334,79 @@ def suffix_restricted_logs_oracle(family, word, frame: np.ndarray) -> list[tuple
         svals = np.linalg.svd(block, compute_uv=False)
         out.append((log_acc + math.log(svals[0]), log_acc + math.log(svals[-1])))
     return out
+
+
+def gap_search_oracle(family, index: int, config) -> list:
+    """Per-length gap statistics with the exact score of every word, in one
+    batch per length: the search before bound-and-refine pruning."""
+    m = family.size
+    bank = family.compound_banks
+    ks = tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= family.dim)
+    words_ = np.zeros((1, 0), dtype=np.int32)
+    mats = {k: np.eye(bank[k].shape[1])[None].copy() for k in ks}
+    logs = {k: np.zeros(1) for k in ks}
+    scores = np.zeros(1)
+    complete = True
+    stats = []
+    for length in range(1, config.max_len + 1):
+        count = words_.shape[0]
+        exact = complete and count * m <= config.budget
+        if count * m > config.budget and count > config.beam_width:
+            keep = np.argsort(-scores, kind="stable")[: config.beam_width]
+            words_ = words_[keep]
+            mats = {k: mats[k][keep] for k in ks}
+            logs = {k: logs[k][keep] for k in ks}
+            count = words_.shape[0]
+        words_ = np.concatenate(
+            [np.repeat(words_, m, axis=0), np.tile(np.arange(m, dtype=np.int32), count)[:, None]], axis=1
+        )
+        tops = {}
+        for k in ks:
+            prod = np.matmul(mats[k][:, None], bank[k][None]).reshape(count * m, *bank[k].shape[1:])
+            nrm = np.linalg.norm(prod, axis=(-2, -1))
+            prod /= nrm[:, None, None]
+            mats[k] = prod
+            logs[k] = np.repeat(logs[k], m) + np.log(nrm)
+            tops[k] = logs[k] + np.log(linalg.top_singular_values(prod))
+        low = tops[index - 1] if index - 1 >= 1 else 0.0
+        scores = tops[index + 1] + low - 2.0 * tops[index]
+        arg = int(np.argmax(scores))
+        stats.append(
+            words.GapLengthStat(
+                length=length,
+                max_log_ratio=float(scores[arg]),
+                words_examined=scores.size,
+                exact=exact,
+                witness=tuple(int(j) for j in words_[arg]),
+            )
+        )
+        complete = exact
+    return stats
+
+
+def scaled_word_product_oracle(family, word) -> tuple[np.ndarray, float]:
+    """One word's Frobenius-normalized product and log scale, rescaled every
+    ``RESCALE_PERIOD`` steps, one 2-d product at a time."""
+    P = np.eye(family.dim)
+    log_scale = 0.0
+    for step, j in enumerate(word, start=1):
+        P = P @ family.matrix(int(j))
+        if step % words.RESCALE_PERIOD == 0:
+            s = float(np.linalg.norm(P))
+            P = P / s
+            log_scale += math.log(s)
+    s = float(np.linalg.norm(P))
+    return P / s, log_scale + math.log(s)
+
+
+def attractor_oracle(family, index: int, word_len: int, word_count: int, rng_seed: int) -> np.ndarray:
+    """The attractor's frames from one drawn word, one product and one SVD
+    at a time."""
+    rng = np.random.default_rng(rng_seed)
+    spans = []
+    for w_idx in range(word_count):
+        word = (w_idx % family.size, *map(int, rng.integers(family.size, size=word_len - 1)))
+        spec = linalg.singular_spectrum(scaled_word_product_oracle(family, word)[0])
+        if spec.values[index] < spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
+            spans.append(spec.left[:, :index])
+    return orthonormal_frames(np.stack(spans))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from domsplit import cli, example4d, multicone
+from domsplit import cli, example4d, multicone, words
 from domsplit.words import GapReport, SearchConfig
 
 
@@ -54,6 +54,18 @@ def test_check_malformed_json_exit_one(tmp_path, capsys):
 def test_check_missing_file_exit_one(tmp_path):
     code = cli.main(["check", str(tmp_path / "nope.json"), "--index", "1", "--out", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("max_len", ["1", "3"])
+def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, monkeypatch, max_len):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the gap search ran")
+
+    monkeypatch.setattr(words, "enumerate_gaps", no_search)
+    code = cli.main(["check", str(diag_spec), "--index", "1", "--max-len", max_len, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "max_len must be at least 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_spec_requires_exactly_one_source(tmp_path):

@@ -221,6 +221,28 @@ def test_top_singular_values_match_svd(stack):
     assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(square_stacks())
+def test_top_singular_value_bounds_bracket_svd(stack):
+    lower, upper = linalg.top_singular_value_bounds(stack)
+    want = top_singular_values_oracle(stack)
+    assert lower.shape == upper.shape == want.shape
+    assert np.all(lower <= want * (1.0 + 1e-14))
+    assert np.all(upper >= want * (1.0 - 1e-14))
+    if stack.shape[-1] <= 2:
+        top = linalg.top_singular_values(stack)
+        assert np.array_equal(lower, top) and np.array_equal(upper, top)
+
+
+def test_top_singular_value_bounds_zero_and_shape_checks():
+    for n in range(1, 7):
+        lower, upper = linalg.top_singular_value_bounds(np.zeros((2, n, n)))
+        assert np.array_equal(lower, np.zeros(2)) and np.array_equal(upper, np.zeros(2))
+    for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 0, 0))):
+        with pytest.raises(ValueError):
+            linalg.top_singular_value_bounds(bad)
+
+
 def test_top_singular_values_broadcast_and_shape_checks():
     rng = np.random.default_rng(11)
     stack = rng.normal(size=(2, 3, 4, 4))

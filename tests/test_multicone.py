@@ -12,10 +12,12 @@ from conftest import rotation2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    attractor_oracle,
     brute_force_worst_nearest_angle,
     component_gap_oracle,
     curve_spread_oracle,
     diagonal_projective_angles,
+    scaled_word_product_oracle,
     union_find_components,
 )
 
@@ -166,6 +168,23 @@ def test_attractor_conjugated_diagonal():
     target = Plane.from_spanning(Q[:, :2])
     for p in out.points:
         assert grass_distance(p, target) < 1e-6
+
+
+@pytest.mark.parametrize("word_len", [1, 15, 16, 17, 40])
+def test_batched_attractor_matches_per_word_loop(dominated_suite, word_len):
+    # one batched product walk and one batched SVD give the per-word loop's
+    # frames bit for bit, across the rescale steps
+    for case in dominated_suite:
+        fam, i = case.family, case.index
+        got = attractor(fam, i, word_len=word_len, word_count=12, rng_seed=5)
+        assert np.array_equal(got.frames, attractor_oracle(fam, i, word_len, 12, 5))
+        batch = np.random.default_rng(word_len).integers(fam.size, size=(5, word_len))
+        P, log_scale = words.scaled_word_product(fam, batch)
+        for row, w in enumerate(batch):
+            want_P, want_scale = scaled_word_product_oracle(fam, w)
+            assert np.array_equal(P[row], want_P) and log_scale[row] == want_scale
+            single_P, single_scale = words.scaled_word_product(fam, tuple(w))
+            assert np.array_equal(single_P, want_P) and single_scale == want_scale
 
 
 def test_adapted_metric_zero_and_contraction(diag21):

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import rotation2, scaled_rotation_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     brute_force_max_log_gap,
     compound_log_walk_oracle,
+    gap_search_oracle,
     periodic_witness_oracle,
     random_invertible,
     top_singular_values_oracle,
@@ -224,6 +227,54 @@ def test_gap_search_with_svd_oracle_kernel(cross_validation_suite, monkeypatch):
             assert abs(g.max_log_ratio - w.max_log_ratio) <= 1e-12
             if dominated:
                 assert g.witness == w.witness
+
+
+@pytest.mark.parametrize("chunk_size", [None, 2, 40])
+@pytest.mark.parametrize(
+    "cfg", [SearchConfig(max_len=8, budget=10_000), SearchConfig(max_len=8, budget=2_000, beam_width=64)]
+)
+def test_pruned_gap_search_matches_unpruned_oracle(cross_validation_suite, monkeypatch, cfg, chunk_size):
+    # pruned rows can set neither a maximum nor a beam, so every per-length
+    # maximum, witness, count and exact flag is bit-equal to scoring every
+    # word; small chunks carry the cut from one chunk to the next
+    if chunk_size is not None:
+        monkeypatch.setattr(words, "CHUNK_SIZE", chunk_size)
+    cases = [(c.family, c.index) for c in cross_validation_suite]
+    want = [gap_search_oracle(fam, index, cfg) for fam, index in cases]
+    # rows of 3x3 and larger compounds, which alone reach eigvalsh
+    rows = {"bounded": 0, "exact": 0}
+    bounds, kernel = linalg.top_singular_value_bounds, linalg.top_singular_values
+
+    def counted_bounds(stack):
+        rows["bounded"] += len(stack) if stack.shape[-1] >= 3 else 0
+        return bounds(stack)
+
+    def counted_kernel(stack):
+        rows["exact"] += len(stack) if stack.shape[-1] >= 3 else 0
+        return kernel(stack)
+
+    monkeypatch.setattr(linalg, "top_singular_value_bounds", counted_bounds)
+    monkeypatch.setattr(linalg, "top_singular_values", counted_kernel)
+    got = [list(words.enumerate_gaps(fam, index, cfg).per_length) for fam, index in cases]
+    assert got == want
+    assert rows["exact"] < rows["bounded"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    dim=st.integers(2, 5),
+    index_draw=st.integers(0, 3),
+    members=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.sampled_from([40, 300]),
+    beam_width=st.sampled_from([4, 16]),
+)
+def test_pruned_gap_search_matches_oracle_on_random_families(dim, index_draw, members, seed, budget, beam_width):
+    rng = np.random.default_rng(seed)
+    fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(members)])
+    index = 1 + index_draw % (dim - 1)
+    cfg = SearchConfig(max_len=6, budget=budget, beam_width=beam_width)
+    assert list(words.enumerate_gaps(fam, index, cfg).per_length) == gap_search_oracle(fam, index, cfg)
 
 
 def test_submultiplicative_exterior_norms():
