@@ -1,8 +1,11 @@
 """Planes in the Grassmannian: group action, metric, transversality, cones.
 
 A plane is stored as an orthonormal frame; the metric is the largest
-principal angle, which is a true metric on G(i, d) and costs one small
-SVD.  Cone-like sets are finite (n, d, i) frame stacks plus a radius.
+principal angle, which is a true metric on G(i, d).  All-pairs distances
+run on the narrower of a plane and its orthogonal complement, whose
+nonzero principal angles are the same.  One- and two-column frames use
+closed forms, and wider ones one small SVD per pair.
+Cone-like sets are finite (n, d, i) frame stacks plus a radius.
 """
 
 from __future__ import annotations
@@ -212,21 +215,68 @@ def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return Q * signs[:, None, :]
 
 
+def complement_frames(frames: np.ndarray) -> np.ndarray:
+    """(n, d, d - i) orthonormal frames of the orthogonal complements of an
+    (n, d, i) frame stack: the first d - i left singular vectors of
+    ``I - F F^T``, one batched SVD for the whole stack."""
+    d, i = frames.shape[1:]
+    U, _, _ = np.linalg.svd(np.eye(d)[None] - np.matmul(frames, np.swapaxes(frames, 1, 2)))
+    return U[:, :, : d - i]
+
+
+def _narrower_side(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two frame stacks, or their complement frames when those have fewer
+    columns.  A nonzero principal angle between two planes is also one
+    between their complements, so every distance is unchanged."""
+    d, i = A.shape[1], A.shape[2]
+    if 2 * i > d:
+        return complement_frames(A), complement_frames(B)
+    return A, B
+
+
 def _min_cos_2x2(a, b, c, d):
-    """Smaller singular value of [[a, b], [c, d]], elementwise, in closed form."""
-    f = 0.5 * (a * a + b * b + c * c + d * d)
-    det = a * d - b * c
-    low = f - np.sqrt(np.maximum(f * f - det * det, 0.0))
-    return np.sqrt(np.maximum(low, 0.0))
+    """Smaller singular value of [[a, b], [c, d]], elementwise.
+
+    It is ``|det| / sigma_max``, with ``sigma_max`` the closed form of
+    ``linalg.top_singular_values``; no step subtracts nearly equal terms,
+    so nearly coincident planes keep full relative precision in the cosine.
+    The entries are cosines, so ``sqrt(x*x + y*y)`` can stand in for the
+    slower ``hypot``.  The arrays can span (rows x centers), so the work
+    reuses three temporaries in place.
+    """
+    top = np.add(a, d)
+    top *= top
+    tmp = np.subtract(b, c)
+    tmp *= tmp
+    top += tmp
+    np.sqrt(top, out=top)
+    np.subtract(a, d, out=tmp)
+    tmp *= tmp
+    other = np.add(b, c)
+    other *= other
+    tmp += other
+    np.sqrt(tmp, out=tmp)
+    top += tmp
+    top *= 0.5
+    np.multiply(a, d, out=tmp)
+    np.multiply(b, c, out=other)
+    tmp -= other
+    np.abs(tmp, out=tmp)
+    # |det| <= sigma_max^2, so a zero sigma_max leaves the zero |det| in place
+    return np.divide(tmp, top, out=tmp, where=top > 0.0)
 
 
 def min_cos_principal(grams: np.ndarray) -> np.ndarray:
     """Smallest singular value over a stack of k-by-k frame Gram matrices.
 
-    Closed forms for k = 1 and k = 2 avoid millions of LAPACK calls in the
-    batched distance paths.
+    k = 0 (planes that fill the space) gives 1, and k = 1 and k = 2 have
+    closed forms that avoid millions of LAPACK calls in the batched
+    distance paths.  The batched SVD serves k >= 3 only, which the all-pairs
+    distance functions below reach only when min(i, d - i) >= 3.
     """
     k = grams.shape[-1]
+    if k == 0:
+        return np.ones(grams.shape[:-2])
     if k == 1:
         return np.abs(grams[..., 0, 0])
     if k == 2:
@@ -235,7 +285,12 @@ def min_cos_principal(grams: np.ndarray) -> np.ndarray:
 
 
 def aligned_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Largest principal angle between ``A[k]`` and ``B[k]`` for every row k."""
+    """Largest principal angle between ``A[k]`` and ``B[k]`` for every row k.
+
+    Unlike the all-pairs functions below, this keeps the frames as they
+    are: a complement costs one full SVD per frame, more than the one
+    singular-value-only SVD per row that i >= 3 needs here.
+    """
     cos = min_cos_principal(np.einsum("adi,adj->aij", A, B))
     return np.arccos(np.clip(cos, 0.0, 1.0))
 
@@ -249,13 +304,16 @@ def pairwise_grams(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def min_cos_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Smallest principal cosine for every frame pair, shaped (a, b).
 
-    One- and two-column frames use per-column BLAS products and a closed
-    form on contiguous arrays; wider frames fall back to batched SVD.
+    Both stacks are first reduced to the narrower of the planes and their
+    complements.  One- and two-column frames then use per-column BLAS
+    products and a closed form on contiguous arrays; wider frames fall
+    back to batched SVD.
     """
-    i, j = A.shape[2], B.shape[2]
-    if i == j == 1:
+    A, B = _narrower_side(A, B)
+    i = A.shape[2]
+    if i == 1:
         return np.abs(A[:, :, 0] @ B[:, :, 0].T)
-    if i == j == 2:
+    if i == 2:
         a1, a2 = A[:, :, 0], A[:, :, 1]
         b1, b2 = B[:, :, 0], B[:, :, 1]
         return _min_cos_2x2(a1 @ b1.T, a1 @ b2.T, a2 @ b1.T, a2 @ b2.T)
@@ -276,26 +334,30 @@ NEAREST_PRUNE_SLACK = 1e-6
 def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     """``max over A of (distance to the nearest frame of B)``.
 
-    One GEMM on flattened projection matrices gives, for every pair,
-    ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most
-    ``k = min(i, d - i)`` principal angles are nonzero, so
-    ``s / k <= sin^2(theta_max) <= s``.  Each row's nearest distance is
-    then at most its ``u_a = min_b s_ab`` and the answer at least
-    ``max_a u_a / k``.  A row whose upper bound lies below that lower bound
-    (by more than ``NEAREST_PRUNE_SLACK``, which absorbs rounding) cannot
-    hold the maximum, so the exact closed form runs only on the remaining
-    rows, against all of B.  The pruning is conservative: it drops only rows
-    that provably do not set the result.
+    Both stacks are first reduced to the narrower of the planes and their
+    complements, so ``i <= d - i`` below.  One GEMM on flattened projection
+    matrices gives, for every pair,
+    ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most ``i`` principal
+    angles are nonzero, so ``s / i <= sin^2(theta_max) <= s``.  Each row's
+    nearest distance is then at most its ``u_a = min_b s_ab`` and the answer
+    at least ``max_a u_a / i``.  A row whose upper bound lies below that
+    lower bound (by more than ``NEAREST_PRUNE_SLACK``, which absorbs
+    rounding) cannot hold the maximum, so the closed form runs only on the
+    remaining rows, against all of B.  The pruning is conservative: it drops
+    only rows that provably do not set the result.  Planes that fill the
+    space (i = d) are all at distance 0.
 
     The angle is monotone in the cosine, so the reduction happens on the
     cosine matrix and a single arccos finishes the job.
     """
+    A, B = _narrower_side(A, B)
     d, i = A.shape[1], A.shape[2]
-    k = max(min(i, d - i), 1)
+    if i == 0:
+        return 0.0
     PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
     PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
     upper = i - (PA @ PB.T).max(axis=1)
-    floor = upper.max() / k - NEAREST_PRUNE_SLACK
+    floor = upper.max() / i - NEAREST_PRUNE_SLACK
     if upper.size > 1:
         # a one-row product takes the matrix-vector BLAS path, which rounds
         # differently from the all-rows product; two rows keep the pair
@@ -309,8 +371,9 @@ def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
 def pairwise_distances(first, second) -> np.ndarray:
     """Matrix of grass_distance values between two plane lists or frame stacks (batched).
 
-    Uses the cosine formulation; for nearly equal planes it is accurate to
-    about sqrt(eps) only, which the margin-style callers tolerate.
+    Uses the cosine formulation, whose closed forms keep the cosine to a
+    few ulps; the arccos then limits nearly equal planes to an absolute
+    accuracy of about 1e-8 rad, against ``grass_distance``'s sine form.
     """
     if len(first) == 0 or len(second) == 0:
         return np.zeros((len(first), len(second)))

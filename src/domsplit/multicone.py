@@ -23,6 +23,7 @@ from .grassmann import (
     Plane,
     act_frames,
     aligned_distances,
+    complement_frames,
     frame_stack_distances,
     grass_distance,
     line_trace,
@@ -91,15 +92,13 @@ def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
     if radius <= 0.0:
         return frames
     n, d, i = frames.shape
-    eye = np.eye(d)
-    complements = eye[None] - np.matmul(frames, np.swapaxes(frames, 1, 2))
-    U, s, _ = np.linalg.svd(complements)
+    complements = complement_frames(frames)
     cos_r, sin_r = math.cos(radius), math.sin(radius)
     probes = [frames]
     pair = 0
     for k in range(i):
         for l in range(d - i):
-            w = U[:, :, l]
+            w = complements[:, :, l]
             sign = np.where((np.arange(n) + pair) % 2 == 0, 1.0, -1.0)[:, None]
             moved = frames.copy()
             moved[:, :, k] = cos_r * frames[:, :, k] + sign * sin_r * w
@@ -123,10 +122,12 @@ def strictly_invariant(family: MatrixFamily, cone: ConeSample) -> tuple[bool, fl
     (``worst_nearest_angle``) brackets each image-center pair by
     ``s / k <= sin^2(theta_max) <= s`` from one projection-matrix GEMM, with
     ``s`` the sum of squared principal sines and ``k = min(i, d - i)``, and
-    evaluates the exact principal angles only for images whose upper bound
+    evaluates the principal angles only for images whose upper bound
     reaches the best lower bound; the images it skips provably lie nearer
     to the cone than the worst one, so the margin is that of the full
-    search.  For a sampled curve the spread allowance is the largest
+    search.  Every distance here runs on the narrower of the planes and
+    their complements, in closed form while that side has at most two
+    columns.  For a sampled curve the spread allowance is the largest
     distance between the images of one probe under adjacent members, taken
     from the same images.  A sample whose points cover the whole
     (reference-sampled) Grassmannian is never declared strictly invariant,

@@ -3,11 +3,15 @@
 These deliberately avoid the production code paths: compound matrices are
 assembled entry by entry from explicit minor index lists, derivatives come
 from central differences, and word-product maxima come from exhaustive
-enumeration with plainly formed products.  The two invariance-check
-references are the exception: they are the full, unpruned reductions the
-production code replaced, built on the same closed form and image map, so
-they pin the restructuring and not the per-pair arithmetic.  The component
-references are the pair-by-pair loops the single-linkage tree replaced.
+enumeration with plainly formed products.  The nearest-angle reference
+is the full, unpruned reduction over every pair's ``grass_distance``, whose
+sine form shares no arithmetic with the cosine closed forms under test.
+The curve-spread reference is the exception: it is the per-member loop the
+grouped sweep replaced, built on the same image map and distance, so it
+pins the restructuring and not the per-pair arithmetic.
+``ball_probes_oracle`` is the probe construction as it stood before the
+complement frames moved into ``grassmann``.  The component references are
+the pair-by-pair loops the single-linkage tree replaced.
 ``projectivize_oracle``, ``window_length_oracle``,
 ``periodic_witness_oracle``, ``transverse_pairs_oracle``,
 ``angle_decay_oracle``, ``compound_log_walk_oracle`` and
@@ -34,7 +38,7 @@ from domsplit.grassmann import (
     Plane,
     act_frames,
     aligned_distances,
-    min_cos_pairs,
+    grass_distance,
     orthonormal_frames,
     sphere_sample,
 )
@@ -115,9 +119,31 @@ def diagonal_projective_angles(top: float, bottom: float, slope: float, steps: i
 
 def brute_force_worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     """Max over frames of A of the distance to the nearest frame of B, from
-    the full cosine matrix of every pair."""
-    cos = min_cos_pairs(A, B)
-    return float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
+    the sine-form ``grass_distance`` of every pair."""
+    return float(grass_distance(A[:, None], B[None]).min(axis=1).max())
+
+
+def ball_probes_oracle(frames: np.ndarray, radius: float) -> np.ndarray:
+    """Centers plus alternating-sign geodesic probes, with the complement
+    directions taken inline from the SVD of ``I - F F^T``."""
+    if radius <= 0.0:
+        return frames
+    n, d, i = frames.shape
+    eye = np.eye(d)
+    complements = eye[None] - np.matmul(frames, np.swapaxes(frames, 1, 2))
+    U, s, _ = np.linalg.svd(complements)
+    cos_r, sin_r = math.cos(radius), math.sin(radius)
+    probes = [frames]
+    pair = 0
+    for k in range(i):
+        for l in range(d - i):
+            w = U[:, :, l]
+            sign = np.where((np.arange(n) + pair) % 2 == 0, 1.0, -1.0)[:, None]
+            moved = frames.copy()
+            moved[:, :, k] = cos_r * frames[:, :, k] + sign * sin_r * w
+            probes.append(moved)
+            pair += 1
+    return np.concatenate(probes, axis=0)
 
 
 def curve_spread_oracle(family, probes: np.ndarray) -> float:

@@ -146,6 +146,7 @@ def test_worst_nearest_angle_matches_full_reduction(stacks):
     got = grassmann.worst_nearest_angle(A, B)
     want = brute_force_worst_nearest_angle(A, B)
     assert abs(math.cos(got) - math.cos(want)) <= 1e-9
+    assert abs(got - want) <= 2e-7
 
 
 def test_transverse_examples():
@@ -332,30 +333,17 @@ def _aligned_pairs(index, dim, nudge):
     return got, np.array([grassmann.grass_distance(p, q) for p, q in zip(first, second)])
 
 
-@pytest.mark.parametrize("index,dim", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+_ALIGNED_CASES = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 4)]
+
+
+@pytest.mark.parametrize("index,dim", _ALIGNED_CASES)
 def test_aligned_distances_match_grass_distance(index, dim):
     got, want = _aligned_pairs(index, dim, None)
     assert got.shape == (20,)
     assert np.allclose(got, want, rtol=0.0, atol=1e-7)
 
 
-_CLOSED_FORM_CANCELLATION = pytest.mark.xfail(
-    strict=True,
-    reason="2x2 closed form: f - sqrt(f^2 - det^2) with a near-zero discriminant "
-    "loses about 1e-8 in cos^2, up to 1e-4 rad in the angle",
-)
-
-
-@pytest.mark.parametrize(
-    "index,dim",
-    [
-        (1, 2),
-        (1, 4),
-        pytest.param(2, 3, marks=_CLOSED_FORM_CANCELLATION),
-        pytest.param(2, 4, marks=_CLOSED_FORM_CANCELLATION),
-        (3, 5),
-    ],
-)
+@pytest.mark.parametrize("index,dim", _ALIGNED_CASES)
 def test_aligned_distances_near_coincident(index, dim):
     # planes 1e-4 apart, where the cosine form is least accurate
     got, want = _aligned_pairs(index, dim, 1e-4)
@@ -367,7 +355,7 @@ def plane_stacks(draw, complementary: bool):
     """(A, B) stacks of frames in G(i, d) and G(i, d) or G(d - i, d): random,
     B clustered around frames of A (1e-3 jitter), or B sharing a column with
     a frame of A (not transverse)."""
-    d = draw(st.integers(min_value=2, max_value=5))
+    d = draw(st.integers(min_value=2, max_value=6))
     i = draw(st.integers(min_value=1, max_value=d - 1 if complementary else d))
     j = d - i if complementary else i
     n = draw(st.integers(min_value=1, max_value=12))
@@ -391,6 +379,18 @@ def test_grass_distance_stacks_match_per_pair_calls(stacks):
     assert np.array_equal(grassmann.grass_distance(A[:, None], B[None]), want)
     k = min(len(A), len(B))
     assert np.array_equal(grassmann.grass_distance(A[:k], B[:k]), want[np.arange(k), np.arange(k)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(plane_stacks(complementary=False))
+def test_frame_stack_distances_match_grass_distance(stacks):
+    # every (d, i) with d <= 6: the 1- and 2-column closed forms on the
+    # planes or on their complements, i = d, and the SVD path at d = 6, i = 3
+    A, B = stacks
+    want = np.array([[grassmann.grass_distance(Plane(a), Plane(b)) for b in B] for a in A])
+    got = grassmann.frame_stack_distances(A, B)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 2e-7
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     attractor_oracle,
+    ball_probes_oracle,
     brute_force_worst_nearest_angle,
     component_gap_oracle,
     curve_spread_oracle,
@@ -133,6 +134,17 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
     assert spread > 0.0 and curve_spread_oracle(explicit, probes) == 0.0
     assert margin_e == pytest.approx(cone.radius - worst, abs=1e-12)
     assert margin_s == margin_e - spread
+
+
+@pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])
+@pytest.mark.parametrize("radius", [0.0, 0.2])
+def test_ball_probes_match_inline_complements(dim, index, radius):
+    rng = np.random.default_rng(10 * dim + index)
+    frames = frame_stack([Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(7)])
+    got = multicone._ball_probes(frames, radius)
+    want = ball_probes_oracle(frames, radius)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])

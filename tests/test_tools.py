@@ -1,0 +1,83 @@
+"""The output comparison tool on two small trees."""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+
+import compare_outputs  # noqa: E402
+
+
+def _write(root: Path, files: dict) -> Path:
+    for rel, content in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return root
+
+
+def _report(tmp_path, parent: dict, change: dict):
+    return compare_outputs.compare_trees(
+        _write(tmp_path / "parent", parent), _write(tmp_path / "change", change)
+    )
+
+
+BASE = {
+    "exit_codes.txt": "0 check_diag21_i1\n2 check_rot_i1\n",
+    "run/multicone.json": {
+        "radius": 0.00869,
+        "components": [[0, 1, 2]],
+        "verdict": {"kind": "dominated"},
+        "note": "eps=0.00869: margin 0.0012",
+    },
+    "run/table.csv": "0,1,0.25,0.5\n1,1,0.75,0.125\n",
+    "example.json": {"lambda": 32.0, "passed": True, "margin": 0.0478},
+}
+
+
+def test_identical_trees_are_same(tmp_path):
+    lines, moved = _report(tmp_path, BASE, BASE)
+    assert not moved
+    assert all(line.startswith("same") for line in lines[:-1])
+    assert lines[-1] == "4 same, 0 changed, 0 added, 0 removed; 0 gate changes"
+
+
+def test_numeric_moves_report_largest_difference(tmp_path):
+    change = dict(BASE)
+    change["run/multicone.json"] = {
+        "radius": 0.00104,
+        "components": [[0, 2], [1]],
+        "verdict": {"kind": "dominated"},
+        "note": "eps=0.00104: margin 0.0011",
+    }
+    change["run/table.csv"] = "0,1,0.25,0.5\n1,1,0.75,0.1255\n"
+    change["example.json"] = {"lambda": 32.0, "passed": True, "margin": 0.0461}
+    lines, moved = _report(tmp_path, BASE, change)
+    assert not moved
+    text = "\n".join(lines)
+    assert "changed  example.json  max|delta| 0.0017 at margin" in text
+    assert "changed  run/multicone.json  max|delta| 0.00765 at radius" in text
+    assert "discrete components: length 1 -> 2" in text
+    assert "discrete components[0]" not in text
+    assert "changed  run/table.csv  max|delta| 0.0005 at line 2" in text
+    assert "GATE" not in text
+
+
+def test_gate_values_and_file_sets_are_flagged(tmp_path):
+    change = {k: v for k, v in BASE.items() if k != "run/table.csv"}
+    change["exit_codes.txt"] = "0 check_diag21_i1\n1 check_rot_i1\n"
+    change["example.json"] = {"lambda": 16.0, "passed": False, "margin": 0.0478}
+    change["run/multicone.json"] = dict(BASE["run/multicone.json"], verdict={"kind": "inconclusive"})
+    change["new.json"] = {}
+    lines, moved = _report(tmp_path, BASE, change)
+    assert moved
+    _, files_only = _report(tmp_path / "files", BASE, {k: v for k, v in BASE.items() if k != "example.json"})
+    assert not files_only
+    text = "\n".join(lines)
+    assert "GATE line 2: '2 check_rot_i1' -> '1 check_rot_i1'" in text
+    assert "GATE lambda: 32.0 -> 16.0" in text
+    assert "GATE passed: True -> False" in text
+    assert "GATE verdict.kind: 'dominated' -> 'inconclusive'" in text
+    assert "removed  run/table.csv" in text and "added    new.json" in text
+    assert lines[-1] == "0 same, 3 changed, 1 added, 1 removed; 4 gate changes"

@@ -2,11 +2,13 @@
 
 Run from a checkout:
 
-    python tools/output_digest.py
+    python tools/output_digest.py [TREE]
 
-Every run writes into a fresh temporary directory; one line per file is
-printed as ``<sha256>  <relative path>``, sorted by path, so the output of
-two checkouts can be compared with ``diff``.  The runs are:
+Every run writes into a fresh temporary directory, or into ``TREE`` when it
+is given (created if missing, and it must be empty), which is then kept for
+``tools/compare_outputs.py``.  One line per file is printed as
+``<sha256>  <relative path>``, sorted by path, so the output of two
+checkouts can be compared with ``diff``.  The runs are:
 
 - ``domsplit check``/``multicone``/``splitting`` on diag(2, 1), on
   diag(2, 1) with a 0.1 rad rotation, and on a perturbed 3-d
@@ -24,6 +26,7 @@ rest.  The whole set takes about 30 s on a 2-core machine.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -96,9 +99,18 @@ def run_all(out: Path) -> None:
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("tree", nargs="?", type=Path, help="directory in which to keep the run tree")
+    args = parser.parse_args(argv)
+    with contextlib.ExitStack() as stack:
+        if args.tree is None:
+            out = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            out = args.tree
+            out.mkdir(parents=True, exist_ok=True)
+            if any(out.iterdir()):
+                parser.error(f"{out} is not empty")
         run_all(out)
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
