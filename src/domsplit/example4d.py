@@ -22,8 +22,8 @@ from .errors import ConditioningError, DomsplitError, NumericalError
 from .grassmann import (
     ConeSample,
     Plane,
-    frame_stack,
     line_trace,
+    orthonormal_frames,
     pairwise_distances,
     projectivize,
 )
@@ -80,19 +80,27 @@ class LineSample(NamedTuple):
     direction: np.ndarray
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each vector along the last axis.  Each is one BLAS
+    dot of the vector with itself, as ``np.linalg.norm`` of a single vector
+    is, so the two agree bit for bit."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
 def line(which: str, t) -> LineSample:
     """Ruled line at parameter t: through the curve point, tilted out of plane.
 
     The direction is the normalized tangent plus the vertical unit vector,
-    renormalized; its vertical component is always positive.
+    renormalized; its vertical component is always positive.  An array of
+    parameters gives (..., 3) stacks of bases and directions.
     """
     base = gamma(which, t)
     v = tangent(which, t)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
+    n = _norms(v)
+    if np.any(n < 1e-12):
         raise NumericalError("zero curve tangent")  # cannot occur on the domain
-    direction = v / n + np.array([0.0, 0.0, 1.0])
-    return LineSample(base=base, direction=direction / np.linalg.norm(direction))
+    direction = v / n[..., None] + np.array([0.0, 0.0, 1.0])
+    return LineSample(base=base, direction=direction / _norms(direction)[..., None])
 
 
 class SkewnessMargin(NamedTuple):
@@ -135,16 +143,19 @@ def skewness_margin(grid_n: int, noise: float = 0.0, rng_seed: int = 0) -> Skewn
     )
 
 
-def lift_line(base, direction) -> Plane:
-    """Homogeneous lift of a line in R^3 to a 2-plane in R^4.
+def lift_frames(base, direction) -> np.ndarray:
+    """Homogeneous lifts of lines in R^3 to 2-planes in R^4, as canonically
+    signed (..., 4, 2) frames.
 
-    Spanned by (p, 1) for the base point and (v, 0) for the direction: the
-    set of homogeneous representatives [q:1] of the line's points plus its
-    point at infinity.
+    Each is spanned by (p, 1) for the base point and (v, 0) for the
+    direction: the set of homogeneous representatives [q:1] of the line's
+    points plus its point at infinity.
     """
-    b = np.append(np.asarray(base, float), 1.0)
-    v = np.append(np.asarray(direction, float), 0.0)
-    return Plane.from_spanning(np.column_stack([b, v]))
+    base = np.asarray(base, float)
+    direction = np.asarray(direction, float)
+    b = np.concatenate([base, np.ones(base.shape[:-1] + (1,))], axis=-1)
+    v = np.concatenate([direction, np.zeros(direction.shape[:-1] + (1,))], axis=-1)
+    return orthonormal_frames(np.stack([b, v], axis=-1))
 
 
 def lift_point(point) -> np.ndarray:
@@ -153,10 +164,16 @@ def lift_point(point) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def curve_frames(which: str, ts) -> np.ndarray:
+    """(..., 4, 2) frames of the lifted 2-planes of the ruled lines at the
+    parameters ts."""
+    s = line(which, ts)
+    return lift_frames(s.base, s.direction)
+
+
 def curve_plane(which: str, t) -> Plane:
     """Lifted 2-plane of the ruled line at parameter t."""
-    s = line(which, t)
-    return lift_line(s.base, s.direction)
+    return Plane(curve_frames(which, t))
 
 
 def axis_plane() -> Plane:
@@ -164,26 +181,39 @@ def axis_plane() -> Plane:
     return Plane(np.eye(4)[:, [0, 3]])
 
 
-def family_matrix(t: float, lam: float) -> np.ndarray:
-    """The 4x4 map scaling the first lifted plane by lam, the second by 1/lam.
+def family_matrices(ts, lam: float) -> np.ndarray:
+    """(n, 4, 4) stack of the maps scaling the first lifted plane at each
+    parameter by lam and the second by 1/lam.
 
-    Conjugate to diag(lam, lam, 1/lam, 1/lam); determinant 1.  The scalar
-    action on each plane is verified to 1e-10 before returning.
+    Each is conjugate to diag(lam, lam, 1/lam, 1/lam); determinant 1.  The
+    plane bases are checked for conditioning and the scalar action on each
+    plane is verified to 1e-10 before returning.  Every step works on the
+    whole stack and gives each matrix the bits of a one-parameter call.
     """
     if lam <= 1.0:
         raise ValueError("lam must exceed 1")
-    p1 = curve_plane(FIRST, t)
-    p2 = curve_plane(SECOND, t)
-    basis = np.hstack([p1.frame, p2.frame])
+    ts = np.asarray(ts, dtype=float)
+    p1 = curve_frames(FIRST, ts)
+    p2 = curve_frames(SECOND, ts)
+    basis = np.concatenate([p1, p2], axis=2)
     svals = np.linalg.svd(basis, compute_uv=False)
-    if svals[-1] <= 1e-8 * svals[0]:
-        raise ConditioningError(f"near-degenerate plane basis at t={t}, lam={lam}")
+    bad = svals[:, -1] <= 1e-8 * svals[:, 0]
+    if bad.any():
+        raise ConditioningError(f"near-degenerate plane basis at t={ts[bad][0]}, lam={lam}")
     A = basis @ np.diag([lam, lam, 1.0 / lam, 1.0 / lam]) @ np.linalg.inv(basis)
-    if np.max(np.abs(A @ p1.frame - lam * p1.frame)) > 1e-10 * lam:
-        raise NumericalError(f"scalar action check failed on the first plane at t={t}")
-    if np.max(np.abs(A @ p2.frame - p2.frame / lam)) > 1e-10:
-        raise NumericalError(f"scalar action check failed on the second plane at t={t}")
+    bad = np.max(np.abs(A @ p1 - lam * p1), axis=(1, 2)) > 1e-10 * lam
+    if bad.any():
+        raise NumericalError(f"scalar action check failed on the first plane at t={ts[bad][0]}")
+    bad = np.max(np.abs(A @ p2 - p2 / lam), axis=(1, 2)) > 1e-10
+    if bad.any():
+        raise NumericalError(f"scalar action check failed on the second plane at t={ts[bad][0]}")
     return A
+
+
+def family_matrix(t: float, lam: float) -> np.ndarray:
+    """The 4x4 map scaling the first lifted plane at t by lam, the second by
+    1/lam: the one-parameter call of ``family_matrices``."""
+    return family_matrices([t], lam)[0]
 
 
 def parameter_grid(grid_n: int) -> np.ndarray:
@@ -193,10 +223,8 @@ def parameter_grid(grid_n: int) -> np.ndarray:
 
 def curve_family(lam: float, samples: int) -> MatrixFamily:
     """The sampled matrix family over the curve parameter."""
-    ts = parameter_grid(samples)
-    members = tuple(
-        (f"A{j:03d}", family_matrix(float(t), lam)) for j, t in enumerate(ts)
-    )
+    mats = family_matrices(parameter_grid(samples), lam)
+    members = tuple((f"A{j:03d}", M) for j, M in enumerate(mats))
     return MatrixFamily(
         members=members,
         source=FamilySource(
@@ -355,8 +383,8 @@ def _trace_summary(component_sample: ConeSample, expected: tuple[str, ...]) -> T
 def _run_side(
     family: MatrixFamily,
     refined_family: MatrixFamily,
-    contained_planes: list[Plane],
-    excluded_planes: list[Plane],
+    contained_planes: np.ndarray,
+    excluded_planes: np.ndarray,
     expected_axis: tuple[str, ...],
     cfg: ExampleConfig,
 ) -> SideResult:
@@ -444,22 +472,22 @@ def verify_example(
     skew = skewness_margin(cfg.skew_grid)
 
     ts = parameter_grid(cfg.grid_n)
-    first_planes = [curve_plane(FIRST, float(t)) for t in ts]
-    second_planes = [curve_plane(SECOND, float(t)) for t in ts]
+    first_planes = curve_frames(FIRST, ts)
+    second_planes = curve_frames(SECOND, ts)
 
     fine_n = cfg.grid_n * REFINE_FACTOR
     fine_ts = parameter_grid(fine_n)
-    fine_first = [curve_plane(FIRST, float(t)) for t in fine_ts]
-    fine_second = [curve_plane(SECOND, float(t)) for t in fine_ts]
+    fine_first = curve_frames(FIRST, fine_ts)
+    fine_second = curve_frames(SECOND, fine_ts)
     # the neighborhood radius is capped by the smallest principal angle
     # between the two families: a plane closer to the first curve than that
     # angle can never contain a direction of the second family, so it cannot
     # get stuck under the dynamics; this cap is far below the grass-distance
     # separation, so disjointness of the two neighborhoods is automatic
-    angles = linalg.principal_angles(frame_stack(fine_first)[:, None], frame_stack(fine_second)[None])
+    angles = linalg.principal_angles(fine_first[:, None], fine_second[None])
     radius = NEIGHBORHOOD_FRACTION * float(np.min(angles))
-    hood_first = ConeSample(2, tuple(fine_first), radius)
-    hood_second = ConeSample(2, tuple(fine_second), radius)
+    hood_first = ConeSample(2, fine_first, radius)
+    hood_second = ConeSample(2, fine_second, radius)
 
     scan_values = cfg.lambda_scan if lam is None else (lam,)
     scan_entries = []

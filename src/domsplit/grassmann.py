@@ -188,17 +188,16 @@ def grass_distance(first, second):
     return float(angle) if angle.ndim == 0 else angle
 
 
-def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Re-orthonormalized M @ frame for every matrix of a stack and every
-    frame of a stack, member-major: image ``j * len(frames) + k`` is that of
-    frame k under matrix j.
+def image_frames(images: np.ndarray) -> np.ndarray:
+    """Orthonormal frames of the column spans of an (n, d, i) stack of
+    images ``M @ frame``.
 
     One- and two-column frames use vectorized Gram-Schmidt (with a second
     projection pass for stability); distances only see the span, so basis
-    choice within the image is irrelevant.
+    choice within the image is irrelevant.  Each frame depends on its own
+    image only.
     """
-    images = np.matmul(matrices[:, None], frames[None]).reshape(-1, *frames.shape[1:])
-    width = frames.shape[2]
+    width = images.shape[2]
     if width == 1:
         return images / np.linalg.norm(images, axis=1, keepdims=True)
     if width == 2:
@@ -213,6 +212,14 @@ def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
     signs = np.sign(np.einsum("...ii->...i", R))
     signs[signs == 0] = 1.0
     return Q * signs[:, None, :]
+
+
+def act_frames(matrices: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Re-orthonormalized M @ frame for every matrix of a stack and every
+    frame of a stack, member-major: image ``j * len(frames) + k`` is that of
+    frame k under matrix j.  ``image_frames(np.matmul(M_rows, frame_rows))``
+    gives chosen rows of it, bit for bit."""
+    return image_frames(np.matmul(matrices[:, None], frames[None]).reshape(-1, *frames.shape[1:]))
 
 
 def complement_frames(frames: np.ndarray) -> np.ndarray:
@@ -332,20 +339,34 @@ NEAREST_PRUNE_SLACK = 1e-6
 
 
 def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
-    """``max over A of (distance to the nearest frame of B)``.
+    """``max over A of (distance to the nearest frame of B)``: the first
+    value of ``nearest_angles``."""
+    return nearest_angles(A, B)[0]
+
+
+def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
+    """``max over A of (distance to the nearest frame of B)``, and per frame
+    of A an upper bound on its own nearest distance.
 
     Both stacks are first reduced to the narrower of the planes and their
     complements, so ``i <= d - i`` below.  One GEMM on flattened projection
     matrices gives, for every pair,
     ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most ``i`` principal
     angles are nonzero, so ``s / i <= sin^2(theta_max) <= s``.  Each row's
-    nearest distance is then at most its ``u_a = min_b s_ab`` and the answer
-    at least ``max_a u_a / i``.  A row whose upper bound lies below that
+    nearest distance is then at most ``arcsin(sqrt(u_a))`` with
+    ``u_a = min_b s_ab`` (the bound returned; it holds up to the rounding of
+    the GEMM, a few ulps of ``s``), and the answer is at least
+    ``max_a u_a / i`` in ``sin^2``.  A row whose upper bound lies below that
     lower bound (by more than ``NEAREST_PRUNE_SLACK``, which absorbs
     rounding) cannot hold the maximum, so the closed form runs only on the
     remaining rows, against all of B.  The pruning is conservative: it drops
     only rows that provably do not set the result.  Planes that fill the
     space (i = d) are all at distance 0.
+
+    A one-row product takes the matrix-vector BLAS path, which rounds
+    differently from a product of several rows; the closed form therefore
+    always runs on at least two rows (a lone row twice), so each row's
+    distance is the same whatever other rows the call holds.
 
     The angle is monotone in the cosine, so the reduction happens on the
     cosine matrix and a single arccos finishes the job.
@@ -353,19 +374,14 @@ def worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     A, B = _narrower_side(A, B)
     d, i = A.shape[1], A.shape[2]
     if i == 0:
-        return 0.0
+        return 0.0, np.zeros(A.shape[0])
     PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
     PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
     upper = i - (PA @ PB.T).max(axis=1)
-    floor = upper.max() / i - NEAREST_PRUNE_SLACK
-    if upper.size > 1:
-        # a one-row product takes the matrix-vector BLAS path, which rounds
-        # differently from the all-rows product; two rows keep the pair
-        # cosines those of the unpruned evaluation
-        floor = min(floor, np.partition(upper, -2)[-2])
-    keep = upper >= floor
-    cos = min_cos_pairs(A[keep], B)
-    return float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
+    keep = np.flatnonzero(upper >= upper.max() / i - NEAREST_PRUNE_SLACK)
+    cos = min_cos_pairs(A[np.resize(keep, max(len(keep), 2))], B)
+    worst = float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
+    return worst, np.arcsin(np.sqrt(np.clip(upper, 0.0, 1.0)))
 
 
 def pairwise_distances(first, second) -> np.ndarray:

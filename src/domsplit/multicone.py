@@ -26,7 +26,10 @@ from .grassmann import (
     complement_frames,
     frame_stack_distances,
     grass_distance,
+    image_frames,
     line_trace,
+    min_cos_principal,
+    nearest_angles,
     orthonormal_frames,
     projectivize,
     reference_frames,
@@ -77,6 +80,12 @@ class Multicone(JsonRecord):
 # bounds the memory of one search
 _GROUP_PAIRS = 5_000_000
 
+# Allowance, in radians, by which a (member, center) pair's bound on its
+# probe images may fall short of the value to beat and still have those
+# probes evaluated; far above the arccos floor of the computed distances
+# (about 1e-8 rad) and the rounding of the bounds.
+PROBE_PRUNE_SLACK = 1e-6
+
 
 def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
     """Centers plus geodesic steps of exactly ``radius`` from each frame.
@@ -87,7 +96,8 @@ def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
     its centers (a near-identity family fixes the centers but not the
     ball).  The rotation sign alternates with the frame index: point
     clouds sample their set densely, so neighboring frames jointly cover
-    both signs at half the probe count.
+    both signs at half the probe count.  Probe ``n * (1 + p) + k`` is the
+    p-th boundary probe of center k.
     """
     if radius <= 0.0:
         return frames
@@ -112,56 +122,199 @@ def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
 COVER_CHECK_POINTS = 128
 
 
-def strictly_invariant(family: MatrixFamily, cone: ConeSample) -> tuple[bool, float]:
+def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
+    """Index chunks of ``rows`` image rows, each searched against ``width``
+    centers: at least ``max(2, _GROUP_PAIRS // width)`` rows each (all of
+    them if fewer) and under twice that, so a search holds about
+    ``_GROUP_PAIRS`` pairs."""
+    size = max(2, _GROUP_PAIRS // max(width, 1))
+    return np.array_split(np.arange(rows), max(1, rows // size))
+
+
+def _spectral_norms(X: np.ndarray) -> np.ndarray:
+    """Operator 2-norm of every matrix of a (..., p, q) stack: sigma_1 of a
+    square one, else the square root of the top eigenvalue of the Gram
+    matrix of its narrower side (sigma_1 of a symmetric PSD matrix)."""
+    p, q = X.shape[-2:]
+    if p == q:
+        return linalg.top_singular_values(X)
+    Xt = np.swapaxes(X, -1, -2)
+    return np.sqrt(linalg.top_singular_values(np.matmul(X, Xt) if p < q else np.matmul(Xt, X)))
+
+
+def _inverse_norm_and_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``|A^-1|`` and ``A^-1 B`` for a stack of invertible square A, in
+    closed form for one and two columns."""
+    i = A.shape[-1]
+    inv_norm = 1.0 / min_cos_principal(A)
+    if i == 1:
+        return inv_norm, B / A
+    if i == 2:
+        a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
+        adj = np.stack([np.stack([d, -b], -1), np.stack([-c, a], -1)], -2)
+        return inv_norm, np.matmul(adj, B) / (a * d - b * c)[..., None, None]
+    return inv_norm, np.linalg.solve(A, B)
+
+
+@dataclass(frozen=True, eq=False)
+class _CenterPass:
+    """The radius-independent part of ``strictly_invariant``: the m x n
+    (member j, center k) pairs of one family and one cone's centers.
+
+    ``worst`` is the worst nearest-center distance of the center images
+    F_jk and ``upper[j, k]`` an upper bound on F_jk's own.  Any plane within
+    r of center k maps under member j to within
+    ``arctan(alpha tan r / (1 - beta tan r))`` of F_jk (``_ball_growth``).
+    ``spread[j, k]`` is the distance between F_jk and F_(j+1)k on a sampled
+    curve (no rows otherwise), and ``cover`` the radius from which the
+    centers cover every reference plane.
+    """
+
+    family: MatrixFamily
+    frames: np.ndarray
+    worst: float
+    upper: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    spread: np.ndarray
+    cover: float
+
+
+def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
+    """Images, nearest-center bounds and ball-growth constants of every
+    (member, center) pair; see ``strictly_invariant``."""
+    n, d, i = frames.shape
+    m = family.size
+    mats = np.stack(family.matrices)
+    Y = np.matmul(mats[:, None], frames[None]).reshape(m * n, d, i)
+    F = image_frames(Y)
+    searched = [nearest_angles(F[rows], frames) for rows in _row_chunks(m * n, n)]
+    worst = max(w for w, _ in searched)
+    upper = np.concatenate([u for _, u in searched])
+    if i < d:
+        # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the
+        # complement frame: graph(L) over E_k maps to graph(C L (A + B L)^-1)
+        # over F_jk
+        Z = np.matmul(mats[:, None], complement_frames(frames)[None]).reshape(m * n, d, d - i)
+        Ft = np.swapaxes(F, 1, 2)
+        B = np.matmul(Ft, Z)
+        inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
+        alpha = _spectral_norms(Z - np.matmul(F, B)) * inv_norm
+        beta = _spectral_norms(K)
+    else:
+        alpha = beta = np.zeros(m * n)
+    spread = np.empty((0, n))
+    if family.source.kind == "sampled_curve" and m > 1:
+        spread = aligned_distances(F[:-n], F[n:]).reshape(m - 1, n)
+    refs = reference_frames(d, i, COVER_CHECK_POINTS)
+    cover = float(frame_stack_distances(refs, frames).min(axis=1).max())
+    return _CenterPass(
+        family=family,
+        frames=frames,
+        worst=worst,
+        upper=upper.reshape(m, n),
+        alpha=alpha.reshape(m, n),
+        beta=beta.reshape(m, n),
+        spread=spread,
+        cover=cover,
+    )
+
+
+def _ball_growth(centers: _CenterPass, radius: float) -> np.ndarray:
+    """(m, n) bound g on the distance from F_jk of the image under member j
+    of any plane within ``radius`` of center k; inf where none holds."""
+    t = math.tan(radius) if radius < math.pi / 2 else math.inf
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        bt = centers.beta * t
+        growth = np.arctan(centers.alpha * t / (1.0 - bt))
+    # a nan bound compares false below and keeps its pair
+    return np.where(bt >= 1.0, np.inf, growth)
+
+
+def _probe_images(mats: np.ndarray, probes: np.ndarray, members, rows) -> np.ndarray:
+    """Images of the boundary probes ``rows`` (one row of probe indices per
+    pair) under ``members``, flattened; the same bits as the rows of
+    ``act_frames(mats, probes)``."""
+    members = np.repeat(members, rows.shape[1])
+    return image_frames(np.matmul(mats[members], probes[rows.ravel()]))
+
+
+def strictly_invariant(
+    family: MatrixFamily, cone: ConeSample, centers: _CenterPass | None = None
+) -> tuple[bool, float]:
     """Margin test for the image of the cone landing inside the cone.
 
     The sampled set is the union of radius-balls around the points, so the
     image sweep covers the centers and geodesic boundary probes of each
     ball.  margin = radius - max over images of the distance to the nearest
-    cone point - adjacent-sample spread allowance.  The nearest-point search
-    (``worst_nearest_angle``) brackets each image-center pair by
-    ``s / k <= sin^2(theta_max) <= s`` from one projection-matrix GEMM, with
-    ``s`` the sum of squared principal sines and ``k = min(i, d - i)``, and
-    evaluates the principal angles only for images whose upper bound
-    reaches the best lower bound; the images it skips provably lie nearer
-    to the cone than the worst one, so the margin is that of the full
-    search.  Every distance here runs on the narrower of the planes and
-    their complements, in closed form while that side has at most two
-    columns.  For a sampled curve the spread allowance is the largest
-    distance between the images of one probe under adjacent members, taken
-    from the same images.  A sample whose points cover the whole
+    cone point - adjacent-sample spread allowance.  For a sampled curve the
+    allowance is the largest distance between the images of one probe under
+    adjacent members.  A sample whose points cover the whole
     (reference-sampled) Grassmannian is never declared strictly invariant,
     whatever the margin: interior inclusion needs slack that the full space
     cannot offer.
+
+    The sweep evaluates only the probes that can set the margin.  Take a
+    member M_j and a center E_k with complement frame E_k^perp, F_jk the
+    frame of Y = M_j E_k and Z = M_j E_k^perp; then A = F^T Y, B = F^T Z,
+    C = Z - F B, alpha = |C| |A^-1| and beta = |A^-1 B|.  A plane within r
+    of E_k is graph(L) over it with |L| <= tan r, and its image is
+    graph(C L (A + B L)^-1) over F_jk, so it lies within
+    g_jk(r) = arctan(alpha tan r / (1 - beta tan r)) of F_jk while
+    beta tan r < 1 (no bound otherwise).  The largest principal angle is a
+    metric (Qiu, Zhang & Li 2005), so by the triangle inequality
+    - every probe image of (j, k) lies within u_jk + g_jk(r) of the nearest
+      center, with u_jk an upper bound on F_jk's own distance
+      (``nearest_angles``);
+    - the images of one probe of center k under members j and j + 1 are at
+      most g_jk + s_jk + g_(j+1)k apart, with s_jk the distance between
+      F_jk and F_(j+1)k.
+    The center images are themselves sweep rows, so their worst distance L
+    and their largest spread S are values the full sweep attains.  The
+    probes of a pair are evaluated only where its bound reaches L (or S)
+    less PROBE_PRUNE_SLACK, which exceeds the rounding of the bounds and of
+    the arccos; every skipped probe provably lies below a value already
+    attained, so the margin is that of the full sweep, bit for bit: each
+    image and distance is computed by the same kernels, row by row.
+    Everything that does not depend on the radius (the images of the
+    centers, L, u, S, alpha, beta and the cover radius) is one pass over
+    the pairs; ``build_multicone`` computes it once and hands it to every
+    call, as ``centers``.  The nearest-point search (``worst_nearest_angle``)
+    prunes its own rows by the same kind of bound, and every distance runs
+    on the narrower of the planes and their complements.
     """
     frames = cone.frames
     if not len(frames):
         raise ValueError("cone sample must be non-empty")
-    d = frames.shape[1]
+    n, d, i = frames.shape
     if d != family.dim:
         raise ValueError("family and cone dimensions do not match")
-    probes = _ball_probes(frames, cone.radius)
-    curve = family.source.kind == "sampled_curve"
-    worst = spread = 0.0
-    prev = None
-    # group members so each distance computation is one large BLAS product
-    group = max(1, _GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
-    mats = family.matrices
-    for lo in range(0, family.size, group):
-        images = act_frames(np.stack(mats[lo : lo + group]), probes)
-        if curve:
-            # first-order guard against the unsampled continuum between
-            # adjacent curve samples; the last image carries to the next group
-            for cur in images.reshape(-1, *probes.shape):
-                if prev is not None:
-                    spread = max(spread, float(np.max(aligned_distances(prev, cur))))
-                prev = cur
-        worst = max(worst, worst_nearest_angle(images, frames))
+    if centers is None:
+        centers = _center_pass(family, frames)
+    elif centers.family is not family or not np.array_equal(centers.frames, frames):
+        raise ValueError("the center pass belongs to another family or cone sample")
+    worst, spread = centers.worst, float(centers.spread.max(initial=0.0))
+    probe_count = i * (d - i)
+    if cone.radius > 0.0 and probe_count:
+        probes = _ball_probes(frames, cone.radius)
+        mats = np.stack(family.matrices)
+        growth = _ball_growth(centers, cone.radius)
+        # the boundary probe indices of each center, one row per center
+        own = n * np.arange(1, probe_count + 1)[None, :] + np.arange(n)[:, None]
+        j, k = np.nonzero(~(centers.upper + growth < worst - PROBE_PRUNE_SLACK))
+        if len(j):
+            images = _probe_images(mats, probes, j, own[k])
+            for rows in _row_chunks(len(images), n):
+                worst = max(worst, worst_nearest_angle(images[rows], frames))
+        if len(centers.spread):
+            bound = growth[:-1] + centers.spread + growth[1:]
+            j, k = np.nonzero(~(bound < spread - PROBE_PRUNE_SLACK))
+            if len(j):
+                here = _probe_images(mats, probes, j, own[k])
+                there = _probe_images(mats, probes, j + 1, own[k])
+                spread = max(spread, float(np.max(aligned_distances(here, there))))
     margin = cone.radius - worst - spread
-
-    refs = reference_frames(d, cone.grass_index, COVER_CHECK_POINTS)
-    ref_dist = frame_stack_distances(refs, frames)
-    if bool(np.all(ref_dist.min(axis=1) <= cone.radius)):
+    if centers.cover <= cone.radius:
         return False, margin
     return margin > 0.0, margin
 
@@ -358,7 +511,9 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     # images of the bare centers bound the viable radius from below: the
     # probe sweep only widens with the radius, so margins grow at most
     # linearly and candidates under this deficit cannot pass
-    _, center_margin = strictly_invariant(family, cloud)
+    # one pass over the (member, center) pairs serves every radius tried
+    centers = _center_pass(family, frames)
+    _, center_margin = strictly_invariant(family, cloud, centers)
     skip_below = max(0.0, -center_margin)
 
     failures: list[str] = []
@@ -376,7 +531,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             break  # next plateau has a different component count: keep the best
         comps = _components_at(merges, 2.0 * eps)
         cone = replace(cloud, radius=eps)
-        ok, margin = strictly_invariant(family, cone)
+        ok, margin = strictly_invariant(family, cone, centers)
         gap = _component_gap(dist, comps, eps)
         if ok and gap > 0.0:
             candidate = Multicone(

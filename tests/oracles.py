@@ -22,7 +22,13 @@ replaced.  ``gap_search_oracle`` is the gap search without its bound-and-
 refine pruning or chunking: every word's exact score, from the same product
 and sigma_1 arithmetic, so the two must agree bit for bit.
 ``attractor_oracle`` is the attractor's per-word loop of plain products and
-single-matrix SVDs.
+single-matrix SVDs.  ``brute_force_strictly_invariant`` is the invariance
+sweep without its ball-growth pruning: every boundary probe of every center
+under every member, with the same probes, image map and distance kernels,
+so the two must agree bit for bit.  ``family_matrix_oracle`` is the
+example's per-parameter construction: each plane's line, lift and frame
+built alone, from 1-D vector norms and one single-matrix SVD, inverse and
+product at a time.
 """
 
 from __future__ import annotations
@@ -32,17 +38,20 @@ import math
 
 import numpy as np
 
-from domsplit import linalg, splitting, words
+from domsplit import linalg, multicone, splitting, words
 from domsplit.grassmann import (
     TRANSVERSALITY_TOL,
     Plane,
     act_frames,
     aligned_distances,
+    frame_stack_distances,
     grass_distance,
     orthonormal_frames,
+    reference_frames,
     sphere_sample,
+    worst_nearest_angle,
 )
-from domsplit.multicone import GAP_WARNING_TOL
+from domsplit.multicone import COVER_CHECK_POINTS, GAP_WARNING_TOL
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -436,3 +445,47 @@ def attractor_oracle(family, index: int, word_len: int, word_count: int, rng_see
         if spec.values[index] < spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
             spans.append(spec.left[:, :index])
     return orthonormal_frames(np.stack(spans))
+
+
+def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
+    """``strictly_invariant`` as one unpruned sweep: the images of every
+    center and boundary probe under every member, searched for the worst
+    nearest-center distance in member groups of at most
+    ``multicone._GROUP_PAIRS`` image-center pairs, and for a sampled curve
+    the largest distance between the images of one probe under adjacent
+    members."""
+    frames = cone.frames
+    probes = multicone._ball_probes(frames, cone.radius)
+    curve = family.source.kind == "sampled_curve"
+    worst = spread = 0.0
+    prev = None
+    group = max(1, multicone._GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
+    mats = family.matrices
+    for lo in range(0, family.size, group):
+        images = act_frames(np.stack(mats[lo : lo + group]), probes)
+        if curve:
+            for cur in images.reshape(-1, *probes.shape):
+                if prev is not None:
+                    spread = max(spread, float(np.max(aligned_distances(prev, cur))))
+                prev = cur
+        worst = max(worst, worst_nearest_angle(images, frames))
+    margin = cone.radius - worst - spread
+    refs = reference_frames(frames.shape[1], cone.grass_index, COVER_CHECK_POINTS)
+    if bool(np.all(frame_stack_distances(refs, frames).min(axis=1) <= cone.radius)):
+        return False, margin
+    return margin > 0.0, margin
+
+
+def family_matrix_oracle(t: float, lam: float) -> np.ndarray:
+    """The two-curve map at one parameter, each lifted plane built alone."""
+    from domsplit import example4d
+
+    frames = []
+    for which in (example4d.FIRST, example4d.SECOND):
+        v = example4d.tangent(which, t)
+        direction = v / float(np.linalg.norm(v)) + np.array([0.0, 0.0, 1.0])
+        direction = direction / np.linalg.norm(direction)
+        b = np.append(example4d.gamma(which, t), 1.0)
+        frames.append(Plane.from_spanning(np.column_stack([b, np.append(direction, 0.0)])).frame)
+    basis = np.hstack(frames)
+    return basis @ np.diag([lam, lam, 1.0 / lam, 1.0 / lam]) @ np.linalg.inv(basis)

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import central_difference, line_distance
+from oracles import central_difference, family_matrix_oracle, line_distance
 
 from domsplit import example4d as ex
-from domsplit.errors import MulticoneConstructionError
+from domsplit.errors import ConditioningError, MulticoneConstructionError, NumericalError
 from domsplit.grassmann import transverse
 from domsplit.linalg import cross_ratio, principal_angles
 
@@ -131,6 +131,57 @@ def test_family_matrix_properties():
         assert np.allclose(A @ D1.frame, 8.0 * D1.frame, atol=1e-9)
     with pytest.raises(ValueError):
         ex.family_matrix(0.5, 1.0)
+
+
+@pytest.mark.parametrize("lam, samples", [(2.0, 7), (32.0, 120)])
+def test_curve_family_matches_per_parameter_loop(lam, samples):
+    # one batched construction gives every member, and the one-parameter
+    # call, the bits of building each parameter's planes and map alone
+    mats = np.stack(ex.curve_family(lam, samples).matrices)
+    ts = ex.parameter_grid(samples)
+    want = np.stack([family_matrix_oracle(float(t), lam) for t in ts])
+    assert np.array_equal(mats, want)
+    assert np.array_equal(ex.family_matrices(ts, lam), want)
+    for j in (0, samples // 2, samples - 1):
+        assert np.array_equal(ex.family_matrix(float(ts[j]), lam), want[j])
+        assert np.array_equal(ex.curve_family(lam, samples).matrix(j), want[j])
+    # the lifted planes and lines, batched and one at a time
+    frames = ex.curve_frames("second", ts)
+    base, direction = ex.line("second", ts)
+    for j in (0, samples - 1):
+        assert np.array_equal(frames[j], ex.curve_plane("second", float(ts[j])).frame)
+        one = ex.line("second", float(ts[j]))
+        assert np.array_equal(base[j], one.base) and np.array_equal(direction[j], one.direction)
+
+
+def test_family_matrices_error_paths(monkeypatch):
+    ts = ex.parameter_grid(5)
+    with pytest.raises(ValueError, match="lam must exceed 1"):
+        ex.family_matrices(ts, 1.0)
+    with pytest.raises(ValueError, match="outside"):
+        ex.family_matrices([0.5, 4.0], 8.0)
+    good = ex.curve_frames
+
+    # the first curve's planes on both sides: a singular basis
+    monkeypatch.setattr(ex, "curve_frames", lambda which, t: good(ex.FIRST, t))
+    with pytest.raises(ConditioningError, match=r"t=0\.0, lam=8\.0"):
+        ex.family_matrices(ts, 8.0)
+    monkeypatch.setattr(ex, "curve_frames", good)
+
+    # an inverse that is off on the coordinates of one plane fails that
+    # plane's scalar action check, at the first parameter
+    inv = np.linalg.inv
+    for rows, plane in ((slice(0, 2), "first"), (slice(2, 4), "second")):
+
+        def off_inverse(basis, rows=rows):
+            out = inv(basis)
+            out[..., rows, :] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(ex.np.linalg, "inv", off_inverse)
+        with pytest.raises(NumericalError, match=f"{plane} plane at t=0.0"):
+            ex.family_matrices(ts, 8.0)
+        monkeypatch.setattr(ex.np.linalg, "inv", inv)
 
 
 def test_cross_ratio_of_axis_points():

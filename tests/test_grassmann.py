@@ -147,6 +147,12 @@ def test_worst_nearest_angle_matches_full_reduction(stacks):
     want = brute_force_worst_nearest_angle(A, B)
     assert abs(math.cos(got) - math.cos(want)) <= 1e-9
     assert abs(got - want) <= 2e-7
+    # the per-row upper bounds from the same projection GEMM hold, up to
+    # the rounding of s near zero
+    worst, upper = grassmann.nearest_angles(A, B)
+    assert worst == got
+    nearest = np.array([brute_force_worst_nearest_angle(A[a : a + 1], B) for a in range(len(A))])
+    assert np.all(upper >= nearest - 1e-7)
 
 
 def test_transverse_examples():

@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 from oracles import (
     attractor_oracle,
     ball_probes_oracle,
+    brute_force_strictly_invariant,
     brute_force_worst_nearest_angle,
     component_gap_oracle,
     curve_spread_oracle,
     diagonal_projective_angles,
+    random_orthogonal,
     scaled_word_product_oracle,
     union_find_components,
 )
@@ -136,6 +138,100 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
     assert margin_s == margin_e - spread
 
 
+@st.composite
+def invariance_cases(draw):
+    """(family, cone, group size) for the pruned sweep against the unpruned
+    one.
+
+    Planes are i-planes of R^d with 2 <= d <= 5 and i <= d (so i = d too);
+    d = 1 has no reference sample for the cover check.  Members are a
+    slowly rotating curve of one dominated diagonal map (one member at the
+    least), optionally with one member that nearly collapses a random
+    direction, so that ``beta tan r >= 1`` leaves some pairs with no growth
+    bound; the source is explicit or a sampled curve.  Centers
+    jitter around the top coordinate plane (none: all equal), the radius is
+    zero or positive, and the nearest searches run in groups of the default
+    size or of a single pair.
+    """
+    i = draw(st.sampled_from((1, 2, 3)))
+    d = draw(st.integers(min_value=max(i, 2), max_value=5))
+    members = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=12))
+    curve = draw(st.booleans())
+    radius = draw(st.sampled_from((0.0, 0.02, 0.15, 0.5)))
+    jitter = draw(st.sampled_from((0.0, 0.05, 0.3)))
+    collapse = draw(st.sampled_from((None, 1e-3)))
+    group_pairs = draw(st.sampled_from((1, multicone._GROUP_PAIRS)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    gen = rng.normal(size=(d, d))
+    gen = 0.1 * (gen - gen.T)
+    base = np.diag(np.geomspace(4.0, 1.0, d))
+    mats = [expm(j * gen) @ base for j in range(members)]
+    if collapse is not None:
+        Q = random_orthogonal(d, rng)
+        mats[rng.integers(members)] = mats[0] @ Q @ np.diag([collapse] + [1.0] * (d - 1)) @ Q.T
+    labels = [f"M{j}" for j in range(members)]
+    source = words.FamilySource(kind="sampled_curve" if curve else "explicit", sample_count=members)
+    family = MatrixFamily.from_matrices(mats, labels, source)
+    frames = np.linalg.qr(np.eye(d)[:, :i] + jitter * rng.normal(size=(n, d, i)))[0]
+    return family, ConeSample(i, frames, radius), group_pairs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(invariance_cases())
+def test_strictly_invariant_matches_unpruned_sweep(case):
+    # the pruned sweep gives the verdict and margin of evaluating every
+    # probe, bit for bit, with the center pass computed inside or handed in
+    family, cone, group_pairs = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multicone, "_GROUP_PAIRS", group_pairs)
+        want = brute_force_strictly_invariant(family, cone)
+        assert strictly_invariant(family, cone) == want
+        centers = multicone._center_pass(family, cone.frames)
+        for radius in (0.0, cone.radius, 0.07):
+            other = ConeSample(cone.grass_index, cone.frames, radius)
+            assert strictly_invariant(family, other, centers) == brute_force_strictly_invariant(
+                family, other
+            )
+
+
+def test_strictly_invariant_rejects_another_cones_pass(diag21):
+    pts = tuple(direction(t) for t in np.linspace(-0.3, 0.3, 5))
+    centers = multicone._center_pass(diag21, frame_stack(pts))
+    with pytest.raises(ValueError, match="another family or cone sample"):
+        strictly_invariant(diag21, ConeSample(1, pts[:4], 0.1), centers)
+    with pytest.raises(ValueError, match="another family or cone sample"):
+        strictly_invariant(diag21.inverse(), ConeSample(1, pts, 0.1), centers)
+
+
+def test_center_pass_runs_once_per_build(monkeypatch, dominated_suite):
+    # every invariance call of a build reuses one center pass, and the
+    # builds make as many calls as the unpruned sweep did (counted on the
+    # ten dominated suite families, the multicone benchmark's families at
+    # seed 0)
+    passes = []
+    calls = []
+    center_pass = multicone._center_pass
+    check = multicone.strictly_invariant
+
+    def counting_pass(*args):
+        passes[-1] += 1
+        return center_pass(*args)
+
+    def counting_check(*args):
+        calls[-1] += 1
+        return check(*args)
+
+    monkeypatch.setattr(multicone, "_center_pass", counting_pass)
+    monkeypatch.setattr(multicone, "strictly_invariant", counting_check)
+    for case in dominated_suite:
+        passes.append(0)
+        calls.append(0)
+        build_multicone(case.family, case.index)
+    assert passes == [1] * 10
+    assert calls == [3, 8, 2, 2, 2, 8, 2, 2, 2, 2]
+
+
 @pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])
 @pytest.mark.parametrize("radius", [0.0, 0.2])
 def test_ball_probes_match_inline_complements(dim, index, radius):
@@ -169,8 +265,6 @@ def test_attractor_single_diagonal(diag21):
 
 def test_attractor_conjugated_diagonal():
     rng = np.random.default_rng(0)
-    from oracles import random_orthogonal
-
     Q = random_orthogonal(4, rng)
     M = Q @ np.diag([2.0, 1.0, 0.5, 0.25]) @ Q.T
     fam = MatrixFamily.from_matrices([M], ["A"])
