@@ -37,7 +37,6 @@ from .words import (
     enumerate_gaps,
     fit_decay,
     is_dominated,
-    lyapunov_estimates,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +69,6 @@ __all__ = [
     "gap_ratio",
     "grass_distance",
     "is_dominated",
-    "lyapunov_estimates",
     "operator_norm",
     "principal_angles",
     "singular_spectrum",

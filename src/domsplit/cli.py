@@ -73,7 +73,8 @@ def _build_generator(spec: dict) -> MatrixFamily:
         basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
         M = basis @ np.diag(entries) @ basis.T
         return MatrixFamily(
-            members=(("conj_diag", M),),
+            labels=("conj_diag",),
+            stack=M[None],
             source=FamilySource(description=f"conjugated diagonal, seed={seed}"),
         )
     if kind == "random_perturbation":
@@ -93,7 +94,8 @@ def load_family_dict(spec: dict) -> MatrixFamily:
     if has_generator:
         return _build_generator(spec["generator"])
     dim = int(spec["dim"])
-    members = []
+    labels = []
+    rows = []
     for k, item in enumerate(spec["matrices"]):
         label = str(item.get("label", f"M{k}"))
         entries = [float(x) for x in item["entries"]]
@@ -101,8 +103,9 @@ def load_family_dict(spec: dict) -> MatrixFamily:
             raise ValueError(
                 f"matrix {label!r} has {len(entries)} entries, expected {dim * dim}"
             )
-        members.append((label, np.array(entries).reshape(dim, dim)))
-    return MatrixFamily(members=tuple(members))
+        labels.append(label)
+        rows.append(entries)
+    return MatrixFamily(labels=tuple(labels), stack=np.array(rows).reshape(len(rows), dim, dim))
 
 
 def load_family_spec(path: str | Path) -> MatrixFamily:

@@ -171,11 +171,6 @@ def curve_frames(which: str, ts) -> np.ndarray:
     return lift_frames(s.base, s.direction)
 
 
-def curve_plane(which: str, t) -> Plane:
-    """Lifted 2-plane of the ruled line at parameter t."""
-    return Plane(curve_frames(which, t))
-
-
 def axis_plane() -> Plane:
     """Lift of the x-axis: the 2-plane spanned by e1 and e4."""
     return Plane(np.eye(4)[:, [0, 3]])
@@ -210,12 +205,6 @@ def family_matrices(ts, lam: float) -> np.ndarray:
     return A
 
 
-def family_matrix(t: float, lam: float) -> np.ndarray:
-    """The 4x4 map scaling the first lifted plane at t by lam, the second by
-    1/lam: the one-parameter call of ``family_matrices``."""
-    return family_matrices([t], lam)[0]
-
-
 def parameter_grid(grid_n: int) -> np.ndarray:
     lo, hi = CURVE_DOMAIN
     return np.linspace(lo, hi, grid_n)
@@ -223,10 +212,9 @@ def parameter_grid(grid_n: int) -> np.ndarray:
 
 def curve_family(lam: float, samples: int) -> MatrixFamily:
     """The sampled matrix family over the curve parameter."""
-    mats = family_matrices(parameter_grid(samples), lam)
-    members = tuple((f"A{j:03d}", M) for j, M in enumerate(mats))
     return MatrixFamily(
-        members=members,
+        labels=tuple(f"A{j:03d}" for j in range(samples)),
+        stack=family_matrices(parameter_grid(samples), lam),
         source=FamilySource(
             kind="sampled_curve",
             description=f"two-curve ruled family, lambda={lam}",
@@ -255,6 +243,10 @@ ARC_RESOLUTION = 180
 # entrywise noise and seed of the perturbed rerun
 PERTURBATION_NOISE = 1e-3
 PERTURBATION_SEED = 11
+# the lambda values scanned, in order, when none is forced
+LAMBDA_SCAN = (2.0, 4.0, 8.0, 16.0, 32.0)
+# lines per family in the skewness check
+SKEW_GRID = 101
 
 
 @dataclass(frozen=True)
@@ -262,12 +254,9 @@ class ExampleConfig:
     """Pipeline knobs; the fixed ones are the module constants above."""
 
     grid_n: int = 64
-    lambda_scan: tuple[float, ...] = (2.0, 4.0, 8.0, 16.0, 32.0)
-    skew_grid: int = 101
     search: SearchConfig = field(
         default_factory=lambda: SearchConfig(max_len=8, budget=300_000, beam_width=256)
     )
-    attractor_word_len: int = 40
     attractor_words: int = 192
     run_perturbed: bool = True
 
@@ -403,11 +392,7 @@ def _run_side(
         return failed
     # the multicone is certified on the refined sampling (the gate already
     # ran on the coarse family above)
-    mc_cfg = MulticoneConfig(
-        attractor_word_len=cfg.attractor_word_len,
-        attractor_words=cfg.attractor_words,
-        override_domination_gate=True,
-    )
+    mc_cfg = MulticoneConfig(attractor_words=cfg.attractor_words, override_domination_gate=True)
     try:
         cone = build_multicone(refined_family, 2, mc_cfg)
     except DomsplitError as exc:  # construction failure is a reportable outcome
@@ -450,11 +435,7 @@ def _run_side(
     )
 
 
-def verify_example(
-    grid_n: int | None = None,
-    lam: float | None = None,
-    config: ExampleConfig | None = None,
-) -> ExampleReport:
+def verify_example(*, lam: float | None = None, config: ExampleConfig | None = None) -> ExampleReport:
     """Run the whole certificate pipeline for the two-curve family.
 
     Scans lambda (unless one is forced) for strict invariance of disjoint
@@ -466,10 +447,7 @@ def verify_example(
     repeats both sides under a small perturbation of the family.
     """
     cfg = config or ExampleConfig()
-    if grid_n is not None:
-        cfg = replace(cfg, grid_n=grid_n)
-
-    skew = skewness_margin(cfg.skew_grid)
+    skew = skewness_margin(SKEW_GRID)
 
     ts = parameter_grid(cfg.grid_n)
     first_planes = curve_frames(FIRST, ts)
@@ -489,7 +467,7 @@ def verify_example(
     hood_first = ConeSample(2, fine_first, radius)
     hood_second = ConeSample(2, fine_second, radius)
 
-    scan_values = cfg.lambda_scan if lam is None else (lam,)
+    scan_values = LAMBDA_SCAN if lam is None else (lam,)
     scan_entries = []
     selected = None
     fine_families: dict[float, MatrixFamily] = {}

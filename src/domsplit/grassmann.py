@@ -435,11 +435,14 @@ def sphere_sample(dim: int, count: int) -> np.ndarray:
 @lru_cache(maxsize=64)
 def reference_frames(ambient_dim: int, dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of G(dim, ambient_dim), as a
-    read-only (count, ambient_dim, dim) frame stack built once per shape."""
-    seq = qmc.Halton(d=ambient_dim * dim, scramble=False)
-    seq.fast_forward(1)
-    raw = ndtri(seq.random(count)).reshape(count, ambient_dim, dim)
-    stack = orthonormal_frames(raw)
+    read-only (count, ambient_dim, dim) frame stack built once per shape.
+    G(d, d) is one point, sampled as ``count`` identity frames."""
+    if dim == ambient_dim:
+        stack = np.repeat(np.eye(dim)[None], count, axis=0)
+    else:
+        seq = qmc.Halton(d=ambient_dim * dim, scramble=False)
+        seq.fast_forward(1)
+        stack = orthonormal_frames(ndtri(seq.random(count)).reshape(count, ambient_dim, dim))
     stack.setflags(write=False)
     return stack
 

@@ -185,8 +185,7 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
     (member, center) pair; see ``strictly_invariant``."""
     n, d, i = frames.shape
     m = family.size
-    mats = np.stack(family.matrices)
-    Y = np.matmul(mats[:, None], frames[None]).reshape(m * n, d, i)
+    Y = np.matmul(family.stack[:, None], frames[None]).reshape(m * n, d, i)
     F = image_frames(Y)
     searched = [nearest_angles(F[rows], frames) for rows in _row_chunks(m * n, n)]
     worst = max(w for w, _ in searched)
@@ -195,7 +194,7 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
         # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the
         # complement frame: graph(L) over E_k maps to graph(C L (A + B L)^-1)
         # over F_jk
-        Z = np.matmul(mats[:, None], complement_frames(frames)[None]).reshape(m * n, d, d - i)
+        Z = np.matmul(family.stack[:, None], complement_frames(frames)[None]).reshape(m * n, d, d - i)
         Ft = np.swapaxes(F, 1, 2)
         B = np.matmul(Ft, Z)
         inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
@@ -297,21 +296,20 @@ def strictly_invariant(
     probe_count = i * (d - i)
     if cone.radius > 0.0 and probe_count:
         probes = _ball_probes(frames, cone.radius)
-        mats = np.stack(family.matrices)
         growth = _ball_growth(centers, cone.radius)
         # the boundary probe indices of each center, one row per center
         own = n * np.arange(1, probe_count + 1)[None, :] + np.arange(n)[:, None]
         j, k = np.nonzero(~(centers.upper + growth < worst - PROBE_PRUNE_SLACK))
         if len(j):
-            images = _probe_images(mats, probes, j, own[k])
+            images = _probe_images(family.stack, probes, j, own[k])
             for rows in _row_chunks(len(images), n):
                 worst = max(worst, worst_nearest_angle(images[rows], frames))
         if len(centers.spread):
             bound = growth[:-1] + centers.spread + growth[1:]
             j, k = np.nonzero(~(bound < spread - PROBE_PRUNE_SLACK))
             if len(j):
-                here = _probe_images(mats, probes, j, own[k])
-                there = _probe_images(mats, probes, j + 1, own[k])
+                here = _probe_images(family.stack, probes, j, own[k])
+                there = _probe_images(family.stack, probes, j + 1, own[k])
                 spread = max(spread, float(np.max(aligned_distances(here, there))))
     margin = cone.radius - worst - spread
     if centers.cover <= cone.radius:
@@ -384,12 +382,11 @@ def adapted_metric(
     total = grass_distance(first, second)
     beam_a = first.frame[None]
     beam_b = second.frame[None]
-    mats = np.stack(family.matrices)
     last = total
     for _ in range(1, n_trunc + 1):
         # both beams in one call; each member's images of beam_a come first
-        imgs = act_frames(mats, np.concatenate([beam_a, beam_b]))
-        imgs = imgs.reshape(len(mats), 2, -1, *imgs.shape[1:])
+        imgs = act_frames(family.stack, np.concatenate([beam_a, beam_b]))
+        imgs = imgs.reshape(family.size, 2, -1, *imgs.shape[1:])
         imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
         imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
         dists = aligned_distances(imgs_a, imgs_b)
@@ -561,12 +558,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     )
 
 
-def semiconvexity_audit(
-    mc: Multicone,
-    lines,
-    arc_resolution: int = 180,
-    directions_per_plane: int = 64,
-) -> list[tuple[Plane, int]]:
+def semiconvexity_audit(mc: Multicone, lines, arc_resolution: int = 180) -> list[tuple[Plane, int]]:
     """Arc counts of each component's projectivization on candidate lines.
 
     Returns, per line, the worst (largest) arc count over the components;
@@ -577,7 +569,7 @@ def semiconvexity_audit(
     for line in lines:
         worst = 0
         for which in range(len(mc.components)):
-            sample = projectivize(mc.component_cone(which), directions_per_plane)
+            sample = projectivize(mc.component_cone(which))
             worst = max(worst, len(line_trace(line, sample, arc_resolution)))
         out.append((line, worst))
     return out

@@ -161,7 +161,7 @@ def _suffix_restricted_logs(family: MatrixFamily, word: Word, frame: np.ndarray)
     block = frame
     log_accs = [0.0]
     for n, j in enumerate(reversed(word), start=1):
-        block = family.matrix(j) @ block
+        block = family.stack[j] @ block
         s = float(np.linalg.norm(block))
         block /= s
         log_accs.append(log_accs[-1] + math.log(s))
@@ -247,14 +247,14 @@ def angle_decay_check(family: MatrixFamily, word, index: int) -> list[AngleBound
     d = family.dim
     if not 1 <= index <= d - 1:
         raise ValueError(f"index must be in 1..{d - 1}, got {index}")
-    max_norm = max(linalg.operator_norm(M) for M in family.matrices)
+    max_norm = float(np.linalg.svd(family.stack, compute_uv=False)[:, 0].max())
     log_suffix = words.log_singular_value_suffixes(family, w)
 
     # the suffix products, one SVD call for all of them
     products = []
     P = np.eye(d)
     for step, j in enumerate(reversed(w), start=1):
-        P = family.matrix(j) @ P
+        P = family.stack[j] @ P
         if step % words.RESCALE_PERIOD == 0:
             P = P / np.linalg.norm(P)
         products.append(P)

@@ -1,7 +1,9 @@
 """Word products over a finite matrix family: gap enumeration and verdicts.
 
-A word is a tuple of member indices; ``product(w) = M[w[0]] @ M[w[1]] @ ...``
-left to right as written.
+A family holds its members as one read-only ``(m, d, d)`` stack, validated,
+inverted, perturbed and turned into compound banks one batched call at a
+time.  A word is a tuple of member indices; ``product(w) = M[w[0]] @
+M[w[1]] @ ...`` left to right as written.
 
 Long products are never trusted in raw form.  Singular values of a product
 come from exterior-power (compound-matrix) accumulations: for each order k
@@ -66,90 +68,87 @@ class FamilySource(JsonRecord):
 class MatrixFamily:
     """Non-empty labeled set of invertible matrices of one common dimension.
 
-    For a family generated by sampling a parametric curve, members are kept
-    in curve order so adjacent-sample discrepancies can be measured.
+    The members are one read-only ``(m, d, d)`` ``stack``, with
+    ``labels[j]`` naming ``stack[j]``.  The stack is a copy of the input,
+    so later writes to the caller's arrays do not reach the family, and is
+    validated in one batched invertibility test.  For a family generated by
+    sampling a parametric curve, members are kept in curve order so
+    adjacent-sample discrepancies can be measured.
     """
 
-    members: tuple[tuple[str, np.ndarray], ...]
+    labels: tuple[str, ...]
+    stack: np.ndarray
     source: FamilySource = field(default_factory=FamilySource)
 
     def __post_init__(self):
-        members = tuple((str(label), linalg.check_invertible(M, label=str(label))) for label, M in self.members)
-        if not members:
+        labels = tuple(str(label) for label in self.labels)
+        stack = np.array(self.stack, dtype=float, order="C")
+        if stack.ndim != 3 or len(stack) != len(labels):
+            raise ValueError(
+                f"expected an (m, d, d) stack with one label per member, got shape "
+                f"{stack.shape} and {len(labels)} labels"
+            )
+        if not labels:
             raise ValueError("family must have at least one member")
-        dims = {M.shape[0] for _, M in members}
-        if len(dims) != 1:
-            raise ValueError("all members must share one dimension")
-        labels = [label for label, _ in members]
         if len(set(labels)) != len(labels):
             raise ValueError("member labels must be unique")
-        frozen = []
-        for label, M in members:
-            M = np.ascontiguousarray(M)
-            M.setflags(write=False)
-            frozen.append((label, M))
-        object.__setattr__(self, "members", tuple(frozen))
+        linalg.check_invertible(stack, label=labels)
+        stack.setflags(write=False)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "stack", stack)
 
     @classmethod
     def from_matrices(cls, matrices, labels=None, source: FamilySource | None = None) -> "MatrixFamily":
         mats = [np.asarray(M, dtype=float) for M in matrices]
+        if len({M.shape for M in mats}) > 1:
+            raise ValueError("all members must share one dimension")
         if labels is None:
             labels = [f"M{j}" for j in range(len(mats))]
-        return cls(members=tuple(zip(labels, mats)), source=source or FamilySource())
+        stack = np.stack(mats) if mats else np.empty((0, 0, 0))
+        return cls(labels=tuple(labels), stack=stack, source=source or FamilySource())
 
     @property
     def dim(self) -> int:
-        return self.members[0][1].shape[0]
+        return self.stack.shape[1]
 
     @property
     def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.members)
-
-    @property
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(M for _, M in self.members)
-
-    def matrix(self, index: int) -> np.ndarray:
-        return self.members[index][1]
+        return len(self.labels)
 
     def inverse(self) -> "MatrixFamily":
         return MatrixFamily(
-            members=tuple((f"{label}^-1", np.linalg.inv(M)) for label, M in self.members),
+            labels=tuple(f"{label}^-1" for label in self.labels),
+            stack=np.linalg.inv(self.stack),
             source=self.source,
         )
 
     def word_labels(self, word: Word) -> tuple[str, ...]:
-        return tuple(self.members[j][0] for j in word)
+        return tuple(self.labels[j] for j in word)
 
     @cached_property
     def compound_banks(self) -> dict[int, np.ndarray]:
         """For k = 1..dim, the read-only stack of every member's k-th
         compound matrix, in member order; built once per family."""
-        banks = {}
-        for k in range(1, self.dim + 1):
-            banks[k] = np.stack([compound_matrix(M, k) for M in self.matrices])
-            banks[k].setflags(write=False)
-        return banks
+        banks = {k: compound_matrix(self.stack, k) for k in range(2, self.dim + 1)}
+        for bank in banks.values():
+            bank.setflags(write=False)
+        return {1: self.stack, **banks}
 
 
 def perturb_family(family: MatrixFamily, noise: float, seed: int, copies: int = 1) -> MatrixFamily:
     """Entrywise uniform(-noise, noise) perturbation of every member.
 
     With ``copies > 1`` each member yields that many independently perturbed
-    variants.  Deterministic for a fixed seed.
+    variants, consecutive in the result.  Deterministic for a fixed seed.
     """
-    rng = np.random.default_rng(seed)
-    members = []
-    for label, M in family.members:
-        for c in range(copies):
-            pert = M + rng.uniform(-noise, noise, size=M.shape)
-            suffix = "~" if copies == 1 else f"~{c}"
-            members.append((label + suffix, pert))
-    return MatrixFamily(members=tuple(members), source=family.source)
+    m, d = family.size, family.dim
+    draw = np.random.default_rng(seed).uniform(-noise, noise, (m, copies, d, d))
+    suffixes = ["~"] if copies == 1 else [f"~{c}" for c in range(copies)]
+    return MatrixFamily(
+        labels=tuple(label + suffix for label in family.labels for suffix in suffixes),
+        stack=(family.stack[:, None] + draw).reshape(m * copies, d, d),
+        source=family.source,
+    )
 
 
 def _validate_word(family: MatrixFamily, word) -> Word:
@@ -169,15 +168,18 @@ def compound_matrix(matrix, k: int) -> np.ndarray:
 
     Satisfies compound(A @ B) = compound(A) @ compound(B), so compound
     accumulation tracks exterior-power norms of long products exactly.
+    A family's ``(m, d, d)`` stack gives the stack of its members' compounds.
     """
-    M = linalg.as_square(matrix)
-    d = M.shape[0]
+    M = np.asarray(matrix, dtype=float)
+    if M.ndim != 3:
+        M = linalg.as_square(M)
+    d = M.shape[-1]
     if not 1 <= k <= d:
         raise ValueError(f"k must be in 1..{d}, got {k}")
     if k == 1:
         return M.copy()
     subsets = np.array(list(itertools.combinations(range(d), k)))
-    blocks = M[subsets[:, None, :, None], subsets[None, :, None, :]]
+    blocks = M[..., subsets[:, None, :, None], subsets[None, :, None, :]]
     return np.linalg.det(blocks)
 
 
@@ -197,11 +199,10 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
         raise ValueError("words must form a non-empty (n, L) array")
     elif not np.issubdtype(batch.dtype, np.integer) or np.any((batch < 0) | (batch >= family.size)):
         raise ValueError("word contains an invalid member index")
-    mats = np.stack(family.matrices)
     P = np.repeat(np.eye(family.dim)[None], batch.shape[0], axis=0)
     log_scale = np.zeros(batch.shape[0])
     for step in range(1, batch.shape[1] + 1):
-        P = P @ mats[batch[:, step - 1]]
+        P = P @ family.stack[batch[:, step - 1]]
         if step % RESCALE_PERIOD == 0:
             P, log_scale = _rescaled(P, log_scale)
     P, log_scale = _rescaled(P, log_scale)
@@ -646,17 +647,3 @@ def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None =
         else:
             verdict = Verdict(kind=DOMINATED)
     return replace(report, verdict=verdict)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-
-
-def lyapunov_estimates(family: MatrixFamily, word) -> tuple[float, ...]:
-    """Finite-word growth rates ``(1/N) log sigma_j(product(word))``,
-    non-increasing."""
-    w = _validate_word(family, word)
-    logs = log_singular_values(family, w) / len(w)
-    logs = np.sort(logs)[::-1]  # guard 1e-15 inversions from the log differences
-    return tuple(float(x) for x in logs)
-

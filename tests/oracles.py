@@ -28,7 +28,9 @@ under every member, with the same probes, image map and distance kernels,
 so the two must agree bit for bit.  ``family_matrix_oracle`` is the
 example's per-parameter construction: each plane's line, lift and frame
 built alone, from 1-D vector norms and one single-matrix SVD, inverse and
-product at a time.
+product at a time.  ``family_arrays_oracle`` builds a family's arrays one
+member and one copy at a time, as they were built before the family held
+one stack.
 """
 
 from __future__ import annotations
@@ -67,6 +69,22 @@ def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def family_arrays_oracle(matrices, noise: float, seed: int, copies: int) -> dict:
+    """A family's arrays built member by member: the stack, the inverses,
+    the compound bank of every order and ``copies`` perturbed copies of each
+    member, drawn member by member and copy by copy."""
+    mats = [np.asarray(M, dtype=float) for M in matrices]
+    rng = np.random.default_rng(seed)
+    return {
+        "stack": np.stack(mats),
+        "inverse": np.stack([np.linalg.inv(M) for M in mats]),
+        "banks": {
+            k: np.stack([words.compound_matrix(M, k) for M in mats]) for k in range(1, mats[0].shape[0] + 1)
+        },
+        "perturbed": np.stack([M + rng.uniform(-noise, noise, size=M.shape) for M in mats for _ in range(copies)]),
+    }
+
+
 def central_difference(f, t: float, h: float = 1e-6) -> np.ndarray:
     return (np.asarray(f(t + h)) - np.asarray(f(t - h))) / (2.0 * h)
 
@@ -76,7 +94,7 @@ def word_product(family, word) -> np.ndarray:
     words."""
     P = np.eye(family.dim)
     for j in word:
-        P = P @ family.matrix(int(j))
+        P = P @ family.stack[int(j)]
     return P
 
 
@@ -162,9 +180,9 @@ def curve_spread_oracle(family, probes: np.ndarray) -> float:
     if family.source.kind != "sampled_curve" or family.size < 2:
         return 0.0
     worst = 0.0
-    prev = act_frames(family.matrix(0)[None], probes)
+    prev = act_frames(family.stack[0][None], probes)
     for j in range(1, family.size):
-        cur = act_frames(family.matrix(j)[None], probes)
+        cur = act_frames(family.stack[j][None], probes)
         worst = max(worst, float(np.max(aligned_distances(prev, cur))))
         prev = cur
     return worst
@@ -303,12 +321,12 @@ def angle_decay_oracle(family, word, index: int) -> list:
     one validated ``Plane`` per suffix product and one distance per
     consecutive pair."""
     w = tuple(int(j) for j in word)
-    max_norm = max(linalg.operator_norm(M) for M in family.matrices)
+    max_norm = max(linalg.operator_norm(M) for M in family.stack)
     log_suffix = words.log_singular_value_suffixes(family, w)
     frames = []
     P = np.eye(family.dim)
     for step, j in enumerate(reversed(w), start=1):
-        P = family.matrix(j) @ P
+        P = family.stack[j] @ P
         if step % words.RESCALE_PERIOD == 0:
             P = P / np.linalg.norm(P)
         spec = linalg.singular_spectrum(P)
@@ -344,7 +362,7 @@ def compound_log_walk_oracle(family, word, suffix: bool) -> np.ndarray:
     for n, j in enumerate(reversed(word) if suffix else word, start=1):
         top = np.zeros(d + 1)
         for k in range(1, d + 1):
-            C = words.compound_matrix(family.matrix(int(j)), k)
+            C = words.compound_matrix(family.stack[int(j)], k)
             acc[k] = C @ acc[k] if suffix else acc[k] @ C
             s = float(np.linalg.norm(acc[k]))
             acc[k] /= s
@@ -362,7 +380,7 @@ def suffix_restricted_logs_oracle(family, word, frame: np.ndarray) -> list[tuple
     svals = np.linalg.svd(block, compute_uv=False)
     out = [(log_acc + math.log(svals[0]), log_acc + math.log(svals[-1]))]
     for j in reversed(word):
-        block = family.matrix(j) @ block
+        block = family.stack[j] @ block
         s = float(np.linalg.norm(block))
         block /= s
         log_acc += math.log(s)
@@ -425,7 +443,7 @@ def scaled_word_product_oracle(family, word) -> tuple[np.ndarray, float]:
     P = np.eye(family.dim)
     log_scale = 0.0
     for step, j in enumerate(word, start=1):
-        P = P @ family.matrix(int(j))
+        P = P @ family.stack[int(j)]
         if step % words.RESCALE_PERIOD == 0:
             s = float(np.linalg.norm(P))
             P = P / s
@@ -460,9 +478,8 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
     worst = spread = 0.0
     prev = None
     group = max(1, multicone._GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
-    mats = family.matrices
     for lo in range(0, family.size, group):
-        images = act_frames(np.stack(mats[lo : lo + group]), probes)
+        images = act_frames(family.stack[lo : lo + group], probes)
         if curve:
             for cur in images.reshape(-1, *probes.shape):
                 if prev is not None:

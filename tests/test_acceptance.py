@@ -137,7 +137,7 @@ def test_criterion_5_adapted_metric_contraction(dominated_suite):
             if grass_distance(E, F) < 1e-6:
                 F = sample_plane()
             base = adapted_metric(fam, E, F, 30, stable, beam_width=16)
-            for _, M in fam.members:
+            for M in fam.stack:
                 from domsplit.grassmann import act
 
                 moved = adapted_metric(fam, act(M, E), act(M, F), 30, stable, beam_width=16)

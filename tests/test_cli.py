@@ -51,6 +51,26 @@ def test_check_malformed_json_exit_one(tmp_path, capsys):
     assert not (tmp_path / "o" / "gap_report.json").exists()  # no partial outputs
 
 
+def test_check_singular_member_exit_one(tmp_path, capsys):
+    spec = tmp_path / "singular.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "dim": 2,
+                "matrices": [
+                    {"label": "A", "entries": [2, 0, 0, 1]},
+                    {"label": "S", "entries": [1, 2, 2, 4]},
+                ],
+            }
+        )
+    )
+    code = cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "numerically singular" in err and "[S]" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_missing_file_exit_one(tmp_path):
     code = cli.main(["check", str(tmp_path / "nope.json"), "--index", "1", "--out", str(tmp_path)])
     assert code == 1
@@ -84,7 +104,7 @@ def test_generator_specs(tmp_path):
     )
     fam = cli.load_family_spec(spec)
     assert fam.size == 1 and fam.dim == 2
-    svals = np.linalg.svd(fam.matrix(0), compute_uv=False)
+    svals = np.linalg.svd(fam.stack[0], compute_uv=False)
     assert np.allclose(svals, [3.0, 1.0])
 
     spec.write_text(

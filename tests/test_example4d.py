@@ -9,7 +9,7 @@ from oracles import central_difference, family_matrix_oracle, line_distance
 
 from domsplit import example4d as ex
 from domsplit.errors import ConditioningError, MulticoneConstructionError, NumericalError
-from domsplit.grassmann import transverse
+from domsplit.grassmann import Plane, transverse
 from domsplit.linalg import cross_ratio, principal_angles
 
 
@@ -116,40 +116,39 @@ def test_lifted_planes_transverse():
     for t in ts:
         for s in ts[::4]:
             ok, margin = transverse(
-                ex.curve_plane("first", float(t)), ex.curve_plane("second", float(s))
+                Plane(ex.curve_frames("first", float(t))), Plane(ex.curve_frames("second", float(s)))
             )
             assert ok and margin > 1e-3
 
 
 def test_family_matrix_properties():
     for t in np.linspace(0.0, math.pi, 9):
-        A = ex.family_matrix(float(t), 8.0)
+        A = ex.family_matrices([t], 8.0)[0]
         eig = np.sort(np.abs(np.linalg.eigvals(A)))[::-1]
         assert np.allclose(eig, [8.0, 8.0, 0.125, 0.125], atol=1e-9)
         assert np.linalg.det(A) == pytest.approx(1.0, abs=1e-9)
-        D1 = ex.curve_plane("first", float(t))
+        D1 = Plane(ex.curve_frames("first", float(t)))
         assert np.allclose(A @ D1.frame, 8.0 * D1.frame, atol=1e-9)
     with pytest.raises(ValueError):
-        ex.family_matrix(0.5, 1.0)
+        ex.family_matrices([0.5], 1.0)
 
 
 @pytest.mark.parametrize("lam, samples", [(2.0, 7), (32.0, 120)])
 def test_curve_family_matches_per_parameter_loop(lam, samples):
     # one batched construction gives every member, and the one-parameter
     # call, the bits of building each parameter's planes and map alone
-    mats = np.stack(ex.curve_family(lam, samples).matrices)
+    mats = ex.curve_family(lam, samples).stack
     ts = ex.parameter_grid(samples)
     want = np.stack([family_matrix_oracle(float(t), lam) for t in ts])
     assert np.array_equal(mats, want)
     assert np.array_equal(ex.family_matrices(ts, lam), want)
     for j in (0, samples // 2, samples - 1):
-        assert np.array_equal(ex.family_matrix(float(ts[j]), lam), want[j])
-        assert np.array_equal(ex.curve_family(lam, samples).matrix(j), want[j])
+        assert np.array_equal(ex.family_matrices([ts[j]], lam)[0], want[j])
     # the lifted planes and lines, batched and one at a time
     frames = ex.curve_frames("second", ts)
     base, direction = ex.line("second", ts)
     for j in (0, samples - 1):
-        assert np.array_equal(frames[j], ex.curve_plane("second", float(ts[j])).frame)
+        assert np.array_equal(frames[j], Plane(ex.curve_frames("second", float(ts[j]))).frame)
         one = ex.line("second", float(ts[j]))
         assert np.array_equal(base[j], one.base) and np.array_equal(direction[j], one.direction)
 
@@ -207,7 +206,7 @@ def test_curve_family_metadata():
 def test_invariance_scan_rejects_weak_scaling():
     report = ex.verify_example(
         lam=1.01,
-        config=ex.ExampleConfig(grid_n=16, skew_grid=21, run_perturbed=False),
+        config=ex.ExampleConfig(grid_n=16, run_perturbed=False),
     )
     assert not report.passed
     assert report.failing_stage == "invariance_scan"
@@ -239,14 +238,7 @@ def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
 
 def test_report_json_round_trip_small():
     report = ex.verify_example(
-        config=ex.ExampleConfig(
-            grid_n=12,
-            skew_grid=21,
-            lambda_scan=(16.0,),
-            attractor_words=48,
-            attractor_word_len=20,
-            run_perturbed=False,
-        )
+        lam=16.0, config=ex.ExampleConfig(grid_n=12, attractor_words=48, run_perturbed=False)
     )
     back = ex.ExampleReport.from_json_dict(report.to_json_dict())
     assert back == report
@@ -269,8 +261,8 @@ def test_invariance_margin_monotone_in_lambda():
 
     fine = 48
     ts = ex.parameter_grid(fine)
-    first = [ex.curve_plane("first", float(t)) for t in ts]
-    second = [ex.curve_plane("second", float(t)) for t in ts]
+    first = [Plane(ex.curve_frames("first", float(t))) for t in ts]
+    second = [Plane(ex.curve_frames("second", float(t))) for t in ts]
     radius = 0.6 * float(np.min(principal_angles(frame_stack(first)[:, None], frame_stack(second)[None])))
     hood = ConeSample(2, tuple(first), radius)
     margins = []
@@ -289,8 +281,8 @@ def test_splitting_recovers_invariant_planes():
     for j in (0, 5, 11):
         word = (j,) * 8
         est = splitting_from_window(fam, word, word, 2)
-        d1 = ex.curve_plane("first", float(ts[j]))
-        d2 = ex.curve_plane("second", float(ts[j]))
+        d1 = Plane(ex.curve_frames("first", float(ts[j])))
+        d2 = Plane(ex.curve_frames("second", float(ts[j])))
         from domsplit.grassmann import grass_distance
 
         assert grass_distance(est.expanding, d1) < 1e-6
@@ -328,7 +320,7 @@ def test_lyapunov_gap_consequence_of_fit():
     slack = 0.5
     for _ in range(5):
         word = tuple(int(x) for x in rng.integers(fam.size, size=12))
-        exponents = W.lyapunov_estimates(fam, word)
+        exponents = W.log_singular_values(fam, word) / len(word)
         gap = exponents[1] - exponents[2]
         assert gap >= -report.fit.log_tau - slack
 

@@ -90,9 +90,8 @@ def test_strictly_invariant_spread_allowance_only_for_curves():
     # same members, explicit vs sampled-curve source: margin differs by spread
     mats = [rotation2(0.02 * j) @ np.diag([4.0, 1.0]) @ rotation2(-0.02 * j) for j in range(3)]
     explicit = MatrixFamily.from_matrices(mats, ["A", "B", "C"])
-    sampled = MatrixFamily(
-        members=tuple(zip(("A", "B", "C"), mats)),
-        source=words.FamilySource(kind="sampled_curve", description="t", sample_count=3),
+    sampled = MatrixFamily.from_matrices(
+        mats, ["A", "B", "C"], words.FamilySource(kind="sampled_curve", description="t", sample_count=3)
     )
     pts = tuple(direction(t) for t in np.linspace(-0.25, 0.29, 31))
     cone = ConeSample(1, pts, 0.32)
@@ -115,9 +114,8 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
     mats = [np.linalg.matrix_power(expm(gen), j) @ base for j in range(7)]
     labels = tuple(f"M{j}" for j in range(7))
     explicit = MatrixFamily.from_matrices(mats, list(labels))
-    sampled = MatrixFamily(
-        members=tuple(zip(labels, mats)),
-        source=words.FamilySource(kind="sampled_curve", description="t", sample_count=7),
+    sampled = MatrixFamily.from_matrices(
+        mats, list(labels), words.FamilySource(kind="sampled_curve", description="t", sample_count=7)
     )
     top = Plane.from_spanning(np.eye(dim)[:, :index])
     pts = (top,) + tuple(
@@ -144,7 +142,7 @@ def invariance_cases(draw):
     one.
 
     Planes are i-planes of R^d with 2 <= d <= 5 and i <= d (so i = d too);
-    d = 1 has no reference sample for the cover check.  Members are a
+    d = 1 has its own test below.  Members are a
     slowly rotating curve of one dominated diagonal map (one member at the
     least), optionally with one member that nearly collapses a random
     direction, so that ``beta tan r >= 1`` leaves some pairs with no growth
@@ -193,6 +191,14 @@ def test_strictly_invariant_matches_unpruned_sweep(case):
             assert strictly_invariant(family, other, centers) == brute_force_strictly_invariant(
                 family, other
             )
+
+
+def test_one_dimensional_family_fails_the_cover_check():
+    # G(1, 1) is one point, so every sample covers it: the check returns
+    # its margin and no pass, and does not raise
+    fam = MatrixFamily.from_matrices([np.array([[2.0]]), np.array([[-0.5]])], ["A", "B"])
+    ok, margin = strictly_invariant(fam, ConeSample(1, np.ones((1, 1, 1)), 0.1))
+    assert not ok and margin == pytest.approx(0.1)
 
 
 def test_strictly_invariant_rejects_another_cones_pass(diag21):
@@ -492,7 +498,7 @@ def test_semiconvexity_audit_familiar_cone():
         component_gap=math.inf,
     )
     lines = [Plane.from_spanning(rng.normal(size=(3, 2))) for _ in range(100)]
-    audit = multicone.semiconvexity_audit(mc, lines, arc_resolution=90, directions_per_plane=1)
+    audit = multicone.semiconvexity_audit(mc, lines, arc_resolution=90)
     assert all(count <= 1 for _, count in audit)
 
 
@@ -502,7 +508,7 @@ def test_semiconvexity_audit_empty_intersection():
         cone=cone, components=((0,),), invariance_margin=0.1, component_gap=math.inf
     )
     line = Plane(np.eye(3)[:, :2])
-    audit = multicone.semiconvexity_audit(mc, [line], arc_resolution=90, directions_per_plane=1)
+    audit = multicone.semiconvexity_audit(mc, [line], arc_resolution=90)
     assert audit[0][1] == 0
 
 
@@ -512,7 +518,7 @@ def test_attractor_invariance_bound(dominated_suite):
     fam, i = case.family, case.index
     cloud = attractor(fam, i, word_len=30, word_count=32)
     pts = list(cloud.points)
-    for _, M in fam.members:
+    for M in fam.stack:
         for p in pts:
             moved = act(M, p)
             dist = min(grass_distance(moved, q) for q in pts)
@@ -526,7 +532,7 @@ def test_strictly_invariant_monotone_under_subfamily(dominated_suite):
     cloud = attractor(fam, i, word_len=20, word_count=16)
     cone = ConeSample(i, cloud.points, 0.2)
     _, full_margin = strictly_invariant(fam, cone)
-    sub = MatrixFamily(members=fam.members[:1], source=fam.source)
+    sub = MatrixFamily(labels=fam.labels[:1], stack=fam.stack[:1], source=fam.source)
     _, sub_margin = strictly_invariant(sub, cone)
     assert sub_margin >= full_margin - 1e-12
 

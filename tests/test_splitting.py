@@ -164,7 +164,7 @@ def test_equivariance_under_shift(dominated_suite):
     est = splitting_from_window(fam, past, future, i)
     sym = future[-1]
     shifted = splitting_from_window(fam, (sym, *past[:-1]), future[:-1], i)
-    M = fam.matrix(sym)
+    M = fam.stack[sym]
     tol = max(est.convergence_indicator, 1e-9) * 50
     from domsplit.grassmann import act
 

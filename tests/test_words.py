@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_max_log_gap,
     compound_log_walk_oracle,
+    family_arrays_oracle,
     gap_search_oracle,
     periodic_witness_oracle,
     random_invertible,
@@ -20,6 +21,7 @@ from oracles import (
 )
 
 from domsplit import linalg, words
+from domsplit.errors import SingularMatrixError
 from domsplit.words import (
     DOMINATED,
     NOT_DOMINATED,
@@ -35,12 +37,60 @@ def diag21():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError):
-        MatrixFamily(members=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one member"):
+        MatrixFamily(labels=(), stack=np.empty((0, 2, 2)))
+    with pytest.raises(ValueError, match="at least one member"):
+        MatrixFamily.from_matrices([])
+    with pytest.raises(ValueError, match="share one dimension"):
         MatrixFamily.from_matrices([np.eye(2), np.eye(3)])
-    with pytest.raises(ValueError):
-        MatrixFamily(members=(("A", np.eye(2)), ("A", np.diag([2.0, 1.0]))))
+    with pytest.raises(ValueError, match="unique"):
+        MatrixFamily.from_matrices([np.eye(2), np.diag([2.0, 1.0])], ["A", "A"])
+    with pytest.raises(ValueError, match="one label per member"):
+        MatrixFamily(labels=("A",), stack=np.stack([np.eye(2), np.eye(2)]))
+    with pytest.raises(ValueError, match="non-finite"):
+        MatrixFamily.from_matrices([np.eye(2), np.diag([np.nan, 1.0])])
+
+
+def test_family_names_its_first_singular_member():
+    # the batched check reports the first failing member, by label
+    mats = [np.eye(2), np.diag([1.0, 1e-13]), np.zeros((2, 2))]
+    with pytest.raises(SingularMatrixError, match=r"= 1\.000e-13\) \[B\]"):
+        MatrixFamily.from_matrices(mats, ["A", "B", "C"])
+
+
+def test_family_copies_the_callers_arrays():
+    # the family owns a read-only copy: the caller's arrays stay writeable,
+    # and a later write to one of them does not reach the family
+    M = np.diag([2.0, 1.0])
+    stack = np.stack([np.eye(2), M])
+    fam = MatrixFamily.from_matrices([M])
+    direct = MatrixFamily(labels=("I", "M"), stack=stack)
+    M[0, 0] = 3.0
+    stack[1, 0, 0] = 3.0
+    assert fam.stack[0, 0, 0] == 2.0 and direct.stack[1, 0, 0] == 2.0
+    assert not fam.stack.flags.writeable and not direct.stack.flags.writeable
+    assert M.flags.writeable and stack.flags.writeable
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_family_arrays_match_per_member_construction(dim):
+    rng = np.random.default_rng(60 + dim)
+    mats = [random_invertible(dim, rng) for _ in range(5)]
+    fam = MatrixFamily.from_matrices(mats, [f"X{j}" for j in range(5)])
+    want = family_arrays_oracle(mats, 1e-3, seed=7, copies=3)
+    assert np.array_equal(fam.stack, want["stack"])
+    inverse = fam.inverse()
+    assert np.array_equal(inverse.stack, want["inverse"])
+    assert inverse.labels == tuple(f"X{j}^-1" for j in range(5))
+    assert sorted(fam.compound_banks) == sorted(want["banks"])
+    for k, bank in fam.compound_banks.items():
+        assert np.array_equal(bank, want["banks"][k])
+    perturbed = words.perturb_family(fam, 1e-3, seed=7, copies=3)
+    assert np.array_equal(perturbed.stack, want["perturbed"])
+    assert perturbed.labels[:4] == ("X0~0", "X0~1", "X0~2", "X1~0")
+    once = words.perturb_family(fam, 1e-3, seed=7)
+    assert np.array_equal(once.stack, family_arrays_oracle(mats, 1e-3, seed=7, copies=1)["perturbed"])
+    assert once.labels[0] == "X0~"
 
 
 def test_compound_matrix_multiplicativity():
@@ -59,9 +109,8 @@ def test_compound_banks_built_once_per_family():
     fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
     banks = fam.compound_banks
     assert fam.compound_banks is banks and sorted(banks) == [1, 2, 3, 4]
-    for k, bank in banks.items():
+    for bank in banks.values():
         assert not bank.flags.writeable
-        assert np.array_equal(bank, np.stack([words.compound_matrix(M, k) for M in fam.matrices]))
 
 
 def test_log_singular_values_match_direct_svd():
@@ -120,7 +169,7 @@ def test_enumerate_gaps_matches_brute_force():
     fam = scaled_rotation_pair()
     report = words.enumerate_gaps(fam, 1, SearchConfig(max_len=6, budget=1000))
     for stat in report.per_length:
-        expected, _ = brute_force_max_log_gap(list(fam.matrices), 1, stat.length)
+        expected, _ = brute_force_max_log_gap(list(fam.stack), 1, stat.length)
         assert stat.max_log_ratio == pytest.approx(expected, abs=1e-10)
     # the alternating word has gap ratio 1 at length 4: (RA)^2 is scalar
     assert report.per_length[3].max_log_ratio == pytest.approx(0.0, abs=1e-12)
@@ -299,7 +348,7 @@ def test_verdict_stable_under_conjugation():
     base = MatrixFamily.from_matrices(
         [np.diag([3.0, 1.5, 0.5]), np.diag([2.5, 1.0, 0.4])], ["A", "B"]
     )
-    conj = MatrixFamily.from_matrices([N @ M @ Ninv for M in base.matrices], ["A", "B"])
+    conj = MatrixFamily.from_matrices([N @ M @ Ninv for M in base.stack], ["A", "B"])
     cfg = SearchConfig(max_len=12, budget=10_000)
     r1 = words.is_dominated(base, 1, cfg)
     r2 = words.is_dominated(conj, 1, cfg)
@@ -339,20 +388,10 @@ def test_report_csv_columns(diag21):
     assert len(rows) == 5
 
 
-def test_lyapunov_estimates_diagonal():
-    fam = MatrixFamily.from_matrices([np.diag([4.0, 2.0, 1.0])], ["A"])
-    single = words.lyapunov_estimates(fam, (0,))
-    assert single == pytest.approx([math.log(4.0), math.log(2.0), 0.0])
-    repeated = words.lyapunov_estimates(fam, (0,) * 10)
-    assert repeated == pytest.approx(single, abs=1e-12)
-    assert list(repeated) == sorted(repeated, reverse=True)
-
-
 def test_perturb_family_deterministic():
     fam = scaled_rotation_pair()
     a = words.perturb_family(fam, 1e-3, seed=5)
     b = words.perturb_family(fam, 1e-3, seed=5)
-    for (_, Ma), (_, Mb) in zip(a.members, b.members):
-        assert np.array_equal(Ma, Mb)
+    assert np.array_equal(a.stack, b.stack)
     c = words.perturb_family(fam, 1e-3, seed=5, copies=3)
     assert c.size == fam.size * 3
