@@ -108,31 +108,18 @@ class SkewnessMargin(NamedTuple):
     min_parallelism_defect: float
 
 
-def skewness_margin(grid_n: int, noise: float = 0.0, rng_seed: int = 0) -> SkewnessMargin:
+def skewness_margin(grid_n: int) -> SkewnessMargin:
     """Minimum inter-line distance and direction cross-product norm on a grid.
 
     Both positive certifies (at grid resolution) that every line of the
-    first family is skew to every line of the second.  Optional uniform
-    noise on the base points probes robustness.
+    first family is skew to every line of the second.
     """
     if grid_n < 2:
         raise ValueError("grid_n must be at least 2")
     lo, hi = CURVE_DOMAIN
     ts = np.linspace(lo - DOMAIN_EXTENSION, hi + DOMAIN_EXTENSION, grid_n)
-    first = [line(FIRST, t) for t in ts]
-    second = [line(SECOND, t) for t in ts]
-    if noise > 0.0:
-        rng = np.random.default_rng(rng_seed)
-        first = [
-            LineSample(s.base + rng.uniform(-noise, noise, 3), s.direction) for s in first
-        ]
-        second = [
-            LineSample(s.base + rng.uniform(-noise, noise, 3), s.direction) for s in second
-        ]
-    b1 = np.stack([s.base for s in first])
-    d1 = np.stack([s.direction for s in first])
-    b2 = np.stack([s.base for s in second])
-    d2 = np.stack([s.direction for s in second])
+    b1, d1 = line(FIRST, ts)
+    b2, d2 = line(SECOND, ts)
     cross = np.cross(d1[:, None, :], d2[None, :, :])
     cross_norm = np.linalg.norm(cross, axis=-1)
     delta = b2[None, :, :] - b1[:, None, :]
@@ -247,6 +234,11 @@ PERTURBATION_SEED = 11
 LAMBDA_SCAN = (2.0, 4.0, 8.0, 16.0, 32.0)
 # lines per family in the skewness check
 SKEW_GRID = 101
+# gap search of each side's domination verdict
+SEARCH = SearchConfig(max_len=8, budget=300_000, beam_width=256)
+# curve points per curve, and ruling heights per line, of the figure exports
+CSV_CURVE_POINTS = 256
+CSV_RULING_HEIGHTS = 9
 
 
 @dataclass(frozen=True)
@@ -254,9 +246,6 @@ class ExampleConfig:
     """Pipeline knobs; the fixed ones are the module constants above."""
 
     grid_n: int = 64
-    search: SearchConfig = field(
-        default_factory=lambda: SearchConfig(max_len=8, budget=300_000, beam_width=256)
-    )
     attractor_words: int = 192
     run_perturbed: bool = True
 
@@ -377,7 +366,7 @@ def _run_side(
     expected_axis: tuple[str, ...],
     cfg: ExampleConfig,
 ) -> SideResult:
-    report = words.is_dominated(family, 2, cfg.search)
+    report = words.is_dominated(family, 2, SEARCH)
     # every later outcome is this failure with more stages filled in
     failed = SideResult(
         verdict=report.verdict.kind,
@@ -469,13 +458,11 @@ def verify_example(*, lam: float | None = None, config: ExampleConfig | None = N
 
     scan_values = LAMBDA_SCAN if lam is None else (lam,)
     scan_entries = []
-    selected = None
-    fine_families: dict[float, MatrixFamily] = {}
+    selected = fine_family = None
     for lam_value in scan_values:
-        fine_family = curve_family(lam_value, fine_n)
-        fine_families[float(lam_value)] = fine_family
-        ok_u, margin_u = strictly_invariant(fine_family, hood_first)
-        ok_s, margin_s = strictly_invariant(fine_family.inverse(), hood_second)
+        scanned = curve_family(lam_value, fine_n)
+        ok_u, margin_u = strictly_invariant(scanned, hood_first)
+        ok_s, margin_s = strictly_invariant(scanned.inverse(), hood_second)
         passed = ok_u and ok_s
         scan_entries.append(
             LambdaScanEntry(
@@ -486,7 +473,7 @@ def verify_example(*, lam: float | None = None, config: ExampleConfig | None = N
             )
         )
         if passed and selected is None:
-            selected = float(lam_value)
+            selected, fine_family = float(lam_value), scanned
 
     scan_failed = ExampleReport(
         grid_n=cfg.grid_n,
@@ -505,78 +492,44 @@ def verify_example(*, lam: float | None = None, config: ExampleConfig | None = N
         return scan_failed
 
     family = curve_family(selected, cfg.grid_n)
-    fine_family = fine_families[selected]
-    unstable = _run_side(
-        family, fine_family, first_planes, second_planes, ("a", "c"), cfg
-    )
-    stable = _run_side(
-        family.inverse(), fine_family.inverse(), second_planes, first_planes, ("b", "d"), cfg
-    )
-
-    perturbed_unstable = perturbed_stable = None
+    runs = {"": (family, fine_family)}
     if cfg.run_perturbed:
-        perturbed = words.perturb_family(family, PERTURBATION_NOISE, PERTURBATION_SEED)
-        fine_perturbed = words.perturb_family(fine_family, PERTURBATION_NOISE, PERTURBATION_SEED)
-        perturbed_unstable = _run_side(
-            perturbed, fine_perturbed, first_planes, second_planes, ("a", "c"), cfg
+        runs["perturbed_"] = tuple(
+            words.perturb_family(f, PERTURBATION_NOISE, PERTURBATION_SEED) for f in (family, fine_family)
         )
-        perturbed_stable = _run_side(
-            perturbed.inverse(),
-            fine_perturbed.inverse(),
-            second_planes,
-            first_planes,
-            ("b", "d"),
-            cfg,
+    sides: dict[str, SideResult] = {}
+    for prefix, (coarse, fine) in runs.items():
+        sides[prefix + "unstable"] = _run_side(coarse, fine, first_planes, second_planes, ("a", "c"), cfg)
+        sides[prefix + "stable"] = _run_side(
+            coarse.inverse(), fine.inverse(), second_planes, first_planes, ("b", "d"), cfg
         )
 
-    sides = [unstable, stable] + (
-        [perturbed_unstable, perturbed_stable] if cfg.run_perturbed else []
-    )
-    passed = skew.min_distance > 0 and skew.min_parallelism_defect > 0 and all(
-        s.passed for s in sides
-    )
-    failing = None
-    if not passed:
-        for name, s in zip(
-            ("unstable", "stable", "perturbed_unstable", "perturbed_stable"), sides
-        ):
-            if not s.passed:
-                failing = f"{name}: {s.failing_stage}"
-                break
-        if failing is None:
-            failing = "skewness"
-    return replace(
-        scan_failed,
-        lam=selected,
-        unstable=unstable,
-        stable=stable,
-        perturbed_unstable=perturbed_unstable,
-        perturbed_stable=perturbed_stable,
-        passed=passed,
-        failing_stage=failing,
-    )
+    # the first failing side, in report order, names the failure
+    failures = [f"{name}: {s.failing_stage}" for name, s in sides.items() if not s.passed]
+    passed = skew.min_distance > 0 and skew.min_parallelism_defect > 0 and not failures
+    failing = None if passed else (failures[0] if failures else "skewness")
+    return replace(scan_failed, lam=selected, **sides, passed=passed, failing_stage=failing)
 
 
-def curve_csv_rows(grid_n: int = 256) -> list[list[str]]:
+def curve_csv_rows() -> list[list[str]]:
     """Curve traces for figure reproduction."""
     rows = [["which", "t", "x", "y", "z"]]
+    ts = np.linspace(*CURVE_DOMAIN, CSV_CURVE_POINTS)
     for which in (FIRST, SECOND):
-        for t in np.linspace(*CURVE_DOMAIN, grid_n):
-            p = gamma(which, float(t))
-            rows.append([which, repr(float(t))] + [repr(float(v)) for v in p])
+        for t, p in zip(ts.tolist(), gamma(which, ts).tolist()):
+            rows.append([which, repr(t)] + [repr(v) for v in p])
     return rows
 
 
-def ruled_surface_csv_rows(grid_n: int = 64, heights: int = 9) -> list[list[str]]:
+def ruled_surface_csv_rows(grid_n: int) -> list[list[str]]:
     """Point cloud of both ruled surfaces for figure reproduction."""
     rows = [["which", "t", "s", "x", "y", "z"]]
-    hs = np.linspace(-1.0, 1.0, heights)
+    hs = np.linspace(-1.0, 1.0, CSV_RULING_HEIGHTS)
+    ts = parameter_grid(grid_n)
     for which in (FIRST, SECOND):
-        for t in parameter_grid(grid_n):
-            sample = line(which, float(t))
-            for h in hs:
-                p = sample.base + h * sample.direction
-                rows.append(
-                    [which, repr(float(t)), repr(float(h))] + [repr(float(v)) for v in p]
-                )
+        base, direction = line(which, ts)
+        points = base[:, None, :] + hs[:, None] * direction[:, None, :]
+        for t, ruling in zip(ts.tolist(), points.tolist()):
+            for h, p in zip(hs.tolist(), ruling):
+                rows.append([which, repr(t), repr(h)] + [repr(v) for v in p])
     return rows

@@ -81,11 +81,6 @@ class Plane:
     def dim(self) -> int:
         return self.frame.shape[1]
 
-    @property
-    def canonical(self) -> np.ndarray:
-        """Projection-matrix representative (symmetric, idempotent, trace = dim)."""
-        return self.frame @ self.frame.T
-
     @classmethod
     def from_spanning(cls, vectors) -> "Plane":
         """Orthonormalize a spanning set (columns) into a Plane.

@@ -114,9 +114,6 @@ class SingularSpectrum:
     left: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right.T
-
 
 def singular_spectrum(matrix) -> SingularSpectrum:
     M = as_square(matrix)

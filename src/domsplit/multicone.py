@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import linalg, words
 from .errors import DominationGateError, MulticoneConstructionError, NumericalError
@@ -341,6 +339,8 @@ def attractor(
     """
     if word_len < 1:
         raise ValueError("word_len must be positive")
+    if word_count < 1:
+        raise ValueError(f"word_count must be at least 1, got {word_count}")
     rng = np.random.default_rng(rng_seed)
     first = np.arange(word_count) % family.size
     rest = rng.integers(family.size, size=(word_count, word_len - 1))
@@ -421,17 +421,12 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
 def _components_at(merges: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
     """Components of the points joined by the merges of height <= link_radius,
     ordered by smallest member, members ascending."""
-    n = len(merges) + 1
-    k = int(np.searchsorted(merges[:, 2], link_radius, side="right"))
-    # merge m creates tree node n + m, linked to the two nodes it joins; the
-    # points reachable from one another through these links form a component
-    children = merges[:k, :2].astype(np.intp).ravel()
-    parents = np.repeat(n + np.arange(k), 2)
-    graph = coo_matrix((np.ones(2 * k), (children, parents)), shape=(n + k, n + k))
-    _, labels = connected_components(graph, directed=False)
+    if not len(merges):  # one point; fcluster rejects an empty tree
+        return ((0,),)
+    labels = fcluster(merges, link_radius, criterion="distance")
     groups: dict[int, list[int]] = {}
     # points in ascending order: each component first appears at its smallest
-    for a, label in enumerate(labels[:n].tolist()):
+    for a, label in enumerate(labels.tolist()):
         groups.setdefault(label, []).append(a)
     return tuple(tuple(g) for g in groups.values())
 

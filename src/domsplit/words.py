@@ -451,6 +451,8 @@ class _GapSearch:
             raise ValueError(f"budget ({budget}) is below the family size ({m})")
         if max_len < 2:
             raise ValueError("max_len must be at least 2")
+        if cfg.beam_width < 1:
+            raise ValueError(f"beam_width must be at least 1, got {cfg.beam_width}")
 
         words = np.zeros((1, 0), dtype=np.int32)
         mats = {k: np.eye(self.bank[k].shape[1])[None].copy() for k in self.ks}

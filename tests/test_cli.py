@@ -88,6 +88,21 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("check", "--beam", "0", "beam_width must be at least 1, got 0"),
+        ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
+        ("multicone", "--words", "0", "word_count must be at least 1, got 0"),
+    ],
+)
+def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, flag, value, message):
+    # a bad flag is a usage error, not a verdict or a failed stage
+    code = cli.main([command, str(diag_spec), "--index", "1", flag, value, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+
+
 def test_spec_requires_exactly_one_source(tmp_path):
     both = tmp_path / "both.json"
     both.write_text(json.dumps({"dim": 2, "matrices": [], "generator": {"kind": "example4d"}}))

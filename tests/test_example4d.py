@@ -96,12 +96,6 @@ def test_skewness_margin_monotone_refinement():
     assert finest > 0.9 * coarse
 
 
-def test_skewness_margin_survives_noise():
-    noisy = ex.skewness_margin(101, noise=1e-3, rng_seed=7)
-    assert noisy.min_distance > 0
-    assert noisy.min_parallelism_defect > 0
-
-
 def test_axis_plane_lift():
     P = ex.axis_plane()
     assert np.allclose(P.frame.T @ P.frame, np.eye(2))
@@ -225,8 +219,9 @@ def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
         raise error
 
     monkeypatch.setattr(ex, "build_multicone", failing_build)
+    monkeypatch.setattr(ex, "SEARCH", ex.SearchConfig(max_len=6, budget=20_000, beam_width=64))
     fam = ex.curve_family(32.0, 8)
-    cfg = ex.ExampleConfig(search=ex.SearchConfig(max_len=6, budget=20_000, beam_width=64))
+    cfg = ex.ExampleConfig()
     if reported:
         side = ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
         assert not side.passed
@@ -234,6 +229,37 @@ def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
     else:
         with pytest.raises(ValueError, match="bad plane"):
             ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
+
+
+@pytest.mark.parametrize(
+    "side_passes, skew_ok, stage",
+    [
+        ((True, True, True, True), True, None),
+        ((True, True, True, True), False, "skewness"),
+        ((False, True, True, True), True, "unstable: stage0"),
+        ((True, False, False, True), True, "stable: stage1"),
+        ((True, True, False, False), False, "perturbed_unstable: stage2"),
+        ((True, True, True, False), True, "perturbed_stable: stage3"),
+    ],
+)
+def test_failing_stage_names_first_failing_side(monkeypatch, side_passes, skew_ok, stage):
+    # the first failing side in report order is named; the skewness check
+    # is named only when every side passed
+    calls = iter(enumerate(side_passes))
+
+    def fake_side(*args, **kwargs):
+        k, passed = next(calls)
+        return ex.SideResult("dominated", -1.0, 0.0, None, None, passed, None if passed else f"stage{k}")
+
+    monkeypatch.setattr(ex, "_run_side", fake_side)
+    monkeypatch.setattr(ex, "skewness_margin", lambda grid_n: ex.SkewnessMargin(float(skew_ok), 1.0))
+    # a grid this coarse fails the invariance scan, which is not under test
+    monkeypatch.setattr(ex, "strictly_invariant", lambda family, cone: (True, 1.0))
+    report = ex.verify_example(lam=16.0, config=ex.ExampleConfig(grid_n=8))
+    assert report.lam == 16.0
+    assert next(calls, None) is None  # all four sides ran
+    assert report.failing_stage == stage
+    assert report.passed == (stage is None)
 
 
 def test_report_json_round_trip_small():
@@ -245,11 +271,11 @@ def test_report_json_round_trip_small():
 
 
 def test_csv_exports_have_rows():
-    rows = ex.curve_csv_rows(16)
+    rows = ex.curve_csv_rows()
     assert rows[0] == ["which", "t", "x", "y", "z"]
-    assert len(rows) == 1 + 2 * 16
-    rows = ex.ruled_surface_csv_rows(8, heights=3)
-    assert len(rows) == 1 + 2 * 8 * 3
+    assert len(rows) == 1 + 2 * ex.CSV_CURVE_POINTS
+    rows = ex.ruled_surface_csv_rows(8)
+    assert len(rows) == 1 + 2 * 8 * ex.CSV_RULING_HEIGHTS
 
 
 def test_invariance_margin_monotone_in_lambda():

@@ -29,7 +29,7 @@ def e(i, d=4):
 def test_plane_invariants():
     P = Plane.span(e(0), e(1))
     assert P.dim == 2 and P.ambient_dim == 4
-    C = P.canonical
+    C = P.frame @ P.frame.T  # the projection-matrix representative
     assert np.allclose(C, C.T, atol=1e-12)
     assert np.allclose(C @ C, C, atol=1e-10)
     assert np.trace(C) == pytest.approx(2.0)

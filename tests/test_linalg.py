@@ -34,7 +34,8 @@ def test_singular_spectrum_reconstruction_and_frames():
     for _ in range(20):
         M = random_invertible(4, rng)
         spec = linalg.singular_spectrum(M)
-        assert np.max(np.abs(spec.reconstruct() - M)) <= 1e-10 * np.max(np.abs(M))
+        U, s, V = spec.left, spec.values, spec.right
+        assert np.max(np.abs((U * s) @ V.T - M)) <= 1e-10 * np.max(np.abs(M))
         for F in (spec.left, spec.right):
             assert np.max(np.abs(F.T @ F - np.eye(4))) < 1e-12
 

@@ -267,6 +267,8 @@ def test_attractor_single_diagonal(diag21):
     assert len(out.points) == 8
     for p in out.points:
         assert grass_distance(p, direction(0.0)) < 1e-12
+    with pytest.raises(ValueError, match="word_count must be at least 1, got 0"):
+        attractor(diag21, 1, word_len=5, word_count=0)
 
 
 def test_attractor_conjugated_diagonal():

@@ -188,6 +188,10 @@ def test_enumerate_gaps_budget_validation():
         words.enumerate_gaps(fam, 1, SearchConfig(max_len=0, budget=100))
     with pytest.raises(ValueError):
         words.enumerate_gaps(fam, 1, SearchConfig(max_len=4, budget=0))
+    # a beam must keep at least one word
+    for width in (0, -3):
+        with pytest.raises(ValueError, match=f"beam_width must be at least 1, got {width}"):
+            words.enumerate_gaps(fam, 1, SearchConfig(max_len=4, budget=100, beam_width=width))
 
 
 def test_beam_marks_inexact_lengths():
