@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import inspect
 import io
 import json
 import os
@@ -156,11 +155,7 @@ def cmd_multicone(args) -> int:
             print(f"  epsilon={eps:.6g} components={count}", file=sys.stderr)
         return EXIT_NOT_DOMINATED
     out = Path(args.out)
-    audit = multicone.semiconvexity_audit(
-        mc,
-        [example4d.axis_plane()] if family.dim == 4 else [],
-        arc_resolution=args.arc_resolution,
-    )
+    audit = multicone.semiconvexity_audit(mc, [example4d.axis_plane()] if family.dim == 4 else [])
     payload = mc.to_json_dict()
     payload["semiconvexity_audit"] = [
         {"line_frame": line.frame.tolist(), "arc_count": count} for line, count in audit
@@ -177,9 +172,14 @@ def cmd_multicone(args) -> int:
 
 def cmd_splitting(args) -> int:
     family = load_family_spec(args.input)
+    for flag, value in (("--past-len", args.past_len), ("--future-len", args.future_len)):
+        if value is not None and value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
     rng = np.random.default_rng(args.word_seed)
-    past_len = args.past_len or splitting.default_window_length(family, args.index, args.word_seed)
-    future_len = args.future_len or past_len
+    past_len = args.past_len
+    if past_len is None:
+        past_len = splitting.default_window_length(family, args.index, args.word_seed)
+    future_len = past_len if args.future_len is None else args.future_len
     past = tuple(int(j) for j in rng.integers(family.size, size=past_len))
     future = tuple(int(j) for j in rng.integers(family.size, size=future_len))
     estimate = splitting.splitting_from_window(family, past, future, args.index)
@@ -198,8 +198,6 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_example4d(args) -> int:
-    if args.grid < 8:
-        print(f"warning: grid {args.grid} badly under-samples the curves", file=sys.stderr)
     config = example4d.ExampleConfig(
         grid_n=args.grid,
         run_perturbed=not args.skip_perturbed,
@@ -241,16 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
-    # the attractor and audit settings, with the library's defaults
+    # the attractor settings, with the library's defaults
     attractor = multicone.MulticoneConfig()
-    audit = inspect.signature(multicone.semiconvexity_audit).parameters
     p = sub.add_parser("multicone", parents=[search], help="build a strictly invariant multicone")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--word-len", type=int, default=attractor.attractor_word_len)
     p.add_argument("--words", type=int, default=attractor.attractor_words)
     p.add_argument("--seed", type=int, default=attractor.attractor_rng_seed)
-    p.add_argument("--arc-resolution", type=int, default=audit["arc_resolution"].default)
     p.add_argument("--override-domination-gate", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_multicone)

@@ -224,9 +224,6 @@ def curve_family(lam: float, samples: int) -> MatrixFamily:
 REFINE_FACTOR = 3
 # neighborhood radius as a share of that transversality angle
 NEIGHBORHOOD_FRACTION = 0.6
-# directions per plane and cells of the axis circle in the semiconvexity trace
-PROJECTION_RESOLUTION = 64
-ARC_RESOLUTION = 180
 # entrywise noise and seed of the perturbed rerun
 PERTURBATION_NOISE = 1e-3
 PERTURBATION_SEED = 11
@@ -334,8 +331,16 @@ def _angle_in_arcs(angle: float, arcs) -> bool:
 
 
 def _trace_summary(component_sample: ConeSample, expected: tuple[str, ...]) -> TraceSummary:
-    directions = projectivize(component_sample, PROJECTION_RESOLUTION)
-    arcs = line_trace(axis_plane(), directions, ARC_RESOLUTION)
+    """Where a multicone component meets the lifted x-axis plane, and which
+    lifted axis points it holds.
+
+    The arcs are exact: the union over the component's balls of the
+    closed-form arcs of ``projectivize``, merged by ``line_trace`` (angles in
+    [0, pi), an arc across 0 ends past pi).  ``occupancy_ok`` asks that the
+    occupied axis points be exactly ``expected``, and ``interleaving_ok``
+    that occupied and free points alternate around the circle.
+    """
+    arcs = line_trace(projectivize(component_sample, axis_plane()))
     pts = []
     ok = True
     for name, point in _AXIS_POINTS:

@@ -5,7 +5,12 @@ principal angle, which is a true metric on G(i, d).  All-pairs distances
 run on the narrower of a plane and its orthogonal complement, whose
 nonzero principal angles are the same.  One- and two-column frames use
 closed forms, and wider ones one small SVD per pair.
-Cone-like sets are finite (n, d, i) frame stacks plus a radius.
+Cone-like sets are finite (n, d, i) frame stacks plus a radius.  A cone
+meets the projective line P(W) of a 2-plane W exactly where some center C
+has ``|C^T v| >= cos r``: one closed-form arc per center (``projectivize``),
+merged around the circle by ``line_trace``.  Arcs are (start, end) angles
+with start in [0, pi); an arc across 0 ends past pi, and the whole circle is
+``[(0, pi)]``.
 """
 
 from __future__ import annotations
@@ -415,18 +420,6 @@ def transverse(first, second):
     return margin > TRANSVERSALITY_TOL, margin
 
 
-def sphere_sample(dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy sample of the unit sphere in R^dim."""
-    if dim == 1:
-        return np.ones((1, 1))
-    seq = qmc.Halton(d=dim, scramble=False)
-    seq.fast_forward(1)  # skip the all-zeros first point
-    raw = ndtri(seq.random(count))
-    # no row is zero: the base-3 Halton coordinate is never 1/2, so its
-    # ndtri is never 0
-    return raw / np.linalg.norm(raw, axis=1)[:, None]
-
-
 @lru_cache(maxsize=64)
 def reference_frames(ambient_dim: int, dim: int, count: int) -> np.ndarray:
     """Deterministic low-discrepancy sample of G(dim, ambient_dim), as a
@@ -442,83 +435,56 @@ def reference_frames(ambient_dim: int, dim: int, count: int) -> np.ndarray:
     return stack
 
 
-def projectivize(cone: ConeSample, resolution: int = 64) -> ConeSample:
-    """Directions contained in some plane of the cone, as a sample in G(1, d).
+def projectivize(cone: ConeSample, line) -> np.ndarray:
+    """The arcs of the projective line P(line) that the cone's balls meet, as
+    a (k, 2) array of (start, end) angles, one row per ball that meets it.
 
-    Each plane's unit sphere is sampled deterministically (a uniform angular
-    grid for 2-planes, a low-discrepancy sphere sample above).  The radius is
-    carried over unchanged: a G(i, d) ball of radius eps around a plane
-    contains, in directions, at least the eps-ball around each of its
-    directions.
+    A direction v lies in some plane within ``cone.radius`` = r of a center
+    C exactly when its angle to C is at most r, that is ``|C^T v| >= cos r``.
+    With W the line's frame and v = W u, u = (cos t, sin t), this reads
+    ``u^T Q u >= cos^2 r`` for the 2x2 ``Q = W^T C C^T W``, whose solutions
+    form one arc centered on Q's top eigenvector, of half-width h with
+    ``sin^2 h = (mu_1 - cos^2 r) / (mu_1 - mu_2)``: the whole circle when
+    ``mu_2 >= cos^2 r``, nothing when ``mu_1 < cos^2 r``.  Q is taken as
+    ``I - R`` with R the Gram matrix of W's residual off C, which keeps full
+    precision for nearly contained directions.  Angles follow ``line_trace``.
     """
-    if resolution < 1:
-        raise ValueError("resolution must be positive")
-    if not len(cone.frames):
-        return ConeSample(1, (), cone.radius)
-    i = cone.grass_index
-    if i == 1:
-        coeffs = np.ones((1, 1))
-    elif i == 2:
-        theta = np.arange(resolution) * math.pi / resolution
-        coeffs = np.column_stack([np.cos(theta), np.sin(theta)])
-    else:
-        coeffs = sphere_sample(i, resolution)
-    # one product per plane; the directions of plane 0 come first
-    vecs = np.stack([frame @ coeffs.T for frame in cone.frames])
-    directions = np.swapaxes(vecs, 1, 2).reshape(-1, vecs.shape[1], 1)
-    return ConeSample(1, _canonical_signs(directions), cone.radius)
+    W = _frames_of(line)
+    if W.ndim != 2 or W.shape[1] != 2:
+        raise ValueError(f"the line must be a 2-plane, got a frame of shape {W.shape}")
+    C = cone.frames
+    if not len(C):
+        return np.empty((0, 2))
+    if C.shape[1] != W.shape[0]:
+        raise ValueError("cone and line must share the ambient dimension")
+    residual = W - C @ (np.swapaxes(C, 1, 2) @ W)
+    off, vecs = np.linalg.eigh(np.swapaxes(residual, 1, 2) @ residual)  # 1 - mu, ascending
+    sin2 = math.sin(min(cone.radius, math.pi / 2)) ** 2
+    full = off[:, 1] <= sin2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.clip((sin2 - off[:, 0]) / (off[:, 1] - off[:, 0]), 0.0, 1.0)
+    half = np.where(full, math.pi / 2, np.arcsin(np.sqrt(ratio)))
+    start = np.where(full, 0.0, (np.arctan2(vecs[:, 1, 0], vecs[:, 0, 0]) - half) % math.pi)
+    return np.column_stack([start, start + 2.0 * half])[off[:, 0] <= sin2]
 
 
-# a cell of ``line_trace`` is occupied by directions within this many cell
-# widths of its center direction
-OCCUPANCY_CELLS = 2.0
+def line_trace(arcs) -> list[tuple[float, float]]:
+    """The maximal arcs of the union of arcs of a projective line.
 
-
-def line_trace(line: Plane, directions: ConeSample, arc_resolution: int = 180) -> list[tuple[float, float]]:
-    """Arcs of the projective line P(line) hit by a sample of directions.
-
-    The circle P(line) is parametrized by angle in [0, pi).  A cell is
-    occupied iff some sampled direction is within OCCUPANCY_CELLS cell
-    widths of the cell-center direction; maximal occupied runs are merged
-    circularly and returned as (start, end) angle intervals.
+    P(line) is parametrized by angle in [0, pi); an arc is (start, end) with
+    start in [0, pi) and end - start <= pi, so an arc across 0 ends past pi.
+    Arcs that overlap or touch are merged, also across 0, and the result is
+    sorted by start; a union that covers the circle is ``[(0, pi)]``.
     """
-    if line.dim != 2:
-        raise ValueError("line_trace requires a 2-plane")
-    if directions.grass_index != 1:
-        raise ValueError("line_trace requires a sample of directions (G(1, d))")
-    if arc_resolution < 4:
-        raise ValueError("arc_resolution must be at least 4")
-    if not len(directions.frames):
-        return []
-    if directions.ambient_dim != line.ambient_dim:
-        raise ValueError("directions and line must share the ambient dimension")
-
-    cell = math.pi / arc_resolution
-    tol = OCCUPANCY_CELLS * cell
-    coords = directions.frames[:, :, 0] @ line.frame
-    centers = (np.arange(arc_resolution) + 0.5) * cell
-    dots = np.abs(
-        np.outer(coords[:, 0], np.cos(centers)) + np.outer(coords[:, 1], np.sin(centers))
-    )
-    occupied = (dots >= math.cos(min(tol, math.pi / 2))).any(axis=0)
-
-    if not occupied.any():
-        return []
-    if occupied.all():
-        return [(0.0, math.pi)]
-
-    # maximal circular runs of occupied cells; scan from an unoccupied cell
-    # so no run is split by the wrap-around.  A wrapped arc has end > pi.
-    n = arc_resolution
-    start = int(np.argmin(occupied))
-    arcs = []
-    idx = 0
-    while idx < n:
-        if occupied[(start + idx) % n]:
-            first = idx
-            while idx < n and occupied[(start + idx) % n]:
-                idx += 1
-            arcs.append(((start + first) % n, idx - first))
+    merged: list[list[float]] = []
+    for start, end in sorted(np.asarray(arcs, dtype=float).reshape(-1, 2).tolist()):
+        if merged and start <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], end)
         else:
-            idx += 1
-    return sorted((c * cell, (c + length) * cell) for c, length in arcs)
+            merged.append([start, end])
+    # only the last arc can end past pi, over the first ones
+    while len(merged) > 1 and merged[-1][1] - math.pi >= merged[0][0]:
+        merged[-1][1] = max(merged[-1][1], merged.pop(0)[1] + math.pi)
+    if any(end - start >= math.pi for start, end in merged):
+        return [(0.0, math.pi)]
+    return [(start, end) for start, end in merged]

@@ -164,6 +164,12 @@ def conorm(matrix) -> float:
     return float(singular_values(M)[-1])
 
 
+def check_index(index: int, d: int) -> None:
+    """Raise unless ``index`` splits R^d into two nonzero parts (1..d-1)."""
+    if not 1 <= index <= d - 1:
+        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+
+
 def gap_ratio(matrix, index: int) -> float:
     """Ratio ``sigma_{index+1} / sigma_index`` with 1-based ``index`` in ``1..d-1``.
 
@@ -171,9 +177,7 @@ def gap_ratio(matrix, index: int) -> float:
     all products of a family is the gap-based domination criterion.
     """
     s = singular_values(matrix)
-    d = len(s)
-    if not 1 <= index <= d - 1:
-        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+    check_index(index, len(s))
     if s[index - 1] <= 0.0:
         raise NumericalError(f"sigma_{index} is zero; gap ratio undefined")
     return float(s[index] / s[index - 1])

@@ -337,6 +337,7 @@ def attractor(
     warnings.  The stable counterpart is this function on the inverse
     family with index ``d - index``.
     """
+    linalg.check_index(index, family.dim)
     if word_len < 1:
         raise ValueError("word_len must be positive")
     if word_count < 1:
@@ -553,18 +554,20 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     )
 
 
-def semiconvexity_audit(mc: Multicone, lines, arc_resolution: int = 180) -> list[tuple[Plane, int]]:
-    """Arc counts of each component's projectivization on candidate lines.
+def semiconvexity_audit(mc: Multicone, lines) -> list[tuple[Plane, int]]:
+    """Arc counts of each component's trace on candidate lines.
 
+    A component meets P(line) exactly in ``line_trace(projectivize(component,
+    line))``: the union of the closed-form arcs cut out by its balls, angles
+    in [0, pi) and an arc across 0 ending past pi (see ``grassmann``).
     Returns, per line, the worst (largest) arc count over the components;
-    any count above 1 is a witness that the component fails semiconvexity
-    on that line.
+    any count above 1 is a witness that the component fails semiconvexity on
+    that line.
     """
     out = []
     for line in lines:
         worst = 0
         for which in range(len(mc.components)):
-            sample = projectivize(mc.component_cone(which))
-            worst = max(worst, len(line_trace(line, sample, arc_resolution)))
+            worst = max(worst, len(line_trace(projectivize(mc.component_cone(which), line))))
         out.append((line, worst))
     return out

@@ -76,6 +76,7 @@ def splitting_from_window(family: MatrixFamily, past, future, index: int) -> Spl
     The convergence indicator compares against estimates from windows
     shortened by one symbol at their far ends (NaN for length-1 windows).
     """
+    linalg.check_index(index, family.dim)
     past = words._validate_word(family, past)
     future = words._validate_word(family, future)
     contracting = _contracting_from(family, future, index)
@@ -105,9 +106,7 @@ def default_window_length(family: MatrixFamily, index: int, seed: int = 0) -> in
     Capped at WINDOW_CAP; the convergence of the singular frames is geometric
     so this is far past saturation in double precision.
     """
-    d = family.dim
-    if not 1 <= index <= d - 1:
-        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+    linalg.check_index(index, family.dim)
     # one walk over the capped word gives the gap ratio of every prefix
     word = np.random.default_rng(seed).integers(family.size, size=WINDOW_CAP)
     logs = words.log_singular_value_prefixes(family, word)[1:]
@@ -245,8 +244,7 @@ def angle_decay_check(family: MatrixFamily, word, index: int) -> list[AngleBound
     if len(w) < 2:
         raise ValueError("word must have length at least 2")
     d = family.dim
-    if not 1 <= index <= d - 1:
-        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+    linalg.check_index(index, d)
     max_norm = float(np.linalg.svd(family.stack, compute_uv=False)[:, 0].max())
     log_suffix = words.log_singular_value_suffixes(family, w)
 

@@ -268,9 +268,7 @@ def log_singular_values(family: MatrixFamily, word) -> np.ndarray:
 
 def log_gap_ratio(family: MatrixFamily, word, index: int) -> float:
     """``log(sigma_{index+1}/sigma_index)`` of the word product, 1-based index."""
-    d = family.dim
-    if not 1 <= index <= d - 1:
-        raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+    linalg.check_index(index, family.dim)
     logs = log_singular_values(family, word)
     return float(logs[index] - logs[index - 1])
 
@@ -390,8 +388,7 @@ class _GapSearch:
 
     def __init__(self, family: MatrixFamily, index: int, config: SearchConfig):
         d = family.dim
-        if not 1 <= index <= d - 1:
-            raise ValueError(f"index must be in 1..{d - 1}, got {index}")
+        linalg.check_index(index, d)
         self.family = family
         self.index = index
         self.config = config

@@ -12,11 +12,13 @@ pins the restructuring and not the per-pair arithmetic.
 ``ball_probes_oracle`` is the probe construction as it stood before the
 complement frames moved into ``grassmann``.  The component references are
 the pair-by-pair loops the single-linkage tree replaced.
-``projectivize_oracle``, ``window_length_oracle``,
-``periodic_witness_oracle``, ``transverse_pairs_oracle``,
-``angle_decay_oracle``, ``compound_log_walk_oracle`` and
-``suffix_restricted_logs_oracle`` are the per-direction, per-prefix,
-per-power, per-pair and per-step loops that the stacked versions replaced.
+``window_length_oracle``, ``periodic_witness_oracle``,
+``transverse_pairs_oracle``, ``angle_decay_oracle``,
+``compound_log_walk_oracle`` and ``suffix_restricted_logs_oracle`` are the
+per-prefix, per-power, per-pair and per-step loops that the stacked versions
+replaced.  ``line_trace_oracle`` tests 100,003 directions of a projective
+line against every ball and counts the runs, sharing no arithmetic with the
+closed-form arcs.
 ``top_singular_values_oracle`` is the LAPACK SVD that the sigma_1 kernel
 replaced.  ``gap_search_oracle`` is the gap search without its bound-and-
 refine pruning or chunking: every word's exact score, from the same product
@@ -50,7 +52,6 @@ from domsplit.grassmann import (
     grass_distance,
     orthonormal_frames,
     reference_frames,
-    sphere_sample,
     worst_nearest_angle,
 )
 from domsplit.multicone import COVER_CHECK_POINTS, GAP_WARNING_TOL
@@ -238,32 +239,34 @@ def line_distance(base1, dir1, base2, dir2) -> float:
     return float(abs(delta @ cross) / n)
 
 
-def _column_canonical_signs(frame: np.ndarray) -> np.ndarray:
-    out = frame.copy()
-    for j in range(out.shape[1]):
-        k = int(np.argmax(np.abs(out[:, j])))
-        if out[k, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+def line_trace_oracle(frames, radius: float, line, count: int = 100_003) -> tuple[list[tuple[float, float]], float]:
+    """Arcs of P(line) inside the union of the radius-balls around the
+    frames, by dense membership, and the grid step.
 
-
-def projectivize_oracle(planes, resolution: int) -> list[np.ndarray]:
-    """Direction frames of every plane, one validated ``Plane`` per sampled
-    direction, with the column-by-column sign rule."""
-    directions = []
-    for plane in planes:
-        i = plane.dim
-        if i == 1:
-            coeffs = np.ones((1, 1))
-        elif i == 2:
-            theta = np.arange(resolution) * math.pi / resolution
-            coeffs = np.column_stack([np.cos(theta), np.sin(theta)])
-        else:
-            coeffs = sphere_sample(i, resolution)
-        vecs = plane.frame @ coeffs.T
-        for j in range(vecs.shape[1]):
-            directions.append(Plane(_column_canonical_signs(vecs[:, j][:, None])).frame)
-    return directions
+    The direction ``v = W (cos t, sin t)`` at ``t = (k + 1/2) pi / count`` is
+    inside when the largest ``|C^T v|`` over the centers C is at least
+    ``cos(radius)``.  Each circular run of inside directions comes back as
+    (first angle, last angle), a run across 0 with its last angle past pi,
+    sorted by first angle; ``[(0, pi)]`` when every direction is inside.
+    """
+    W = getattr(line, "frame", line)
+    step = math.pi / count
+    t = (np.arange(count) + 0.5) * step
+    directions = np.column_stack([np.cos(t), np.sin(t)]) @ W.T
+    best = np.zeros(count)
+    for C in frames:
+        best = np.maximum(best, np.linalg.norm(directions @ C, axis=1))
+    inside = best >= math.cos(radius)
+    if inside.all():
+        return [(0.0, math.pi)], step
+    # read the circle from an outside direction, so no run is cut in two
+    first = int(np.argmin(inside))
+    edges = np.diff(np.append(np.roll(inside, -first), False).astype(int))
+    runs = []
+    for a, b in zip(np.flatnonzero(edges == 1) + 1, np.flatnonzero(edges == -1)):
+        start = float(t[(first + a) % count])
+        runs.append((start, start + float(b - a) * step))
+    return sorted(runs), step
 
 
 def window_length_oracle(family, index: int, seed: int, target: float, cap: int) -> int:

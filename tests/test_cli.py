@@ -1,6 +1,5 @@
 """Exit codes, file outputs, determinism, and spec-file validation."""
 
-import inspect
 import json
 import math
 
@@ -94,6 +93,9 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("check", "--beam", "0", "beam_width must be at least 1, got 0"),
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
         ("multicone", "--words", "0", "word_count must be at least 1, got 0"),
+        ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
+        ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
+        ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
     ],
 )
 def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, flag, value, message):
@@ -101,6 +103,34 @@ def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, fla
     code = cli.main([command, str(diag_spec), "--index", "1", flag, value, "--out", str(tmp_path / "o")])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, index, flags",
+    [
+        ("multicone", "2", ["--override-domination-gate"]),
+        ("splitting", "2", ["--past-len", "5"]),
+        ("splitting", "0", ["--past-len", "5"]),
+    ],
+)
+def test_index_outside_range_exits_one(diag_spec, tmp_path, capsys, command, index, flags):
+    # a 2-d family splits only at index 1
+    code = cli.main([command, str(diag_spec), "--index", index, *flags, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"error: index must be in 1..1, got {index}" in capsys.readouterr().err
+
+
+def test_splitting_window_lengths(diag_spec, tmp_path):
+    # an explicit length is used as given; the future window defaults to the
+    # past one's length
+    out = tmp_path / "o"
+    assert cli.main(["splitting", str(diag_spec), "--index", "1", "--past-len", "3", "--out", str(out)]) == 0
+    payload = json.loads((out / "splitting.json").read_text())
+    assert len(payload["window_past"]) == len(payload["window_future"]) == 3
+    argv = ["splitting", str(diag_spec), "--index", "1", "--past-len", "3", "--future-len", "4"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    payload = json.loads((out / "splitting.json").read_text())
+    assert (len(payload["window_past"]), len(payload["window_future"])) == (3, 4)
 
 
 def test_spec_requires_exactly_one_source(tmp_path):
@@ -211,13 +241,14 @@ def test_emitted_json_reloads_to_equal_structures(diag_spec, tmp_path):
     }
 
 
-def test_example4d_undersampled_grid_warns_but_runs(tmp_path, capsys):
+def test_example4d_undersampled_grid_runs_and_names_failing_stage(tmp_path, capsys):
     out = tmp_path / "tiny"
     code = cli.main(["example4d", "--grid", "2", "--skip-perturbed", "--out", str(out)])
-    err = capsys.readouterr().err
-    assert "under-samples" in err
-    assert code in (0, 2)
-    assert (out / "example4d_report.json").exists()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert "fail at stage: invariance_scan" in captured.out
+    report = json.loads((out / "example4d_report.json").read_text())
+    assert report["failing_stage"] == "invariance_scan"
 
 
 def test_example4d_weak_lambda_fails_with_margins(tmp_path, capsys):
@@ -240,7 +271,6 @@ def test_parser_defaults_are_library_defaults():
     parser = cli.build_parser()
     search = SearchConfig()
     attractor = multicone.MulticoneConfig()
-    audit = inspect.signature(multicone.semiconvexity_audit).parameters
     expected = {
         "check": {"max_len": search.max_len, "budget": search.budget, "beam": search.beam_width},
         "multicone": {
@@ -250,7 +280,6 @@ def test_parser_defaults_are_library_defaults():
             "word_len": attractor.attractor_word_len,
             "words": attractor.attractor_words,
             "seed": attractor.attractor_rng_seed,
-            "arc_resolution": audit["arc_resolution"].default,
         },
         "example4d": {"grid": example4d.ExampleConfig().grid_n},
     }

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_worst_nearest_angle,
-    projectivize_oracle,
+    line_trace_oracle,
     random_invertible,
     random_orthogonal,
     transverse_pairs_oracle,
@@ -177,30 +177,74 @@ def test_transverse_margin_symmetry():
         assert m1 == pytest.approx(m2, abs=1e-12)
 
 
+def _trace(frames, radius, line):
+    """Exact arcs of the balls of ``radius`` around a (n, d, i) frame stack
+    on P(line)."""
+    frames = np.asarray(frames, dtype=float)
+    return grassmann.line_trace(grassmann.projectivize(ConeSample(frames.shape[2], frames, radius), line))
+
+
+def _directions(angles, d=2):
+    """(n, d, 1) frames of the directions at ``angles`` in span(e0, e1)."""
+    frames = np.zeros((len(angles), d, 1))
+    frames[:, 0, 0], frames[:, 1, 0] = np.cos(angles), np.sin(angles)
+    return frames
+
+
+def _circle_gap(a, b):
+    """Distance between two angles on the projective circle, of length pi."""
+    return abs((a - b + math.pi / 2) % math.pi - math.pi / 2)
+
+
 def test_projectivize_single_direction():
-    cone = ConeSample(1, (Plane.span(e(0)),), 0.1)
-    out = grassmann.projectivize(cone, resolution=32)
-    assert len(out.points) == 1
-    assert grassmann.grass_distance(out.points[0], Plane.span(e(0))) < 1e-12
-    assert out.radius == cone.radius
+    # the ball of radius r around e0 meets P(span(e0, e1)) in the angles
+    # within r of 0: one arc across 0, which ends past pi
+    line = Plane(np.eye(3)[:, :2])
+    arcs = grassmann.projectivize(ConeSample(1, (Plane.span(e(0, 3)),), 0.1), line)
+    assert arcs.shape == (1, 2)
+    assert arcs[0] == pytest.approx([math.pi - 0.1, math.pi + 0.1], abs=1e-12)
+    # a direction at angle r0 off the line, above angle phi of it: the angles
+    # t with cos(r0) cos(t - phi) >= cos(r)
+    r0, phi, r = 0.05, 1.0, 0.1
+    tilted = np.array([math.cos(r0) * math.cos(phi), math.cos(r0) * math.sin(phi), math.sin(r0)])
+    half = math.acos(math.cos(r) / math.cos(r0))
+    arcs = grassmann.projectivize(ConeSample(1, (Plane.span(tilted),), r), line)
+    assert arcs[0] == pytest.approx([phi - half, phi + half], abs=1e-12)
+    assert grassmann.projectivize(ConeSample(1, (Plane.span(tilted),), 0.04), line).shape == (0, 2)
 
 
 def test_projectivize_plane_containment():
-    cone = ConeSample(2, (Plane.span(e(0), e(1)),), 0.0)
-    out = grassmann.projectivize(cone, resolution=64)
-    assert len(out.points) == 64
-    for p in out.points:
-        v = p.frame[:, 0]
-        assert abs(v[2]) < 1e-12 and abs(v[3]) < 1e-12
+    # a center that holds the line, a radius of pi/2 or more, and planes that
+    # fill the space all give the whole circle
+    line = Plane(np.eye(4)[:, :2])
+    full = [(0.0, math.pi)]
+    assert _trace([Plane.span(e(0), e(1)).frame], 0.01, line) == full
+    far = Plane.span(e(2), e(3)).frame
+    assert _trace([far], math.pi / 2 - 0.01, line) == []
+    for radius in (math.pi / 2, 2.0, math.pi):
+        assert _trace([far], radius, line) == full
+    assert _trace([np.eye(4)], 0.1, line) == full
+    assert _trace([np.eye(2)], 0.1, Plane(np.eye(2))) == full
+
+
+def test_projectivize_rejects_bad_lines():
+    cone = ConeSample(2, (Plane.span(e(0), e(1)),), 0.1)
+    for line in (Plane.span(e(0)), Plane(np.eye(4)[:, :3])):
+        with pytest.raises(ValueError, match="2-plane"):
+            grassmann.projectivize(cone, line)
+    with pytest.raises(ValueError, match="ambient dimension"):
+        grassmann.projectivize(cone, Plane(np.eye(3)[:, :2]))
 
 
 def test_projectivize_preserves_strict_invariance_margin():
-    # contraction toward span(e1, e2) in G(2, 3) projectivizes to contraction
-    # toward the corresponding direction set, up to the sampling resolution
+    # contraction toward span(e1, e2) in G(2, 3) keeps the line span(e1, e3);
+    # the cone meets that line in one arc around e1, and the map sends each
+    # end of the arc inside it by at least the invariance margin
     from domsplit.multicone import strictly_invariant
     from domsplit.words import MatrixFamily
 
-    fam = MatrixFamily.from_matrices([np.diag([4.0, 2.0, 0.5])], ["A"])
+    A = np.diag([4.0, 2.0, 0.5])
+    fam = MatrixFamily.from_matrices([A], ["A"])
     rng = np.random.default_rng(8)
     base = Plane.span(e(0, 3), e(1, 3))
     pts = [base]
@@ -210,41 +254,49 @@ def test_projectivize_preserves_strict_invariance_margin():
     cone = ConeSample(2, tuple(pts), 0.25)
     ok, margin = strictly_invariant(fam, cone)
     assert ok and margin > 0
-    resolution = 128
-    proj = grassmann.projectivize(cone, resolution=resolution)
-    ok_p, margin_p = strictly_invariant(fam, proj)
-    assert ok_p
-    sampling_slack = math.pi / resolution
-    assert margin_p >= margin - sampling_slack
+    arcs = grassmann.line_trace(grassmann.projectivize(cone, Plane(np.eye(3)[:, [0, 2]])))
+    assert len(arcs) == 1
+    start, end = arcs[0]
+    assert start < math.pi < end
+    for angle in (start, end):
+        image = math.atan2(A[2, 2] * math.sin(angle), A[0, 0] * math.cos(angle)) % math.pi
+        assert start < image < end or start < image + math.pi < end
+        assert min(_circle_gap(image, start), _circle_gap(image, end)) >= margin
 
 
 def test_line_trace_half_plane_cone():
-    # directions within pi/4 of e1 in the plane: one arc
-    angles = np.linspace(-math.pi / 4, math.pi / 4, 41)
-    pts = tuple(Plane.span(np.array([math.cos(a), math.sin(a)])) for a in angles)
-    cone = ConeSample(1, pts, 0.0)
-    line = Plane(np.eye(2))
-    arcs = grassmann.line_trace(line, cone, arc_resolution=90)
+    # balls of radius 0.1 around directions pi/16 apart, from -pi/4 to pi/4,
+    # overlap into the one arc of angles within pi/4 + 0.1 of e0; at radius
+    # 0.09 they stay nine arcs
+    centers = _directions(np.linspace(-math.pi / 4, math.pi / 4, 9))
+    arcs = _trace(centers, 0.1, Plane(np.eye(2)))
     assert len(arcs) == 1
+    assert arcs[0] == pytest.approx((0.75 * math.pi - 0.1, 1.25 * math.pi + 0.1), abs=1e-12)
+    assert len(_trace(centers, 0.09, Plane(np.eye(2)))) == 9
 
 
 def test_line_trace_empty():
-    line = Plane(np.eye(2))
-    assert grassmann.line_trace(line, ConeSample(1, (), 0.0), 90) == []
+    line = Plane(np.eye(3)[:, :2])
+    assert grassmann.line_trace(np.empty((0, 2))) == []
+    # a ball that does not reach the line
+    assert _trace([e(2, 3)[:, None]], 0.5, line) == []
 
 
 def test_line_trace_two_arcs_and_wrap():
-    # two separated bundles of directions, one of them hugging angle 0 = pi
-    pts = []
-    for a in list(np.linspace(-0.1, 0.1, 11)) + list(np.linspace(1.0, 1.2, 11)):
-        pts.append(Plane.span(np.array([math.cos(a), math.sin(a)])))
-    cone = ConeSample(1, tuple(pts), 0.0)
-    arcs = grassmann.line_trace(Plane(np.eye(2)), cone, arc_resolution=180)
-    assert len(arcs) == 2
-    # off-plane directions do not pollute the trace
-    far = ConeSample(1, (Plane.span(np.array([0.0, 0.0, 1.0])),), 0.0)
-    line3 = Plane(np.eye(3)[:, :2])
-    assert grassmann.line_trace(line3, far, 180) == []
+    # two bundles of directions, one across angle 0 = pi
+    centers = _directions(np.concatenate([np.linspace(-0.1, 0.1, 5), np.linspace(1.0, 1.2, 5)]))
+    arcs = _trace(centers, 0.03, Plane(np.eye(2)))
+    assert arcs == [
+        pytest.approx((0.97, 1.23), abs=1e-12),
+        pytest.approx((math.pi - 0.13, math.pi + 0.13), abs=1e-12),
+    ]
+    # the arc across 0 takes in every arc it reaches past pi
+    assert grassmann.line_trace([(0.1, 0.2), (0.5, 0.6), (3.0, 3.3)]) == [(0.5, 0.6), (3.0, math.pi + 0.2)]
+    assert grassmann.line_trace([(0.1, 0.2), (0.15, 0.7), (2.5, 3.3)]) == [(2.5, math.pi + 0.7)]
+    # touching arcs merge, and arcs that cover the circle give [(0, pi)]
+    assert grassmann.line_trace([(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]) == [(0.0, 3.0)]
+    assert grassmann.line_trace([(2.0, 3.0), (0.0, 1.0), (1.0, 2.0), (3.0, math.pi)]) == [(0.0, math.pi)]
+    assert grassmann.line_trace([(0.5, 2.0), (1.9, 3.7)]) == [(0.0, math.pi)]
 
 
 def test_cone_sample_serialization_round_trip():
@@ -311,21 +363,36 @@ def test_cone_sample_empty():
     assert cone.points == () and cone.ambient_dim is None and cone.csv_rows() == []
     assert cone.to_json_dict() == {"grass_index": 2, "radius": 0.3, "frames": []}
     assert ConeSample.from_json_dict(cone.to_json_dict()).frames.shape == (0, 0, 2)
-    out = grassmann.projectivize(cone, 8)
-    assert out.grass_index == 1 and len(out.frames) == 0 and out.radius == 0.3
+    arcs = grassmann.projectivize(cone, Plane(np.eye(4)[:, :2]))
+    assert arcs.shape == (0, 2) and grassmann.line_trace(arcs) == []
 
 
 @pytest.mark.parametrize(
     "index,dim", [(i, d) for i in (1, 2, 3) for d in range(2, 6) if d >= i]
 )
 def test_projectivize_matches_per_direction_loop(index, dim):
+    # the exact arcs against a membership test of 100,003 directions: the
+    # same arcs, each end within one grid step.  Each center holds a
+    # direction of the line tilted off it by up to twice the radius, so its
+    # ball may reach the line or just miss it.
     rng = np.random.default_rng(100 * index + dim)
-    planes = tuple(Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(6))
-    for resolution in (1, 7, 16):
-        out = grassmann.projectivize(ConeSample(index, planes, 0.1), resolution)
-        want = np.stack(projectivize_oracle(planes, resolution))
-        assert out.frames.shape == want.shape
-        assert np.array_equal(out.frames, want)
+    for count in (1, 2, 3, 5, 8, 12):
+        for radius in (0.01, 0.1, 0.5):
+            line = Plane.from_spanning(rng.normal(size=(dim, 2)))
+            t = rng.uniform(0.0, math.pi, count)
+            tilt = rng.normal(size=(count, dim))
+            tilt *= rng.uniform(0.0, 2.0 * radius, (count, 1)) / np.linalg.norm(tilt, axis=1, keepdims=True)
+            held = np.column_stack([np.cos(t), np.sin(t)]) @ line.frame.T + tilt
+            spans = np.concatenate([held[:, :, None], rng.normal(size=(count, dim, index - 1))], axis=2)
+            frames = grassmann.orthonormal_frames(spans)
+            arcs = _trace(frames, radius, line)
+            want, step = line_trace_oracle(frames, radius, line)
+            assert len(arcs) == len(want), (count, radius, arcs, want)
+            for start, end in arcs:
+                assert any(
+                    _circle_gap(start, a) <= step + 1e-7 and _circle_gap(end, b) <= step + 1e-7
+                    for a, b in want
+                ), (count, radius, arcs, want)
 
 
 def _aligned_pairs(index, dim, nudge):

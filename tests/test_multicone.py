@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from conftest import rotation2
+from conftest import conjugated_diagonal_family, rotation2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -19,12 +19,14 @@ from oracles import (
     component_gap_oracle,
     curve_spread_oracle,
     diagonal_projective_angles,
+    line_trace_oracle,
     random_orthogonal,
     scaled_word_product_oracle,
     union_find_components,
 )
 
 from domsplit import multicone, words
+from domsplit.example4d import axis_plane
 from domsplit.errors import DominationGateError, MulticoneConstructionError
 from domsplit.grassmann import (
     ConeSample,
@@ -34,7 +36,8 @@ from domsplit.grassmann import (
     frame_stack,
     frame_stack_distances,
     grass_distance,
-    pairwise_distances,
+    line_trace,
+    projectivize,
     reference_frames,
 )
 from domsplit.multicone import (
@@ -481,37 +484,52 @@ def test_multicone_json_round_trip(diag21):
 
 
 def test_semiconvexity_audit_familiar_cone():
-    # the standard cone |v| <= a|u| around a coordinate plane is semiconvex:
-    # every line meets its direction set in at most one arc.  The sample
-    # must be dense at the trace cell scale, so use a structured grid.
+    # the standard cone |v| <= a|u| around the coordinate plane span(e0, e1)
+    # of R^3 is the direction set of the ball of radius arctan(a) around that
+    # plane; it is semiconvex: every line meets it in at most one arc
     rng = np.random.default_rng(3)
-    a = 0.5
-    pts = []
-    for s in np.linspace(0.0, math.pi, 60, endpoint=False):
-        u = np.array([math.cos(s), math.sin(s)])
-        for t in np.linspace(-1.0, 1.0, 21):
-            w = np.concatenate([u, [t * a]])
-            pts.append(Plane.span(w))
-    cone = ConeSample(1, tuple(pts), 0.0)
-    mc = multicone.Multicone(
-        cone=cone,
-        components=(tuple(range(len(pts))),),
+    cone = ConeSample(2, (Plane(np.eye(3)[:, :2]),), math.atan(0.5))
+    mc = multicone.Multicone(cone=cone, components=((0,),), invariance_margin=0.1, component_gap=math.inf)
+    lines = [Plane.from_spanning(rng.normal(size=(3, 2))) for _ in range(100)]
+    counts = [count for _, count in multicone.semiconvexity_audit(mc, lines)]
+    assert max(counts) == 1 and counts.count(1) > 50
+    # two balls far apart on one line give two arcs
+    two = multicone.Multicone(
+        cone=ConeSample(1, np.eye(3)[:2, :, None], 0.3),
+        components=((0, 1),),
         invariance_margin=0.1,
         component_gap=math.inf,
     )
-    lines = [Plane.from_spanning(rng.normal(size=(3, 2))) for _ in range(100)]
-    audit = multicone.semiconvexity_audit(mc, lines, arc_resolution=90)
-    assert all(count <= 1 for _, count in audit)
+    assert multicone.semiconvexity_audit(two, [Plane(np.eye(3)[:, :2])])[0][1] == 2
 
 
 def test_semiconvexity_audit_empty_intersection():
-    cone = ConeSample(1, (Plane.span(np.array([0.0, 0.0, 1.0])),), 0.0)
+    cone = ConeSample(1, (Plane.span(np.array([0.0, 0.0, 1.0])),), 0.3)
     mc = multicone.Multicone(
         cone=cone, components=((0,),), invariance_margin=0.1, component_gap=math.inf
     )
     line = Plane(np.eye(3)[:, :2])
-    audit = multicone.semiconvexity_audit(mc, [line], arc_resolution=90)
+    audit = multicone.semiconvexity_audit(mc, [line])
     assert audit[0][1] == 0
+
+
+def test_semiconvexity_audit_matches_dense_membership():
+    # dominated_9 of the benchmark suite (d = 4, i = 3) at workload seed 3:
+    # every component meets the lifted x-axis plane in one arc, as a
+    # membership test of 100,003 directions finds; a trace of sampled
+    # center directions, blind to the radius, split component 0 in two
+    base = conjugated_diagonal_family(4, 3, 2, seed=1009)
+    Q = random_orthogonal(4, np.random.default_rng([3, 9]))
+    fam = MatrixFamily.from_matrices(list(Q @ base.stack @ Q.T), list(base.labels))
+    mc = build_multicone(fam, 3)
+    line = axis_plane()
+    assert multicone.semiconvexity_audit(mc, [line])[0][1] == 1
+    for which in range(len(mc.components)):
+        cone = mc.component_cone(which)
+        arcs = line_trace(projectivize(cone, line))
+        want, step = line_trace_oracle(cone.frames, cone.radius, line)
+        assert len(arcs) == len(want) == 1
+        assert arcs[0] == pytest.approx(want[0], abs=step)
 
 
 def test_attractor_invariance_bound(dominated_suite):
@@ -540,16 +558,16 @@ def test_strictly_invariant_monotone_under_subfamily(dominated_suite):
 
 
 def test_multicone_duality_disjoint(dominated_suite):
-    # the stable multicone (inverse family, complementary index) stays
-    # disjoint from the unstable one after projectivization
-    from domsplit.grassmann import pairwise_distances, projectivize
+    # the stable multicone (inverse family, complementary index) shares no
+    # direction with the unstable one: two balls share one exactly when the
+    # smallest principal angle between their centers is at most the sum of
+    # their radii
+    from domsplit.linalg import principal_angles
 
     case = dominated_suite[2]
     fam, i = case.family, case.index
     d = fam.dim
     unstable = build_multicone(fam, i)
     stable = build_multicone(fam.inverse(), d - i)
-    pu = projectivize(unstable.cone, resolution=16)
-    ps = projectivize(stable.cone, resolution=16)
-    min_dist = float(pairwise_distances(list(pu.points), list(ps.points)).min())
-    assert min_dist > pu.radius + ps.radius
+    smallest = principal_angles(unstable.cone.frames[:, None], stable.cone.frames[None])[..., 0]
+    assert float(smallest.min()) > unstable.cone.radius + stable.cone.radius
