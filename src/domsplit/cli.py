@@ -58,14 +58,43 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 # family specification files
 
 
-def _build_generator(spec: dict) -> MatrixFamily:
+_JSON_KINDS = {dict: "object", list: "array"}
+
+
+def _checked(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind`` (dict or list), else a
+    ValueError naming ``what`` and the type it has."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _required(spec: dict, key: str, what: str):
+    """``spec[key]``, or a ValueError naming the missing key."""
+    if key not in spec:
+        raise ValueError(f"{what} is missing the key {key!r}")
+    return spec[key]
+
+
+def _numbers(value, what: str) -> list[float]:
+    """A JSON array of numbers as floats."""
+    values = _checked(value, list, what)
+    try:
+        return [float(x) for x in values]
+    except TypeError:
+        raise ValueError(f"{what} must hold only numbers") from None
+
+
+def _build_generator(spec) -> MatrixFamily:
+    spec = _checked(spec, dict, "'generator'")
     kind = spec.get("kind")
+    what = f"generator {kind!r}"
     if kind == "example4d":
         lam = float(spec.get("lambda", 16.0))
         samples = int(spec.get("samples", 64))
         return example4d.curve_family(lam, samples)
     if kind == "conjugated_diagonal":
-        entries = [float(x) for x in spec["entries"]]
+        entries = _numbers(_required(spec, "entries", what), f"the entries of {what}")
         seed = int(spec.get("rotation_seed", 0))
         rng = np.random.default_rng(seed)
         d = len(entries)
@@ -77,7 +106,7 @@ def _build_generator(spec: dict) -> MatrixFamily:
             source=FamilySource(description=f"conjugated diagonal, seed={seed}"),
         )
     if kind == "random_perturbation":
-        base = load_family_dict(spec["base"])
+        base = load_family_dict(_required(spec, "base", what))
         noise = float(spec.get("noise", 0.0))
         seed = int(spec.get("seed", 0))
         copies = int(spec.get("copies", 1))
@@ -85,23 +114,24 @@ def _build_generator(spec: dict) -> MatrixFamily:
     raise ValueError(f"unknown generator kind: {kind!r}")
 
 
-def load_family_dict(spec: dict) -> MatrixFamily:
+def load_family_dict(spec) -> MatrixFamily:
+    spec = _checked(spec, dict, "family spec")
     has_matrices = "matrices" in spec
     has_generator = "generator" in spec
     if has_matrices == has_generator:
         raise ValueError("family spec needs exactly one of 'matrices' or 'generator'")
     if has_generator:
         return _build_generator(spec["generator"])
-    dim = int(spec["dim"])
+    dim = int(_required(spec, "dim", "family spec"))
     labels = []
     rows = []
-    for k, item in enumerate(spec["matrices"]):
+    for k, item in enumerate(_checked(spec["matrices"], list, "'matrices'")):
+        item = _checked(item, dict, f"matrix {k}")
         label = str(item.get("label", f"M{k}"))
-        entries = [float(x) for x in item["entries"]]
+        what = f"matrix {label!r}"
+        entries = _numbers(_required(item, "entries", what), f"the entries of {what}")
         if len(entries) != dim * dim:
-            raise ValueError(
-                f"matrix {label!r} has {len(entries)} entries, expected {dim * dim}"
-            )
+            raise ValueError(f"{what} has {len(entries)} entries, expected {dim * dim}")
         labels.append(label)
         rows.append(entries)
     return MatrixFamily(labels=tuple(labels), stack=np.array(rows).reshape(len(rows), dim, dim))

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from . import linalg, words
 from .errors import DominationGateError, MulticoneConstructionError, NumericalError
@@ -413,6 +412,8 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
     height <= t, so the count at t is n minus the number of those merges
     (Gower & Ross 1969).
     """
+    from scipy.cluster.hierarchy import linkage
+
     n = dist.shape[0]
     merges = linkage(dist[np.triu_indices(n, 1)], method="single") if n > 1 else np.empty((0, 4))
     counts = n - np.searchsorted(merges[:, 2], link_radii, side="right")
@@ -422,6 +423,8 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
 def _components_at(merges: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
     """Components of the points joined by the merges of height <= link_radius,
     ordered by smallest member, members ascending."""
+    from scipy.cluster.hierarchy import fcluster
+
     if not len(merges):  # one point; fcluster rejects an empty tree
         return ((0,),)
     labels = fcluster(merges, link_radius, criterion="distance")

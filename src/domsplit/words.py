@@ -141,6 +141,8 @@ def perturb_family(family: MatrixFamily, noise: float, seed: int, copies: int = 
     With ``copies > 1`` each member yields that many independently perturbed
     variants, consecutive in the result.  Deterministic for a fixed seed.
     """
+    if copies < 1:
+        raise ValueError(f"copies must be at least 1, got {copies}")
     m, d = family.size, family.dim
     draw = np.random.default_rng(seed).uniform(-noise, noise, (m, copies, d, d))
     suffixes = ["~"] if copies == 1 else [f"~{c}" for c in range(copies)]

@@ -32,7 +32,10 @@ example's per-parameter construction: each plane's line, lift and frame
 built alone, from 1-D vector norms and one single-matrix SVD, inverse and
 product at a time.  ``family_arrays_oracle`` builds a family's arrays one
 member and one copy at a time, as they were built before the family held
-one stack.
+one stack.  ``halton_oracle`` and ``reference_frames_oracle`` are the
+cover check's reference planes as scipy builds them: ``qmc.Halton`` points
+after ``fast_forward(1)``, their ``ndtri`` quantiles, and one plane spanned
+at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import ndtri
+from scipy.stats import qmc
 
 from domsplit import linalg, multicone, splitting, words
 from domsplit.grassmann import (
@@ -509,3 +514,16 @@ def family_matrix_oracle(t: float, lam: float) -> np.ndarray:
         frames.append(Plane.from_spanning(np.column_stack([b, np.append(direction, 0.0)])).frame)
     basis = np.hstack(frames)
     return basis @ np.diag([lam, lam, 1.0 / lam, 1.0 / lam]) @ np.linalg.inv(basis)
+
+
+def halton_oracle(dim: int, count: int) -> np.ndarray:
+    """Points 1..count of scipy's unscrambled Halton sequence in ``dim`` bases."""
+    seq = qmc.Halton(d=dim, scramble=False)
+    seq.fast_forward(1)
+    return seq.random(count)
+
+
+def reference_frames_oracle(ambient_dim: int, dim: int, count: int) -> np.ndarray:
+    """The reference planes from scipy's Halton points, spanned one by one."""
+    raw = ndtri(halton_oracle(ambient_dim * dim, count)).reshape(count, ambient_dim, dim)
+    return np.stack([Plane.from_spanning(r).frame for r in raw])

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +176,67 @@ def test_generator_specs(tmp_path):
     fam = cli.load_family_spec(spec)
     assert fam.dim == 4 and fam.size == 6
     assert fam.source.kind == "sampled_curve"
+
+
+_PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices": [{"entries": [2, 0, 0, 1]}]}}
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"matrices": [{"entries": [2, 0, 0, 1]}]}, "family spec is missing the key 'dim'"),
+        ({"dim": 2, "matrices": [{"label": "A"}]}, "matrix 'A' is missing the key 'entries'"),
+        ({"generator": {"kind": "conjugated_diagonal"}}, "generator 'conjugated_diagonal' is missing the key 'entries'"),
+        (5, "family spec must be a JSON object, got int"),
+        ({"dim": 2, "matrices": [[2, 0, 0, 1]]}, "matrix 0 must be a JSON object, got list"),
+        ({"dim": 2, "matrices": 5}, "'matrices' must be a JSON array, got int"),
+        ({"dim": 2, "matrices": [{"entries": 7}]}, "the entries of matrix 'M0' must be a JSON array, got int"),
+        ({"dim": 2, "matrices": [{"entries": [None, 0, 0, 1]}]}, "the entries of matrix 'M0' must hold only numbers"),
+        ({"generator": [1]}, "'generator' must be a JSON object, got list"),
+        ({"generator": {"kind": "random_perturbation"}}, "generator 'random_perturbation' is missing the key 'base'"),
+        ({"generator": {**_PERTURBED_DIAG, "copies": -1}}, "copies must be at least 1, got -1"),
+        ({"generator": {**_PERTURBED_DIAG, "copies": 0}}, "copies must be at least 1, got 0"),
+    ],
+)
+def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["check", str(path), "--index", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err
+
+
+# check and splitting run on numpy alone; multicone loads scipy's ndtri and
+# single linkage on first use, but never scipy.stats
+_SCIPY_PROBE = """
+import json, sys
+from domsplit import cli
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+spec, out = sys.argv[1], sys.argv[2]
+codes = [cli.main([command, spec, "--index", "1", "--out", out]) for command in ("check", "splitting")]
+gap_route = loaded()
+codes.append(cli.main(["multicone", spec, "--index", "1", "--out", out]))
+print(json.dumps({"codes": codes, "gap_route": gap_route, "multicone": loaded()}))
+"""
+
+
+def test_gap_route_loads_no_scipy(diag_spec, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(diag_spec), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    assert result["gap_route"] == []
+    assert "scipy.special" in result["multicone"] and "scipy.cluster" in result["multicone"]
+    assert not [name for name in result["multicone"] if name.startswith("scipy.stats")]
 
 
 def test_multicone_command(diag_spec, rotation_spec, tmp_path):

@@ -399,3 +399,9 @@ def test_perturb_family_deterministic():
     assert np.array_equal(a.stack, b.stack)
     c = words.perturb_family(fam, 1e-3, seed=5, copies=3)
     assert c.size == fam.size * 3
+
+
+@pytest.mark.parametrize("copies", [0, -1])
+def test_perturb_family_rejects_copies_below_one(copies):
+    with pytest.raises(ValueError, match=f"copies must be at least 1, got {copies}"):
+        words.perturb_family(scaled_rotation_pair(), 1e-3, seed=5, copies=copies)
