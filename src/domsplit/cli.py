@@ -44,7 +44,8 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    _write_atomic(path, json.dumps(payload, indent=2) + "\n")
+    # strict JSON: a NaN or inf that no field writes as null raises here
+    _write_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
@@ -58,15 +59,21 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 # family specification files
 
 
-_JSON_KINDS = {dict: "object", list: "array"}
+_JSON_KINDS = {dict: "object", list: "array", int: "integer", float: "number"}
 
 
 def _checked(value, kind: type, what: str):
-    """``value`` if it is a JSON value of ``kind`` (dict or list), else a
-    ValueError naming ``what`` and the type it has."""
-    if not isinstance(value, kind):
+    """``value`` if it is a JSON value of ``kind`` (dict, list, int or
+    float), else a ValueError naming ``what`` and the type it has.  A JSON
+    number may be an int, and neither kind of number is a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, got {type(value).__name__}")
     return value
+
+
+def _scalar(spec: dict, key: str, default, kind: type, what: str):
+    """``spec[key]``, or ``default`` if it is missing, as a checked ``kind``."""
+    return kind(_checked(spec.get(key, default), kind, f"{key!r} of {what}"))
 
 
 def _required(spec: dict, key: str, what: str):
@@ -90,12 +97,12 @@ def _build_generator(spec) -> MatrixFamily:
     kind = spec.get("kind")
     what = f"generator {kind!r}"
     if kind == "example4d":
-        lam = float(spec.get("lambda", 16.0))
-        samples = int(spec.get("samples", 64))
+        lam = _scalar(spec, "lambda", 16.0, float, what)
+        samples = _scalar(spec, "samples", 64, int, what)
         return example4d.curve_family(lam, samples)
     if kind == "conjugated_diagonal":
         entries = _numbers(_required(spec, "entries", what), f"the entries of {what}")
-        seed = int(spec.get("rotation_seed", 0))
+        seed = _scalar(spec, "rotation_seed", 0, int, what)
         rng = np.random.default_rng(seed)
         d = len(entries)
         basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -107,9 +114,9 @@ def _build_generator(spec) -> MatrixFamily:
         )
     if kind == "random_perturbation":
         base = load_family_dict(_required(spec, "base", what))
-        noise = float(spec.get("noise", 0.0))
-        seed = int(spec.get("seed", 0))
-        copies = int(spec.get("copies", 1))
+        noise = _scalar(spec, "noise", 0.0, float, what)
+        seed = _scalar(spec, "seed", 0, int, what)
+        copies = _scalar(spec, "copies", 1, int, what)
         return words.perturb_family(base, noise, seed, copies=copies)
     raise ValueError(f"unknown generator kind: {kind!r}")
 
@@ -122,7 +129,7 @@ def load_family_dict(spec) -> MatrixFamily:
         raise ValueError("family spec needs exactly one of 'matrices' or 'generator'")
     if has_generator:
         return _build_generator(spec["generator"])
-    dim = int(_required(spec, "dim", "family spec"))
+    dim = _checked(_required(spec, "dim", "family spec"), int, "'dim' of family spec")
     labels = []
     rows = []
     for k, item in enumerate(_checked(spec["matrices"], list, "'matrices'")):

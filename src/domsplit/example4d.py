@@ -259,7 +259,7 @@ class LambdaScanEntry(JsonRecord):
 class MulticoneSummary(JsonRecord):
     component_count: int
     invariance_margin: float
-    component_gap: float = field(metadata={"inf_as_null": True})
+    component_gap: float = field(metadata={"null_as": math.inf})
     contained_max_distance: float
     contained_all: bool
     excluded_min_distance: float

@@ -1,10 +1,13 @@
 """Planes in the Grassmannian: group action, metric, transversality, cones.
 
 A plane is stored as an orthonormal frame; the metric is the largest
-principal angle, which is a true metric on G(i, d).  All-pairs distances
-run on the narrower of a plane and its orthogonal complement, whose
-nonzero principal angles are the same.  One- and two-column frames use
-closed forms, and wider ones one small SVD per pair.
+principal angle, a true metric on G(i, d).  Row-aligned pairs go through
+``grass_distance`` alone, in sine form: accurate near 0, it carries about
+1e-8 rad near pi/2, where the arcsine is ill-conditioned.  All-pairs
+distances take the cosine on the narrower of a plane and its orthogonal
+complement (same nonzero principal angles): closed forms for one- and
+two-column frames, one small SVD per pair for wider ones, and an arccos
+that carries about 1e-8 rad near 0.
 Cone-like sets are finite (n, d, i) frame stacks plus a radius.  A cone
 meets the projective line P(W) of a 2-plane W exactly where some center C
 has ``|C^T v| >= cos r``: one closed-form arc per center (``projectivize``),
@@ -48,15 +51,12 @@ def orthonormal_frames(vectors: np.ndarray) -> np.ndarray:
 
 
 def frame_stack(planes) -> np.ndarray:
-    """(n, d, i) stack of the frames of planes or raw frames; arrays pass through."""
-    if isinstance(planes, np.ndarray):
-        return planes
-    return np.stack([getattr(p, "frame", p) for p in planes])
-
-
-def _frames_of(plane) -> np.ndarray:
-    """The frame of a plane, or a raw (..., d, i) frame stack as a float array."""
-    return np.asarray(getattr(plane, "frame", plane), dtype=float)
+    """The frame of a plane, or the (..., d, i) float stack of a frame array
+    or of a sequence of planes or raw frames; float arrays pass through."""
+    frames = getattr(planes, "frame", planes)
+    if not isinstance(frames, np.ndarray):
+        frames = np.stack([getattr(p, "frame", p) for p in frames])
+    return np.asarray(frames, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,19 +173,20 @@ def act(matrix, plane: Plane) -> Plane:
 
 def grass_distance(first, second):
     """Largest principal angle between two planes of the same dimension, or
-    between the frames of two (..., d, i) stacks, broadcast over the leading
-    axes; a pair of planes gives a float.
+    between the frames of two (..., d, i) stacks, row by row and broadcast
+    over the leading axes; a pair of planes gives a float.
 
-    Computed from the sine (the top singular value of one frame projected
-    off the other), which stays accurate for nearly equal planes where the
-    cosine formulation loses half the working precision.
+    It is the arcsine of sin(theta_max) = sigma_1(R), R = E - F (F^T E),
+    with sigma_1 read off the Gram matrix R^T R (``linalg.operator_norms``,
+    no LAPACK SVD).  The angle keeps full relative precision for nearly
+    equal planes and carries about 1e-8 rad near pi/2.  Each row's value
+    depends on that row's frames only.
     """
-    E, F = _frames_of(first), _frames_of(second)
+    E, F = frame_stack(first), frame_stack(second)
     if E.shape[-2:] != F.shape[-2:]:
         raise ValueError("grass_distance requires planes of identical type")
     residual = E - F @ (np.swapaxes(F, -1, -2) @ E)
-    sin = np.linalg.svd(residual, compute_uv=False)[..., 0]
-    angle = np.arcsin(np.clip(sin, 0.0, 1.0))
+    angle = np.arcsin(np.minimum(linalg.operator_norms(residual), 1.0))
     return float(angle) if angle.ndim == 0 else angle
 
 
@@ -292,23 +293,6 @@ def min_cos_principal(grams: np.ndarray) -> np.ndarray:
     return np.linalg.svd(grams, compute_uv=False)[..., -1]
 
 
-def aligned_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Largest principal angle between ``A[k]`` and ``B[k]`` for every row k.
-
-    Unlike the all-pairs functions below, this keeps the frames as they
-    are: a complement costs one full SVD per frame, more than the one
-    singular-value-only SVD per row that i >= 3 needs here.
-    """
-    cos = min_cos_principal(np.einsum("adi,adj->aij", A, B))
-    return np.arccos(np.clip(cos, 0.0, 1.0))
-
-
-def pairwise_grams(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All-pairs frame Gram matrices, shaped (a, b, i, j), via one BLAS call."""
-    G = np.tensordot(A, B, axes=([1], [1]))  # (a, i, b, j)
-    return np.ascontiguousarray(np.transpose(G, (0, 2, 1, 3)))
-
-
 def min_cos_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Smallest principal cosine for every frame pair, shaped (a, b).
 
@@ -325,7 +309,9 @@ def min_cos_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         a1, a2 = A[:, :, 0], A[:, :, 1]
         b1, b2 = B[:, :, 0], B[:, :, 1]
         return _min_cos_2x2(a1 @ b1.T, a1 @ b2.T, a2 @ b1.T, a2 @ b2.T)
-    return min_cos_principal(pairwise_grams(A, B))
+    # every pair's Gram matrix in one BLAS call, reordered to (a, b, i, j)
+    G = np.tensordot(A, B, axes=([1], [1]))
+    return min_cos_principal(np.ascontiguousarray(np.transpose(G, (0, 2, 1, 3))))
 
 
 def frame_stack_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -406,7 +392,7 @@ def transverse(first, second):
     leading axes and give arrays of flags and margins; a pair of planes
     gives ``(bool, float)``.
     """
-    E, F = _frames_of(first), _frames_of(second)
+    E, F = frame_stack(first), frame_stack(second)
     if E.shape[-2] != F.shape[-2]:
         raise ValueError("planes must share the ambient dimension")
     if E.shape[-1] + F.shape[-1] != E.shape[-2]:
@@ -478,7 +464,7 @@ def projectivize(cone: ConeSample, line) -> np.ndarray:
     ``I - R`` with R the Gram matrix of W's residual off C, which keeps full
     precision for nearly contained directions.  Angles follow ``line_trace``.
     """
-    W = _frames_of(line)
+    W = frame_stack(line)
     if W.ndim != 2 or W.shape[1] != 2:
         raise ValueError(f"the line must be a 2-plane, got a frame of shape {W.shape}")
     C = cone.frames

@@ -7,8 +7,9 @@ A record is a dataclass that inherits ``JsonRecord``; its
   metadata gives (``lam`` as ``"lambda"``, for instance), in field order.
 - Tuples become lists, a ``Plane`` becomes its frame as nested lists, and
   any value with its own ``to_json_dict`` is written by it.
-- A field whose metadata sets ``inf_as_null`` writes +inf as ``null`` and
-  reads ``null`` back as +inf.
+- JSON holds no inf or NaN.  A field whose metadata sets ``null_as`` (to
+  ``math.inf`` or ``math.nan``) writes that value as ``null`` and reads
+  ``null`` back as it.
 - Decoding follows the field annotations: ``X | None``, ``tuple[T, ...]``,
   fixed-length tuples, ``Plane``, nested records (anything with
   ``from_json_dict``) and ``int``/``float``/``bool``/``str`` coercion.
@@ -73,7 +74,8 @@ class JsonRecord:
         out = {}
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            null = f.metadata.get("inf_as_null") and value == math.inf
+            null_as = f.metadata.get("null_as")
+            null = null_as is not None and (value == null_as or math.isnan(null_as) and math.isnan(value))
             out[_key(f)] = None if null else encode(value)
         return out
 
@@ -85,8 +87,8 @@ class JsonRecord:
             if _key(f) not in data:
                 continue
             value = data[_key(f)]
-            if value is None and f.metadata.get("inf_as_null"):
-                kwargs[f.name] = math.inf
+            if value is None and "null_as" in f.metadata:
+                kwargs[f.name] = f.metadata["null_as"]
             else:
                 kwargs[f.name] = decode(hints[f.name], value)
         return cls(**kwargs)

@@ -8,9 +8,10 @@ arguments and is safe to call concurrently.
 ``top_singular_values`` is the gap search's sigma_1 kernel: batched over
 ``(..., n, n)`` stacks without LAPACK SVD (``|x|``, a 2x2 closed form, or
 the largest eigenvalue of ``C C^T``), within 1e-14 relative of
-``svd(...)[..., 0]``.  ``top_singular_value_bounds`` brackets the same
-sigma_1 without an eigen-solver, so the search can skip the kernel on
-words that cannot matter: exact for n <= 2, and
+``svd(...)[..., 0]``; ``operator_norms`` extends it to rectangular stacks
+through the Gram matrix of the narrower side.  ``top_singular_value_bounds``
+brackets the same sigma_1 without an eigen-solver, so the search can skip
+the kernel on words that cannot matter: exact for n <= 2, and
 ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]`` with ``G = C C^T`` above, from
 ``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)``.
 """
@@ -91,6 +92,18 @@ def top_singular_value_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
     # a zero matrix has trace 0 and gram_sq 0: its lower bound is 0, not nan
     lower = np.sqrt(gram_sq / np.where(trace > 0.0, trace, 1.0))
     return lower, np.sqrt(np.sqrt(gram_sq))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Operator 2-norm of every matrix of a ``(..., p, q)`` stack, without
+    LAPACK SVD: ``top_singular_values`` of a square one, else the square
+    root of that of the Gram matrix of its narrower side."""
+    p, q = stack.shape[-2:]
+    if p == q:
+        return top_singular_values(stack)
+    # a copy: numpy's syrk path for X X^T is slow on stacks of small matrices
+    Xt = np.ascontiguousarray(np.swapaxes(stack, -1, -2))
+    return np.sqrt(top_singular_values(np.matmul(stack, Xt) if p < q else np.matmul(Xt, stack)))
 
 
 def singular_values(matrix, label: str | None = None) -> np.ndarray:

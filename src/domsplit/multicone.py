@@ -19,7 +19,6 @@ from .grassmann import (
     ConeSample,
     Plane,
     act_frames,
-    aligned_distances,
     complement_frames,
     frame_stack_distances,
     grass_distance,
@@ -60,7 +59,7 @@ class Multicone(JsonRecord):
     cone: ConeSample
     components: tuple[tuple[int, ...], ...]
     invariance_margin: float
-    component_gap: float = field(metadata={"inf_as_null": True})
+    component_gap: float = field(metadata={"null_as": math.inf})
 
     def __post_init__(self):
         assigned = sorted(i for comp in self.components for i in comp)
@@ -79,8 +78,8 @@ _GROUP_PAIRS = 5_000_000
 
 # Allowance, in radians, by which a (member, center) pair's bound on its
 # probe images may fall short of the value to beat and still have those
-# probes evaluated; far above the arccos floor of the computed distances
-# (about 1e-8 rad) and the rounding of the bounds.
+# probes evaluated; far above the rounding of the computed distances (about
+# 1e-8 rad at worst, see ``strictly_invariant``) and of the bounds.
 PROBE_PRUNE_SLACK = 1e-6
 
 
@@ -126,17 +125,6 @@ def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
     ``_GROUP_PAIRS`` pairs."""
     size = max(2, _GROUP_PAIRS // max(width, 1))
     return np.array_split(np.arange(rows), max(1, rows // size))
-
-
-def _spectral_norms(X: np.ndarray) -> np.ndarray:
-    """Operator 2-norm of every matrix of a (..., p, q) stack: sigma_1 of a
-    square one, else the square root of the top eigenvalue of the Gram
-    matrix of its narrower side (sigma_1 of a symmetric PSD matrix)."""
-    p, q = X.shape[-2:]
-    if p == q:
-        return linalg.top_singular_values(X)
-    Xt = np.swapaxes(X, -1, -2)
-    return np.sqrt(linalg.top_singular_values(np.matmul(X, Xt) if p < q else np.matmul(Xt, X)))
 
 
 def _inverse_norm_and_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -195,13 +183,13 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
         Ft = np.swapaxes(F, 1, 2)
         B = np.matmul(Ft, Z)
         inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
-        alpha = _spectral_norms(Z - np.matmul(F, B)) * inv_norm
-        beta = _spectral_norms(K)
+        alpha = linalg.operator_norms(Z - np.matmul(F, B)) * inv_norm
+        beta = linalg.operator_norms(K)
     else:
         alpha = beta = np.zeros(m * n)
     spread = np.empty((0, n))
     if family.source.kind == "sampled_curve" and m > 1:
-        spread = aligned_distances(F[:-n], F[n:]).reshape(m - 1, n)
+        spread = grass_distance(F[:-n], F[n:]).reshape(m - 1, n)
     refs = reference_frames(d, i, COVER_CHECK_POINTS)
     cover = float(frame_stack_distances(refs, frames).min(axis=1).max())
     return _CenterPass(
@@ -269,15 +257,16 @@ def strictly_invariant(
     and their largest spread S are values the full sweep attains.  The
     probes of a pair are evaluated only where its bound reaches L (or S)
     less PROBE_PRUNE_SLACK, which exceeds the rounding of the bounds and of
-    the arccos; every skipped probe provably lies below a value already
-    attained, so the margin is that of the full sweep, bit for bit: each
-    image and distance is computed by the same kernels, row by row.
-    Everything that does not depend on the radius (the images of the
-    centers, L, u, S, alpha, beta and the cover radius) is one pass over
-    the pairs; ``build_multicone`` computes it once and hands it to every
-    call, as ``centers``.  The nearest-point search (``worst_nearest_angle``)
-    prunes its own rows by the same kind of bound, and every distance runs
-    on the narrower of the planes and their complements.
+    the distances: about 1e-8 rad, from the nearest-center search's arccos
+    near 0 and the spread's arcsine near pi/2.  Every skipped probe provably
+    lies below a value already attained, so the margin is that of the full
+    sweep, bit for bit: each image and distance is computed by the same
+    kernels, row by row.  Everything that does not depend on the radius
+    (the images of the centers, L, u, S, alpha, beta and the cover radius)
+    is one pass over the pairs; ``build_multicone`` computes it once and
+    hands it to every call, as ``centers``.  The nearest-point search
+    (``worst_nearest_angle``) prunes its own rows by the same kind of bound
+    and runs on the narrower of the planes and their complements.
     """
     frames = cone.frames
     if not len(frames):
@@ -307,7 +296,7 @@ def strictly_invariant(
             if len(j):
                 here = _probe_images(family.stack, probes, j, own[k])
                 there = _probe_images(family.stack, probes, j + 1, own[k])
-                spread = max(spread, float(np.max(aligned_distances(here, there))))
+                spread = max(spread, float(np.max(grass_distance(here, there))))
     margin = cone.radius - worst - spread
     if centers.cover <= cone.radius:
         return False, margin
@@ -389,7 +378,7 @@ def adapted_metric(
         imgs = imgs.reshape(family.size, 2, -1, *imgs.shape[1:])
         imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
         imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
-        dists = aligned_distances(imgs_a, imgs_b)
+        dists = grass_distance(imgs_a, imgs_b)
         last = float(np.max(dists))
         total += last
         if imgs_a.shape[0] > beam_width:

@@ -39,7 +39,7 @@ class SplittingEstimate(JsonRecord):
     window_past: Word
     window_future: Word
     angle: float
-    convergence_indicator: float
+    convergence_indicator: float = field(metadata={"null_as": math.nan})
 
     def __post_init__(self):
         if self.expanding.ambient_dim != self.contracting.ambient_dim:
@@ -74,7 +74,8 @@ def splitting_from_window(family: MatrixFamily, past, future, index: int) -> Spl
     """Estimate the splitting for the itinerary given by two window words.
 
     The convergence indicator compares against estimates from windows
-    shortened by one symbol at their far ends (NaN for length-1 windows).
+    shortened by one symbol at their far ends (NaN, JSON null, for length-1
+    windows).
     """
     linalg.check_index(index, family.dim)
     past = words._validate_word(family, past)

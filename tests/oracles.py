@@ -3,9 +3,11 @@
 These deliberately avoid the production code paths: compound matrices are
 assembled entry by entry from explicit minor index lists, derivatives come
 from central differences, and word-product maxima come from exhaustive
-enumeration with plainly formed products.  The nearest-angle reference
-is the full, unpruned reduction over every pair's ``grass_distance``, whose
-sine form shares no arithmetic with the cosine closed forms under test.
+enumeration with plainly formed products.  ``grass_distance_oracle`` is
+the sine form by LAPACK SVD of the residual, as ``grass_distance`` took it
+before it read sigma_1 off the Gram matrix.  The nearest-angle reference
+is the full, unpruned reduction over every pair's ``grass_distance_oracle``,
+which shares no arithmetic with the cosine closed forms under test.
 The curve-spread reference is the exception: it is the per-member loop the
 grouped sweep replaced, built on the same image map and distance, so it
 pins the restructuring and not the per-pair arithmetic.
@@ -52,7 +54,6 @@ from domsplit.grassmann import (
     TRANSVERSALITY_TOL,
     Plane,
     act_frames,
-    aligned_distances,
     frame_stack_distances,
     grass_distance,
     orthonormal_frames,
@@ -150,10 +151,19 @@ def diagonal_projective_angles(top: float, bottom: float, slope: float, steps: i
     return out
 
 
+def grass_distance_oracle(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Largest principal angle between the rows of two (..., d, i) frame
+    stacks, broadcast: the arcsine of the top singular value, by LAPACK SVD,
+    of the residual ``E - F (F^T E)``."""
+    residual = first - second @ (np.swapaxes(second, -1, -2) @ first)
+    sin = np.linalg.svd(residual, compute_uv=False)[..., 0]
+    return np.arcsin(np.clip(sin, 0.0, 1.0))
+
+
 def brute_force_worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
     """Max over frames of A of the distance to the nearest frame of B, from
-    the sine-form ``grass_distance`` of every pair."""
-    return float(grass_distance(A[:, None], B[None]).min(axis=1).max())
+    the SVD sine form of every pair (``grass_distance_oracle``)."""
+    return float(grass_distance_oracle(A[:, None], B[None]).min(axis=1).max())
 
 
 def ball_probes_oracle(frames: np.ndarray, radius: float) -> np.ndarray:
@@ -189,7 +199,7 @@ def curve_spread_oracle(family, probes: np.ndarray) -> float:
     prev = act_frames(family.stack[0][None], probes)
     for j in range(1, family.size):
         cur = act_frames(family.stack[j][None], probes)
-        worst = max(worst, float(np.max(aligned_distances(prev, cur))))
+        worst = max(worst, float(np.max(grass_distance(prev, cur))))
         prev = cur
     return worst
 
@@ -318,16 +328,10 @@ def transverse_pairs_oracle(planes, stable) -> tuple[np.ndarray, np.ndarray]:
     return margins > TRANSVERSALITY_TOL, margins
 
 
-def _sine_distance(E: np.ndarray, F: np.ndarray) -> float:
-    """Largest principal angle of one frame pair, from its sine."""
-    sin = np.linalg.svd(E - F @ (F.T @ E), compute_uv=False)[0]
-    return float(np.arcsin(np.clip(sin, 0.0, 1.0)))
-
-
 def angle_decay_oracle(family, word, index: int) -> list:
     """The angle-bound samples of ``angle_decay_check``, with one SVD and
-    one validated ``Plane`` per suffix product and one distance per
-    consecutive pair."""
+    one validated ``Plane`` per suffix product and one ``grass_distance``
+    call per consecutive pair."""
     w = tuple(int(j) for j in word)
     max_norm = max(linalg.operator_norm(M) for M in family.stack)
     log_suffix = words.log_singular_value_suffixes(family, w)
@@ -348,7 +352,7 @@ def angle_decay_oracle(family, word, index: int) -> list:
         if bottom_n is None or bottom_next is None:
             out.append(splitting.AngleBoundSample(step=n, lhs=math.nan, rhs=math.nan, degenerate=True))
             continue
-        lhs = math.sin(_sine_distance(bottom_n.frame, bottom_next.frame))
+        lhs = math.sin(grass_distance(bottom_n, bottom_next))
         log_rhs = log_suffix[n][index] - log_suffix[n + 1][index - 1]
         rhs = max_norm * math.exp(min(log_rhs, 700.0))
         out.append(splitting.AngleBoundSample(step=n, lhs=float(lhs), rhs=float(rhs), degenerate=False))
@@ -491,7 +495,7 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
         if curve:
             for cur in images.reshape(-1, *probes.shape):
                 if prev is not None:
-                    spread = max(spread, float(np.max(aligned_distances(prev, cur))))
+                    spread = max(spread, float(np.max(grass_distance(prev, cur))))
                 prev = cur
         worst = max(worst, worst_nearest_angle(images, frames))
     margin = cone.radius - worst - spread

@@ -196,6 +196,18 @@ _PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices":
         ({"generator": {"kind": "random_perturbation"}}, "generator 'random_perturbation' is missing the key 'base'"),
         ({"generator": {**_PERTURBED_DIAG, "copies": -1}}, "copies must be at least 1, got -1"),
         ({"generator": {**_PERTURBED_DIAG, "copies": 0}}, "copies must be at least 1, got 0"),
+        # one bad scalar per field: a null, an array, a bool or a fraction
+        # where an integer or a number belongs
+        ({"dim": 2.5, "matrices": [{"entries": [2, 0, 0, 1]}]}, "'dim' of family spec must be a JSON integer, got float"),
+        ({"generator": {"kind": "example4d", "lambda": None}}, "'lambda' of generator 'example4d' must be a JSON number, got NoneType"),
+        ({"generator": {"kind": "example4d", "samples": [64]}}, "'samples' of generator 'example4d' must be a JSON integer, got list"),
+        (
+            {"generator": {"kind": "conjugated_diagonal", "entries": [2, 1], "rotation_seed": True}},
+            "'rotation_seed' of generator 'conjugated_diagonal' must be a JSON integer, got bool",
+        ),
+        ({"generator": {**_PERTURBED_DIAG, "noise": None}}, "'noise' of generator 'random_perturbation' must be a JSON number, got NoneType"),
+        ({"generator": {**_PERTURBED_DIAG, "seed": 1.5}}, "'seed' of generator 'random_perturbation' must be a JSON integer, got float"),
+        ({"generator": {**_PERTURBED_DIAG, "copies": [2]}}, "'copies' of generator 'random_perturbation' must be a JSON integer, got list"),
     ],
 )
 def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):
@@ -206,6 +218,14 @@ def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert message in err
+
+
+def test_scalar_spec_fields_take_json_numbers():
+    # a real field takes a JSON integer; integer fields take integers
+    fam = cli.load_family_dict({"generator": {**_PERTURBED_DIAG, "noise": 0, "seed": 3, "copies": 2}})
+    assert fam.size == 2 and np.array_equal(fam.stack[0], fam.stack[1])
+    fam = cli.load_family_dict({"generator": {"kind": "example4d", "lambda": 8, "samples": 3}})
+    assert fam.size == 3
 
 
 # check and splitting run on numpy alone; multicone loads scipy's ndtri and

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_worst_nearest_angle,
+    grass_distance_oracle,
     halton_oracle,
     line_trace_oracle,
     random_invertible,
@@ -405,13 +406,14 @@ def _aligned_pairs(index, dim, nudge):
         second = [Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(20)]
     else:
         second = [Plane.from_spanning(p.frame + nudge * rng.normal(size=(dim, index))) for p in first]
-    got = grassmann.aligned_distances(grassmann.frame_stack(first), grassmann.frame_stack(second))
-    return got, np.array([grassmann.grass_distance(p, q) for p, q in zip(first, second)])
+    got = grassmann.grass_distance(grassmann.frame_stack(first), grassmann.frame_stack(second))
+    return got, np.array([grass_distance_oracle(p.frame, q.frame) for p, q in zip(first, second)])
 
 
 _ALIGNED_CASES = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5), (4, 4)]
 
 
+# row-aligned stacks: row k of one against row k of the other
 @pytest.mark.parametrize("index,dim", _ALIGNED_CASES)
 def test_aligned_distances_match_grass_distance(index, dim):
     got, want = _aligned_pairs(index, dim, None)
@@ -421,9 +423,39 @@ def test_aligned_distances_match_grass_distance(index, dim):
 
 @pytest.mark.parametrize("index,dim", _ALIGNED_CASES)
 def test_aligned_distances_near_coincident(index, dim):
-    # planes 1e-4 apart, where the cosine form is least accurate
+    # planes 1e-4 apart, where a cosine form would be least accurate; the
+    # sine form keeps the angle's relative precision
     got, want = _aligned_pairs(index, dim, 1e-4)
-    assert np.allclose(got, want, rtol=0.0, atol=1e-7)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@st.composite
+def aligned_plane_pairs(draw):
+    """(E, F) frame stacks in G(i, d), d <= 5 and 1 <= i <= d, with F random
+    or each row of F a given distance (1e-4, 1e-7 or 1e-10) from E's."""
+    d = draw(st.integers(min_value=1, max_value=5))
+    i = draw(st.integers(min_value=1, max_value=d))
+    n = draw(st.integers(min_value=1, max_value=8))
+    apart = draw(st.sampled_from((None, 1e-4, 1e-7, 1e-10)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    E = _orthonormal_stack(rng.normal(size=(n, d, i)))
+    if apart is None:
+        return E, _orthonormal_stack(rng.normal(size=(n, d, i)))
+    # turn each frame by about ``apart`` within a random 2-plane of R^d
+    Q = _orthonormal_stack(rng.normal(size=(n, d, min(d, 2))))
+    J = np.array([[0.0, -apart], [apart, 0.0]])[: Q.shape[2], : Q.shape[2]]
+    return E, _orthonormal_stack((np.eye(d) + Q @ J @ np.swapaxes(Q, 1, 2)) @ E)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(aligned_plane_pairs())
+def test_grass_distance_sine_matches_svd_oracle(pairs):
+    E, F = pairs
+    want = np.sin(grass_distance_oracle(E, F))
+    assert np.allclose(np.sin(grassmann.grass_distance(E, F)), want, rtol=1e-14, atol=0.0)
+    # broadcast: every row of E against every row of F
+    want = np.sin(grass_distance_oracle(E[:, None], F[None]))
+    assert np.allclose(np.sin(grassmann.grass_distance(E[:, None], F[None])), want, rtol=1e-14, atol=0.0)
 
 
 @st.composite
@@ -463,7 +495,7 @@ def test_frame_stack_distances_match_grass_distance(stacks):
     # every (d, i) with d <= 6: the 1- and 2-column closed forms on the
     # planes or on their complements, i = d, and the SVD path at d = 6, i = 3
     A, B = stacks
-    want = np.array([[grassmann.grass_distance(Plane(a), Plane(b)) for b in B] for a in A])
+    want = grass_distance_oracle(A[:, None], B[None])
     got = grassmann.frame_stack_distances(A, B)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 2e-7

@@ -107,6 +107,37 @@ def test_splitting_key_layout(tmp_path, diag_spec):
     ]
 
 
+def _strict_json(text: str):
+    """``json.loads`` that rejects the non-JSON tokens NaN, Infinity and
+    -Infinity."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("window", ["--past-len", "--future-len"])
+def test_length_one_window_writes_null_indicator(tmp_path, diag_spec, window):
+    # a length-1 window has no shortened window to compare against: the NaN
+    # indicator is written as null and read back as NaN
+    from domsplit.splitting import SplittingEstimate
+
+    out = tmp_path / "out"
+    assert cli.main(["splitting", str(diag_spec), "--index", "1", window, "1", "--out", str(out)]) == 0
+    data = _strict_json((out / "splitting.json").read_text())
+    assert data["convergence_indicator"] is None
+    est = SplittingEstimate.from_json_dict(data)
+    assert math.isnan(est.convergence_indicator)
+    assert est.to_json_dict() == {k: data[k] for k in est.to_json_dict()}
+
+
+def test_json_writer_refuses_nan(tmp_path):
+    with pytest.raises(ValueError):
+        cli._write_json(tmp_path / "x.json", {"value": math.nan})
+    assert not (tmp_path / "x.json").exists()
+
+
 @pytest.fixture()
 def full_example_report():
     """A hand-built report with every nested record present."""
