@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -71,9 +72,24 @@ def _checked(value, kind: type, what: str):
     return value
 
 
+def _float(value, what: str) -> float:
+    """A checked JSON number as a finite float; an integer too large for a
+    float, or a number that parsed to inf or nan, is a ValueError naming
+    ``what``."""
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must fit a float, got an integer too large for one") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{what} must be finite, got {x}")
+    return x
+
+
 def _scalar(spec: dict, key: str, default, kind: type, what: str):
     """``spec[key]``, or ``default`` if it is missing, as a checked ``kind``."""
-    return kind(_checked(spec.get(key, default), kind, f"{key!r} of {what}"))
+    what = f"{key!r} of {what}"
+    value = _checked(spec.get(key, default), kind, what)
+    return value if kind is int else _float(value, what)
 
 
 def _required(spec: dict, key: str, what: str):
@@ -84,12 +100,12 @@ def _required(spec: dict, key: str, what: str):
 
 
 def _numbers(value, what: str) -> list[float]:
-    """A JSON array of numbers as floats."""
+    """A JSON array of numbers (not bools) as floats."""
     values = _checked(value, list, what)
-    try:
-        return [float(x) for x in values]
-    except TypeError:
-        raise ValueError(f"{what} must hold only numbers") from None
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"{what} must hold only numbers, got {type(x).__name__}")
+    return [_float(x, what) for x in values]
 
 
 def _build_generator(spec) -> MatrixFamily:

@@ -3,17 +3,19 @@
 Singular spectra, operator norms and co-norms, singular-value gap ratios,
 exterior-power norms, cross-ratios on the projective line, and principal
 angles between subspaces.  Everything here is a pure function of its
-arguments and is safe to call concurrently.
+arguments (a ``TopSingular`` holds only what it computed from its stack)
+and is safe to call concurrently.
 
-``top_singular_values`` is the gap search's sigma_1 kernel: batched over
-``(..., n, n)`` stacks without LAPACK SVD (``|x|``, a 2x2 closed form, or
-the largest eigenvalue of ``C C^T``), within 1e-14 relative of
-``svd(...)[..., 0]``; ``operator_norms`` extends it to rectangular stacks
-through the Gram matrix of the narrower side.  ``top_singular_value_bounds``
-brackets the same sigma_1 without an eigen-solver, so the search can skip
-the kernel on words that cannot matter: exact for n <= 2, and
-``[|G|_F / sqrt(tr G), |G|_F^(1/2)]`` with ``G = C C^T`` above, from
-``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)``.
+``TopSingular`` is the gap search's sigma_1 kernel, batched over
+``(..., n, n)`` stacks without LAPACK SVD and within 1e-14 relative of
+``svd(...)[..., 0]``.  From one Gram matrix per row it gives eigen-solver
+free bounds on sigma_1 (exact for n <= 2; for an equal spectrum the lower
+one is exact and the upper one ``n^(1/4) sigma_1``) and sigma_1 of any row
+subset.  A row whose Gram is scalar to rounding, as for every compound of
+an isometry, takes the midpoint of a trace bracket instead of ``eigvalsh``,
+within ``PIN_RTOL / 4`` relative.  ``top_singular_values`` and
+``top_singular_value_bounds`` are its one-call forms; ``operator_norms``
+extends it to rectangular stacks.
 """
 
 from __future__ import annotations
@@ -48,59 +50,115 @@ def _square_stack(stack) -> np.ndarray:
     return C
 
 
-def top_singular_values(stack) -> np.ndarray:
-    """sigma_1 of every matrix in an ``(..., n, n)`` stack, without LAPACK SVD.
+# A Gram matrix whose trace bracket on lambda_max is at most this wide,
+# relative to its mean eigenvalue, takes the bracket's midpoint instead of
+# an eigen-solve; sigma_1 is then within PIN_RTOL / 4 relative.
+PIN_RTOL = 8e-15
+
+
+class TopSingular:
+    """sigma_1 of every matrix of an ``(..., n, n)`` stack, and bounds on it,
+    from one pass over the stack.
 
     n = 1 is ``|x|`` and n = 2 the closed form
     ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``, whose two terms are
-    non-negative so their sum cannot cancel.  For n >= 3 it is the square
-    root of the largest eigenvalue of ``C C^T`` (batched ``eigvalsh``);
-    that eigenvalue is at least ``|C|_F^2 / n``, so it is well conditioned.
-    Relative error against ``svd(...)[..., 0]`` is below 1e-14 for entries
-    whose squares neither overflow nor underflow; the gap search passes
-    Frobenius-normalized stacks.
+    non-negative so their sum cannot cancel; both bounds are that value.
+
+    For n >= 3 everything reads ``G = C C^T``, formed once.  From
+    ``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)`` over
+    its eigenvalues, ``bounds`` are ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]``:
+    the lower one is exact for an equal spectrum (where the upper one is
+    ``n^(1/4) sigma_1``), the upper one for rank one.  With ``m = tr G / n``
+    and ``delta = |G - m I|_F``, taken from the diagonal deviations and the
+    off-diagonal squares (``tr G^2 - n m^2`` cancels), ``lambda_max`` lies in
+    ``[m + delta / sqrt(n (n - 1)), m + delta sqrt((n - 1) / n)]``
+    (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980).  ``values`` takes
+    the midpoint of a row whose bracket is at most ``PIN_RTOL * m`` wide,
+    within ``PIN_RTOL / 4`` of sigma_1 relative, and the largest eigenvalue
+    of the same Gram (batched ``eigvalsh``; at least ``|C|_F^2 / n``, so well
+    conditioned) for every other row.  sigma_1 is within 1e-14 relative of
+    ``svd(...)[..., 0]`` for entries whose squares neither overflow nor
+    underflow.
     """
-    C = _square_stack(stack)
-    n = C.shape[-1]
-    if n == 1:
-        return np.abs(C[..., 0, 0])
-    if n == 2:
-        a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
-        return 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
-    gram = C @ np.swapaxes(C, -1, -2)
-    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+    def __init__(self, stack):
+        C = _square_stack(stack)
+        self.stack = C
+        n = C.shape[-1]
+        if n == 1:
+            self._top = np.abs(C[..., 0, 0])
+            return
+        if n == 2:
+            a, b, c, d = C[..., 0, 0], C[..., 0, 1], C[..., 1, 0], C[..., 1, 1]
+            self._top = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
+            return
+        self._top = None
+        gram = C @ np.swapaxes(C, -1, -2)
+        self._trace = np.einsum("...ii->...", gram)
+        self._gram_sq = np.einsum("...ij,...ij->...", gram, gram)
+        mean = self._trace / n
+        self._pinned = np.zeros(np.shape(mean), dtype=bool)
+        self._mid = mean
+        # delta^2 = |G|_F^2 - n m^2 cancels to about 1e-15 |G|_F^2, too coarse
+        # for a pin (delta below 2e-14 m), but enough to skip the exact delta
+        # when no row is near a scalar Gram, at no cost beyond the bounds
+        if np.any(self._gram_sq - n * mean**2 <= 1e-12 * self._gram_sq):
+            diag = np.einsum("...ii->...i", gram)
+            dev = diag - mean[..., None]
+            off_sq = np.einsum("...ij,...ij,ij->...", gram, gram, 1.0 - np.eye(n))
+            delta = np.sqrt(off_sq + np.einsum("...i,...i->...", dev, dev))
+            lo, hi = 1.0 / math.sqrt(n * (n - 1)), math.sqrt((n - 1) / n)
+            self._pinned = delta * (hi - lo) <= PIN_RTOL * mean
+            self._mid = mean + delta * (0.5 * (lo + hi))
+        # held only while some row may still need its eigen-solve
+        self._gram = None if np.all(self._pinned) else gram
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` with ``lower <= sigma_1 <= upper`` up to
+        rounding (1e-14 relative), for every matrix of the stack."""
+        if self._top is not None:
+            return self._top, self._top
+        # a zero matrix has trace 0 and gram_sq 0: its lower bound is 0, not nan
+        lower = np.sqrt(self._gram_sq / np.where(self._trace > 0.0, self._trace, 1.0))
+        return lower, np.sqrt(np.sqrt(self._gram_sq))
+
+    def values(self, rows=None) -> np.ndarray:
+        """sigma_1 of every matrix, or of the rows picked by a boolean mask
+        over the stack's leading axes; of those, only the rows not pinned
+        are eigen-solved."""
+        if self._top is not None:
+            return self._top if rows is None else self._top[rows]
+        solve = ~self._pinned if rows is None else rows & ~self._pinned
+        lam = np.array(self._mid)
+        if np.any(solve):
+            gram = self._gram if np.all(solve) else self._gram[solve]
+            lam[solve] = np.linalg.eigvalsh(gram)[..., -1].ravel()
+        top = np.sqrt(lam)
+        return top if rows is None else top[rows]
+
+
+def top_singular_values(stack) -> np.ndarray:
+    """sigma_1 of every matrix in an ``(..., n, n)`` stack (``TopSingular``)."""
+    return TopSingular(stack).values()
 
 
 def top_singular_value_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
-    """``(lower, upper)`` with ``lower <= sigma_1 <= upper`` for every matrix
-    of an ``(..., n, n)`` stack, without an eigen-solver.
-
-    For n <= 2 both are ``top_singular_values`` (a closed form already).
-    For n >= 3, with ``G = C C^T`` and ``lambda`` its eigenvalues,
-    ``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)``, so
-    ``sigma_1`` lies in ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]``.  Both sides
-    hold up to rounding (1e-14 relative); they meet when the singular
-    values are all equal or all but one are zero.
-    """
-    C = _square_stack(stack)
-    if C.shape[-1] <= 2:
-        top = top_singular_values(C)
-        return top, top
-    gram = C @ np.swapaxes(C, -1, -2)
-    gram_sq = np.einsum("...ij,...ij->...", gram, gram)
-    trace = np.einsum("...ii->...", gram)
-    # a zero matrix has trace 0 and gram_sq 0: its lower bound is 0, not nan
-    lower = np.sqrt(gram_sq / np.where(trace > 0.0, trace, 1.0))
-    return lower, np.sqrt(np.sqrt(gram_sq))
+    """Eigen-solver-free ``(lower, upper)`` bounds on sigma_1 of every matrix
+    in an ``(..., n, n)`` stack (``TopSingular.bounds``): exact for n <= 2,
+    ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]`` with ``G = C C^T`` above."""
+    return TopSingular(stack).bounds()
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
     """Operator 2-norm of every matrix of a ``(..., p, q)`` stack, without
-    LAPACK SVD: ``top_singular_values`` of a square one, else the square
-    root of that of the Gram matrix of its narrower side."""
+    LAPACK SVD: ``top_singular_values`` of a square one, the square root of
+    the sum of squares of a one-row or one-column one, else the square root
+    of ``top_singular_values`` of the Gram matrix of its narrower side."""
     p, q = stack.shape[-2:]
     if p == q:
         return top_singular_values(stack)
+    if min(p, q) == 1:
+        return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
     # a copy: numpy's syrk path for X X^T is slow on stacks of small matrices
     Xt = np.ascontiguousarray(np.swapaxes(stack, -1, -2))
     return np.sqrt(top_singular_values(np.matmul(stack, Xt) if p < q else np.matmul(Xt, stack)))

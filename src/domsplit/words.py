@@ -15,23 +15,27 @@ rounding.  The plain-matrix path (needed for singular frames) rescales every
 ``RESCALE_PERIOD`` multiplications.
 
 Only sigma_1 of each normalized compound is ever needed.  It comes from the
-batched kernel ``linalg.top_singular_values`` (``|x|`` for 1x1, a closed
-form for 2x2, ``eigvalsh`` of the Gram matrix above), within 1e-14 relative
-of LAPACK's SVD, so no SVD runs here.
+batched kernel ``linalg.TopSingular`` (``|x|`` for 1x1, a closed form for
+2x2, and from the Gram matrix above: the midpoint of a trace bracket where
+that Gram is scalar to rounding, as for every compound of an isometry,
+``eigvalsh`` elsewhere), within 1e-14 relative of LAPACK's SVD, so no SVD
+runs here.  The walks step with one dot per normalization, which is what
+``np.linalg.norm`` computes for a matrix, at half its call overhead.
 
 The gap search reads only each length's maximum with its witness and, on a
 length before a beam length, the ``beam_width`` largest scores.  So it
-bounds every word's score first, from ``linalg.top_singular_value_bounds``
-(no eigen-solver): the upper bound takes the upper bounds at orders i - 1
-and i + 1 and the lower bound at order i, the lower bound the reverse.  The
+forms each order's kernel (one Gram matrix per word) once per chunk and
+bounds every word's score first, from ``TopSingular.bounds`` (no
+eigen-solver): the upper bound takes the upper bounds at orders i - 1 and
+i + 1 and the lower bound at order i, the lower bound the reverse.  The
 cut is the larger of the length's maximum so far and the chunk's largest
-lower bound; when the next length beams it is the chunk's
-``beam_width``-th largest lower bound instead (no cut when the chunk is
-smaller).  A word whose upper bound is more than ``GAP_PRUNE_SLACK``
+lower bound; when the next length beams it is the ``beam_width``-th
+largest lower bound of the length so far instead (no cut before
+``beam_width`` words).  A word whose upper bound is more than ``GAP_PRUNE_SLACK``
 (1e-9 nats, for rounding) below the cut scores -inf; every other word gets
-the exact kernel.  A pruned word can neither be a maximum nor enter a beam,
-ties all survive, and the kernel gives the same bits on a row subset, so
-every output is exactly that of scoring all words.
+the exact sigma_1 from the same Gram.  A pruned word can neither be a
+maximum nor enter a beam, ties all survive, and the kernel gives the same
+bits on a row subset, so every output is exactly that of scoring all words.
 """
 
 from __future__ import annotations
@@ -212,9 +216,10 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
 
 
 def _rescaled(P: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # one norm call per matrix: a batched norm(axis=(-2, -1)) sums in
-    # another order and moves the products at the 1e-15 level
-    s = np.array([float(np.linalg.norm(p)) for p in P])
+    # one dot per matrix, which is what np.linalg.norm computes for a 2-d
+    # array: a batched norm(axis=(-2, -1)) sums in another order and moves
+    # the products at the 1e-15 level
+    s = np.array([math.sqrt(r.dot(r)) for r in P.reshape(-1, P.shape[-1] ** 2)])
     return P / s[:, None, None], log_scale + np.array([math.log(x) for x in s])
 
 
@@ -236,7 +241,8 @@ def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
         log_acc = 0.0
         for n, j in enumerate(reversed(w) if suffix else w):
             acc = comps[k][j] @ acc if suffix else acc @ comps[k][j]
-            s = float(np.linalg.norm(acc))
+            r = acc.ravel()
+            s = math.sqrt(r.dot(r))  # np.linalg.norm(acc), bit for bit
             acc /= s
             log_acc += math.log(s)
             steps[n] = acc
@@ -377,8 +383,9 @@ class SearchConfig:
 # enumeration
 
 
-# words extended per batched product; bounds the memory of one batch
-CHUNK_SIZE = 65536
+# new words per batch (at least one word's extensions by every member): a
+# batch holds its compounds and their Gram matrices, of every order, at once
+CHUNK_SIZE = 16384
 
 # a word is pruned only when its score's upper bound is this many nats below
 # the cut; absorbs the rounding of the bounds against the exact kernel
@@ -396,9 +403,10 @@ class _GapSearch:
         self.config = config
         self.ks = tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
         self.bank = family.compound_banks
+        self._beam_lowers: np.ndarray | None = None
 
     def _candidates(
-        self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float, beam_next: bool
+        self, kernels: dict[int, linalg.TopSingular], logs: dict[int, np.ndarray], best_val: float
     ) -> np.ndarray:
         """Mask of the rows whose score bounds do not rule out that they beat
         ``best_val`` or, when the next length beams, enter its beam."""
@@ -407,7 +415,7 @@ class _GapSearch:
         # twice the order i off: each bound takes each term from its own side
         upper = lower = 0.0
         for k in self.ks:
-            lo, hi = linalg.top_singular_value_bounds(mats[k])
+            lo, hi = kernels[k].bounds()
             lo = logs[k] + np.log(lo)
             hi = logs[k] + np.log(hi)
             if k == i:
@@ -415,31 +423,27 @@ class _GapSearch:
             else:
                 upper, lower = upper + hi, lower + lo
         width = self.config.beam_width
-        if not beam_next:
+        if self._beam_lowers is None:
             cut = max(best_val, float(np.max(lower)))
-        elif lower.size >= width:
-            cut = float(np.partition(lower, -width)[-width])
         else:
-            cut = -math.inf
+            # the beam_width largest lower bounds of this length so far: a
+            # row below all of them has beam_width exact scores above it
+            lowers = np.concatenate([self._beam_lowers, lower])
+            self._beam_lowers = np.partition(lowers, -width)[-width:] if lowers.size > width else lowers
+            cut = float(np.min(self._beam_lowers)) if self._beam_lowers.size == width else -math.inf
         return upper >= cut - GAP_PRUNE_SLACK
 
-    def _log_gaps(
-        self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float, beam_next: bool
-    ) -> np.ndarray:
+    def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float) -> np.ndarray:
         """Log gap ratio of every row; rows ruled out by ``_candidates`` get
         -inf instead of their exact score."""
-        keep = self._candidates(mats, logs, best_val, beam_next)
-        whole = bool(np.all(keep))
-        # a plain slice is a view: no copy when every row is kept
-        rows = slice(None) if whole else keep
-        tops = {k: logs[k][rows] + np.log(linalg.top_singular_values(mats[k][rows])) for k in self.ks}
+        # one Gram per order: the bounds, the pin and the eigen-solve read it
+        kernels = {k: linalg.TopSingular(mats[k]) for k in self.ks}
+        keep = self._candidates(kernels, logs, best_val)
+        tops = {k: logs[k][keep] + np.log(kernels[k].values(keep)) for k in self.ks}
         i = self.index
         low = tops[i - 1] if i - 1 >= 1 else 0.0
-        scores = tops[i + 1] + low - 2.0 * tops[i]
-        if whole:
-            return scores
         out = np.full(keep.shape, -math.inf)
-        out[keep] = scores
+        out[keep] = tops[i + 1] + low - 2.0 * tops[i]
         return out
 
     def run(self) -> list[GapLengthStat]:
@@ -470,57 +474,48 @@ class _GapSearch:
                 logs = {k: logs[k][keep] for k in self.ks}
                 count = words.shape[0]
 
-            new_words = []
-            new_mats = {k: [] for k in self.ks}
-            new_logs = {k: [] for k in self.ks}
-            new_scores = []
+            # this length's words, compounds, logs and scores, filled chunk by
+            # chunk in place: no second copy of them is ever held
+            rows = count * m
+            new_words = np.empty((rows, length), dtype=np.int32)
+            new_mats = {k: np.empty((rows, *self.bank[k].shape[1:])) for k in self.ks}
+            new_logs = {k: np.empty(rows) for k in self.ks}
+            scores = np.empty(rows)
             best_val = -math.inf
             best_word: Word = ()
-            examined = 0
             # the next length keeps only the beam_width best of these words
             beam_next = length < max_len and count * m * m > budget and count * m > cfg.beam_width
-            letters = np.arange(m, dtype=np.int32)
-            for lo in range(0, count, CHUNK_SIZE):
-                sl = slice(lo, min(lo + CHUNK_SIZE, count))
+            self._beam_lowers = np.empty(0) if beam_next else None
+            step = max(1, CHUNK_SIZE // m)
+            for lo in range(0, count, step):
+                sl = slice(lo, min(lo + step, count))
                 n_par = sl.stop - sl.start
-                cw = np.concatenate(
-                    [
-                        np.repeat(words[sl], m, axis=0),
-                        np.tile(letters, n_par)[:, None],
-                    ],
-                    axis=1,
-                )
+                out = slice(lo * m, sl.stop * m)
+                cw = new_words[out]
+                cw[:, :-1] = np.repeat(words[sl], m, axis=0)
+                cw[:, -1] = np.tile(np.arange(m, dtype=np.int32), n_par)
                 cm = {}
-                cl = {}
                 for k in self.ks:
-                    prod = np.matmul(mats[k][sl][:, None], self.bank[k][None])
-                    prod = prod.reshape(n_par * m, *prod.shape[2:])
+                    prod = new_mats[k][out]
+                    np.matmul(mats[k][sl][:, None], self.bank[k][None], out=prod.reshape(n_par, m, *prod.shape[1:]))
                     nrm = np.linalg.norm(prod, axis=(-2, -1))
                     prod /= nrm[:, None, None]
                     cm[k] = prod
-                    cl[k] = np.repeat(logs[k][sl], m) + np.log(nrm)
-                cs = self._log_gaps(cm, cl, best_val, beam_next)
-                examined += cs.size
+                    new_logs[k][out] = np.repeat(logs[k][sl], m) + np.log(nrm)
+                cs = scores[out]
+                cs[:] = self._log_gaps(cm, {k: new_logs[k][out] for k in self.ks}, best_val)
                 arg = int(np.argmax(cs))
                 if cs[arg] > best_val:
                     best_val = float(cs[arg])
                     best_word = tuple(int(j) for j in cw[arg])
-                new_words.append(cw)
-                for k in self.ks:
-                    new_mats[k].append(cm[k])
-                    new_logs[k].append(cl[k])
-                new_scores.append(cs)
 
-            words = np.concatenate(new_words, axis=0)
-            mats = {k: np.concatenate(new_mats[k], axis=0) for k in self.ks}
-            logs = {k: np.concatenate(new_logs[k], axis=0) for k in self.ks}
-            scores = np.concatenate(new_scores)
+            words, mats, logs = new_words, new_mats, new_logs
             complete = exact
             stats.append(
                 GapLengthStat(
                     length=length,
                     max_log_ratio=best_val,
-                    words_examined=examined,
+                    words_examined=rows,
                     exact=exact,
                     witness=best_word,
                 )

@@ -208,11 +208,65 @@ _PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices":
         ({"generator": {**_PERTURBED_DIAG, "noise": None}}, "'noise' of generator 'random_perturbation' must be a JSON number, got NoneType"),
         ({"generator": {**_PERTURBED_DIAG, "seed": 1.5}}, "'seed' of generator 'random_perturbation' must be a JSON integer, got float"),
         ({"generator": {**_PERTURBED_DIAG, "copies": [2]}}, "'copies' of generator 'random_perturbation' must be a JSON integer, got list"),
+        # a bool is not a number in an entries array either
+        ({"dim": 2, "matrices": [{"entries": [True, 0, 0, 1]}]}, "the entries of matrix 'M0' must hold only numbers, got bool"),
+        (
+            {"generator": {"kind": "conjugated_diagonal", "entries": [2, False]}},
+            "the entries of generator 'conjugated_diagonal' must hold only numbers, got bool",
+        ),
     ],
 )
 def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    code = cli.main(["check", str(path), "--index", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err
+
+
+_HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ({"generator": {"kind": "example4d", "lambda": _HUGE}}, "'lambda' of generator 'example4d' must fit a float"),
+        ({"generator": {**_PERTURBED_DIAG, "noise": -_HUGE}}, "'noise' of generator 'random_perturbation' must fit a float"),
+        ({"dim": 2, "matrices": [{"entries": [_HUGE, 0, 0, 1]}]}, "the entries of matrix 'M0' must fit a float"),
+        (
+            {"generator": {"kind": "conjugated_diagonal", "entries": [2, _HUGE]}},
+            "the entries of generator 'conjugated_diagonal' must fit a float",
+        ),
+    ],
+    ids=["scalar-lambda", "scalar-noise", "numbers-matrix", "numbers-conjugated-diagonal"],
+)
+def test_integer_too_large_for_a_float_exits_one(spec, message, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = cli.main(["check", str(path), "--index", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('{"generator": {"kind": "example4d", "lambda": 1e400}}', "'lambda' of generator 'example4d' must be finite, got inf"),
+        ('{"generator": {"kind": "random_perturbation", "base": {"dim": 2, "matrices": [{"entries": [2, 0, 0, 1]}]},'
+         ' "noise": 1e400}}', "'noise' of generator 'random_perturbation' must be finite, got inf"),
+        ('{"dim": 2, "matrices": [{"entries": [NaN, 0, 0, 1]}]}', "the entries of matrix 'M0' must be finite, got nan"),
+    ],
+    ids=["lambda-1e400", "noise-1e400", "entries-NaN"],
+)
+def test_non_finite_spec_number_exits_one(text, message, tmp_path, capsys):
+    # a JSON number beyond the float range parses to inf, and Python's
+    # parser also takes NaN and Infinity
+    path = tmp_path / "spec.json"
+    path.write_text(text)
     code = cli.main(["check", str(path), "--index", "1", "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err

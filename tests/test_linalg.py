@@ -189,26 +189,41 @@ def test_principal_angles_broadcast_matches_per_pair_calls(stacks):
 @st.composite
 def square_stacks(draw):
     """Stacks of n x n matrices, n = 1..6: random, orthogonal (isotropic
-    Gram), near rank 1, sigma_1 and sigma_2 equal to 1e-12, or empty, each
-    scaled by 10^e for e in -50..50."""
+    Gram), near rank 1, sigma_1 and sigma_2 equal to 1e-12, near-conformal
+    (products of 1 to 40 random orthogonal matrices, or an orthogonal
+    matrix times I + e A with |e| 1e-16 to 1e-12: a scalar Gram perturbed
+    by about that much), orthogonal and random rows mixed (pinned and
+    unpinned rows of one stack), zero, or empty, each scaled by 10^e for e
+    in -50..50; some are a single (n, n) matrix instead of a stack."""
     n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["random", "orthogonal", "rank1", "close_top", "empty"]))
+    kinds = ["random", "orthogonal", "rank1", "close_top", "orthogonal_product", "near_scalar", "mixed", "zero"]
+    kind = draw(st.sampled_from([*kinds, "empty"]))
     count = 0 if kind == "empty" else draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-50, 50))
     mats = []
-    for _ in range(count):
-        if kind == "orthogonal":
+    for row in range(count):
+        if kind == "orthogonal" or (kind == "mixed" and row % 2 == 0):
             M = random_orthogonal(n, rng)
         elif kind == "rank1":
             M = np.outer(rng.normal(size=n), rng.normal(size=n)) + 1e-9 * rng.normal(size=(n, n))
         elif kind == "close_top":
             s = np.concatenate([[1.0, 1.0 - 1e-12], np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]])[:n]
             M = random_orthogonal(n, rng) @ np.diag(s) @ random_orthogonal(n, rng)
+        elif kind == "orthogonal_product":
+            M = np.eye(n)
+            for _ in range(rng.integers(1, 41)):
+                M = M @ random_orthogonal(n, rng)
+        elif kind == "near_scalar":
+            e = 10.0 ** rng.uniform(-16.0, -12.0)
+            M = random_orthogonal(n, rng) @ (np.eye(n) + e * rng.normal(size=(n, n)))
+        elif kind == "zero":
+            M = np.zeros((n, n))
         else:
             M = rng.normal(size=(n, n))
         mats.append(scale * M)
-    return np.array(mats).reshape(count, n, n)
+    stack = np.array(mats).reshape(count, n, n)
+    return stack[0] if count and draw(st.booleans()) else stack
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -216,10 +231,41 @@ def square_stacks(draw):
 def test_top_singular_values_match_svd(stack):
     got = linalg.top_singular_values(stack)
     want = top_singular_values_oracle(stack)
-    assert got.shape == want.shape == stack.shape[:1]
+    assert np.shape(got) == np.shape(want) == stack.shape[:-2]
     if stack.shape[-1] == 1:
         assert np.array_equal(got, want)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_scalar_grams_take_the_bracket_midpoint(n, monkeypatch):
+    # Gram spectra (1 + e, 1, ..., 1) and (1, 1 - e, ..., 1 - e), the two
+    # extremes of the trace bracket, under signed permutations so that the
+    # Gram is exact.  Just inside the pin limit sigma_1 comes without an
+    # eigen-solve and within PIN_RTOL / 4 (plus rounding) of the truth; ten
+    # times past it every row is eigen-solved.
+    lo, hi = 1.0 / math.sqrt(n * (n - 1)), math.sqrt((n - 1) / n)
+    limit = linalg.PIN_RTOL / (hi * (hi - lo))
+    rng = np.random.default_rng(n)
+
+    def signed_permutation():
+        return np.eye(n)[rng.permutation(n)] * rng.choice([-1.0, 1.0], size=n)
+
+    def stack(e):
+        spectra = [np.r_[1.0 + e, np.ones(n - 1)], np.r_[1.0, np.full(n - 1, 1.0 - e)]]
+        return np.array([signed_permutation() @ np.diag(np.sqrt(s)) @ signed_permutation() for s in spectra])
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+    for e in (0.1 * limit, 0.5 * limit, 0.9 * limit):
+        want = np.sqrt([1.0 + e, 1.0])
+        got = linalg.top_singular_values(stack(e))
+        assert np.all(np.abs(got - want) <= (linalg.PIN_RTOL / 4 + 4e-16) * want)
+    assert solved == []
+    got = linalg.top_singular_values(stack(10.0 * limit))
+    assert solved == [2]
+    assert np.allclose(got, np.sqrt([1.0 + 10.0 * limit, 1.0]), rtol=1e-15, atol=0.0)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -227,7 +273,7 @@ def test_top_singular_values_match_svd(stack):
 def test_top_singular_value_bounds_bracket_svd(stack):
     lower, upper = linalg.top_singular_value_bounds(stack)
     want = top_singular_values_oracle(stack)
-    assert lower.shape == upper.shape == want.shape
+    assert np.shape(lower) == np.shape(upper) == np.shape(want)
     assert np.all(lower <= want * (1.0 + 1e-14))
     assert np.all(upper >= want * (1.0 - 1e-14))
     if stack.shape[-1] <= 2:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rotation2, scaled_rotation_pair
+from conftest import isometry_family, rotation2, scaled_rotation_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -141,6 +141,34 @@ def test_log_singular_value_walks_match_per_step_svd(dim):
             assert np.max(np.abs(got - want)) <= 1e-13
 
 
+def _walk_with_linalg_norm(family, word, suffix):
+    # the compound walk with each step's norm from np.linalg.norm
+    d = family.dim
+    top = np.zeros((len(word) + 1, d + 1))
+    for k in range(1, d + 1):
+        acc = np.eye(math.comb(d, k))
+        steps, logs, log_acc = [], [], 0.0
+        for j in reversed(word) if suffix else word:
+            acc = family.compound_banks[k][j] @ acc if suffix else acc @ family.compound_banks[k][j]
+            s = float(np.linalg.norm(acc))
+            acc /= s
+            log_acc += math.log(s)
+            steps.append(acc)
+            logs.append(log_acc)
+        top[1:, k] = np.array(logs) + np.log(linalg.top_singular_values(np.array(steps)))
+    return np.diff(top, axis=1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_log_singular_value_walks_match_linalg_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(70 + dim)
+    fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(3)])
+    for n in (1, 7, 40):
+        word = tuple(int(j) for j in rng.integers(3, size=n))
+        for walk, suffix in ((words.log_singular_value_prefixes, False), (words.log_singular_value_suffixes, True)):
+            assert np.array_equal(walk(fam, word), _walk_with_linalg_norm(fam, word, suffix))
+
+
 def test_log_singular_values_survive_long_words():
     # diag(2, 1) repeated 400 times: the raw product would lose the small
     # singular value at length ~53 and overflow nothing, but the ratio must
@@ -270,7 +298,11 @@ def test_gap_search_with_svd_oracle_kernel(cross_validation_suite, monkeypatch):
     cfg = SearchConfig(max_len=8, budget=2_000, beam_width=64)
     cases = [(c.family, c.index, c.dominated) for c in cross_validation_suite]
     kernel = [words.is_dominated(fam, index, cfg) for fam, index, _ in cases]
-    monkeypatch.setattr(linalg, "top_singular_values", top_singular_values_oracle)
+    monkeypatch.setattr(
+        linalg.TopSingular,
+        "values",
+        lambda self, rows=None: top_singular_values_oracle(self.stack if rows is None else self.stack[rows]),
+    )
     oracle = [words.is_dominated(fam, index, cfg) for fam, index, _ in cases]
     assert any(not s.exact for r in kernel for s in r.per_length)
     for (_, _, dominated), got, want in zip(cases, kernel, oracle):
@@ -280,6 +312,33 @@ def test_gap_search_with_svd_oracle_kernel(cross_validation_suite, monkeypatch):
             assert abs(g.max_log_ratio - w.max_log_ratio) <= 1e-12
             if dominated:
                 assert g.witness == w.witness
+
+
+def test_isometry_gap_search_needs_no_eigen_solver(cross_validation_suite, monkeypatch):
+    # every compound of an isometry family has a scalar Gram, so no row of a
+    # 4x4 isometry search reaches eigvalsh; a dominated family's rows still
+    # do, and its report equals the one with no row pinned (the eigen-solve
+    # on every kept row)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: solved.append(len(G)) or eigvalsh(G))
+    cfg = SearchConfig(max_len=8)
+    iso = isometry_family(4, 3, seed=17)
+    pinned = {index: words.enumerate_gaps(iso, index, cfg) for index in (2, 3)}
+    assert solved == []
+    dominated_9 = next(c for c in cross_validation_suite if c.name == "dominated_9")
+    got = words.enumerate_gaps(dominated_9.family, dominated_9.index, cfg)
+    rows = sum(solved)
+    assert rows > 0
+    monkeypatch.setattr(linalg, "PIN_RTOL", -1.0)
+    solved.clear()
+    assert words.enumerate_gaps(dominated_9.family, dominated_9.index, cfg) == got
+    assert sum(solved) == rows
+    for index, report in pinned.items():
+        unpinned = words.enumerate_gaps(iso, index, cfg)
+        for g, w in zip(report.per_length, unpinned.per_length, strict=True):
+            assert (g.length, g.words_examined, g.exact) == (w.length, w.words_examined, w.exact)
+            assert abs(g.max_log_ratio) <= 1e-14 and abs(w.max_log_ratio) <= 1e-14
 
 
 @pytest.mark.parametrize("chunk_size", [None, 2, 40])
@@ -294,23 +353,33 @@ def test_pruned_gap_search_matches_unpruned_oracle(cross_validation_suite, monke
         monkeypatch.setattr(words, "CHUNK_SIZE", chunk_size)
     cases = [(c.family, c.index) for c in cross_validation_suite]
     want = [gap_search_oracle(fam, index, cfg) for fam, index in cases]
-    # rows of 3x3 and larger compounds, which alone reach eigvalsh
+    # rows of 3x3 and larger compounds, which alone can reach eigvalsh; each
+    # kernel (one Gram per row) is built once per order and chunk, and both
+    # its bounds and its exact values are read from it once
     rows = {"bounded": 0, "exact": 0}
-    bounds, kernel = linalg.top_singular_value_bounds, linalg.top_singular_values
+    calls = {"built": 0, "bounds": 0, "values": 0}
 
-    def counted_bounds(stack):
-        rows["bounded"] += len(stack) if stack.shape[-1] >= 3 else 0
-        return bounds(stack)
+    class Counted(linalg.TopSingular):
+        def __init__(self, stack):
+            calls["built"] += 1
+            super().__init__(stack)
 
-    def counted_kernel(stack):
-        rows["exact"] += len(stack) if stack.shape[-1] >= 3 else 0
-        return kernel(stack)
+        def bounds(self):
+            calls["bounds"] += 1
+            rows["bounded"] += len(self.stack) if self.stack.shape[-1] >= 3 else 0
+            return super().bounds()
 
-    monkeypatch.setattr(linalg, "top_singular_value_bounds", counted_bounds)
-    monkeypatch.setattr(linalg, "top_singular_values", counted_kernel)
+        def values(self, keep=None):
+            calls["values"] += 1
+            if self.stack.shape[-1] >= 3:
+                rows["exact"] += len(self.stack) if keep is None else int(np.count_nonzero(keep))
+            return super().values(keep)
+
+    monkeypatch.setattr(linalg, "TopSingular", Counted)
     got = [list(words.enumerate_gaps(fam, index, cfg).per_length) for fam, index in cases]
     assert got == want
     assert rows["exact"] < rows["bounded"]
+    assert calls["built"] == calls["bounds"] == calls["values"] > 0
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

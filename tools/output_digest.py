@@ -20,10 +20,14 @@ checkouts can be compared with ``diff``.  The runs are:
   settings with the perturbed rerun, which also pins the report of a
   failing side;
 - ``domsplit multicone`` on the ten dominated benchmark families
-  (``bench/suite.py``) at workload seeds 0 and 3.
+  (``bench/suite.py``) at workload seeds 0 and 3;
+- ``domsplit check`` on three random 4x4 orthogonal matrices at indices 3
+  and 2, whose compounds all have scalar Gram matrices (the sigma_1
+  kernel's pinned path), in ``isometry4d/``.
 
-Exit codes are collected in ``exit_codes.txt``, which is hashed with the
-rest.  The whole set takes about 10 s on a 2-core machine.
+Exit codes are collected in ``exit_codes.txt``, and those of the
+``isometry4d`` runs in ``isometry4d/exit_codes.txt``; both are hashed with
+the rest, and ``tools/compare_outputs.py`` gates both.  The whole set takes about 10 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import math
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
@@ -65,6 +71,12 @@ def _families() -> dict[str, tuple[dict, tuple[int, ...]]]:
         "diag21_rot": ({"dim": 2, "matrices": [diag, {"label": "R", "entries": [c, -s, s, c]}]}, (1,)),
         "perturbed3d": (PERTURBED_3D, (1, 2)),
     }
+
+
+def _isometries(dim: int, members: int, seed: int) -> dict:
+    Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(members, dim, dim)))
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    return {"dim": dim, "matrices": [{"label": f"Q{j}", "entries": M.ravel().tolist()} for j, M in enumerate(Q)]}
 
 
 def _run(codes: list[str], name: str, argv: list[str]) -> None:
@@ -100,6 +112,15 @@ def run_all(out: Path) -> None:
             run = f"multicone_suite_seed{seed}/{case.name}"
             _run(codes, run, ["multicone", str(case.spec), "--index", str(case.index), "--out", str(out / run)])
     (out / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+    iso, codes = out / "isometry4d", []
+    iso.mkdir()
+    spec = iso / "spec.json"
+    spec.write_text(json.dumps(_isometries(4, 3, 17)))
+    for index in (3, 2):
+        run = f"check_i{index}"
+        _run(codes, run, ["check", str(spec), "--index", str(index), "--out", str(iso / run)])
+    (iso / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
 def main(argv=None) -> int:
