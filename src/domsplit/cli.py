@@ -108,6 +108,12 @@ def _numbers(value, what: str) -> list[float]:
     return [_float(x, what) for x in values]
 
 
+# the most curve samples an example4d generator may ask for: a family holds
+# about 2 KB of arrays per member once its compounds are formed, so the cap
+# keeps one near 200 MB
+MAX_CURVE_SAMPLES = 100_000
+
+
 def _build_generator(spec) -> MatrixFamily:
     spec = _checked(spec, dict, "'generator'")
     kind = spec.get("kind")
@@ -115,6 +121,8 @@ def _build_generator(spec) -> MatrixFamily:
     if kind == "example4d":
         lam = _scalar(spec, "lambda", 16.0, float, what)
         samples = _scalar(spec, "samples", 64, int, what)
+        if not 1 <= samples <= MAX_CURVE_SAMPLES:
+            raise ValueError(f"'samples' of {what} must be from 1 to {MAX_CURVE_SAMPLES}, got {samples}")
         return example4d.curve_family(lam, samples)
     if kind == "conjugated_diagonal":
         entries = _numbers(_required(spec, "entries", what), f"the entries of {what}")

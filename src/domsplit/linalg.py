@@ -13,9 +13,8 @@ free bounds on sigma_1 (exact for n <= 2; for an equal spectrum the lower
 one is exact and the upper one ``n^(1/4) sigma_1``) and sigma_1 of any row
 subset.  A row whose Gram is scalar to rounding, as for every compound of
 an isometry, takes the midpoint of a trace bracket instead of ``eigvalsh``,
-within ``PIN_RTOL / 4`` relative.  ``top_singular_values`` and
-``top_singular_value_bounds`` are its one-call forms; ``operator_norms``
-extends it to rectangular stacks.
+within ``PIN_RTOL / 4`` relative.  ``top_singular_values`` is its
+one-call form; ``operator_norms`` extends it to rectangular stacks.
 """
 
 from __future__ import annotations
@@ -140,13 +139,6 @@ class TopSingular:
 def top_singular_values(stack) -> np.ndarray:
     """sigma_1 of every matrix in an ``(..., n, n)`` stack (``TopSingular``)."""
     return TopSingular(stack).values()
-
-
-def top_singular_value_bounds(stack) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-solver-free ``(lower, upper)`` bounds on sigma_1 of every matrix
-    in an ``(..., n, n)`` stack (``TopSingular.bounds``): exact for n <= 2,
-    ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]`` with ``G = C C^T`` above."""
-    return TopSingular(stack).bounds()
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:

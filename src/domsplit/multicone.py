@@ -83,34 +83,26 @@ _GROUP_PAIRS = 5_000_000
 PROBE_PRUNE_SLACK = 1e-6
 
 
-def _ball_probes(frames: np.ndarray, radius: float) -> np.ndarray:
-    """Centers plus geodesic steps of exactly ``radius`` from each frame.
+def _ball_probes(frames: np.ndarray, complements: np.ndarray, radius: float) -> np.ndarray:
+    """(n, i (d - i), d, i) geodesic steps of exactly ``radius`` from each
+    center, given its (n, d, d - i) complement frames.
 
-    For each frame column and each orthocomplement direction, rotate the
-    column by the radius; the results sample the boundary of the
+    Probe ``p = c (d - i) + l`` of center k rotates the center's column c
+    towards complement column l; the probes sample the boundary of the
     radius-ball so invariance is tested on the neighborhood, not just on
     its centers (a near-identity family fixes the centers but not the
-    ball).  The rotation sign alternates with the frame index: point
-    clouds sample their set densely, so neighboring frames jointly cover
-    both signs at half the probe count.  Probe ``n * (1 + p) + k`` is the
-    p-th boundary probe of center k.
+    ball).  The rotation sign is that of ``(-1)^(k + p)``: point clouds
+    sample their set densely, so neighboring centers jointly cover both
+    signs at half the probe count.
     """
-    if radius <= 0.0:
-        return frames
     n, d, i = frames.shape
-    complements = complement_frames(frames)
     cos_r, sin_r = math.cos(radius), math.sin(radius)
-    probes = [frames]
-    pair = 0
-    for k in range(i):
-        for l in range(d - i):
-            w = complements[:, :, l]
-            sign = np.where((np.arange(n) + pair) % 2 == 0, 1.0, -1.0)[:, None]
-            moved = frames.copy()
-            moved[:, :, k] = cos_r * frames[:, :, k] + sign * sin_r * w
-            probes.append(moved)
-            pair += 1
-    return np.concatenate(probes, axis=0)
+    probes = np.repeat(frames[:, None], i * (d - i), axis=1)
+    for p in range(i * (d - i)):
+        c, l = divmod(p, d - i)
+        sign = np.where((np.arange(n) + p) % 2 == 0, 1.0, -1.0)[:, None]
+        probes[:, p, :, c] = cos_r * frames[:, :, c] + sign * sin_r * complements[:, :, l]
+    return probes
 
 
 # reference planes of the Grassmannian whose cover by the sample rules
@@ -146,17 +138,19 @@ class _CenterPass:
     """The radius-independent part of ``strictly_invariant``: the m x n
     (member j, center k) pairs of one family and one cone's centers.
 
-    ``worst`` is the worst nearest-center distance of the center images
-    F_jk and ``upper[j, k]`` an upper bound on F_jk's own.  Any plane within
-    r of center k maps under member j to within
-    ``arctan(alpha tan r / (1 - beta tan r))`` of F_jk (``_ball_growth``).
-    ``spread[j, k]`` is the distance between F_jk and F_(j+1)k on a sampled
-    curve (no rows otherwise), and ``cover`` the radius from which the
-    centers cover every reference plane.
+    ``complements`` are the centers' (n, d, d - i) complement frames, from
+    which ``_ball_probes`` steps at every radius.  ``worst`` is the worst
+    nearest-center distance of the center images F_jk and ``upper[j, k]``
+    an upper bound on F_jk's own.  Any plane within r of center k maps under
+    member j to within ``arctan(alpha tan r / (1 - beta tan r))`` of F_jk
+    (``_ball_growth``).  ``spread[j, k]`` is the distance between F_jk and
+    F_(j+1)k on a sampled curve (no rows otherwise), and ``cover`` the
+    radius from which the centers cover every reference plane.
     """
 
     family: MatrixFamily
     frames: np.ndarray
+    complements: np.ndarray
     worst: float
     upper: np.ndarray
     alpha: np.ndarray
@@ -175,11 +169,12 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
     searched = [nearest_angles(F[rows], frames) for rows in _row_chunks(m * n, n)]
     worst = max(w for w, _ in searched)
     upper = np.concatenate([u for _, u in searched])
+    complements = complement_frames(frames)
     if i < d:
         # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the
         # complement frame: graph(L) over E_k maps to graph(C L (A + B L)^-1)
         # over F_jk
-        Z = np.matmul(family.stack[:, None], complement_frames(frames)[None]).reshape(m * n, d, d - i)
+        Z = np.matmul(family.stack[:, None], complements[None]).reshape(m * n, d, d - i)
         Ft = np.swapaxes(F, 1, 2)
         B = np.matmul(Ft, Z)
         inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
@@ -195,6 +190,7 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
     return _CenterPass(
         family=family,
         frames=frames,
+        complements=complements,
         worst=worst,
         upper=upper.reshape(m, n),
         alpha=alpha.reshape(m, n),
@@ -215,12 +211,12 @@ def _ball_growth(centers: _CenterPass, radius: float) -> np.ndarray:
     return np.where(bt >= 1.0, np.inf, growth)
 
 
-def _probe_images(mats: np.ndarray, probes: np.ndarray, members, rows) -> np.ndarray:
-    """Images of the boundary probes ``rows`` (one row of probe indices per
-    pair) under ``members``, flattened; the same bits as the rows of
-    ``act_frames(mats, probes)``."""
-    members = np.repeat(members, rows.shape[1])
-    return image_frames(np.matmul(mats[members], probes[rows.ravel()]))
+def _probe_images(mats: np.ndarray, probes: np.ndarray, members, centers) -> np.ndarray:
+    """Images of every probe of center ``centers[q]`` under member
+    ``members[q]``, pair-major and flattened; each row has the bits of its
+    row of ``act_frames``."""
+    images = np.matmul(mats[members][:, None], probes[centers])
+    return image_frames(images.reshape(-1, *probes.shape[2:]))
 
 
 def strictly_invariant(
@@ -262,11 +258,12 @@ def strictly_invariant(
     lies below a value already attained, so the margin is that of the full
     sweep, bit for bit: each image and distance is computed by the same
     kernels, row by row.  Everything that does not depend on the radius
-    (the images of the centers, L, u, S, alpha, beta and the cover radius)
-    is one pass over the pairs; ``build_multicone`` computes it once and
-    hands it to every call, as ``centers``.  The nearest-point search
-    (``worst_nearest_angle``) prunes its own rows by the same kind of bound
-    and runs on the narrower of the planes and their complements.
+    (the complement frames and images of the centers, L, u, S, alpha, beta
+    and the cover radius) is one pass over the pairs; ``build_multicone``
+    computes it once and hands it to every call, as ``centers``.  The
+    nearest-point search (``worst_nearest_angle``) prunes its own rows by
+    the same kind of bound and runs on the narrower of the planes and their
+    complements.
     """
     frames = cone.frames
     if not len(frames):
@@ -279,23 +276,20 @@ def strictly_invariant(
     elif centers.family is not family or not np.array_equal(centers.frames, frames):
         raise ValueError("the center pass belongs to another family or cone sample")
     worst, spread = centers.worst, float(centers.spread.max(initial=0.0))
-    probe_count = i * (d - i)
-    if cone.radius > 0.0 and probe_count:
-        probes = _ball_probes(frames, cone.radius)
+    if cone.radius > 0.0 and i < d:
+        probes = _ball_probes(frames, centers.complements, cone.radius)
         growth = _ball_growth(centers, cone.radius)
-        # the boundary probe indices of each center, one row per center
-        own = n * np.arange(1, probe_count + 1)[None, :] + np.arange(n)[:, None]
         j, k = np.nonzero(~(centers.upper + growth < worst - PROBE_PRUNE_SLACK))
         if len(j):
-            images = _probe_images(family.stack, probes, j, own[k])
+            images = _probe_images(family.stack, probes, j, k)
             for rows in _row_chunks(len(images), n):
                 worst = max(worst, worst_nearest_angle(images[rows], frames))
         if len(centers.spread):
             bound = growth[:-1] + centers.spread + growth[1:]
             j, k = np.nonzero(~(bound < spread - PROBE_PRUNE_SLACK))
             if len(j):
-                here = _probe_images(family.stack, probes, j, own[k])
-                there = _probe_images(family.stack, probes, j + 1, own[k])
+                here = _probe_images(family.stack, probes, j, k)
+                there = _probe_images(family.stack, probes, j + 1, k)
                 spread = max(spread, float(np.max(grass_distance(here, there))))
     margin = cone.radius - worst - spread
     if centers.cover <= cone.radius:
@@ -435,12 +429,10 @@ def _component_gap(dist: np.ndarray, comps, eps: float) -> float:
     return float(dist[label[:, None] < label[None, :]].min()) - 2.0 * eps
 
 
-# the epsilon scan: EPSILON_GRID_SIZE geometric radii, a plateau spans a
-# factor of at least PLATEAU_FACTOR, and pairs nearer than DEDUP_TOL count
-# as one point when the grid's lower end is chosen
+# the epsilon scan: EPSILON_GRID_SIZE geometric radii, and a plateau spans
+# a factor of at least PLATEAU_FACTOR
 PLATEAU_FACTOR = 1.5
 EPSILON_GRID_SIZE = 48
-DEDUP_TOL = 1e-9
 
 
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
@@ -481,22 +473,24 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     dist = frame_stack_distances(frames, frames)
     np.fill_diagonal(dist, 0.0)
 
-    positive = dist[dist > DEDUP_TOL]
+    # the grid starts at a quarter of the smallest positive distance; each
+    # distance is the arccos of a cosine clipped to [0, 1], so it is 0 (a
+    # point sampled twice) or at least arccos(1 - 2^-53) ~ 1.49e-8
+    positive = dist[dist > 0.0]
     if positive.size == 0:
         grid = np.geomspace(1e-4, 1.0, EPSILON_GRID_SIZE)
     else:
-        nearest = np.where(dist > DEDUP_TOL, dist, np.inf).min(axis=1)
-        lo = max(float(np.min(nearest[np.isfinite(nearest)])) / 4.0, 1e-9)
+        lo = float(positive.min()) / 4.0
         hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
         grid = np.geomspace(lo, hi, EPSILON_GRID_SIZE)
 
     merges, counts = _single_linkage(dist, 2.0 * grid)
     table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
 
-    # images of the bare centers bound the viable radius from below: the
-    # probe sweep only widens with the radius, so margins grow at most
-    # linearly and candidates under this deficit cannot pass
-    # one pass over the (member, center) pairs serves every radius tried
+    # one pass over the (member, center) pairs serves every radius tried.
+    # The sweep at any radius starts from the center images, so its worst
+    # distance and spread are at least theirs: the margin at eps is at most
+    # eps + center_margin, and no eps below -center_margin can pass
     centers = _center_pass(family, frames)
     _, center_margin = strictly_invariant(family, cloud, centers)
     skip_below = max(0.0, -center_margin)
@@ -535,8 +529,6 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         failures.append(
             f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{cover}"
         )
-        if margin < 0.0:
-            skip_below = max(skip_below, eps - margin)
     if best is not None:
         return best
     raise MulticoneConstructionError(

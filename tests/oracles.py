@@ -11,9 +11,10 @@ which shares no arithmetic with the cosine closed forms under test.
 The curve-spread reference is the exception: it is the per-member loop the
 grouped sweep replaced, built on the same image map and distance, so it
 pins the restructuring and not the per-pair arithmetic.
-``ball_probes_oracle`` is the probe construction as it stood before the
-complement frames moved into ``grassmann``.  The component references are
-the pair-by-pair loops the single-linkage tree replaced.
+``ball_probes_oracle`` builds each probe alone, with its complement
+directions taken inline from an SVD rather than from the center pass.
+The component references are the pair-by-pair loops the single-linkage
+tree replaced.
 ``window_length_oracle``, ``periodic_witness_oracle``,
 ``transverse_pairs_oracle``, ``angle_decay_oracle``,
 ``compound_log_walk_oracle`` and ``suffix_restricted_logs_oracle`` are the
@@ -167,26 +168,30 @@ def brute_force_worst_nearest_angle(A: np.ndarray, B: np.ndarray) -> float:
 
 
 def ball_probes_oracle(frames: np.ndarray, radius: float) -> np.ndarray:
-    """Centers plus alternating-sign geodesic probes, with the complement
-    directions taken inline from the SVD of ``I - F F^T``."""
-    if radius <= 0.0:
-        return frames
+    """Alternating-sign geodesic probes, center-major as an
+    (n, i (d - i), d, i) stack, with the complement directions taken inline
+    from the SVD of ``I - F F^T`` and each probe built one at a time."""
     n, d, i = frames.shape
     eye = np.eye(d)
     complements = eye[None] - np.matmul(frames, np.swapaxes(frames, 1, 2))
     U, s, _ = np.linalg.svd(complements)
     cos_r, sin_r = math.cos(radius), math.sin(radius)
-    probes = [frames]
-    pair = 0
-    for k in range(i):
-        for l in range(d - i):
-            w = U[:, :, l]
-            sign = np.where((np.arange(n) + pair) % 2 == 0, 1.0, -1.0)[:, None]
-            moved = frames.copy()
-            moved[:, :, k] = cos_r * frames[:, :, k] + sign * sin_r * w
-            probes.append(moved)
-            pair += 1
-    return np.concatenate(probes, axis=0)
+    probes = np.empty((n, i * (d - i), d, i))
+    for k in range(n):
+        pair = 0
+        for c in range(i):
+            for l in range(d - i):
+                sign = 1.0 if (k + pair) % 2 == 0 else -1.0
+                moved = frames[k].copy()
+                moved[:, c] = cos_r * frames[k, :, c] + sign * sin_r * U[k, :, l]
+                probes[k, pair] = moved
+                pair += 1
+    return probes
+
+
+def sweep_points_oracle(frames: np.ndarray, radius: float) -> np.ndarray:
+    """The centers followed by every center's ``ball_probes_oracle``."""
+    return np.concatenate([frames, ball_probes_oracle(frames, radius).reshape(-1, *frames.shape[1:])])
 
 
 def curve_spread_oracle(family, probes: np.ndarray) -> float:
@@ -485,7 +490,7 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
     the largest distance between the images of one probe under adjacent
     members."""
     frames = cone.frames
-    probes = multicone._ball_probes(frames, cone.radius)
+    probes = sweep_points_oracle(frames, cone.radius)
     curve = family.source.kind == "sampled_curve"
     worst = spread = 0.0
     prev = None

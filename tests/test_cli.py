@@ -252,6 +252,22 @@ def test_integer_too_large_for_a_float_exits_one(spec, message, tmp_path, capsys
     assert message in err
 
 
+@pytest.mark.parametrize("samples", [0, -3, cli.MAX_CURVE_SAMPLES + 1, _HUGE], ids=["zero", "negative", "over-cap", "huge"])
+def test_example4d_samples_out_of_range_exit_one_before_building(samples, monkeypatch, tmp_path, capsys):
+    # the bound is checked before any curve sample is allocated
+    def never(*args):
+        raise AssertionError("curve_family called")
+
+    monkeypatch.setattr(example4d, "curve_family", never)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generator": {"kind": "example4d", "samples": samples}}))
+    code = cli.main(["check", str(path), "--index", "2", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'samples' of generator 'example4d' must be from 1 to 100000, got ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text,message",
     [

@@ -271,7 +271,7 @@ def test_scalar_grams_take_the_bracket_midpoint(n, monkeypatch):
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(square_stacks())
 def test_top_singular_value_bounds_bracket_svd(stack):
-    lower, upper = linalg.top_singular_value_bounds(stack)
+    lower, upper = linalg.TopSingular(stack).bounds()
     want = top_singular_values_oracle(stack)
     assert np.shape(lower) == np.shape(upper) == np.shape(want)
     assert np.all(lower <= want * (1.0 + 1e-14))
@@ -283,11 +283,11 @@ def test_top_singular_value_bounds_bracket_svd(stack):
 
 def test_top_singular_value_bounds_zero_and_shape_checks():
     for n in range(1, 7):
-        lower, upper = linalg.top_singular_value_bounds(np.zeros((2, n, n)))
+        lower, upper = linalg.TopSingular(np.zeros((2, n, n))).bounds()
         assert np.array_equal(lower, np.zeros(2)) and np.array_equal(upper, np.zeros(2))
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 0, 0))):
         with pytest.raises(ValueError):
-            linalg.top_singular_value_bounds(bad)
+            linalg.TopSingular(bad).bounds()
 
 
 def test_top_singular_values_broadcast_and_shape_checks():

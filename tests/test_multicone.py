@@ -20,6 +20,7 @@ from oracles import (
     line_trace_oracle,
     random_orthogonal,
     scaled_word_product_oracle,
+    sweep_points_oracle,
     union_find_components,
 )
 
@@ -128,7 +129,7 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
     _, margin_s = strictly_invariant(sampled, cone)
 
     frames = frame_stack(pts)
-    probes = multicone._ball_probes(frames, cone.radius)
+    probes = sweep_points_oracle(frames, cone.radius)
     images = act_frames(np.stack(mats), probes)
     worst = brute_force_worst_nearest_angle(images, frames)
     spread = curve_spread_oracle(sampled, probes)
@@ -239,15 +240,45 @@ def test_center_pass_runs_once_per_build(monkeypatch, dominated_suite):
     assert calls == [3, 8, 2, 2, 2, 8, 2, 2, 2, 2]
 
 
+def _center_complements(frames: np.ndarray) -> np.ndarray:
+    identity = MatrixFamily.from_matrices([np.eye(frames.shape[1])], ["I"])
+    return multicone._center_pass(identity, frames).complements
+
+
 @pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])
 @pytest.mark.parametrize("radius", [0.0, 0.2])
 def test_ball_probes_match_inline_complements(dim, index, radius):
     rng = np.random.default_rng(10 * dim + index)
     frames = frame_stack([Plane.from_spanning(rng.normal(size=(dim, index))) for _ in range(7)])
-    got = multicone._ball_probes(frames, radius)
+    got = multicone._ball_probes(frames, _center_complements(frames), radius)
     want = ball_probes_oracle(frames, radius)
-    assert got.shape == want.shape
+    assert got.shape == want.shape == (7, index * (dim - index), dim, index)
     assert np.array_equal(got, want)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=6).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(min_value=1, max_value=d - 1))
+    ),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=1e-9, max_value=1.5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ball_probes_step_radius_with_alternating_sign(shape, pairs, radius, seed):
+    # every probe lies at the radius from its center and has orthonormal
+    # columns; the centers come in equal consecutive pairs, which share
+    # their complement frames, so probe p of centers k and k + 1 must step
+    # off the center in opposite directions
+    dim, index = shape
+    rng = np.random.default_rng(seed)
+    frames = np.repeat(np.linalg.qr(rng.normal(size=(pairs, dim, index)))[0], 2, axis=0)
+    probes = multicone._ball_probes(frames, _center_complements(frames), radius)
+    assert probes.shape == (2 * pairs, index * (dim - index), dim, index)
+    assert np.all(np.abs(grass_distance(probes, frames[:, None]) - radius) <= 1e-12)
+    assert np.all(np.abs(np.swapaxes(probes, -1, -2) @ probes - np.eye(index)) <= 1e-12)
+    off_center = (np.eye(dim) - frames @ np.swapaxes(frames, -1, -2))[:, None] @ probes
+    assert np.all(np.abs(off_center[0::2] + off_center[1::2]) <= 1e-12)
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])

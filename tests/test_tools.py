@@ -1,8 +1,10 @@
-"""The output comparison tool on two small trees."""
+"""The output comparison and digest tools on small trees."""
 
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
@@ -81,3 +83,30 @@ def test_gate_values_and_file_sets_are_flagged(tmp_path):
     assert "GATE verdict.kind: 'dominated' -> 'inconclusive'" in text
     assert "removed  run/table.csv" in text and "added    new.json" in text
     assert lines[-1] == "0 same, 3 changed, 1 added, 1 removed; 4 gate changes"
+
+
+def _output_digest(monkeypatch):
+    # the tool puts src/ and bench/ on the path; the test's path is restored
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    import output_digest
+
+    return output_digest
+
+
+@pytest.mark.parametrize("planted", [None, "NaN", "Infinity", "-Infinity"])
+def test_output_digest_refuses_non_strict_json(planted, monkeypatch, tmp_path, capsys):
+    # the runs are replaced by a small tree; every file is still hashed, and
+    # a .json holding a non-JSON constant fails the tool, naming the file
+    tool = _output_digest(monkeypatch)
+    files = {"a/report.json": '{"margin": 0.5, "values": [1, 2]}', "table.csv": "NaN,1\n"}
+    if planted is not None:
+        files["b/multicone.json"] = f'{{"margin": {planted}}}'
+    monkeypatch.setattr(tool, "run_all", lambda out: _write(out, files))
+    code = tool.main([str(tmp_path / "tree")])
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == len(files)
+    if planted is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 1
+        assert err == f"not strict JSON: b/multicone.json: non-JSON token {planted}\n"

@@ -27,7 +27,11 @@ checkouts can be compared with ``diff``.  The runs are:
 
 Exit codes are collected in ``exit_codes.txt``, and those of the
 ``isometry4d`` runs in ``isometry4d/exit_codes.txt``; both are hashed with
-the rest, and ``tools/compare_outputs.py`` gates both.  The whole set takes about 10 s on a 2-core machine.
+the rest, and ``tools/compare_outputs.py`` gates both.  Every ``.json``
+written must also parse as strict JSON, without the ``NaN``, ``Infinity``
+and ``-Infinity`` tokens that Python's json module writes and reads by
+default; if one does not, the tool names it and exits 1.  The whole set
+takes about 10 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -123,6 +127,21 @@ def run_all(out: Path) -> None:
     (iso / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def strict_json_failure(out: Path) -> str | None:
+    """The first ``.json`` file under ``out`` that is not strict JSON, with
+    the reason, or None when every one is."""
+    for path in sorted(out.rglob("*.json")):
+        try:
+            json.loads(path.read_text(), parse_constant=_reject_constant)
+        except ValueError as exc:
+            return f"{path.relative_to(out).as_posix()}: {exc}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", nargs="?", type=Path, help="directory in which to keep the run tree")
@@ -139,6 +158,10 @@ def main(argv=None) -> int:
         for path in sorted(p for p in out.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(out).as_posix()}")
+        failure = strict_json_failure(out)
+    if failure is not None:
+        print(f"not strict JSON: {failure}", file=sys.stderr)
+        return 1
     return 0
 
 
