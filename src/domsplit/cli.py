@@ -216,12 +216,7 @@ def cmd_multicone(args) -> int:
             print(f"  epsilon={eps:.6g} components={count}", file=sys.stderr)
         return EXIT_NOT_DOMINATED
     out = Path(args.out)
-    audit = multicone.semiconvexity_audit(mc, [example4d.axis_plane()] if family.dim == 4 else [])
-    payload = mc.to_json_dict()
-    payload["semiconvexity_audit"] = [
-        {"line_frame": line.frame.tolist(), "arc_count": count} for line, count in audit
-    ]
-    _write_json(out / "multicone.json", payload)
+    _write_json(out / "multicone.json", mc.to_json_dict())
     for which in range(len(mc.components)):
         _write_csv(out / f"component_{which}.csv", mc.component_cone(which).csv_rows())
     print(

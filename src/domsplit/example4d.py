@@ -236,6 +236,9 @@ SEARCH = SearchConfig(max_len=8, budget=300_000, beam_width=256)
 # curve points per curve, and ruling heights per line, of the figure exports
 CSV_CURVE_POINTS = 256
 CSV_RULING_HEIGHTS = 9
+# the largest grid_n: the neighborhood radius step holds (REFINE_FACTOR
+# grid_n)^2 plane pairs, about 46 MB per million, so 500 peaks near 135 MB
+MAX_GRID_N = 500
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,10 @@ class ExampleConfig:
     grid_n: int = 64
     attractor_words: int = 192
     run_perturbed: bool = True
+
+    def __post_init__(self):
+        if not 1 <= self.grid_n <= MAX_GRID_N:
+            raise ValueError(f"grid_n must be from 1 to {MAX_GRID_N}, got {self.grid_n}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Invariant multicones: attractor sampling, the adapted metric,
-epsilon-neighborhood component analysis, and semiconvexity audits.
+"""Invariant multicones: attractor sampling, the strict invariance check,
+the adapted metric, and epsilon-neighborhood component analysis.
 
 Interior/closure conditions on finite samples are realized as numeric
 margins; every verdict carries its margin rather than a bare boolean.
@@ -23,15 +23,14 @@ from .grassmann import (
     frame_stack_distances,
     grass_distance,
     image_frames,
-    line_trace,
     min_cos_principal,
     nearest_angles,
     orthonormal_frames,
-    projectivize,
     reference_frames,
     transverse,
     worst_nearest_angle,
 )
+from .grassmann import line_trace, projectivize  # noqa: F401  (not called here: the bench tracer wraps these names)
 from .jsonio import JsonRecord
 from .words import MatrixFamily, SearchConfig
 
@@ -418,17 +417,6 @@ def _components_at(merges: np.ndarray, link_radius: float) -> tuple[tuple[int, .
     return tuple(tuple(g) for g in groups.values())
 
 
-def _component_gap(dist: np.ndarray, comps, eps: float) -> float:
-    """Smallest distance between points of different components, minus 2 eps;
-    +inf for a single component."""
-    if len(comps) <= 1:
-        return math.inf
-    label = np.empty(dist.shape[0], dtype=np.intp)
-    for which, members in enumerate(comps):
-        label[list(members)] = which
-    return float(dist[label[:, None] < label[None, :]].min()) - 2.0 * eps
-
-
 # the epsilon scan: EPSILON_GRID_SIZE geometric radii, and a plateau spans
 # a factor of at least PLATEAU_FACTOR
 PLATEAU_FACTOR = 1.5
@@ -441,16 +429,18 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     Requires (or overrides) a Dominated verdict.  The radius is chosen where
     the single-linkage component count is stable across a factor of at least
     PLATEAU_FACTOR of radii; candidates must then pass the strict
-    invariance check and have a positive component gap.  With no passing
-    candidate the (epsilon, component count) table is raised as a
-    construction failure.
+    invariance check.  With no passing candidate the (epsilon, component
+    count) table is raised as a construction failure.
 
     The counts come from one single-linkage tree of the attractor cloud:
     points at link distance <= 2 epsilon fall in one component exactly when
     the tree joins them by merges of height <= 2 epsilon, so the count at
-    epsilon is n minus the number of such merges (Gower & Ross 1969).  Only
-    the upper triangle of the pairwise distance matrix is read for the tree;
-    the components themselves are formed only for the radii the scan tries.
+    epsilon is n minus the number of such merges (Gower & Ross 1969).  The
+    next merge, the first above 2 epsilon, joins the two closest components,
+    so the component gap is its height less 2 epsilon and always positive.
+    Only the upper triangle of the pairwise distance matrix is read for the
+    tree; the components themselves are formed only for the radii the scan
+    tries.
     """
     cfg = config or MulticoneConfig()
     if not cfg.override_domination_gate:
@@ -511,8 +501,8 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         comps = _components_at(merges, 2.0 * eps)
         cone = replace(cloud, radius=eps)
         ok, margin = strictly_invariant(family, cone, centers)
-        gap = _component_gap(dist, comps, eps)
-        if ok and gap > 0.0:
+        gap = float(merges[len(frames) - len(comps), 2]) - 2.0 * eps if len(comps) > 1 else math.inf
+        if ok:
             candidate = Multicone(
                 cone=cone, components=comps, invariance_margin=margin, component_gap=gap
             )
@@ -525,7 +515,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             break
         # strictly_invariant rejects a positive margin only when the sample
         # covers the reference-sampled Grassmannian
-        cover = "; fails the cover check" if not ok and margin > 0.0 else ""
+        cover = "; fails the cover check" if margin > 0.0 else ""
         failures.append(
             f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{cover}"
         )
@@ -537,21 +527,3 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         table=table,
     )
 
-
-def semiconvexity_audit(mc: Multicone, lines) -> list[tuple[Plane, int]]:
-    """Arc counts of each component's trace on candidate lines.
-
-    A component meets P(line) exactly in ``line_trace(projectivize(component,
-    line))``: the union of the closed-form arcs cut out by its balls, angles
-    in [0, pi) and an arc across 0 ending past pi (see ``grassmann``).
-    Returns, per line, the worst (largest) arc count over the components;
-    any count above 1 is a witness that the component fails semiconvexity on
-    that line.
-    """
-    out = []
-    for line in lines:
-        worst = 0
-        for which in range(len(mc.components)):
-            worst = max(worst, len(line_trace(projectivize(mc.component_cone(which), line))))
-        out.append((line, worst))
-    return out

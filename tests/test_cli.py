@@ -396,6 +396,19 @@ def test_emitted_json_reloads_to_equal_structures(diag_spec, tmp_path):
     }
 
 
+@pytest.mark.parametrize("grid", [0, -3, example4d.MAX_GRID_N + 1], ids=["zero", "negative", "over-cap"])
+def test_example4d_grid_out_of_range_exits_one_before_building(grid, monkeypatch, tmp_path, capsys):
+    # the bound is checked before any curve sample is allocated
+    def never(*args):
+        raise AssertionError("curve_family called")
+
+    monkeypatch.setattr(example4d, "curve_family", never)
+    code = cli.main(["example4d", "--grid", str(grid), "--skip-perturbed", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: grid_n must be from 1 to 500, got {grid}\n"
+
+
 def test_example4d_undersampled_grid_runs_and_names_failing_stage(tmp_path, capsys):
     out = tmp_path / "tiny"
     code = cli.main(["example4d", "--grid", "2", "--skip-perturbed", "--out", str(out)])

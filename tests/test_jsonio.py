@@ -76,8 +76,19 @@ def test_gap_report_key_layout(tmp_path):
     ]
 
 
-def test_multicone_key_layout(tmp_path, diag_spec):
-    data = _cli_json(tmp_path, ["multicone", str(diag_spec), "--index", "1"], "multicone.json")
+@pytest.mark.parametrize(
+    "spec,index",
+    [
+        ({"dim": 2, "matrices": [{"label": "A", "entries": [2, 0, 0, 1]}]}, 1),
+        ({"dim": 4, "matrices": [{"label": "A", "entries": np.diag([4, 3, 1, 0.5]).ravel().tolist()}]}, 2),
+    ],
+    ids=["2d", "4d"],
+)
+def test_multicone_key_layout(spec, index, tmp_path):
+    # multicone.json is the record alone, in every dimension
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    data = _cli_json(tmp_path, ["multicone", str(path), "--index", str(index)], "multicone.json")
     assert data["component_gap"] is None
     assert key_paths(data) == [
         "cone",
@@ -87,7 +98,6 @@ def test_multicone_key_layout(tmp_path, diag_spec):
         "components",
         "invariance_margin",
         "component_gap",
-        "semiconvexity_audit",
     ]
 
 

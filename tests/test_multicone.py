@@ -439,8 +439,11 @@ def linkage_clouds(draw):
 def test_single_linkage_matches_union_find(cloud):
     # one tree reproduces the pair-by-pair union-find at every radius: the
     # counts, the partitions and their order (by smallest member), and the
-    # gap between components
+    # gap between components, read off the tree's next merge as
+    # ``build_multicone`` does.  Tree and components read the upper triangle
+    # only, so the gap oracle gets it mirrored
     dist, link_radii = cloud
+    upper = np.triu(dist) + np.triu(dist, 1).T
     merges, counts = multicone._single_linkage(dist, link_radii)
     assert len(counts) == len(link_radii)
     assert np.all(np.diff(merges[:, 2]) >= 0.0)
@@ -450,7 +453,8 @@ def test_single_linkage_matches_union_find(cloud):
         assert comps == want
         assert count == len(want)
         eps = link / 2.0
-        assert multicone._component_gap(dist, comps, eps) == component_gap_oracle(dist, comps, eps)
+        gap = merges[len(dist) - count, 2] - 2.0 * eps if count > 1 else math.inf
+        assert gap == component_gap_oracle(upper, comps, eps)
 
 
 def test_build_multicone_all_duplicate_cloud(diag21):
@@ -506,34 +510,24 @@ def test_multicone_json_round_trip(diag21):
     assert math.isinf(back.component_gap)
 
 
-def test_semiconvexity_audit_familiar_cone():
+def test_line_trace_familiar_cone():
     # the standard cone |v| <= a|u| around the coordinate plane span(e0, e1)
     # of R^3 is the direction set of the ball of radius arctan(a) around that
     # plane; it is semiconvex: every line meets it in at most one arc
     rng = np.random.default_rng(3)
     cone = ConeSample(2, (Plane(np.eye(3)[:, :2]),), math.atan(0.5))
-    mc = multicone.Multicone(cone=cone, components=((0,),), invariance_margin=0.1, component_gap=math.inf)
     lines = [Plane.from_spanning(rng.normal(size=(3, 2))) for _ in range(100)]
-    counts = [count for _, count in multicone.semiconvexity_audit(mc, lines)]
+    counts = [len(line_trace(projectivize(cone, line))) for line in lines]
     assert max(counts) == 1 and counts.count(1) > 50
     # two balls far apart on one line give two arcs
-    two = multicone.Multicone(
-        cone=ConeSample(1, np.eye(3)[:2, :, None], 0.3),
-        components=((0, 1),),
-        invariance_margin=0.1,
-        component_gap=math.inf,
-    )
-    assert multicone.semiconvexity_audit(two, [Plane(np.eye(3)[:, :2])])[0][1] == 2
+    two = ConeSample(1, np.eye(3)[:2, :, None], 0.3)
+    assert len(line_trace(projectivize(two, Plane(np.eye(3)[:, :2])))) == 2
 
 
-def test_semiconvexity_audit_empty_intersection():
+def test_line_trace_empty_intersection():
     cone = ConeSample(1, (Plane.span(np.array([0.0, 0.0, 1.0])),), 0.3)
-    mc = multicone.Multicone(
-        cone=cone, components=((0,),), invariance_margin=0.1, component_gap=math.inf
-    )
     line = Plane(np.eye(3)[:, :2])
-    audit = multicone.semiconvexity_audit(mc, [line])
-    assert audit[0][1] == 0
+    assert len(line_trace(projectivize(cone, line))) == 0
 
 
 def test_semiconvexity_audit_matches_dense_membership():
@@ -546,7 +540,6 @@ def test_semiconvexity_audit_matches_dense_membership():
     fam = MatrixFamily.from_matrices(list(Q @ base.stack @ Q.T), list(base.labels))
     mc = build_multicone(fam, 3)
     line = axis_plane()
-    assert multicone.semiconvexity_audit(mc, [line])[0][1] == 1
     for which in range(len(mc.components)):
         cone = mc.component_cone(which)
         arcs = line_trace(projectivize(cone, line))

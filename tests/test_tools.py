@@ -85,6 +85,29 @@ def test_gate_values_and_file_sets_are_flagged(tmp_path):
     assert lines[-1] == "0 same, 3 changed, 1 added, 1 removed; 4 gate changes"
 
 
+@pytest.mark.parametrize("key", ["passed", "lambda"])
+def test_dropped_gate_key_is_a_gate_change(key, tmp_path, capsys):
+    change = dict(BASE, **{"example.json": {k: v for k, v in BASE["example.json"].items() if k != key}})
+    _write(tmp_path / "parent", BASE)
+    _write(tmp_path / "change", change)
+    assert compare_outputs.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
+    out = capsys.readouterr().out
+    assert "    GATE keys ['lambda', 'margin', 'passed'] -> " in out
+    assert out.splitlines()[-1] == "3 same, 1 changed, 0 added, 0 removed; 1 gate changes"
+
+
+def test_dropped_plain_key_is_discrete(tmp_path, capsys):
+    audited = dict(BASE["run/multicone.json"], semiconvexity_audit=[])
+    parent = dict(BASE, **{"run/multicone.json": audited})
+    _write(tmp_path / "parent", parent)
+    _write(tmp_path / "change", BASE)
+    assert compare_outputs.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 0
+    out = capsys.readouterr().out
+    assert "    discrete keys ['components', 'note', 'radius', 'semiconvexity_audit', 'verdict'] -> " in out
+    assert "GATE" not in out
+    assert out.splitlines()[-1] == "3 same, 1 changed, 0 added, 0 removed; 0 gate changes"
+
+
 def _output_digest(monkeypatch):
     # the tool puts src/ and bench/ on the path; the test's path is restored
     monkeypatch.setattr(sys, "path", list(sys.path))

@@ -17,7 +17,8 @@ length) is listed under its file as ``discrete``.
 Lists of different lengths, and files of different line counts, are
 reported by their lengths only, since their entries need not correspond.
 A change to a verdict, an exit code, a ``passed``/``passes`` flag or a
-``lambda`` is marked ``GATE``, whether numeric or not.  The exit status is 1
+``lambda`` is marked ``GATE``, whether numeric or not, and so is a key set
+that gains or loses one of those keys.  The exit status is 1
 when a gate value moved, and 0 otherwise.
 """
 
@@ -78,7 +79,9 @@ def _text(diff: FileDiff, path: str, old: str, new: str, gated: bool) -> None:
 def _json(diff: FileDiff, path: str, old, new, gated: bool) -> None:
     if isinstance(old, dict) and isinstance(new, dict):
         if old.keys() != new.keys():
-            diff.other(path, f"keys {sorted(old)} -> {sorted(new)}", gated)
+            # adding or dropping a gate key moves that gate
+            moved = gated or bool((old.keys() ^ new.keys()) & GATE_KEYS)
+            diff.other(path, f"keys {sorted(old)} -> {sorted(new)}", moved)
         for key in (k for k in old if k in new):
             _json(diff, f"{path}.{key}" if path else key, old[key], new[key], gated or key in GATE_KEYS)
         return
