@@ -108,9 +108,10 @@ def _numbers(value, what: str) -> list[float]:
     return [_float(x, what) for x in values]
 
 
-# the most curve samples an example4d generator may ask for: a family holds
-# about 2 KB of arrays per member once its compounds are formed, so the cap
-# keeps one near 200 MB
+# the most curve samples an example4d generator may ask for, and the most
+# members a random_perturbation generator may make: a family holds about
+# 2 KB of arrays per member once its compounds are formed, so the cap keeps
+# one near 200 MB
 MAX_CURVE_SAMPLES = 100_000
 
 
@@ -141,6 +142,10 @@ def _build_generator(spec) -> MatrixFamily:
         noise = _scalar(spec, "noise", 0.0, float, what)
         seed = _scalar(spec, "seed", 0, int, what)
         copies = _scalar(spec, "copies", 1, int, what)
+        # values below 1 are refused by ``perturb_family``
+        limit = max(1, MAX_CURVE_SAMPLES // base.size)
+        if copies > limit:
+            raise ValueError(f"'copies' of {what} must be from 1 to {limit}, got {copies}")
         return words.perturb_family(base, noise, seed, copies=copies)
     raise ValueError(f"unknown generator kind: {kind!r}")
 
@@ -226,11 +231,18 @@ def cmd_multicone(args) -> int:
     return EXIT_OK
 
 
+# the longest window words: on a 4-d family, 100,000 letters peak near
+# 100 MB and take about 4 s, both growing linearly with the length
+MAX_WINDOW_LEN = 100_000
+
+
 def cmd_splitting(args) -> int:
     family = load_family_spec(args.input)
     for flag, value in (("--past-len", args.past_len), ("--future-len", args.future_len)):
         if value is not None and value < 1:
             raise ValueError(f"{flag} must be at least 1, got {value}")
+        if value is not None and value > MAX_WINDOW_LEN:
+            raise ValueError(f"{flag} must be from 1 to {MAX_WINDOW_LEN}, got {value}")
     rng = np.random.default_rng(args.word_seed)
     past_len = args.past_len
     if past_len is None:

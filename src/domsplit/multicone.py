@@ -17,9 +17,8 @@ from . import linalg, words
 from .errors import DominationGateError, MulticoneConstructionError, NumericalError
 from .grassmann import (
     ConeSample,
-    Plane,
-    act_frames,
     complement_frames,
+    frame_stack,
     frame_stack_distances,
     grass_distance,
     image_frames,
@@ -37,6 +36,14 @@ from .words import MatrixFamily, SearchConfig
 log = logging.getLogger(__name__)
 
 
+# the largest attractor sizes.  With the gate overridden, a 4-d, index-2
+# family peaks at 547 MB with 1,024 words and at 594 MB with 2,048; above
+# that the n^2 distance matrix of the component analysis takes over.  The
+# drawn letters take 8 bytes each: 164 MB for 2,048 words of 10,000.
+MAX_ATTRACTOR_WORDS = 2048
+MAX_ATTRACTOR_WORD_LEN = 10_000
+
+
 @dataclass(frozen=True)
 class MulticoneConfig:
     attractor_word_len: int = 40
@@ -44,6 +51,13 @@ class MulticoneConfig:
     attractor_rng_seed: int = 2024
     override_domination_gate: bool = False
     gate_search: SearchConfig = field(default_factory=SearchConfig)
+
+    def __post_init__(self):
+        # values below 1 are refused by ``attractor``
+        for name, cap in (("attractor_words", MAX_ATTRACTOR_WORDS), ("attractor_word_len", MAX_ATTRACTOR_WORD_LEN)):
+            value = getattr(self, name)
+            if value > cap:
+                raise ValueError(f"{name} must be from 1 to {cap}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +319,7 @@ def attractor(
     family: MatrixFamily,
     index: int,
     word_len: int,
-    word_count: int = 64,
+    word_count: int,
     rng_seed: int = 2024,
 ) -> ConeSample:
     """Sampled forward attractor: top singular frames of long word products.
@@ -340,47 +354,46 @@ def attractor(
 
 
 def adapted_metric(
-    family: MatrixFamily,
-    first: Plane,
-    second: Plane,
-    n_trunc: int,
-    stable_sample: ConeSample,
-    beam_width: int = 64,
-) -> float:
+    family: MatrixFamily, first, second, n_trunc: int, stable_sample: ConeSample, beam_width: int = 64
+) -> float | np.ndarray:
     """Truncated adapted distance: sum over n of the worst n-step image distance.
 
-    Both planes must be transverse to every plane of the stable attractor
-    sample.  Each term is a beam-limited maximum over words of length n
-    (exhaustive while the beam holds all words); the last term is a
-    truncation indicator, logged at DEBUG level.  Under domination every
-    family member strictly contracts this metric.
+    ``first`` and ``second`` are planes, or ``(n, d, i)`` frame stacks paired
+    row by row as ``grass_distance`` pairs them; a pair of planes gives a
+    float, stacks an ``(n,)`` array.  Every plane must be transverse to every
+    plane of the stable attractor sample.  Each term is a beam-limited
+    maximum over words of length n (exhaustive while the beam holds all
+    words); the last term is a truncation indicator, logged at DEBUG level.
+    Under domination every family member strictly contracts this metric.
+    Each row's beam, images, distances and stable cut depend on that row's
+    pair only, so every row is bit-equal to the call on its pair alone.
     """
-    stable = stable_sample.frames
-    if len(stable):
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be at least 1, got {beam_width}")
+    pairs = np.stack([frame_stack(first), frame_stack(second)], axis=-3)
+    shape, (d, i) = pairs.shape[:-3], pairs.shape[-2:]
+    # (n, 2, beam, d, i): the two beams of every pair, one plane each at first
+    beams = pairs.reshape(-1, 2, 1, d, i)
+    if len(stable_sample.frames):
         # every (plane, stable point) pair in one call
-        ok, _ = transverse(np.stack([first.frame, second.frame])[:, None], stable)
+        ok, _ = transverse(beams, stable_sample.frames)
         if not np.all(ok):
             raise ValueError("input plane is not transverse to the stable sample")
-    total = grass_distance(first, second)
-    beam_a = first.frame[None]
-    beam_b = second.frame[None]
-    last = total
-    for _ in range(1, n_trunc + 1):
-        # both beams in one call; each member's images of beam_a come first
-        imgs = act_frames(family.stack, np.concatenate([beam_a, beam_b]))
-        imgs = imgs.reshape(family.size, 2, -1, *imgs.shape[1:])
-        imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
-        imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
-        dists = grass_distance(imgs_a, imgs_b)
-        last = float(np.max(dists))
-        total += last
-        if imgs_a.shape[0] > beam_width:
-            keep = np.argsort(-dists, kind="stable")[:beam_width]
-            imgs_a = imgs_a[keep]
-            imgs_b = imgs_b[keep]
-        beam_a, beam_b = imgs_a, imgs_b
-    log.debug("adapted_metric truncation indicator: last term %.3e", last)
-    return float(total)
+    total = last = grass_distance(beams[:, 0, 0], beams[:, 1, 0])
+    for _ in range(n_trunc):
+        # each pair's images, member-major: image j * beam + k is that of
+        # beam plane k under member j
+        images = np.matmul(family.stack[:, None], beams[:, :, None])
+        beams = image_frames(images.reshape(-1, d, i)).reshape(len(beams), 2, -1, d, i)
+        dists = grass_distance(beams[:, 0], beams[:, 1])
+        last = dists.max(axis=1)
+        total = total + last
+        if beams.shape[2] > beam_width:
+            keep = np.argsort(-dists, axis=1, kind="stable")[:, :beam_width]
+            beams = np.take_along_axis(beams, keep[:, None, :, None, None], axis=2)
+    log.debug("adapted_metric truncation indicator: largest last term %.3e", np.max(last))
+    total = total.reshape(shape)
+    return float(total) if total.ndim == 0 else total
 
 
 def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

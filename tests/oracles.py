@@ -27,18 +27,20 @@ replaced.  ``gap_search_oracle`` is the gap search without its bound-and-
 refine pruning or chunking: every word's exact score, from the same product
 and sigma_1 arithmetic, so the two must agree bit for bit.
 ``attractor_oracle`` is the attractor's per-word loop of plain products and
-single-matrix SVDs.  ``brute_force_strictly_invariant`` is the invariance
-sweep without its ball-growth pruning: every boundary probe of every center
-under every member, with the same probes, image map and distance kernels,
-so the two must agree bit for bit.  ``family_matrix_oracle`` is the
-example's per-parameter construction: each plane's line, lift and frame
-built alone, from 1-D vector norms and one single-matrix SVD, inverse and
-product at a time.  ``family_arrays_oracle`` builds a family's arrays one
-member and one copy at a time, as they were built before the family held
-one stack.  ``halton_oracle`` and ``reference_frames_oracle`` are the
-cover check's reference planes as scipy builds them: ``qmc.Halton`` points
-after ``fast_forward(1)``, their ``ndtri`` quantiles, and one plane spanned
-at a time.
+single-matrix SVDs.  ``adapted_metric_oracle`` is the adapted metric one
+plane pair at a time, as it was computed before it took frame stacks, so
+the two must agree bit for bit.  ``brute_force_strictly_invariant`` is the
+invariance sweep without its ball-growth pruning: every boundary probe of
+every center under every member, with the same probes, image map and
+distance kernels, so the two must agree bit for bit.
+``family_matrix_oracle`` is the example's per-parameter construction: each
+plane's line, lift and frame built alone, from 1-D vector norms and one
+single-matrix SVD, inverse and product at a time.  ``family_arrays_oracle``
+builds a family's arrays one member and one copy at a time, as they were
+built before the family held one stack.  ``halton_oracle`` and
+``reference_frames_oracle`` are the cover check's reference planes as scipy
+builds them: ``qmc.Halton`` points after ``fast_forward(1)``, their
+``ndtri`` quantiles, and one plane spanned at a time.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from domsplit.grassmann import (
     grass_distance,
     orthonormal_frames,
     reference_frames,
+    transverse,
     worst_nearest_angle,
 )
 from domsplit.multicone import COVER_CHECK_POINTS, GAP_WARNING_TOL
@@ -480,6 +483,34 @@ def attractor_oracle(family, index: int, word_len: int, word_count: int, rng_see
         if spec.values[index] < spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
             spans.append(spec.left[:, :index])
     return orthonormal_frames(np.stack(spans))
+
+
+def adapted_metric_oracle(family, first, second, n_trunc: int, stable_sample, beam_width: int = 64) -> np.ndarray:
+    """``adapted_metric`` of each row pair of two (n, d, i) frame stacks, one
+    pair at a time: both beams act in one ``act_frames`` call per step, and
+    the beams are cut by a stable sort of that pair's image distances."""
+    stable = stable_sample.frames
+    out = []
+    for E, F in zip(first, second):
+        if len(stable):
+            ok, _ = transverse(np.stack([E, F])[:, None], stable)
+            if not np.all(ok):
+                raise ValueError("input plane is not transverse to the stable sample")
+        total = grass_distance(E, F)
+        beam_a, beam_b = E[None], F[None]
+        for _ in range(1, n_trunc + 1):
+            imgs = act_frames(family.stack, np.concatenate([beam_a, beam_b]))
+            imgs = imgs.reshape(family.size, 2, -1, *imgs.shape[1:])
+            imgs_a = imgs[:, 0].reshape(-1, *imgs.shape[3:])
+            imgs_b = imgs[:, 1].reshape(-1, *imgs.shape[3:])
+            dists = grass_distance(imgs_a, imgs_b)
+            total += float(np.max(dists))
+            if imgs_a.shape[0] > beam_width:
+                keep = np.argsort(-dists, kind="stable")[:beam_width]
+                imgs_a, imgs_b = imgs_a[keep], imgs_b[keep]
+            beam_a, beam_b = imgs_a, imgs_b
+        out.append(total)
+    return np.array(out)
 
 
 def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from domsplit import cli, example4d, multicone, words
+from domsplit import cli, example4d, multicone, splitting, words
 from domsplit.words import GapReport, SearchConfig
 
 
@@ -266,6 +266,52 @@ def test_example4d_samples_out_of_range_exit_one_before_building(samples, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: 'samples' of generator 'example4d' must be from 1 to 100000, got ")
     assert "Traceback" not in err
+
+
+_WORDS_CAP, _WORD_LEN_CAP = multicone.MAX_ATTRACTOR_WORDS, multicone.MAX_ATTRACTOR_WORD_LEN
+
+
+@pytest.mark.parametrize(
+    "command, target, flag, value, name, cap",
+    [
+        ("multicone", "build_multicone", "--words", _WORDS_CAP + 1, "attractor_words", _WORDS_CAP),
+        ("multicone", "build_multicone", "--words", 10**12, "attractor_words", _WORDS_CAP),
+        ("multicone", "build_multicone", "--word-len", _WORD_LEN_CAP + 1, "attractor_word_len", _WORD_LEN_CAP),
+        ("multicone", "build_multicone", "--word-len", 10**12, "attractor_word_len", _WORD_LEN_CAP),
+        ("splitting", "splitting_from_window", "--past-len", cli.MAX_WINDOW_LEN + 1, "--past-len", cli.MAX_WINDOW_LEN),
+        ("splitting", "splitting_from_window", "--past-len", 10**12, "--past-len", cli.MAX_WINDOW_LEN),
+        ("splitting", "splitting_from_window", "--future-len", 10**12, "--future-len", cli.MAX_WINDOW_LEN),
+    ],
+    ids=["words-over-cap", "words-huge", "word-len-over-cap", "word-len-huge", "past-over-cap", "past-huge", "future-huge"],
+)
+def test_size_flags_over_cap_exit_one_before_building(
+    command, target, flag, value, name, cap, diag_spec, monkeypatch, tmp_path, capsys
+):
+    # the bound is checked before the command allocates anything of that size
+    def never(*args, **kwargs):
+        raise AssertionError(f"{target} called")
+
+    monkeypatch.setattr(multicone if command == "multicone" else splitting, target, never)
+    monkeypatch.setattr(splitting, "default_window_length", never)
+    code = cli.main([command, str(diag_spec), "--index", "1", flag, str(value), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {name} must be from 1 to {cap}, got {value}\n"
+
+
+@pytest.mark.parametrize("copies", [cli.MAX_CURVE_SAMPLES + 1, 10**12, _HUGE], ids=["over-cap", "trillion", "huge"])
+def test_perturbation_copies_over_cap_exit_one_before_building(copies, monkeypatch, tmp_path, capsys):
+    # the two-member base may make MAX_CURVE_SAMPLES // 2 copies
+    def never(*args, **kwargs):
+        raise AssertionError("perturb_family called")
+
+    monkeypatch.setattr(words, "perturb_family", never)
+    base = {"dim": 2, "matrices": [{"entries": [2, 0, 0, 1]}, {"entries": [3, 0, 0, 1]}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"generator": {"kind": "random_perturbation", "base": base, "copies": copies}}))
+    code = cli.main(["check", str(path), "--index", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    limit = cli.MAX_CURVE_SAMPLES // 2
+    assert capsys.readouterr().err == f"error: 'copies' of generator 'random_perturbation' must be from 1 to {limit}, got {copies}\n"
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from conftest import conjugated_diagonal_family, rotation2
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    adapted_metric_oracle,
     attractor_oracle,
     ball_probes_oracle,
     brute_force_strictly_invariant,
@@ -36,6 +37,7 @@ from domsplit.grassmann import (
     frame_stack_distances,
     grass_distance,
     line_trace,
+    orthonormal_frames,
     projectivize,
     reference_frames,
 )
@@ -282,7 +284,7 @@ def test_ball_probes_step_radius_with_alternating_sign(shape, pairs, radius, see
 
 
 @pytest.mark.parametrize("index", [1, 2, 3])
-def test_batched_act_member_major(index):
+def test_act_frames_member_major(index):
     # image j * len(frames) + k is frame k moved by matrix j
     rng = np.random.default_rng(11)
     mats = [rng.normal(size=(4, 4)) for _ in range(3)]
@@ -341,10 +343,10 @@ def test_adapted_metric_zero_and_contraction(diag21):
     delta = 0.2
     F = direction(delta)
     total = adapted_metric(diag21, E, F, 30, stable)
-    # oracle: closed-form projective action of the diagonal (the batched
-    # distance path is sqrt(eps)-accurate, hence the tolerance)
+    # oracle: closed-form projective action of the diagonal; the sine-form
+    # distances carry about 1e-16 rad each here
     angles = diagonal_projective_angles(2.0, 1.0, math.tan(delta), 30)
-    assert total == pytest.approx(sum(angles), abs=1e-6)
+    assert total == pytest.approx(sum(angles), abs=1e-12)
     # successive terms shrink by the eigenvalue ratio (factor 2 per step)
     assert angles[1] / angles[0] == pytest.approx(0.5, abs=0.02)
 
@@ -358,6 +360,36 @@ def test_adapted_metric_requires_transversality(diag21):
     stable = ConeSample(1, (direction(math.pi / 2),), 0.0)
     with pytest.raises(ValueError):
         adapted_metric(diag21, direction(math.pi / 2), direction(0.1), 10, stable)
+
+
+@pytest.mark.parametrize("dim, index", [(d, i) for d in (2, 3, 4) for i in range(1, d)])
+def test_adapted_metric_stack_matches_pair_by_pair_oracle(dim, index):
+    # every row is bit-equal to its pair alone, at every beam cut
+    rng = np.random.default_rng(10 * dim + index)
+    for members in (1, 2, 3):
+        fam = conjugated_diagonal_family(dim, index, members, seed=dim + members, noise=0.2)
+        stable = attractor(fam.inverse(), dim - index, word_len=8, word_count=4)
+        E = orthonormal_frames(rng.normal(size=(5, dim, index)))
+        F = orthonormal_frames(rng.normal(size=(5, dim, index)))
+        for n_trunc in (0, 1, 6):
+            for beam_width in (1, members**n_trunc, 16, 64):
+                got = adapted_metric(fam, E, F, n_trunc, stable, beam_width=beam_width)
+                assert got.shape == (5,)
+                assert np.array_equal(got, adapted_metric_oracle(fam, E, F, n_trunc, stable, beam_width))
+                one = adapted_metric(fam, Plane(E[3]), Plane(F[3]), n_trunc, stable, beam_width=beam_width)
+                assert type(one) is float and one == got[3]
+        # one row whose first plane meets a stable plane
+        meets = E.copy()
+        meets[2] = orthonormal_frames(np.column_stack([stable.frames[0][:, 0], rng.normal(size=(dim, index - 1))]))
+        with pytest.raises(ValueError, match="not transverse"):
+            adapted_metric(fam, meets, F, 1, stable)
+
+
+@pytest.mark.parametrize("beam_width", [0, -2])
+def test_adapted_metric_beam_width_below_one_raises(diag21, beam_width):
+    stable = ConeSample(1, (direction(math.pi / 2),), 0.0)
+    with pytest.raises(ValueError, match=f"beam_width must be at least 1, got {beam_width}"):
+        adapted_metric(diag21, direction(0.0), direction(0.2), 3, stable, beam_width=beam_width)
 
 
 def test_build_multicone_single_diagonal(diag21):

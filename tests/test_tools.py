@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import compare_outputs  # noqa: E402
+import src_lines  # noqa: E402
 
 
 def _write(root: Path, files: dict) -> Path:
@@ -133,3 +134,27 @@ def test_output_digest_refuses_non_strict_json(planted, monkeypatch, tmp_path, c
     else:
         assert code == 1
         assert err == f"not strict JSON: b/multicone.json: non-JSON token {planted}\n"
+
+
+_PLANTED_MODULE = '''"""Module docstring,
+on two lines."""
+
+# a comment
+
+
+def f(x):
+    """Function docstring."""
+
+    y = x + 1  # a trailing comment
+    return y
+'''
+
+
+def test_src_lines_counts_code_lines_only(tmp_path, capsys):
+    # docstrings, comments and blank lines are not code; the def and two
+    # statements are
+    assert src_lines.code_lines(_PLANTED_MODULE) == 3
+    _write(tmp_path / "pkg", {"planted.py": _PLANTED_MODULE})
+    assert src_lines.main([str(tmp_path / "pkg")]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [["module", "lines", "code"], ["planted.py", "11", "3"], ["total", "11", "3"]]
