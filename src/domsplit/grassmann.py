@@ -166,9 +166,9 @@ class ConeSample:
 
 
 def act(matrix, plane: Plane) -> Plane:
-    """Image of a plane under an invertible matrix, re-orthonormalized;
-    raises if the image is numerically rank-deficient."""
-    return Plane.from_spanning(linalg.as_square(matrix) @ plane.frame)
+    """Image of a plane under an invertible matrix, re-orthonormalized
+    (``act_frames`` of one matrix and one frame)."""
+    return Plane(act_frames(linalg.as_square(matrix)[None], plane.frame[None])[0])
 
 
 def grass_distance(first, second):

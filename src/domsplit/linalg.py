@@ -15,6 +15,13 @@ subset.  A row whose Gram is scalar to rounding, as for every compound of
 an isometry, takes the midpoint of a trace bracket instead of ``eigvalsh``,
 within ``PIN_RTOL / 4`` relative.  ``top_singular_values`` is its
 one-call form; ``operator_norms`` extends it to rectangular stacks.
+
+Every Gram matrix here comes from ``gram_matrices``, which forms ``X X^T``
+with one GEMM per matrix on a contiguous copy of its transpose, block by
+block, without a transpose buffer beside a large stack.  numpy sends
+``X @ swapaxes(X, -1, -2)`` on a stack of small matrices to its per-matrix
+syrk path, about twice as slow (and bit-equal at n = 3, 4 and 6); a copy of
+the whole stack's transpose would raise the peak memory by its size.
 """
 
 from __future__ import annotations
@@ -49,6 +56,45 @@ def _square_stack(stack) -> np.ndarray:
     return C
 
 
+# most matrices per block of ``gram_matrices``: enough to amortize its two
+# numpy calls per block, few enough that a block's operands stay in cache
+GRAM_BLOCK = 512
+
+
+def gram_matrices(stack: np.ndarray) -> np.ndarray:
+    """``X X^T`` of every matrix of a ``(..., p, q)`` stack, with one GEMM
+    call per matrix, so a row's Gram depends on that row alone.
+
+    A stack of at most ``GRAM_BLOCK`` matrices has its transpose copied into
+    one buffer.  A larger one, such as a gap search chunk, is formed in
+    blocks from its end: each block's transpose is copied into the part of
+    the output not yet formed, just below the block, and the blocks shrink
+    near the start so that this part always holds the copy; only the last
+    few matrices, under 1 KB of them, get a buffer of their own.  So a large
+    stack allocates no more than the plain product does: a separate
+    block-sized buffer, even one of 18 KB, raised the ``gap_suite``
+    benchmark's peak RSS by 0.2 to 0.3 MB.
+    """
+    p, q = stack.shape[-2:]
+    flat = stack.reshape(-1, p, q)
+    out = np.empty((len(flat), p, p))
+    spare = out.reshape(-1)
+    hi = len(flat)
+    while hi:
+        size = min(GRAM_BLOCK, hi * p // (p + q))
+        if len(flat) <= GRAM_BLOCK or size == 0 or hi * q * p < 128:
+            size, trans = hi, np.empty((hi, q, p))
+        else:
+            # (hi - size) p p >= size q p: the rows below hold the copy
+            below = (hi - size) * p * p
+            trans = spare[below - size * q * p : below].reshape(size, q, p)
+        block = flat[hi - size : hi]
+        np.copyto(trans, np.swapaxes(block, -1, -2))
+        np.matmul(block, trans, out=out[hi - size : hi])
+        hi -= size
+    return out.reshape(*stack.shape[:-2], p, p)
+
+
 # A Gram matrix whose trace bracket on lambda_max is at most this wide,
 # relative to its mean eigenvalue, takes the bracket's midpoint instead of
 # an eigen-solve; sigma_1 is then within PIN_RTOL / 4 relative.
@@ -63,7 +109,13 @@ class TopSingular:
     ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``, whose two terms are
     non-negative so their sum cannot cancel; both bounds are that value.
 
-    For n >= 3 everything reads ``G = C C^T``, formed once.  From
+    For n >= 3 everything reads ``G = C C^T``, from ``gram_matrices``:
+    block by block on a contiguous transpose held in the output, since
+    numpy's syrk path for the strided product is the slower one and a
+    transpose buffer would add to the peak memory.  The object keeps no
+    Gram: ``values`` forms that of just the rows it eigen-solves again,
+    bit-equal to those rows of the first, so a gap search, which solves
+    few of its rows, holds no chunk's Gram past its bounds.  From
     ``sum lambda^2 / sum lambda <= lambda_max <= (sum lambda^2)^(1/2)`` over
     its eigenvalues, ``bounds`` are ``[|G|_F / sqrt(tr G), |G|_F^(1/2)]``:
     the lower one is exact for an equal spectrum (where the upper one is
@@ -74,7 +126,7 @@ class TopSingular:
     (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980).  ``values`` takes
     the midpoint of a row whose bracket is at most ``PIN_RTOL * m`` wide,
     within ``PIN_RTOL / 4`` of sigma_1 relative, and the largest eigenvalue
-    of the same Gram (batched ``eigvalsh``; at least ``|C|_F^2 / n``, so well
+    of the row's Gram (batched ``eigvalsh``; at least ``|C|_F^2 / n``, so well
     conditioned) for every other row.  sigma_1 is within 1e-14 relative of
     ``svd(...)[..., 0]`` for entries whose squares neither overflow nor
     underflow.
@@ -92,7 +144,7 @@ class TopSingular:
             self._top = 0.5 * (np.hypot(a + d, b - c) + np.hypot(a - d, b + c))
             return
         self._top = None
-        gram = C @ np.swapaxes(C, -1, -2)
+        gram = gram_matrices(C)
         self._trace = np.einsum("...ii->...", gram)
         self._gram_sq = np.einsum("...ij,...ij->...", gram, gram)
         mean = self._trace / n
@@ -102,15 +154,20 @@ class TopSingular:
         # for a pin (delta below 2e-14 m), but enough to skip the exact delta
         # when no row is near a scalar Gram, at no cost beyond the bounds
         if np.any(self._gram_sq - n * mean**2 <= 1e-12 * self._gram_sq):
-            diag = np.einsum("...ii->...i", gram)
-            dev = diag - mean[..., None]
+            # the diagonal deviations block by block: a (rows, n) array of
+            # them all would set the peak memory of an isometry's gap search
+            diag = np.einsum("...ii->...i", gram).reshape(-1, n)
+            flat_mean = mean.reshape(-1, 1)
+            dev_sq = np.empty(len(diag))
+            for start in range(0, len(diag), GRAM_BLOCK):
+                rows = slice(start, start + GRAM_BLOCK)
+                dev = diag[rows] - flat_mean[rows]
+                dev_sq[rows] = np.einsum("...i,...i->...", dev, dev)
             off_sq = np.einsum("...ij,...ij,ij->...", gram, gram, 1.0 - np.eye(n))
-            delta = np.sqrt(off_sq + np.einsum("...i,...i->...", dev, dev))
+            delta = np.sqrt(off_sq + dev_sq.reshape(mean.shape))
             lo, hi = 1.0 / math.sqrt(n * (n - 1)), math.sqrt((n - 1) / n)
             self._pinned = delta * (hi - lo) <= PIN_RTOL * mean
             self._mid = mean + delta * (0.5 * (lo + hi))
-        # held only while some row may still need its eigen-solve
-        self._gram = None if np.all(self._pinned) else gram
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """``(lower, upper)`` with ``lower <= sigma_1 <= upper`` up to
@@ -130,7 +187,9 @@ class TopSingular:
         solve = ~self._pinned if rows is None else rows & ~self._pinned
         lam = np.array(self._mid)
         if np.any(solve):
-            gram = self._gram if np.all(solve) else self._gram[solve]
+            # the Gram of just those rows, formed again: it equals those rows
+            # of the Gram above, and a search solves few of its rows
+            gram = gram_matrices(self.stack if np.all(solve) else self.stack[solve])
             lam[solve] = np.linalg.eigvalsh(gram)[..., -1].ravel()
         top = np.sqrt(lam)
         return top if rows is None else top[rows]
@@ -151,9 +210,7 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
         return top_singular_values(stack)
     if min(p, q) == 1:
         return np.sqrt(np.einsum("...ij,...ij->...", stack, stack))
-    # a copy: numpy's syrk path for X X^T is slow on stacks of small matrices
-    Xt = np.ascontiguousarray(np.swapaxes(stack, -1, -2))
-    return np.sqrt(top_singular_values(np.matmul(stack, Xt) if p < q else np.matmul(Xt, stack)))
+    return np.sqrt(top_singular_values(gram_matrices(stack if p < q else np.swapaxes(stack, -1, -2))))
 
 
 def singular_values(matrix, label: str | None = None) -> np.ndarray:

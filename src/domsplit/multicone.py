@@ -53,10 +53,10 @@ class MulticoneConfig:
     gate_search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        # values below 1 are refused by ``attractor``
+        # refused here, before the domination gate's gap search runs
         for name, cap in (("attractor_words", MAX_ATTRACTOR_WORDS), ("attractor_word_len", MAX_ATTRACTOR_WORD_LEN)):
             value = getattr(self, name)
-            if value > cap:
+            if not 1 <= value <= cap:
                 raise ValueError(f"{name} must be from 1 to {cap}, got {value}")
 
 

@@ -110,7 +110,7 @@ def default_window_length(family: MatrixFamily, index: int, seed: int = 0) -> in
     linalg.check_index(index, family.dim)
     # one walk over the capped word gives the gap ratio of every prefix
     word = np.random.default_rng(seed).integers(family.size, size=WINDOW_CAP)
-    logs = words.log_singular_value_prefixes(family, word)[1:]
+    logs = words._compound_log_walk(family, word, False, words._gap_orders(index, family.dim))[1:]
     below = np.flatnonzero(logs[:, index] - logs[:, index - 1] < math.log(WINDOW_GAP_TARGET))
     return int(below[0]) + 1 if below.size else WINDOW_CAP
 
@@ -247,7 +247,7 @@ def angle_decay_check(family: MatrixFamily, word, index: int) -> list[AngleBound
     d = family.dim
     linalg.check_index(index, d)
     max_norm = float(np.linalg.svd(family.stack, compute_uv=False)[:, 0].max())
-    log_suffix = words.log_singular_value_suffixes(family, w)
+    log_suffix = words._compound_log_walk(family, w, True, words._gap_orders(index, d))
 
     # the suffix products, one SVD call for all of them
     products = []

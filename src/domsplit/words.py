@@ -20,7 +20,11 @@ batched kernel ``linalg.TopSingular`` (``|x|`` for 1x1, a closed form for
 that Gram is scalar to rounding, as for every compound of an isometry,
 ``eigvalsh`` elsewhere), within 1e-14 relative of LAPACK's SVD, so no SVD
 runs here.  The walks step with one dot per normalization, which is what
-``np.linalg.norm`` computes for a matrix, at half its call overhead.
+``np.linalg.norm`` computes for a matrix, at half its call overhead.  Each
+order's walk is independent of the others, so a caller that reads only a
+gap ratio at index i walks only the orders i - 1, i and i + 1
+(``_gap_orders``), and gets those columns bit-equal to the full walk; the
+public prefix and suffix walks still compute all d orders.
 
 The gap search reads only each length's maximum with its witness and, on a
 length before a beam length, the ``beam_width`` largest scores.  So it
@@ -33,9 +37,11 @@ lower bound; when the next length beams it is the ``beam_width``-th
 largest lower bound of the length so far instead (no cut before
 ``beam_width`` words).  A word whose upper bound is more than ``GAP_PRUNE_SLACK``
 (1e-9 nats, for rounding) below the cut scores -inf; every other word gets
-the exact sigma_1 from the same Gram.  A pruned word can neither be a
-maximum nor enter a beam, ties all survive, and the kernel gives the same
-bits on a row subset, so every output is exactly that of scoring all words.
+the exact sigma_1 from its own Gram, formed again for the few words that
+need an eigen-solve, so no chunk's Gram matrices outlive their bounds.  A
+pruned word can neither be a maximum nor enter a beam, ties all survive,
+and the kernel gives the same bits on a row subset, so every output is
+exactly that of scoring all words.
 """
 
 from __future__ import annotations
@@ -223,18 +229,28 @@ def _rescaled(P: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndar
     return P / s[:, None, None], log_scale + np.array([math.log(x) for x in s])
 
 
-def _compound_log_walk(family: MatrixFamily, word, suffix: bool) -> np.ndarray:
-    """The compound accumulation behind both walks below.
+def _gap_orders(index: int, d: int) -> tuple[int, ...]:
+    """The compound orders that ``log(sigma_{index+1} / sigma_index)`` reads:
+    index - 1, index and index + 1, those of them in 1..d."""
+    return tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
+
+
+def _compound_log_walk(family: MatrixFamily, word, suffix: bool, orders=None) -> np.ndarray:
+    """The compound accumulation behind both walks below, over the given
+    compound orders (all of 1..d by default).
 
     The walk renormalizes each order's product step by step and keeps every
     step's normalized compound; sigma_1 of all of them comes from one
-    ``linalg.top_singular_values`` call per order after the walk.
+    ``linalg.top_singular_values`` call per order after the walk.  Column
+    j reads orders j and j + 1: it is nan when either was not walked (order
+    0 is the identity), and otherwise bit-equal to the full walk's.
     """
     w = _validate_word(family, word)
     d = family.dim
     comps = family.compound_banks
-    top = np.zeros((len(w) + 1, d + 1))
-    for k in range(1, d + 1):
+    top = np.full((len(w) + 1, d + 1), math.nan)
+    top[0] = top[:, 0] = 0.0
+    for k in range(1, d + 1) if orders is None else orders:
         acc = np.eye(math.comb(d, k))
         steps = np.empty((len(w), *acc.shape))
         logs = np.empty(len(w))
@@ -401,7 +417,7 @@ class _GapSearch:
         self.family = family
         self.index = index
         self.config = config
-        self.ks = tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
+        self.ks = _gap_orders(index, d)
         self.bank = family.compound_banks
         self._beam_lowers: np.ndarray | None = None
 
@@ -436,7 +452,8 @@ class _GapSearch:
     def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float) -> np.ndarray:
         """Log gap ratio of every row; rows ruled out by ``_candidates`` get
         -inf instead of their exact score."""
-        # one Gram per order: the bounds, the pin and the eigen-solve read it
+        # one Gram per order for the bounds and the pin; the eigen-solve of
+        # the kept rows forms theirs again
         kernels = {k: linalg.TopSingular(mats[k]) for k in self.ks}
         keep = self._candidates(kernels, logs, best_val)
         tops = {k: logs[k][keep] + np.log(kernels[k].values(keep)) for k in self.ks}
@@ -593,7 +610,8 @@ def _periodic_witness(family: MatrixFamily, index: int, report: GapReport) -> Wo
         if n_powers < MIN_WITNESS_POWERS:
             continue
         # row k * len(root) of one walk over the top power is the k-th power
-        logs = log_singular_value_prefixes(family, root * n_powers)[len(root) :: len(root)]
+        walk = _compound_log_walk(family, root * n_powers, False, _gap_orders(index, family.dim))
+        logs = walk[len(root) :: len(root)]
         if not np.any(logs[:, index] - logs[:, index - 1] < log_floor):
             return root
     return None

@@ -96,7 +96,7 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
     [
         ("check", "--beam", "0", "beam_width must be at least 1, got 0"),
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
-        ("multicone", "--words", "0", "word_count must be at least 1, got 0"),
+        ("multicone", "--words", "0", f"attractor_words must be from 1 to {multicone.MAX_ATTRACTOR_WORDS}, got 0"),
         ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
         ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
         ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
@@ -107,6 +107,22 @@ def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, fla
     code = cli.main([command, str(diag_spec), "--index", "1", flag, value, "--out", str(tmp_path / "o")])
     assert code == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--words", "--word-len"])
+def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsys, monkeypatch, flag):
+    calls = []
+    real = words.is_dominated
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(words, "is_dominated", spy)
+    code = cli.main(["multicone", str(diag_spec), "--index", "1", flag, "0", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "must be from 1 to" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize(

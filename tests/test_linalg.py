@@ -300,3 +300,42 @@ def test_top_singular_values_broadcast_and_shape_checks():
     for bad in (np.zeros(3), np.zeros((2, 3)), np.zeros((4, 0, 0))):
         with pytest.raises(ValueError):
             linalg.top_singular_values(bad)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_gram_matrices_equal_the_unblocked_product(n):
+    block = linalg.GRAM_BLOCK
+    rng = np.random.default_rng(90 + n)
+    for rows in (1, block - 1, block, block + 1, 2 * block + 3):
+        X = rng.normal(size=(rows, n, n))
+        assert np.array_equal(linalg.gram_matrices(X), X @ np.swapaxes(X, -1, -2))
+    X = rng.normal(size=(2, block + 2, n, n))
+    G = linalg.gram_matrices(X)
+    assert G.shape == X.shape
+    assert np.array_equal(G, X @ np.swapaxes(X, -1, -2))
+    # a row's Gram does not depend on where the blocks split the stack
+    X = rng.normal(size=(2 * block + 3, n, n))
+    rows = rng.random(len(X)) < 0.3
+    assert np.array_equal(linalg.gram_matrices(X[rows]), linalg.gram_matrices(X)[rows])
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_pinned_rows_do_not_depend_on_the_stack(n):
+    # orthogonal matrices have scalar Grams, so every row is pinned; the pin
+    # works through the stack in blocks, and each row's sigma_1 is its own
+    rng = np.random.default_rng(100 + n)
+    Q = np.array([random_orthogonal(n, rng) for _ in range(2 * linalg.GRAM_BLOCK + 3)])
+    got = linalg.top_singular_values(Q)
+    assert np.array_equal(got, [linalg.top_singular_values(M) for M in Q])
+    assert np.all(np.abs(got - 1.0) <= 1e-15)
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 4), (4, 3)])
+def test_operator_norms_match_the_transpose_copy_formula(p, q):
+    # the formula before the blocked Gram: one contiguous copy of the whole
+    # stack's transpose, multiplied on the narrower side
+    rng = np.random.default_rng(10 * p + q)
+    X = rng.normal(size=(2, linalg.GRAM_BLOCK + 3, p, q))
+    Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
+    want = np.sqrt(linalg.top_singular_values(np.matmul(X, Xt) if p < q else np.matmul(Xt, X)))
+    assert np.array_equal(linalg.operator_norms(X), want)

@@ -11,6 +11,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import compare_outputs  # noqa: E402
 import src_lines  # noqa: E402
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_number(path: Path) -> int:
+    return int(path.stem.split("_")[1])
+
+
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"), key=_bench_number)
+
 
 def _write(root: Path, files: dict) -> Path:
     for rel, content in files.items():
@@ -158,3 +167,20 @@ def test_src_lines_counts_code_lines_only(tmp_path, capsys):
     assert src_lines.main([str(tmp_path / "pkg")]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["planted.py", "11", "3"], ["total", "11", "3"]]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda path: path.name)
+def test_bench_record_format(path):
+    # strict JSON (no NaN or Infinity), the fields every perf record carries,
+    # and a "previous" that names an earlier record; BENCH_8.json is the first
+    data = json.loads(path.read_text(), parse_constant=_refuse_constant)
+    for key in ("change", "previous", "workloads", "host"):
+        assert key in data, key
+    assert "nproc" in data["host"] and "blas" in data["host"]
+    if path.name != "BENCH_8.json":
+        earlier = [p.name for p in BENCH_RECORDS if _bench_number(p) < _bench_number(path)]
+        assert any(data["previous"].startswith(name) for name in earlier), data["previous"]

@@ -169,6 +169,21 @@ def test_log_singular_value_walks_match_linalg_norm_bit_for_bit(dim):
             assert np.array_equal(walk(fam, word), _walk_with_linalg_norm(fam, word, suffix))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_gap_order_walks_match_the_full_walk_bit_for_bit(dim):
+    # each order's walk is independent of the others, so walking only the
+    # orders a gap ratio at `index` reads gives its two columns unchanged
+    rng = np.random.default_rng(80 + dim)
+    fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(3)])
+    word = tuple(int(j) for j in rng.integers(3, size=30))
+    for suffix in (False, True):
+        full = words._compound_log_walk(fam, word, suffix)
+        for index in range(1, dim):
+            part = words._compound_log_walk(fam, word, suffix, words._gap_orders(index, dim))
+            assert part.shape == full.shape
+            assert np.array_equal(part[:, index - 1 : index + 1], full[:, index - 1 : index + 1])
+
+
 def test_log_singular_values_survive_long_words():
     # diag(2, 1) repeated 400 times: the raw product would lose the small
     # singular value at length ~53 and overflow nothing, but the ratio must
