@@ -14,16 +14,13 @@ has ``|C^T v| >= cos r``: one closed-form arc per center (``projectivize``),
 merged around the circle by ``line_trace``.  Arcs are (start, end) angles
 with start in [0, pi); an arc across 0 ends past pi, and the whole circle is
 ``[(0, pi)]``.
-The cover check's reference planes come from Halton points computed here,
-bit-equal to scipy's unscrambled ``qmc.Halton``; only their Gaussian
-quantiles (``ndtri``) load scipy, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -405,49 +402,6 @@ def transverse(first, second):
     if margin.ndim == 0:
         return bool(margin > TRANSVERSALITY_TOL), float(margin)
     return margin > TRANSVERSALITY_TOL, margin
-
-
-def _halton(dim: int, count: int) -> np.ndarray:
-    """Points 1..count of the unscrambled Halton sequence in the first ``dim``
-    prime bases, as a (count, dim) array.  Each coordinate is the radical
-    inverse of the index, summed digit by digit from the lowest in the order
-    scipy's unscrambled ``qmc.Halton`` uses, so the points are bit-equal to
-    its after ``fast_forward(1)``."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < dim:
-        if all(candidate % p for p in primes):
-            primes.append(candidate)
-        candidate += 1
-    points = np.zeros((count, dim))
-    for k, base in enumerate(primes):
-        q = np.arange(1, count + 1)
-        scale = 1.0 / base
-        while q.any():
-            points[:, k] += (q % base) * scale
-            scale /= base
-            q //= base
-    return points
-
-
-@lru_cache(maxsize=64)
-def reference_frames(ambient_dim: int, dim: int, count: int) -> np.ndarray:
-    """Deterministic low-discrepancy sample of G(dim, ambient_dim), as a
-    read-only (count, ambient_dim, dim) frame stack built once per shape.
-
-    Each frame spans the Gaussian quantiles (``scipy.special.ndtri``) of one
-    in-house Halton point (``_halton``, bit-equal to scipy's), reshaped to
-    ambient_dim by dim.  G(d, d) is one point, sampled as ``count`` identity
-    frames."""
-    if dim == ambient_dim:
-        stack = np.repeat(np.eye(dim)[None], count, axis=0)
-    else:
-        from scipy.special import ndtri
-
-        points = ndtri(_halton(ambient_dim * dim, count))
-        stack = orthonormal_frames(points.reshape(count, ambient_dim, dim))
-    stack.setflags(write=False)
-    return stack
 
 
 def projectivize(cone: ConeSample, line) -> np.ndarray:

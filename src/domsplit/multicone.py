@@ -25,7 +25,6 @@ from .grassmann import (
     min_cos_principal,
     nearest_angles,
     orthonormal_frames,
-    reference_frames,
     transverse,
     worst_nearest_angle,
 )
@@ -118,11 +117,6 @@ def _ball_probes(frames: np.ndarray, complements: np.ndarray, radius: float) -> 
     return probes
 
 
-# reference planes of the Grassmannian whose cover by the sample rules
-# strict invariance out
-COVER_CHECK_POINTS = 128
-
-
 def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
     """Index chunks of ``rows`` image rows, each searched against ``width``
     centers: at least ``max(2, _GROUP_PAIRS // width)`` rows each (all of
@@ -157,8 +151,9 @@ class _CenterPass:
     an upper bound on F_jk's own.  Any plane within r of center k maps under
     member j to within ``arctan(alpha tan r / (1 - beta tan r))`` of F_jk
     (``_ball_growth``).  ``spread[j, k]`` is the distance between F_jk and
-    F_(j+1)k on a sampled curve (no rows otherwise), and ``cover`` the
-    radius from which the centers cover every reference plane.
+    F_(j+1)k on a sampled curve (no rows otherwise), and ``chart`` the
+    smallest over centers E_a of the largest distance from E_a to a center
+    (inf for i = d).
     """
 
     family: MatrixFamily
@@ -169,12 +164,14 @@ class _CenterPass:
     alpha: np.ndarray
     beta: np.ndarray
     spread: np.ndarray
-    cover: float
+    chart: float
 
 
-def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
+def _center_pass(family: MatrixFamily, frames: np.ndarray, dist: np.ndarray | None = None) -> _CenterPass:
     """Images, nearest-center bounds and ball-growth constants of every
-    (member, center) pair; see ``strictly_invariant``."""
+    (member, center) pair; see ``strictly_invariant``.  The chart reads
+    ``dist``, the ``frame_stack_distances`` of the centers, computed here
+    unless the caller holds it."""
     n, d, i = frames.shape
     m = family.size
     Y = np.matmul(family.stack[:, None], frames[None]).reshape(m * n, d, i)
@@ -198,8 +195,9 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
     spread = np.empty((0, n))
     if family.source.kind == "sampled_curve" and m > 1:
         spread = grass_distance(F[:-n], F[n:]).reshape(m - 1, n)
-    refs = reference_frames(d, i, COVER_CHECK_POINTS)
-    cover = float(frame_stack_distances(refs, frames).min(axis=1).max())
+    if dist is None and i < d:
+        dist = frame_stack_distances(frames, frames)
+    chart = float(dist.max(axis=1).min()) if i < d else math.inf
     return _CenterPass(
         family=family,
         frames=frames,
@@ -209,7 +207,7 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray) -> _CenterPass:
         alpha=alpha.reshape(m, n),
         beta=beta.reshape(m, n),
         spread=spread,
-        cover=cover,
+        chart=chart,
     )
 
 
@@ -242,10 +240,27 @@ def strictly_invariant(
     ball.  margin = radius - max over images of the distance to the nearest
     cone point - adjacent-sample spread allowance.  For a sampled curve the
     allowance is the largest distance between the images of one probe under
-    adjacent members.  A sample whose points cover the whole
-    (reference-sampled) Grassmannian is never declared strictly invariant,
-    whatever the margin: interior inclusion needs slack that the full space
-    cannot offer.
+    adjacent members.
+
+    A multicone must also be proper, and a positive margin alone does not
+    make it so: in Bochi-Gourmelon (arXiv 0808.3811, Thm B) some (d - i)-plane
+    is transverse to every plane of a multicone; for d = 2 (Avila-Bochi-
+    Yoccoz) the cone misses a point of P^1.  Merely missing some plane is too
+    weak for d >= 3: diag(R, 1/3), with R a 2 x 2 rotation, is not dominated
+    at index 1, yet it maps the complement of a small ball about its
+    repelling line e_3 strictly into itself.  The chart test proves the
+    transversal plane.  With chart = min over a of max over k of
+    dist(E_a, E_k), a call passes only when chart + r < pi/2.  The largest
+    principal angle is a metric, so every plane P of every ball (boundary
+    included) lies within r + dist(E_a, E_k) < pi/2 of the minimizing
+    center E_a; and theta_max(P, E_a) < pi/2 exactly when P meets E_a^perp
+    only in 0.  So every plane of the cone is transverse to the one plane
+    E_a^perp, up to the rounding of the distances (about 1e-8 rad).  Its
+    limit: with E_a taken among the centers, a valid multicone whose
+    components are nearly perpendicular (two arcs of P^1 about pi/2 apart)
+    can be rejected.  No fallback is added: every passing call of the
+    output digest's runs has a chart slack pi/2 - chart - r of at least
+    0.55 rad.  G(d, d) is one point, so chart = inf and i = d never passes.
 
     The sweep evaluates only the probes that can set the margin.  Take a
     member M_j and a center E_k with complement frame E_k^perp, F_jk the
@@ -272,7 +287,7 @@ def strictly_invariant(
     sweep, bit for bit: each image and distance is computed by the same
     kernels, row by row.  Everything that does not depend on the radius
     (the complement frames and images of the centers, L, u, S, alpha, beta
-    and the cover radius) is one pass over the pairs; ``build_multicone``
+    and the chart) is one pass over the pairs; ``build_multicone``
     computes it once and hands it to every call, as ``centers``.  The
     nearest-point search (``worst_nearest_angle``) prunes its own rows by
     the same kind of bound and runs on the narrower of the planes and their
@@ -305,9 +320,7 @@ def strictly_invariant(
                 there = _probe_images(family.stack, probes, j + 1, k)
                 spread = max(spread, float(np.max(grass_distance(here, there))))
     margin = cone.radius - worst - spread
-    if centers.cover <= cone.radius:
-        return False, margin
-    return margin > 0.0, margin
+    return margin > 0.0 and centers.chart + cone.radius < math.pi / 2, margin
 
 
 # products whose gap ratio at the index is within GAP_WARNING_TOL of 1 have
@@ -397,36 +410,61 @@ def adapted_metric(
 
 
 def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage merge tree of the points and their component count at
-    each link radius.
+    """Single-linkage tree of the points and their component count at each
+    link radius.
 
-    Only the upper triangle of ``dist`` is read: a distance matrix built by
-    matrix products need not be bitwise symmetric.  The tree's n - 1 merge
-    heights are exact entries of ``dist`` in ascending order, and the points
-    joined by pairs at distance <= t are joined by the tree's merges of
-    height <= t, so the count at t is n minus the number of those merges
-    (Gower & Ross 1969).
+    The tree is a minimum spanning tree by Prim's algorithm (Prim 1957), as
+    (n - 1, 3) rows (a, b, height) sorted by height.  Only the upper triangle
+    of ``dist`` is read: a distance matrix built by matrix products need not
+    be bitwise symmetric.  The heights are exact entries of ``dist``, and
+    their sorted multiset is that of every minimum spanning tree, so it does
+    not depend on how ties are broken.  The points joined by pairs at
+    distance <= t are joined by the tree's edges of height <= t, so the
+    count at t is n minus the number of those edges (Gower & Ross 1969).
     """
-    from scipy.cluster.hierarchy import linkage
-
     n = dist.shape[0]
-    merges = linkage(dist[np.triu_indices(n, 1)], method="single") if n > 1 else np.empty((0, 4))
-    counts = n - np.searchsorted(merges[:, 2], link_radii, side="right")
-    return merges, counts
+    # best[b]: distance from point b to the tree grown from point 0, through
+    # its nearest tree point parent[b]; inf once b is in the tree
+    best = np.concatenate([[math.inf], dist[0, 1:]])
+    parent = np.zeros(n, dtype=int)
+    outside = np.arange(n) > 0
+    closer = np.empty(n, dtype=bool)
+    edges = []
+    for _ in range(n - 1):
+        b = int(best.argmin())
+        edges.append((parent[b], b, best[b]))
+        best[b], outside[b] = math.inf, False
+        row = np.concatenate((dist[:b, b], dist[b, b:]))
+        np.less(row, best, out=closer)
+        closer &= outside
+        np.copyto(best, row, where=closer)
+        parent[closer] = b
+    tree = np.array(edges, dtype=float).reshape(-1, 3)
+    tree = tree[np.argsort(tree[:, 2], kind="stable")]
+    counts = n - np.searchsorted(tree[:, 2], link_radii, side="right")
+    return tree, counts
 
 
-def _components_at(merges: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
-    """Components of the points joined by the merges of height <= link_radius,
-    ordered by smallest member, members ascending."""
-    from scipy.cluster.hierarchy import fcluster
+def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
+    """Components of the points joined by the tree's edges of height <=
+    link_radius, ordered by smallest member, members ascending."""
+    root = list(range(len(tree) + 1))
 
-    if not len(merges):  # one point; fcluster rejects an empty tree
-        return ((0,),)
-    labels = fcluster(merges, link_radius, criterion="distance")
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for a, b, height in tree.tolist():
+        if height > link_radius:
+            break
+        # each component's root is its smallest member
+        ra, rb = find(int(a)), find(int(b))
+        root[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[int]] = {}
-    # points in ascending order: each component first appears at its smallest
-    for a, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(a)
+    for a in range(len(root)):
+        groups.setdefault(find(a), []).append(a)
     return tuple(tuple(g) for g in groups.values())
 
 
@@ -447,9 +485,9 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
 
     The counts come from one single-linkage tree of the attractor cloud:
     points at link distance <= 2 epsilon fall in one component exactly when
-    the tree joins them by merges of height <= 2 epsilon, so the count at
-    epsilon is n minus the number of such merges (Gower & Ross 1969).  The
-    next merge, the first above 2 epsilon, joins the two closest components,
+    the tree joins them by edges of height <= 2 epsilon, so the count at
+    epsilon is n minus the number of such edges (Gower & Ross 1969).  The
+    next edge, the first above 2 epsilon, joins the two closest components,
     so the component gap is its height less 2 epsilon and always positive.
     Only the upper triangle of the pairwise distance matrix is read for the
     tree; the components themselves are formed only for the radii the scan
@@ -474,6 +512,9 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     if not len(frames):
         raise MulticoneConstructionError("attractor sample is empty", table=[])
     dist = frame_stack_distances(frames, frames)
+    # one pass over the (member, center) pairs serves every radius tried; its
+    # chart reads dist as computed, so it is that of a pass on its own
+    centers = _center_pass(family, frames, dist)
     np.fill_diagonal(dist, 0.0)
 
     # the grid starts at a quarter of the smallest positive distance; each
@@ -487,14 +528,12 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
         grid = np.geomspace(lo, hi, EPSILON_GRID_SIZE)
 
-    merges, counts = _single_linkage(dist, 2.0 * grid)
+    tree, counts = _single_linkage(dist, 2.0 * grid)
     table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
 
-    # one pass over the (member, center) pairs serves every radius tried.
     # The sweep at any radius starts from the center images, so its worst
     # distance and spread are at least theirs: the margin at eps is at most
     # eps + center_margin, and no eps below -center_margin can pass
-    centers = _center_pass(family, frames)
     _, center_margin = strictly_invariant(family, cloud, centers)
     skip_below = max(0.0, -center_margin)
 
@@ -511,10 +550,10 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             continue
         if best is not None and table[a][1] != len(best.components):
             break  # next plateau has a different component count: keep the best
-        comps = _components_at(merges, 2.0 * eps)
+        comps = _components_at(tree, 2.0 * eps)
         cone = replace(cloud, radius=eps)
         ok, margin = strictly_invariant(family, cone, centers)
-        gap = float(merges[len(frames) - len(comps), 2]) - 2.0 * eps if len(comps) > 1 else math.inf
+        gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * eps if len(comps) > 1 else math.inf
         if ok:
             candidate = Multicone(
                 cone=cone, components=comps, invariance_margin=margin, component_gap=gap
@@ -526,11 +565,10 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             continue
         if best is not None:
             break
-        # strictly_invariant rejects a positive margin only when the sample
-        # covers the reference-sampled Grassmannian
-        cover = "; fails the cover check" if margin > 0.0 else ""
+        # strictly_invariant rejects a positive margin only by the chart test
+        chart = "; fails the chart test" if margin > 0.0 else ""
         failures.append(
-            f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{cover}"
+            f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{chart}"
         )
     if best is not None:
         return best

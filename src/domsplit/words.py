@@ -236,8 +236,12 @@ def _gap_orders(index: int, d: int) -> tuple[int, ...]:
 
 
 def _compound_log_walk(family: MatrixFamily, word, suffix: bool, orders=None) -> np.ndarray:
-    """The compound accumulation behind both walks below, over the given
+    """``out[n, j] = log sigma_{j+1}`` of the product of ``word[:n]``, or
+    with ``suffix`` of ``word[-n:]``, for n = 0..len(word), over the given
     compound orders (all of 1..d by default).
+
+    Suffix products are the nested forward maps at a fixed anchor point:
+    each step multiplies the next matrix on the left.
 
     The walk renormalizes each order's product step by step and keeps every
     step's normalized compound; sigma_1 of all of them comes from one
@@ -274,15 +278,6 @@ def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
     each step; row 0 is all zeros (the identity).
     """
     return _compound_log_walk(family, word, suffix=False)
-
-
-def log_singular_value_suffixes(family: MatrixFamily, word) -> np.ndarray:
-    """``out[n, j] = log sigma_{j+1}(product(word[-n:]))`` for n = 0..len(word).
-
-    Suffix products are the nested forward maps at a fixed anchor point:
-    each step multiplies the next matrix on the left.
-    """
-    return _compound_log_walk(family, word, suffix=True)
 
 
 def log_singular_values(family: MatrixFamily, word) -> np.ndarray:

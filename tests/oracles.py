@@ -14,7 +14,8 @@ pins the restructuring and not the per-pair arithmetic.
 ``ball_probes_oracle`` builds each probe alone, with its complement
 directions taken inline from an SVD rather than from the center pass.
 The component references are the pair-by-pair loops the single-linkage
-tree replaced.
+tree replaced, and ``single_linkage_heights_oracle`` is scipy's merge
+heights, which the in-house tree replaced.
 ``window_length_oracle``, ``periodic_witness_oracle``,
 ``transverse_pairs_oracle``, ``angle_decay_oracle``,
 ``compound_log_walk_oracle`` and ``suffix_restricted_logs_oracle`` are the
@@ -32,15 +33,13 @@ plane pair at a time, as it was computed before it took frame stacks, so
 the two must agree bit for bit.  ``brute_force_strictly_invariant`` is the
 invariance sweep without its ball-growth pruning: every boundary probe of
 every center under every member, with the same probes, image map and
-distance kernels, so the two must agree bit for bit.
+distance kernels, so the two must agree bit for bit; its chart test reads
+the same all-pairs distances.
 ``family_matrix_oracle`` is the example's per-parameter construction: each
 plane's line, lift and frame built alone, from 1-D vector norms and one
 single-matrix SVD, inverse and product at a time.  ``family_arrays_oracle``
 builds a family's arrays one member and one copy at a time, as they were
-built before the family held one stack.  ``halton_oracle`` and
-``reference_frames_oracle`` are the cover check's reference planes as scipy
-builds them: ``qmc.Halton`` points after ``fast_forward(1)``, their
-``ndtri`` quantiles, and one plane spanned at a time.
+built before the family held one stack.
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
+from scipy.cluster.hierarchy import linkage
 
 from domsplit import linalg, multicone, splitting, words
 from domsplit.grassmann import (
@@ -60,11 +58,10 @@ from domsplit.grassmann import (
     frame_stack_distances,
     grass_distance,
     orthonormal_frames,
-    reference_frames,
     transverse,
     worst_nearest_angle,
 )
-from domsplit.multicone import COVER_CHECK_POINTS, GAP_WARNING_TOL
+from domsplit.multicone import GAP_WARNING_TOL
 
 
 def compound_matrix_oracle(M: np.ndarray, k: int) -> np.ndarray:
@@ -342,7 +339,7 @@ def angle_decay_oracle(family, word, index: int) -> list:
     call per consecutive pair."""
     w = tuple(int(j) for j in word)
     max_norm = max(linalg.operator_norm(M) for M in family.stack)
-    log_suffix = words.log_singular_value_suffixes(family, w)
+    log_suffix = words._compound_log_walk(family, w, suffix=True)
     frames = []
     P = np.eye(family.dim)
     for step, j in enumerate(reversed(w), start=1):
@@ -519,7 +516,8 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
     nearest-center distance in member groups of at most
     ``multicone._GROUP_PAIRS`` image-center pairs, and for a sampled curve
     the largest distance between the images of one probe under adjacent
-    members."""
+    members.  The chart test passes where some center is within pi/2 - r of
+    every center (never for i = d)."""
     frames = cone.frames
     probes = sweep_points_oracle(frames, cone.radius)
     curve = family.source.kind == "sampled_curve"
@@ -535,10 +533,10 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
                 prev = cur
         worst = max(worst, worst_nearest_angle(images, frames))
     margin = cone.radius - worst - spread
-    refs = reference_frames(frames.shape[1], cone.grass_index, COVER_CHECK_POINTS)
-    if bool(np.all(frame_stack_distances(refs, frames).min(axis=1) <= cone.radius)):
+    if cone.grass_index == frames.shape[1]:
         return False, margin
-    return margin > 0.0, margin
+    reach = frame_stack_distances(frames, frames).max(axis=1)
+    return margin > 0.0 and bool(np.any(reach + cone.radius < math.pi / 2)), margin
 
 
 def family_matrix_oracle(t: float, lam: float) -> np.ndarray:
@@ -556,14 +554,9 @@ def family_matrix_oracle(t: float, lam: float) -> np.ndarray:
     return basis @ np.diag([lam, lam, 1.0 / lam, 1.0 / lam]) @ np.linalg.inv(basis)
 
 
-def halton_oracle(dim: int, count: int) -> np.ndarray:
-    """Points 1..count of scipy's unscrambled Halton sequence in ``dim`` bases."""
-    seq = qmc.Halton(d=dim, scramble=False)
-    seq.fast_forward(1)
-    return seq.random(count)
-
-
-def reference_frames_oracle(ambient_dim: int, dim: int, count: int) -> np.ndarray:
-    """The reference planes from scipy's Halton points, spanned one by one."""
-    raw = ndtri(halton_oracle(ambient_dim * dim, count)).reshape(count, ambient_dim, dim)
-    return np.stack([Plane.from_spanning(r).frame for r in raw])
+def single_linkage_heights_oracle(dist: np.ndarray) -> np.ndarray:
+    """Ascending merge heights of scipy's single linkage on the upper
+    triangle of ``dist``."""
+    n = dist.shape[0]
+    merges = linkage(dist[np.triu_indices(n, 1)], method="single") if n > 1 else np.empty((0, 4))
+    return merges[:, 2]

@@ -360,35 +360,42 @@ def test_scalar_spec_fields_take_json_numbers():
     assert fam.size == 3
 
 
-# check and splitting run on numpy alone; multicone loads scipy's ndtri and
-# single linkage on first use, but never scipy.stats
-_SCIPY_PROBE = """
-import json, sys
+# every command runs on numpy alone: scipy is blocked at import, and none
+# of its modules may be loaded
+_NO_SCIPY_PROBE = """
+import importlib.abc, json, sys
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
 from domsplit import cli
 
-def loaded():
-    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
-
 spec, out = sys.argv[1], sys.argv[2]
-codes = [cli.main([command, spec, "--index", "1", "--out", out]) for command in ("check", "splitting")]
-gap_route = loaded()
-codes.append(cli.main(["multicone", spec, "--index", "1", "--out", out]))
-print(json.dumps({"codes": codes, "gap_route": gap_route, "multicone": loaded()}))
+codes = [
+    cli.main([command, spec, "--index", "1", "--out", f"{out}/{command}"])
+    for command in ("check", "splitting", "multicone")
+]
+example = ["example4d", "--grid", "8", "--lambda", "1.01", "--skip-perturbed", "--out", f"{out}/example4d"]
+codes.append(cli.main(example))
+print(json.dumps({"codes": codes, "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
 """
 
 
-def test_gap_route_loads_no_scipy(diag_spec, tmp_path):
+def test_no_command_loads_scipy(diag_spec, tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(diag_spec), str(tmp_path / "out")],
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(diag_spec), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
     result = json.loads(done.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
-    assert result["gap_route"] == []
-    assert "scipy.special" in result["multicone"] and "scipy.cluster" in result["multicone"]
-    assert not [name for name in result["multicone"] if name.startswith("scipy.stats")]
+    # the example at lambda 1.01 fails its invariance scan, as with scipy
+    assert result["codes"] == [0, 0, 0, 2]
+    assert result["scipy"] == []
 
 
 def test_multicone_command(diag_spec, rotation_spec, tmp_path):

@@ -11,17 +11,14 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_worst_nearest_angle,
     grass_distance_oracle,
-    halton_oracle,
     line_trace_oracle,
     random_invertible,
     random_orthogonal,
-    reference_frames_oracle,
     transverse_pairs_oracle,
 )
 
 from domsplit import grassmann
 from domsplit.grassmann import ConeSample, Plane
-from domsplit.multicone import COVER_CHECK_POINTS
 
 
 def e(i, d=4):
@@ -510,17 +507,3 @@ def test_transverse_stacks_match_per_pair_loop(stacks):
     assert np.array_equal(ok, want_ok) and np.array_equal(margin, want_margin)
     single_ok, single_margin = grassmann.transverse(Plane(A[0]), Plane(B[0]))
     assert single_ok is bool(want_ok[0, 0]) and single_margin == want_margin[0, 0]
-
-
-@pytest.mark.parametrize("count", [1, 128, 4096])
-def test_halton_matches_scipy(count):
-    for dim in range(1, 37):
-        assert np.array_equal(grassmann._halton(dim, count), halton_oracle(dim, count)), dim
-
-
-@pytest.mark.parametrize("dim,index", [(d, i) for d in range(2, 7) for i in range(1, d)])
-def test_reference_frames_match_scipy(dim, index):
-    assert np.array_equal(
-        grassmann.reference_frames(dim, index, COVER_CHECK_POINTS),
-        reference_frames_oracle(dim, index, COVER_CHECK_POINTS),
-    )

@@ -21,6 +21,7 @@ from oracles import (
     line_trace_oracle,
     random_orthogonal,
     scaled_word_product_oracle,
+    single_linkage_heights_oracle,
     sweep_points_oracle,
     union_find_components,
 )
@@ -33,13 +34,14 @@ from domsplit.grassmann import (
     Plane,
     act,
     act_frames,
+    complement_frames,
     frame_stack,
     frame_stack_distances,
     grass_distance,
     line_trace,
     orthonormal_frames,
     projectivize,
-    reference_frames,
+    transverse,
 )
 from domsplit.multicone import (
     MulticoneConfig,
@@ -83,10 +85,12 @@ def test_strictly_invariant_rotation_fails():
     assert not ok and margin < 0
 
 
-def test_strictly_invariant_full_cover_rule(diag21):
+def test_strictly_invariant_chart_test_rule(diag21):
+    # the whole projective circle: every center has another pi/2 away, so
+    # no center's chart holds the cone and it is never strictly invariant
     pts = tuple(direction(t) for t in np.linspace(0.0, math.pi, 60, endpoint=False))
     ok, margin = strictly_invariant(diag21, ConeSample(1, pts, 0.2))
-    assert not ok  # whole projective circle covered: never strictly invariant
+    assert not ok
     assert margin > 0  # arithmetic margin alone would have passed
 
 
@@ -197,12 +201,65 @@ def test_strictly_invariant_matches_unpruned_sweep(case):
             )
 
 
-def test_one_dimensional_family_fails_the_cover_check():
-    # G(1, 1) is one point, so every sample covers it: the check returns
-    # its margin and no pass, and does not raise
+def test_one_dimensional_family_fails_the_chart_test():
+    # G(1, 1) is one point, so no sample is a proper part of it: the check
+    # returns its margin and no pass, and does not raise
     fam = MatrixFamily.from_matrices([np.array([[2.0]]), np.array([[-0.5]])], ["A", "B"])
     ok, margin = strictly_invariant(fam, ConeSample(1, np.ones((1, 1, 1)), 0.1))
     assert not ok and margin == pytest.approx(0.1)
+    assert multicone._center_pass(fam, np.ones((1, 1, 1))).chart == math.inf
+
+
+@st.composite
+def chart_clouds(draw):
+    """(frames, radius, rng) of a cloud in G(i, d), d = 2..5 and i < d:
+    random frames, or frames jittered about one to three cluster centers."""
+    d = draw(st.integers(min_value=2, max_value=5))
+    i = draw(st.integers(min_value=1, max_value=d - 1))
+    n = draw(st.integers(min_value=1, max_value=12))
+    clusters = draw(st.integers(min_value=0, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    if clusters:
+        centers = np.linalg.qr(rng.normal(size=(clusters, d, i)))[0]
+        jitter = draw(st.sampled_from((0.0, 0.01, 0.1, 0.3)))
+        raw = centers[rng.integers(clusters, size=n)] + jitter * rng.normal(size=(n, d, i))
+    else:
+        raw = rng.normal(size=(n, d, i))
+    radius = draw(st.floats(min_value=0.0, max_value=math.pi / 2))
+    return np.linalg.qr(raw)[0], radius, rng
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(chart_clouds())
+def test_chart_test_proves_transversality(case):
+    # wherever chart + r < pi/2, planes within r of any center, one geodesic
+    # step of length <= r from it, are transverse to E_a^perp, with E_a the
+    # center that sets the chart: the smallest singular value of the two
+    # frames side by side is sqrt(1 - sin theta_max(P, E_a)), and
+    # theta_max(P, E_a) <= r + chart
+    frames, radius, rng = case
+    n, d, i = frames.shape
+    reach = frame_stack_distances(frames, frames).max(axis=1)
+    a = int(np.argmin(reach))
+    chart = multicone._center_pass(MatrixFamily.from_matrices([np.eye(d)]), frames).chart
+    assert chart == reach[a]
+    if not chart + radius < math.pi / 2:
+        return
+    # the step from center k along E_k^perp W, W = U diag(s) V^T, turns
+    # E_k V by the angles t s / max(s), t <= radius; columns past the rank
+    # of W stay put
+    perp = complement_frames(frames)
+    k = rng.integers(n, size=64)
+    U, s, Vt = np.linalg.svd(rng.normal(size=(64, d - i, i)))
+    angles = np.zeros((64, i))
+    angles[:, : len(s[0])] = radius * rng.random((64, 1)) * s / s[:, :1]
+    U = np.concatenate([U, np.zeros((64, d - i, max(0, 2 * i - d)))], axis=2)[:, :, :i]
+    planes = np.matmul(frames[k], np.swapaxes(Vt, 1, 2)) * np.cos(angles)[:, None]
+    planes += np.matmul(perp[k], U) * np.sin(angles)[:, None]
+    assert np.max(grass_distance(planes, frames[k])) <= radius + 1e-12
+    ok, margin = transverse(planes, perp[a])
+    assert np.all(ok)
+    assert np.min(margin) >= math.sqrt(1.0 - math.sin(chart + radius)) - 1e-7
 
 
 def test_strictly_invariant_rejects_another_cones_pass(diag21):
@@ -471,21 +528,23 @@ def linkage_clouds(draw):
 def test_single_linkage_matches_union_find(cloud):
     # one tree reproduces the pair-by-pair union-find at every radius: the
     # counts, the partitions and their order (by smallest member), and the
-    # gap between components, read off the tree's next merge as
-    # ``build_multicone`` does.  Tree and components read the upper triangle
-    # only, so the gap oracle gets it mirrored
+    # gap between components, read off the tree's next edge as
+    # ``build_multicone`` does; its heights are scipy's merge heights.  Tree
+    # and components read the upper triangle only, so the gap oracle gets it
+    # mirrored
     dist, link_radii = cloud
     upper = np.triu(dist) + np.triu(dist, 1).T
-    merges, counts = multicone._single_linkage(dist, link_radii)
+    tree, counts = multicone._single_linkage(dist, link_radii)
     assert len(counts) == len(link_radii)
-    assert np.all(np.diff(merges[:, 2]) >= 0.0)
+    assert np.all(np.diff(tree[:, 2]) >= 0.0)
+    assert np.array_equal(tree[:, 2], single_linkage_heights_oracle(dist))
     for link, count in zip(link_radii.tolist(), counts.tolist()):
         want = union_find_components(dist, link)
-        comps = multicone._components_at(merges, link)
+        comps = multicone._components_at(tree, link)
         assert comps == want
         assert count == len(want)
         eps = link / 2.0
-        gap = merges[len(dist) - count, 2] - 2.0 * eps if count > 1 else math.inf
+        gap = tree[len(dist) - count, 2] - 2.0 * eps if count > 1 else math.inf
         assert gap == component_gap_oracle(upper, comps, eps)
 
 
@@ -499,14 +558,6 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     assert multicone._single_linkage(dist, np.array([0.0]))[1].tolist() == [1]
     mc = build_multicone(diag21, 1, cfg)
     assert mc.components == (tuple(range(len(cloud.frames))),)
-
-
-def test_reference_stack_cached_read_only():
-    stack = reference_frames(4, 2, 128)
-    assert reference_frames(4, 2, 128) is stack
-    assert not stack.flags.writeable
-    with pytest.raises(ValueError):
-        stack[0, 0, 0] = 1.0
 
 
 def test_build_multicone_gate(caplog):
@@ -530,8 +581,8 @@ def test_build_multicone_no_plateau_carries_table():
     with pytest.raises(MulticoneConstructionError, match="no epsilon plateau") as err:
         build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
     assert len(err.value.table) == multicone.EPSILON_GRID_SIZE == 48
-    # every tried radius has a positive margin: the cover check rejected it
-    assert "fails the cover check" in str(err.value)
+    # every tried radius has a positive margin: the chart test rejected it
+    assert "fails the chart test" in str(err.value)
 
 
 def test_multicone_json_round_trip(diag21):
