@@ -1,13 +1,12 @@
 """Planes in the Grassmannian: group action, metric, transversality, cones.
 
 A plane is stored as an orthonormal frame; the metric is the largest
-principal angle, a true metric on G(i, d).  Row-aligned pairs go through
-``grass_distance`` alone, in sine form: accurate near 0, it carries about
-1e-8 rad near pi/2, where the arcsine is ill-conditioned.  All-pairs
-distances take the cosine on the narrower of a plane and its orthogonal
-complement (same nonzero principal angles): closed forms for one- and
-two-column frames, one small SVD per pair for wider ones, and an arccos
-that carries about 1e-8 rad near 0.
+principal angle, a true metric on G(i, d), always taken as the arcsine of
+sin(theta_max).  Row-aligned pairs go through ``grass_distance`` and all
+pairs of two frame stacks through ``sin_max_pairs``, which reads the sine
+directly off the frame against the other plane's complement frame.  Both
+keep full precision near 0 and carry about 1e-8 rad near pi/2, where the
+arcsine is ill-conditioned.
 Cone-like sets are finite (n, d, i) frame stacks plus a radius.  A cone
 meets the projective line P(W) of a 2-plane W exactly where some center C
 has ``|C^T v| >= cos r``: one closed-form arc per center (``projectivize``),
@@ -230,95 +229,76 @@ def complement_frames(frames: np.ndarray) -> np.ndarray:
     return U[:, :, : d - i]
 
 
-def _narrower_side(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two frame stacks, or their complement frames when those have fewer
-    columns.  A nonzero principal angle between two planes is also one
-    between their complements, so every distance is unchanged."""
-    d, i = A.shape[1], A.shape[2]
-    if 2 * i > d:
-        return complement_frames(A), complement_frames(B)
-    return A, B
+def sin_max_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sin(theta_max) for every pair of frames of two (n, d, i) stacks,
+    shaped (a, b).
 
-
-def _min_cos_2x2(a, b, c, d):
-    """Smaller singular value of [[a, b], [c, d]], elementwise.
-
-    It is ``|det| / sigma_max``, with ``sigma_max`` the closed form of
-    ``linalg.top_singular_values``; no step subtracts nearly equal terms,
-    so nearly coincident planes keep full relative precision in the cosine.
-    The entries are cosines, so ``sqrt(x*x + y*y)`` can stand in for the
-    slower ``hypot``.  The arrays can span (rows x centers), so the work
-    reuses three temporaries in place.
+    It is sigma_1(C_b^T A_a), with C_b a complement frame of B_b: the last
+    d - i columns of its complete QR factor, about five times cheaper than
+    the SVD of ``complement_frames``, whose basis the ball probes need.  The
+    (d - i) x i entries come from one GEMM per (frame column, complement
+    column), each a contiguous (a, b) array, and are read directly, so nearly
+    equal planes keep full precision.  sigma_1 is the root of the sum of
+    squares when min(i, d - i) <= 1 (planes that fill the space are at sine
+    0), the closed form ``(sqrt((a + d)^2 + (b - c)^2) + sqrt((a - d)^2 +
+    (b + c)^2)) / 2`` of ``linalg.TopSingular`` for 2 x 2 entries (each term
+    is non-negative, so nothing cancels, and the entries are at most 1, so
+    ``sqrt`` can stand in for the slower ``hypot``), and
+    ``linalg.operator_norms`` for anything wider.  The arrays can span
+    (rows x centers), so the 2 x 2 form reuses its operands in place, and a
+    wider one runs on blocks of rows whose entries together take about one
+    (a, b) array.
     """
-    top = np.add(a, d)
-    top *= top
-    tmp = np.subtract(b, c)
-    tmp *= tmp
-    top += tmp
-    np.sqrt(top, out=top)
-    np.subtract(a, d, out=tmp)
-    tmp *= tmp
-    other = np.add(b, c)
-    other *= other
-    tmp += other
-    np.sqrt(tmp, out=tmp)
-    top += tmp
-    top *= 0.5
-    np.multiply(a, d, out=tmp)
-    np.multiply(b, c, out=other)
-    tmp -= other
-    np.abs(tmp, out=tmp)
-    # |det| <= sigma_max^2, so a zero sigma_max leaves the zero |det| in place
-    return np.divide(tmp, top, out=tmp, where=top > 0.0)
-
-
-def min_cos_principal(grams: np.ndarray) -> np.ndarray:
-    """Smallest singular value over a stack of k-by-k frame Gram matrices.
-
-    k = 0 (planes that fill the space) gives 1, and k = 1 and k = 2 have
-    closed forms that avoid millions of LAPACK calls in the batched
-    distance paths.  The batched SVD serves k >= 3 only, which the all-pairs
-    distance functions below reach only when min(i, d - i) >= 3.
-    """
-    k = grams.shape[-1]
-    if k == 0:
-        return np.ones(grams.shape[:-2])
-    if k == 1:
-        return np.abs(grams[..., 0, 0])
-    if k == 2:
-        return _min_cos_2x2(grams[..., 0, 0], grams[..., 0, 1], grams[..., 1, 0], grams[..., 1, 1])
-    return np.linalg.svd(grams, compute_uv=False)[..., -1]
-
-
-def min_cos_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Smallest principal cosine for every frame pair, shaped (a, b).
-
-    Both stacks are first reduced to the narrower of the planes and their
-    complements.  One- and two-column frames then use per-column BLAS
-    products and a closed form on contiguous arrays; wider frames fall
-    back to batched SVD.
-    """
-    A, B = _narrower_side(A, B)
     i = A.shape[2]
-    if i == 1:
-        return np.abs(A[:, :, 0] @ B[:, :, 0].T)
-    if i == 2:
-        a1, a2 = A[:, :, 0], A[:, :, 1]
-        b1, b2 = B[:, :, 0], B[:, :, 1]
-        return _min_cos_2x2(a1 @ b1.T, a1 @ b2.T, a2 @ b1.T, a2 @ b2.T)
-    # every pair's Gram matrix in one BLAS call, reordered to (a, b, i, j)
-    G = np.tensordot(A, B, axes=([1], [1]))
-    return min_cos_principal(np.ascontiguousarray(np.transpose(G, (0, 2, 1, 3))))
+    C = np.linalg.qr(B, mode="complete")[0][:, :, i:]
+    k = C.shape[2]
+
+    def entries(rows: np.ndarray):
+        # row-major over the (d - i) x i entries, each formed when it is read
+        return (rows[:, :, c] @ C[:, :, l].T for l in range(k) for c in range(i))
+
+    if min(i, k) <= 1:
+        total = np.zeros((len(A), len(B)))
+        for entry in entries(A):
+            entry *= entry
+            total += entry
+            del entry  # one entry alive at a time
+        return np.sqrt(total, out=total)
+    if i == k == 2:
+        a, b, c, d = entries(A)
+        top = np.add(a, d)
+        top *= top
+        other = np.subtract(b, c)
+        other *= other
+        top += other
+        np.sqrt(top, out=top)
+        a -= d
+        a *= a
+        b += c
+        b *= b
+        a += b
+        np.sqrt(a, out=a)
+        top += a
+        top *= 0.5
+        return top
+    sines = np.empty((len(A), len(B)))
+    # at least two rows a block, as a one-row product could round otherwise
+    for rows in np.array_split(np.arange(len(A)), max(1, min(k * i, len(A) // 2))):
+        block = np.stack(list(entries(A[rows])), axis=-1)
+        sines[rows] = linalg.operator_norms(block.reshape(len(rows), len(B), k, i))
+    return sines
 
 
 def frame_stack_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise largest principal angles between two stacks of frames."""
-    return np.arccos(np.clip(min_cos_pairs(A, B), 0.0, 1.0))
+    sines = sin_max_pairs(A, B)
+    # rounding can take a sine past 1; in place, as the arrays can be large
+    return np.arcsin(np.minimum(sines, 1.0, out=sines), out=sines)
 
 
 # Allowance, in sin^2 of the largest angle, by which a row's upper bound may
 # fall short of the lower bound on the answer and still be evaluated exactly;
-# far above the rounding of the projection GEMM and of the closed form.
+# far above the rounding of the projection GEMM and of the sine kernel.
 NEAREST_PRUNE_SLACK = 1e-6
 
 
@@ -332,49 +312,42 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     """``max over A of (distance to the nearest frame of B)``, and per frame
     of A an upper bound on its own nearest distance.
 
-    Both stacks are first reduced to the narrower of the planes and their
-    complements, so ``i <= d - i`` below.  One GEMM on flattened projection
-    matrices gives, for every pair,
-    ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most ``i`` principal
-    angles are nonzero, so ``s / i <= sin^2(theta_max) <= s``.  Each row's
-    nearest distance is then at most ``arcsin(sqrt(u_a))`` with
-    ``u_a = min_b s_ab`` (the bound returned; it holds up to the rounding of
-    the GEMM, a few ulps of ``s``), and the answer is at least
-    ``max_a u_a / i`` in ``sin^2``.  A row whose upper bound lies below that
-    lower bound (by more than ``NEAREST_PRUNE_SLACK``, which absorbs
-    rounding) cannot hold the maximum, so the closed form runs only on the
+    One GEMM on flattened projection matrices gives, for every pair,
+    ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most
+    ``k = min(i, d - i)`` principal angles are nonzero, so
+    ``s / k <= sin^2(theta_max) <= s``.  Each row's nearest distance is then
+    at most ``arcsin(sqrt(u_a))`` with ``u_a = min_b s_ab`` (the bound
+    returned; it holds up to the rounding of the GEMM, a few ulps of ``s``),
+    and the answer is at least ``max_a u_a / k`` in ``sin^2``.  A row whose
+    upper bound lies below that lower bound (by more than
+    ``NEAREST_PRUNE_SLACK``, which absorbs rounding) cannot hold the
+    maximum, so the sine kernel (``sin_max_pairs``) runs only on the
     remaining rows, against all of B.  The pruning is conservative: it drops
     only rows that provably do not set the result.  Planes that fill the
     space (i = d) are all at distance 0.
 
-    A one-row product takes the matrix-vector BLAS path, which rounds
-    differently from a product of several rows; the closed form therefore
-    always runs on at least two rows (a lone row twice), so each row's
-    distance is the same whatever other rows the call holds.
-
-    The angle is monotone in the cosine, so the reduction happens on the
-    cosine matrix and a single arccos finishes the job.
+    The kernel always runs on at least two rows (a lone row twice), as a
+    one-row product could take another BLAS path with other rounding; so
+    each row's distance is the same whatever other rows the call holds.
+    The angle is monotone in the sine, so the reduction happens on the sines
+    and a single arcsine finishes the job.
     """
-    A, B = _narrower_side(A, B)
     d, i = A.shape[1], A.shape[2]
-    if i == 0:
+    k = min(i, d - i)
+    if k == 0:
         return 0.0, np.zeros(A.shape[0])
     PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
     PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
     upper = i - (PA @ PB.T).max(axis=1)
-    keep = np.flatnonzero(upper >= upper.max() / i - NEAREST_PRUNE_SLACK)
-    cos = min_cos_pairs(A[np.resize(keep, max(len(keep), 2))], B)
-    worst = float(np.arccos(np.clip(np.min(cos.max(axis=1)), 0.0, 1.0)))
+    keep = np.flatnonzero(upper >= upper.max() / k - NEAREST_PRUNE_SLACK)
+    sines = sin_max_pairs(A[np.resize(keep, max(len(keep), 2))], B)
+    worst = float(np.arcsin(min(sines.min(axis=1).max(), 1.0)))
     return worst, np.arcsin(np.sqrt(np.clip(upper, 0.0, 1.0)))
 
 
 def pairwise_distances(first, second) -> np.ndarray:
-    """Matrix of grass_distance values between two plane lists or frame stacks (batched).
-
-    Uses the cosine formulation, whose closed forms keep the cosine to a
-    few ulps; the arccos then limits nearly equal planes to an absolute
-    accuracy of about 1e-8 rad, against ``grass_distance``'s sine form.
-    """
+    """``frame_stack_distances`` between two plane lists or frame stacks,
+    empty when either is."""
     if len(first) == 0 or len(second) == 0:
         return np.zeros((len(first), len(second)))
     return frame_stack_distances(frame_stack(first), frame_stack(second))

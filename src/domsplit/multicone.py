@@ -22,7 +22,6 @@ from .grassmann import (
     frame_stack_distances,
     grass_distance,
     image_frames,
-    min_cos_principal,
     nearest_angles,
     orthonormal_frames,
     transverse,
@@ -90,8 +89,8 @@ _GROUP_PAIRS = 5_000_000
 
 # Allowance, in radians, by which a (member, center) pair's bound on its
 # probe images may fall short of the value to beat and still have those
-# probes evaluated; far above the rounding of the computed distances (about
-# 1e-8 rad at worst, see ``strictly_invariant``) and of the bounds.
+# probes evaluated; far above the rounding of the computed distances (at
+# most DISTANCE_RESOLUTION, see ``strictly_invariant``) and of the bounds.
 PROBE_PRUNE_SLACK = 1e-6
 
 
@@ -127,17 +126,18 @@ def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
 
 
 def _inverse_norm_and_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``|A^-1|`` and ``A^-1 B`` for a stack of invertible square A, in
-    closed form for one and two columns."""
+    """``|A^-1|`` and ``A^-1 B`` for a stack of invertible square A, both
+    from the inverse, which is in closed form for one and two columns."""
     i = A.shape[-1]
-    inv_norm = 1.0 / min_cos_principal(A)
     if i == 1:
-        return inv_norm, B / A
-    if i == 2:
+        inv = 1.0 / A
+    elif i == 2:
         a, b, c, d = A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1]
         adj = np.stack([np.stack([d, -b], -1), np.stack([-c, a], -1)], -2)
-        return inv_norm, np.matmul(adj, B) / (a * d - b * c)[..., None, None]
-    return inv_norm, np.linalg.solve(A, B)
+        inv = adj / (a * d - b * c)[..., None, None]
+    else:
+        inv = np.linalg.inv(A)
+    return linalg.operator_norms(inv), np.matmul(inv, B)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,7 +255,8 @@ def strictly_invariant(
     included) lies within r + dist(E_a, E_k) < pi/2 of the minimizing
     center E_a; and theta_max(P, E_a) < pi/2 exactly when P meets E_a^perp
     only in 0.  So every plane of the cone is transverse to the one plane
-    E_a^perp, up to the rounding of the distances (about 1e-8 rad).  Its
+    E_a^perp, up to the rounding of the distances (at most
+    DISTANCE_RESOLUTION, from the arcsine near pi/2).  Its
     limit: with E_a taken among the centers, a valid multicone whose
     components are nearly perpendicular (two arcs of P^1 about pi/2 apart)
     can be rejected.  No fallback is added: every passing call of the
@@ -281,8 +282,8 @@ def strictly_invariant(
     and their largest spread S are values the full sweep attains.  The
     probes of a pair are evaluated only where its bound reaches L (or S)
     less PROBE_PRUNE_SLACK, which exceeds the rounding of the bounds and of
-    the distances: about 1e-8 rad, from the nearest-center search's arccos
-    near 0 and the spread's arcsine near pi/2.  Every skipped probe provably
+    the distances: at most DISTANCE_RESOLUTION, from the arcsine that both
+    sine-form kernels take near pi/2.  Every skipped probe provably
     lies below a value already attained, so the margin is that of the full
     sweep, bit for bit: each image and distance is computed by the same
     kernels, row by row.  Everything that does not depend on the radius
@@ -290,8 +291,7 @@ def strictly_invariant(
     and the chart) is one pass over the pairs; ``build_multicone``
     computes it once and hands it to every call, as ``centers``.  The
     nearest-point search (``worst_nearest_angle``) prunes its own rows by
-    the same kind of bound and runs on the narrower of the planes and their
-    complements.
+    the same kind of bound.
     """
     frames = cone.frames
     if not len(frames):
@@ -473,6 +473,28 @@ def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...
 PLATEAU_FACTOR = 1.5
 EPSILON_GRID_SIZE = 48
 
+# The uniform absolute accuracy of ``frame_stack_distances``: its sine is
+# good to a few ulps, and the arcsine turns that into at most about
+# sqrt(2^-52) = 2^-26 rad near pi/2.  Distances at or below it count as one
+# point.
+DISTANCE_RESOLUTION = 2.0**-26
+
+
+def _epsilon_grid(dist: np.ndarray) -> np.ndarray:
+    """The radii the epsilon scan tries, for a cloud's distance matrix,
+    whose entries at or below ``DISTANCE_RESOLUTION`` it sets to 0 in place.
+
+    The grid starts at a quarter of the smallest distance left above 0; a
+    cloud with none, one point up to the resolution, takes the default grid.
+    """
+    dist[dist <= DISTANCE_RESOLUTION] = 0.0
+    positive = dist[dist > 0.0]
+    if positive.size == 0:
+        return np.geomspace(1e-4, 1.0, EPSILON_GRID_SIZE)
+    lo = float(positive.min()) / 4.0
+    hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
+    return np.geomspace(lo, hi, EPSILON_GRID_SIZE)
+
 
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
@@ -515,19 +537,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     # one pass over the (member, center) pairs serves every radius tried; its
     # chart reads dist as computed, so it is that of a pass on its own
     centers = _center_pass(family, frames, dist)
-    np.fill_diagonal(dist, 0.0)
-
-    # the grid starts at a quarter of the smallest positive distance; each
-    # distance is the arccos of a cosine clipped to [0, 1], so it is 0 (a
-    # point sampled twice) or at least arccos(1 - 2^-53) ~ 1.49e-8
-    positive = dist[dist > 0.0]
-    if positive.size == 0:
-        grid = np.geomspace(1e-4, 1.0, EPSILON_GRID_SIZE)
-    else:
-        lo = float(positive.min()) / 4.0
-        hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
-        grid = np.geomspace(lo, hi, EPSILON_GRID_SIZE)
-
+    grid = _epsilon_grid(dist)
     tree, counts = _single_linkage(dist, 2.0 * grid)
     table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
 

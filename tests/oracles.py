@@ -7,7 +7,7 @@ enumeration with plainly formed products.  ``grass_distance_oracle`` is
 the sine form by LAPACK SVD of the residual, as ``grass_distance`` took it
 before it read sigma_1 off the Gram matrix.  The nearest-angle reference
 is the full, unpruned reduction over every pair's ``grass_distance_oracle``,
-which shares no arithmetic with the cosine closed forms under test.
+which shares no arithmetic with the sine kernel under test.
 The curve-spread reference is the exception: it is the per-member loop the
 grouped sweep replaced, built on the same image map and distance, so it
 pins the restructuring and not the per-pair arithmetic.

@@ -410,6 +410,22 @@ def test_multicone_command(diag_spec, rotation_spec, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "entries, index, seed", [([3, 2, 1], 1, 0)] + [([4, 3, 1, 0.5], 2, seed) for seed in range(4)]
+)
+def test_multicone_builds_on_a_cloud_of_one_plane(entries, index, seed, tmp_path):
+    # a conjugated diagonal family's attractor is one plane up to rounding:
+    # its distances lie at or below DISTANCE_RESOLUTION, so the scan takes
+    # the default grid, as for the exactly diagonal family
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"generator": {"kind": "conjugated_diagonal", "entries": entries, "rotation_seed": seed}})
+    )
+    out = tmp_path / "mc"
+    assert cli.main(["multicone", str(spec), "--index", str(index), "--out", str(out)]) == 0
+    assert len(json.loads((out / "multicone.json").read_text())["components"]) == 1
+
+
 def test_splitting_command(diag_spec, tmp_path):
     out = tmp_path / "sp"
     code = cli.main(["splitting", str(diag_spec), "--index", "1", "--out", str(out)])

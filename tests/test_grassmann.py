@@ -498,6 +498,25 @@ def test_frame_stack_distances_match_grass_distance(stacks):
     assert np.max(np.abs(got - want)) <= 2e-7
 
 
+@pytest.mark.parametrize("gap", [1e-12, 1e-9, 1e-6])
+def test_near_coincident_distances_keep_full_precision(gap):
+    # planes gap apart, for every (d, i) with d <= 6: the all-pairs distance
+    # and the nearest-point search read them as the row-aligned sine form
+    # does, where an arccos of the cosine reads 0 or 1.49e-8 at 1e-12
+    rng = np.random.default_rng(23)
+    for d in range(2, 7):
+        for i in range(1, d + 1):
+            A = _orthonormal_stack(rng.normal(size=(4, d, i)))
+            B = A.copy()
+            if i < d:
+                perp = grassmann.complement_frames(A)[:, :, 0]
+                B[:, :, 0] = math.cos(gap) * A[:, :, 0] + math.sin(gap) * perp
+            want = grassmann.grass_distance(A, B)
+            got = np.diagonal(grassmann.frame_stack_distances(A, B))
+            assert np.max(np.abs(got - want)) <= 1e-13, (d, i)
+            assert abs(grassmann.worst_nearest_angle(B, A) - np.max(want)) <= 1e-13, (d, i)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(plane_stacks(complementary=True))
 def test_transverse_stacks_match_per_pair_loop(stacks):

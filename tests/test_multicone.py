@@ -560,6 +560,19 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     assert mc.components == (tuple(range(len(cloud.frames))),)
 
 
+def test_sub_resolution_cloud_takes_default_grid():
+    # pairs at or below DISTANCE_RESOLUTION count as one point: a cloud whose
+    # positive distances all lie there takes the default grid
+    R = multicone.DISTANCE_RESOLUTION
+    dist = np.array([[0.0, 1e-16, 1e-9], [1e-16, 0.0, R], [1e-9, R, 0.0]])
+    grid = multicone._epsilon_grid(dist)
+    assert np.array_equal(grid, np.geomspace(1e-4, 1.0, multicone.EPSILON_GRID_SIZE))
+    assert not np.any(dist)
+    # one distance above it starts the grid at a quarter of that distance
+    dist[0, 2] = dist[2, 0] = 2.0 * R
+    assert multicone._epsilon_grid(dist)[0] == R / 2.0
+
+
 def test_build_multicone_gate(caplog):
     fam = MatrixFamily.from_matrices([rotation2(1.0)], ["R"])
     with pytest.raises(DominationGateError):

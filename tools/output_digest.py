@@ -23,11 +23,16 @@ checkouts can be compared with ``diff``.  The runs are:
   (``bench/suite.py``) at workload seeds 0 and 3;
 - ``domsplit check`` on three random 4x4 orthogonal matrices at indices 3
   and 2, whose compounds all have scalar Gram matrices (the sigma_1
-  kernel's pinned path), in ``isometry4d/``.
+  kernel's pinned path), in ``isometry4d/``;
+- ``domsplit multicone`` on the ``conjugated_diagonal`` generator with
+  entries [3, 2, 1] at index 1 (rotation seed 0) and [4, 3, 1, 0.5] at
+  index 2 (rotation seeds 0-3), whose attractors are one plane up to
+  rounding, in ``one_plane/``.
 
 Exit codes are collected in ``exit_codes.txt``, and those of the
-``isometry4d`` runs in ``isometry4d/exit_codes.txt``; both are hashed with
-the rest, and ``tools/compare_outputs.py`` gates both.  Every ``.json``
+``isometry4d`` and ``one_plane`` runs in an ``exit_codes.txt`` of their
+own; all are hashed with the rest, and ``tools/compare_outputs.py`` gates
+them.  Every ``.json``
 written must also parse as strict JSON, without the ``NaN``, ``Infinity``
 and ``-Infinity`` tokens that Python's json module writes and reads by
 default; if one does not, the tool names it and exits 1.  The whole set
@@ -65,6 +70,8 @@ PERTURBED_3D = {
         "copies": 3,
     }
 }
+# (entries, index, rotation seeds) of the one_plane runs
+ONE_PLANE = (([3, 2, 1], 1, (0,)), ([4, 3, 1, 0.5], 2, (0, 1, 2, 3)))
 
 
 def _families() -> dict[str, tuple[dict, tuple[int, ...]]]:
@@ -125,6 +132,17 @@ def run_all(out: Path) -> None:
         run = f"check_i{index}"
         _run(codes, run, ["check", str(spec), "--index", str(index), "--out", str(iso / run)])
     (iso / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+    one, codes = out / "one_plane", []
+    one.mkdir()
+    for entries, index, seeds in ONE_PLANE:
+        for seed in seeds:
+            run = f"multicone_d{len(entries)}_i{index}_seed{seed}"
+            spec = one / f"{run}.spec.json"
+            generator = {"kind": "conjugated_diagonal", "entries": entries, "rotation_seed": seed}
+            spec.write_text(json.dumps({"generator": generator}))
+            _run(codes, run, ["multicone", str(spec), "--index", str(index), "--out", str(one / run)])
+    (one / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
 def _reject_constant(token: str):
