@@ -383,6 +383,8 @@ def adapted_metric(
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be at least 1, got {beam_width}")
+    if n_trunc < 0:
+        raise ValueError(f"n_trunc must be at least 0, got {n_trunc}")
     pairs = np.stack([frame_stack(first), frame_stack(second)], axis=-3)
     shape, (d, i) = pairs.shape[:-3], pairs.shape[-2:]
     # (n, 2, beam, d, i): the two beams of every pair, one plane each at first
@@ -414,13 +416,15 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
     link radius.
 
     The tree is a minimum spanning tree by Prim's algorithm (Prim 1957), as
-    (n - 1, 3) rows (a, b, height) sorted by height.  Only the upper triangle
-    of ``dist`` is read: a distance matrix built by matrix products need not
-    be bitwise symmetric.  The heights are exact entries of ``dist``, and
-    their sorted multiset is that of every minimum spanning tree, so it does
-    not depend on how ties are broken.  The points joined by pairs at
-    distance <= t are joined by the tree's edges of height <= t, so the
-    count at t is n minus the number of those edges (Gower & Ross 1969).
+    (n - 1, 3) rows (parent, child, height) sorted by height.  Every point
+    but point 0 is the child of exactly one row, so the rows of height <= t
+    form a forest of parent links.  Only the upper triangle of ``dist`` is
+    read: a distance matrix built by matrix products need not be bitwise
+    symmetric.  The heights are exact entries of ``dist``, and their sorted
+    multiset is that of every minimum spanning tree, so it does not depend
+    on how ties are broken.  The points joined by pairs at distance <= t are
+    joined by the tree's edges of height <= t, so the count at t is n minus
+    the number of those edges (Gower & Ross 1969).
     """
     n = dist.shape[0]
     # best[b]: distance from point b to the tree grown from point 0, through
@@ -447,24 +451,23 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
 
 def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
     """Components of the points joined by the tree's edges of height <=
-    link_radius, ordered by smallest member, members ascending."""
-    root = list(range(len(tree) + 1))
+    link_radius, ordered by smallest member, members ascending.
 
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for a, b, height in tree.tolist():
-        if height > link_radius:
-            break
-        # each component's root is its smallest member
-        ra, rb = find(int(a)), find(int(b))
-        root[max(ra, rb)] = min(ra, rb)
+    Those edges are parent links, and each component is the subtree of the
+    one member whose link is not kept.  Pointer jumping (``up = up[up]``)
+    labels every point by that member in about log2(depth) rounds.
+    """
+    joined = tree[: np.searchsorted(tree[:, 2], link_radius, side="right")].astype(int)
+    up = np.arange(len(tree) + 1)
+    up[joined[:, 1]] = joined[:, 0]
+    jumped = up[up]
+    while not np.array_equal(jumped, up):
+        up, jumped = jumped, jumped[jumped]
+    # in member order, each label is first met at its component's smallest
+    # member
     groups: dict[int, list[int]] = {}
-    for a in range(len(root)):
-        groups.setdefault(find(a), []).append(a)
+    for a, label in enumerate(up.tolist()):
+        groups.setdefault(label, []).append(a)
     return tuple(tuple(g) for g in groups.values())
 
 
@@ -512,8 +515,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     next edge, the first above 2 epsilon, joins the two closest components,
     so the component gap is its height less 2 epsilon and always positive.
     Only the upper triangle of the pairwise distance matrix is read for the
-    tree; the components themselves are formed only for the radii the scan
-    tries.
+    tree; the components themselves are formed only for a new best radius.
     """
     cfg = config or MulticoneConfig()
     if not cfg.override_domination_gate:
@@ -542,34 +544,27 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
 
     # The sweep at any radius starts from the center images, so its worst
-    # distance and spread are at least theirs: the margin at eps is at most
-    # eps + center_margin, and no eps below -center_margin can pass
-    _, center_margin = strictly_invariant(family, cloud, centers)
-    skip_below = max(0.0, -center_margin)
+    # distance and spread are at least the center pass's: the margin at eps
+    # is at most eps - worst - spread, and no smaller eps can pass
+    skip_below = centers.worst + float(centers.spread.max(initial=0.0))
+    # each radius's plateau runs to the last radius of its count
+    ends = np.append(np.flatnonzero(np.diff(counts)), len(grid) - 1)
+    ends = ends[np.searchsorted(ends, np.arange(len(grid)))]
+    tried = np.flatnonzero((grid[ends] / grid >= PLATEAU_FACTOR) & (grid >= skip_below))
 
     failures: list[str] = []
     best: Multicone | None = None
-    for a in range(len(grid)):
-        b = a
-        while b + 1 < len(grid) and table[b + 1][1] == table[a][1]:
-            b += 1
-        if grid[b] / grid[a] < PLATEAU_FACTOR:
-            continue
-        eps = float(grid[a])
-        if eps < skip_below:
-            continue
-        if best is not None and table[a][1] != len(best.components):
+    for a in tried.tolist():
+        eps, count = table[a]
+        if best is not None and count != len(best.components):
             break  # next plateau has a different component count: keep the best
-        comps = _components_at(tree, 2.0 * eps)
         cone = replace(cloud, radius=eps)
         ok, margin = strictly_invariant(family, cone, centers)
-        gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * eps if len(comps) > 1 else math.inf
+        gap = float(tree[len(frames) - count, 2]) - 2.0 * eps if count > 1 else math.inf
         if ok:
-            candidate = Multicone(
-                cone=cone, components=comps, invariance_margin=margin, component_gap=gap
-            )
             if best is None or margin > best.invariance_margin:
-                best = candidate
+                comps = _components_at(tree, 2.0 * eps)
+                best = Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)
             elif margin < best.invariance_margin:
                 break  # margins decay past the sweet spot: stop scanning
             continue

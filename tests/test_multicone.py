@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import conjugated_diagonal_family, rotation2
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     adapted_metric_oracle,
@@ -296,7 +296,7 @@ def test_center_pass_runs_once_per_build(monkeypatch, dominated_suite):
         calls.append(0)
         build_multicone(case.family, case.index)
     assert passes == [1] * 10
-    assert calls == [3, 8, 2, 2, 2, 8, 2, 2, 2, 2]
+    assert calls == [2, 7, 1, 1, 1, 7, 1, 1, 1, 1]
 
 
 def _center_complements(frames: np.ndarray) -> np.ndarray:
@@ -449,6 +449,12 @@ def test_adapted_metric_beam_width_below_one_raises(diag21, beam_width):
         adapted_metric(diag21, direction(0.0), direction(0.2), 3, stable, beam_width=beam_width)
 
 
+def test_adapted_metric_negative_truncation_raises(diag21):
+    stable = ConeSample(1, (direction(math.pi / 2),), 0.0)
+    with pytest.raises(ValueError, match="n_trunc must be at least 0, got -5"):
+        adapted_metric(diag21, direction(0.0), direction(0.3), -5, stable)
+
+
 def test_build_multicone_single_diagonal(diag21):
     mc = build_multicone(diag21, 1)
     assert len(mc.components) == 1
@@ -517,14 +523,35 @@ def linkage_clouds(draw):
         lower = np.tril_indices(n, -1)
         dist[lower] = np.nextafter(dist[lower], np.inf)
     upper = dist[np.triu_indices(n, 1)]
+    ties = rng.choice(upper, size=min(4, upper.size), replace=False) if upper.size else []
+    return dist, _link_radii(upper, ties)
+
+
+def _link_radii(upper: np.ndarray, ties) -> np.ndarray:
+    """The 48-point build grid of a cloud's upper-triangle distances,
+    doubled, then zero and the given distances in ascending order."""
     top = max(float(upper.max(initial=0.0)), 1e-6)
     grid = np.geomspace(top / 1e4, 0.75 * top, 48)
-    ties = rng.choice(upper, size=min(4, upper.size), replace=False) if upper.size else []
-    return dist, np.concatenate([2.0 * grid, [0.0], np.sort(ties)])
+    return np.concatenate([2.0 * grid, [0.0], np.sort(ties)])
+
+
+def _arc_cloud() -> tuple[np.ndarray, np.ndarray]:
+    """(dist, link radii) of 256 lines of G(1, 2) at equal steps on one arc.
+
+    Prim's tree is one path of depth 255, the deepest tree for pointer
+    jumping.  The ties are the adjacent distances, which differ by rounding:
+    the smallest, the median and the largest.
+    """
+    frames = frame_stack([direction(0.005 * k) for k in range(256)])
+    dist = frame_stack_distances(frames, frames)
+    np.fill_diagonal(dist, 0.0)
+    steps = np.sort(np.diagonal(dist, 1))
+    return dist, _link_radii(dist[np.triu_indices(256, 1)], steps[[0, 127, -1]])
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(linkage_clouds())
+@example(_arc_cloud())
 def test_single_linkage_matches_union_find(cloud):
     # one tree reproduces the pair-by-pair union-find at every radius: the
     # counts, the partitions and their order (by smallest member), and the
