@@ -159,6 +159,8 @@ def load_family_dict(spec) -> MatrixFamily:
     if has_generator:
         return _build_generator(spec["generator"])
     dim = _checked(_required(spec, "dim", "family spec"), int, "'dim' of family spec")
+    if dim < 1:
+        raise ValueError(f"'dim' of family spec must be at least 1, got {dim}")
     labels = []
     rows = []
     for k, item in enumerate(_checked(spec["matrices"], list, "'matrices'")):

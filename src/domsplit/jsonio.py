@@ -16,8 +16,9 @@ A record is a dataclass that inherits ``JsonRecord``; its
 - Keys the record does not declare are ignored; a missing key leaves the
   field at its default.
 
-Layouts that are not field-by-field (``ConeSample``, ``GapReport``) keep
-short methods of their own built from ``encode``.
+Only ``ConeSample``, whose layout is not field by field, keeps short
+methods of its own built from ``encode``; ``GapReport`` only adds its
+witness's member labels to the codec's output.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .jsonio import JsonRecord, encode
+from .jsonio import JsonRecord
 
 Word = tuple[int, ...]
 
@@ -164,12 +164,13 @@ def perturb_family(family: MatrixFamily, noise: float, seed: int, copies: int = 
 
 
 def _validate_word(family: MatrixFamily, word) -> Word:
-    w = tuple(int(j) for j in word)
+    w = tuple(word)
     if len(w) == 0:
         raise ValueError("word must be non-empty")
-    if any(j < 0 or j >= family.size for j in w):
+    # as in the batch path, a letter is an integer (not a bool) of 0..m-1
+    if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < family.size for j in w):
         raise ValueError("word contains an invalid member index")
-    return w
+    return tuple(int(j) for j in w)
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +207,7 @@ def scaled_word_product(family: MatrixFamily, word) -> tuple[np.ndarray, float]:
     batch = np.asarray(word)
     single = batch.ndim == 1
     if single:
-        batch = np.array([_validate_word(family, batch)])
+        batch = np.array([_validate_word(family, word)])
     elif batch.ndim != 2 or batch.shape[1] == 0:
         raise ValueError("words must form a non-empty (n, L) array")
     elif not np.issubdtype(batch.dtype, np.integer) or np.any((batch < 0) | (batch >= family.size)):
@@ -329,42 +330,34 @@ class Verdict(JsonRecord):
 
 
 @dataclass(frozen=True)
+class FamilySummary(JsonRecord):
+    """The family a report was computed on: its dimension, member labels and
+    source."""
+
+    dim: int
+    labels: tuple[str, ...]
+    source: FamilySource
+
+
+@dataclass(frozen=True)
 class GapReport(JsonRecord):
     """Per-length gap maxima, fitted decay, and the domination verdict.
 
-    Its JSON nests the family fields as ``family: {dim, labels, source}`` and
-    adds the witness's member labels to the verdict.
+    Its JSON is the codec's, field by field, plus the witness's member
+    labels as ``verdict.witness_labels``; reading it back ignores them.
     """
 
     index: int
-    family_dim: int
-    family_labels: tuple[str, ...]
-    family_source: FamilySource
+    family: FamilySummary
     per_length: tuple[GapLengthStat, ...]
     fit: DecayFit | None = None
     verdict: Verdict | None = None
 
     def to_json_dict(self) -> dict:
-        verdict = encode(self.verdict)
-        if verdict is not None and self.verdict.witness is not None:
-            verdict["witness_labels"] = [self.family_labels[j] for j in self.verdict.witness]
-        return {
-            "index": self.index,
-            "family": {
-                "dim": self.family_dim,
-                "labels": encode(self.family_labels),
-                "source": encode(self.family_source),
-            },
-            "per_length": encode(self.per_length),
-            "fit": encode(self.fit),
-            "verdict": verdict,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GapReport":
-        fam = data["family"]
-        flat = dict(data, family_dim=fam["dim"], family_labels=fam["labels"], family_source=fam["source"])
-        return super().from_json_dict(flat)
+        data = super().to_json_dict()
+        if self.verdict is not None and self.verdict.witness is not None:
+            data["verdict"]["witness_labels"] = [self.family.labels[j] for j in self.verdict.witness]
+        return data
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["N", "max_log_ratio", "words_examined", "exact"]]
@@ -403,150 +396,140 @@ CHUNK_SIZE = 16384
 GAP_PRUNE_SLACK = 1e-9
 
 
-class _GapSearch:
-    """Breadth-wise enumeration with compound-matrix beam states."""
+# The bounds and the exact scores stay two functions, not one loop body, for
+# memory: returning from _log_gaps drops a chunk's kernels before the next
+# chunk forms its products and Gram matrices, and returning from _candidates
+# drops the upper and lower bounds before the kept rows' eigen-solve.
 
-    def __init__(self, family: MatrixFamily, index: int, config: SearchConfig):
-        d = family.dim
-        linalg.check_index(index, d)
-        self.family = family
-        self.index = index
-        self.config = config
-        self.ks = _gap_orders(index, d)
-        self.bank = family.compound_banks
-        self._beam_lowers: np.ndarray | None = None
 
-    def _candidates(
-        self, kernels: dict[int, linalg.TopSingular], logs: dict[int, np.ndarray], best_val: float
-    ) -> np.ndarray:
-        """Mask of the rows whose score bounds do not rule out that they beat
-        ``best_val`` or, when the next length beams, enter its beam."""
-        i = self.index
-        # the score adds log sigma_1 at orders i - 1 and i + 1 and takes
-        # twice the order i off: each bound takes each term from its own side
-        upper = lower = 0.0
-        for k in self.ks:
-            lo, hi = kernels[k].bounds()
-            lo = logs[k] + np.log(lo)
-            hi = logs[k] + np.log(hi)
-            if k == i:
-                upper, lower = upper - 2.0 * lo, lower - 2.0 * hi
-            else:
-                upper, lower = upper + hi, lower + lo
-        width = self.config.beam_width
-        if self._beam_lowers is None:
-            cut = max(best_val, float(np.max(lower)))
+def _candidates(
+    kernels: dict[int, linalg.TopSingular], logs: dict[int, np.ndarray], index: int, best_val: float, beam, width: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mask of the rows whose score bounds do not rule out that they beat
+    ``best_val`` or, when ``beam`` is not None (the next length beams), enter
+    its beam; ``beam`` holds the ``width`` largest lower bounds of this
+    length so far, and is returned with this chunk's rows taken in."""
+    # the score adds log sigma_1 at orders i - 1 and i + 1 and takes
+    # twice the order i off: each bound takes each term from its own side
+    upper = lower = 0.0
+    for k, kernel in kernels.items():
+        lo, hi = kernel.bounds()
+        lo = logs[k] + np.log(lo)
+        hi = logs[k] + np.log(hi)
+        if k == index:
+            upper, lower = upper - 2.0 * lo, lower - 2.0 * hi
         else:
-            # the beam_width largest lower bounds of this length so far: a
-            # row below all of them has beam_width exact scores above it
-            lowers = np.concatenate([self._beam_lowers, lower])
-            self._beam_lowers = np.partition(lowers, -width)[-width:] if lowers.size > width else lowers
-            cut = float(np.min(self._beam_lowers)) if self._beam_lowers.size == width else -math.inf
-        return upper >= cut - GAP_PRUNE_SLACK
+            upper, lower = upper + hi, lower + lo
+    if beam is None:
+        cut = max(best_val, float(np.max(lower)))
+    else:
+        # a row below all width largest lower bounds has width exact scores
+        # above it; a copy, since the caller holds the beam it passed in
+        # until the chunk is scored, and a view would keep all of the
+        # partitioned array alive with it
+        beam = np.concatenate([beam, lower])
+        if beam.size > width:
+            beam = np.partition(beam, -width)[-width:].copy()
+        cut = float(np.min(beam)) if beam.size == width else -math.inf
+    return upper >= cut - GAP_PRUNE_SLACK, beam
 
-    def _log_gaps(self, mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], best_val: float) -> np.ndarray:
-        """Log gap ratio of every row; rows ruled out by ``_candidates`` get
-        -inf instead of their exact score."""
-        # one Gram per order for the bounds and the pin; the eigen-solve of
-        # the kept rows forms theirs again
-        kernels = {k: linalg.TopSingular(mats[k]) for k in self.ks}
-        keep = self._candidates(kernels, logs, best_val)
-        tops = {k: logs[k][keep] + np.log(kernels[k].values(keep)) for k in self.ks}
-        i = self.index
-        low = tops[i - 1] if i - 1 >= 1 else 0.0
-        out = np.full(keep.shape, -math.inf)
-        out[keep] = tops[i + 1] + low - 2.0 * tops[i]
-        return out
 
-    def run(self) -> list[GapLengthStat]:
-        m = self.family.size
-        cfg = self.config
-        max_len, budget = cfg.max_len, cfg.budget
-        if budget < m:
-            raise ValueError(f"budget ({budget}) is below the family size ({m})")
-        if max_len < 2:
-            raise ValueError("max_len must be at least 2")
-        if cfg.beam_width < 1:
-            raise ValueError(f"beam_width must be at least 1, got {cfg.beam_width}")
-
-        words = np.zeros((1, 0), dtype=np.int32)
-        mats = {k: np.eye(self.bank[k].shape[1])[None].copy() for k in self.ks}
-        logs = {k: np.zeros(1) for k in self.ks}
-        scores = np.zeros(1)
-        complete = True
-
-        stats: list[GapLengthStat] = []
-        for length in range(1, max_len + 1):
-            count = words.shape[0]
-            exact = complete and count * m <= budget
-            if count * m > budget and count > cfg.beam_width:
-                keep = np.argsort(-scores, kind="stable")[: cfg.beam_width]
-                words = words[keep]
-                mats = {k: mats[k][keep] for k in self.ks}
-                logs = {k: logs[k][keep] for k in self.ks}
-                count = words.shape[0]
-
-            # this length's words, compounds, logs and scores, filled chunk by
-            # chunk in place: no second copy of them is ever held
-            rows = count * m
-            new_words = np.empty((rows, length), dtype=np.int32)
-            new_mats = {k: np.empty((rows, *self.bank[k].shape[1:])) for k in self.ks}
-            new_logs = {k: np.empty(rows) for k in self.ks}
-            scores = np.empty(rows)
-            best_val = -math.inf
-            best_word: Word = ()
-            # the next length keeps only the beam_width best of these words
-            beam_next = length < max_len and count * m * m > budget and count * m > cfg.beam_width
-            self._beam_lowers = np.empty(0) if beam_next else None
-            step = max(1, CHUNK_SIZE // m)
-            for lo in range(0, count, step):
-                sl = slice(lo, min(lo + step, count))
-                n_par = sl.stop - sl.start
-                out = slice(lo * m, sl.stop * m)
-                cw = new_words[out]
-                cw[:, :-1] = np.repeat(words[sl], m, axis=0)
-                cw[:, -1] = np.tile(np.arange(m, dtype=np.int32), n_par)
-                cm = {}
-                for k in self.ks:
-                    prod = new_mats[k][out]
-                    np.matmul(mats[k][sl][:, None], self.bank[k][None], out=prod.reshape(n_par, m, *prod.shape[1:]))
-                    nrm = np.linalg.norm(prod, axis=(-2, -1))
-                    prod /= nrm[:, None, None]
-                    cm[k] = prod
-                    new_logs[k][out] = np.repeat(logs[k][sl], m) + np.log(nrm)
-                cs = scores[out]
-                cs[:] = self._log_gaps(cm, {k: new_logs[k][out] for k in self.ks}, best_val)
-                arg = int(np.argmax(cs))
-                if cs[arg] > best_val:
-                    best_val = float(cs[arg])
-                    best_word = tuple(int(j) for j in cw[arg])
-
-            words, mats, logs = new_words, new_mats, new_logs
-            complete = exact
-            stats.append(
-                GapLengthStat(
-                    length=length,
-                    max_log_ratio=best_val,
-                    words_examined=rows,
-                    exact=exact,
-                    witness=best_word,
-                )
-            )
-        return stats
+def _log_gaps(
+    mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], index: int, best_val: float, beam, width: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log gap ratio of every row, and the beam's lower bounds; rows ruled
+    out by ``_candidates`` get -inf instead of their exact score."""
+    # one Gram per order for the bounds and the pin; the eigen-solve of
+    # the kept rows forms theirs again
+    kernels = {k: linalg.TopSingular(mats[k]) for k in mats}
+    keep, beam = _candidates(kernels, logs, index, best_val, beam, width)
+    tops = {k: logs[k][keep] + np.log(kernels[k].values(keep)) for k in kernels}
+    low = tops[index - 1] if index > 1 else 0.0
+    out = np.full(keep.shape, -math.inf)
+    out[keep] = tops[index + 1] + low - 2.0 * tops[index]
+    return out, beam
 
 
 def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Per-length worst gap ratios (fit and verdict left empty).
 
-    Exhaustive while the word count fits the budget, beam search beyond;
-    deterministic for a fixed configuration.
+    Breadth-wise enumeration with compound-matrix beam states: exhaustive
+    while the word count fits the budget, beam search beyond; deterministic
+    for a fixed configuration.
     """
-    stats = _GapSearch(family, index, config or SearchConfig()).run()
+    cfg = config or SearchConfig()
+    m, d = family.size, family.dim
+    linalg.check_index(index, d)
+    max_len, budget, width = cfg.max_len, cfg.budget, cfg.beam_width
+    if budget < m:
+        raise ValueError(f"budget ({budget}) is below the family size ({m})")
+    if max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if width < 1:
+        raise ValueError(f"beam_width must be at least 1, got {width}")
+
+    ks = _gap_orders(index, d)
+    bank = family.compound_banks
+    words = np.zeros((1, 0), dtype=np.int32)
+    mats = {k: np.eye(bank[k].shape[1])[None].copy() for k in ks}
+    logs = {k: np.zeros(1) for k in ks}
+    scores = np.zeros(1)
+    complete = True
+
+    stats: list[GapLengthStat] = []
+    for length in range(1, max_len + 1):
+        count = words.shape[0]
+        exact = complete and count * m <= budget
+        if count * m > budget and count > width:
+            keep = np.argsort(-scores, kind="stable")[:width]
+            words = words[keep]
+            mats = {k: mats[k][keep] for k in ks}
+            logs = {k: logs[k][keep] for k in ks}
+            count = words.shape[0]
+
+        # this length's words, compounds, logs and scores, filled chunk by
+        # chunk in place: no second copy of them is ever held
+        rows = count * m
+        new_words = np.empty((rows, length), dtype=np.int32)
+        new_mats = {k: np.empty((rows, *bank[k].shape[1:])) for k in ks}
+        new_logs = {k: np.empty(rows) for k in ks}
+        scores = np.empty(rows)
+        best_val = -math.inf
+        best_word: Word = ()
+        # the next length keeps only the width best of these words
+        beam_next = length < max_len and count * m * m > budget and count * m > width
+        beam = np.empty(0) if beam_next else None
+        step = max(1, CHUNK_SIZE // m)
+        for lo in range(0, count, step):
+            sl = slice(lo, min(lo + step, count))
+            n_par = sl.stop - sl.start
+            out = slice(lo * m, sl.stop * m)
+            cw = new_words[out]
+            cw[:, :-1] = np.repeat(words[sl], m, axis=0)
+            cw[:, -1] = np.tile(np.arange(m, dtype=np.int32), n_par)
+            cm = {}
+            for k in ks:
+                prod = new_mats[k][out]
+                np.matmul(mats[k][sl][:, None], bank[k][None], out=prod.reshape(n_par, m, *prod.shape[1:]))
+                nrm = np.linalg.norm(prod, axis=(-2, -1))
+                prod /= nrm[:, None, None]
+                cm[k] = prod
+                new_logs[k][out] = np.repeat(logs[k][sl], m) + np.log(nrm)
+            cs = scores[out]
+            cs[:], beam = _log_gaps(cm, {k: new_logs[k][out] for k in ks}, index, best_val, beam, width)
+            arg = int(np.argmax(cs))
+            if cs[arg] > best_val:
+                best_val = float(cs[arg])
+                best_word = tuple(int(j) for j in cw[arg])
+
+        words, mats, logs = new_words, new_mats, new_logs
+        complete = exact
+        stats.append(
+            GapLengthStat(length=length, max_log_ratio=best_val, words_examined=rows, exact=exact, witness=best_word)
+        )
     return GapReport(
         index=index,
-        family_dim=family.dim,
-        family_labels=family.labels,
-        family_source=family.source,
+        family=FamilySummary(dim=d, labels=family.labels, source=family.source),
         per_length=tuple(stats),
     )
 

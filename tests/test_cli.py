@@ -230,6 +230,9 @@ _PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices":
             {"generator": {"kind": "conjugated_diagonal", "entries": [2, False]}},
             "the entries of generator 'conjugated_diagonal' must hold only numbers, got bool",
         ),
+        # numpy's reshape would take a negative dim whose square fits
+        ({"dim": -2, "matrices": [{"entries": [2, 0, 0, 1]}]}, "'dim' of family spec must be at least 1, got -2"),
+        ({"dim": 0, "matrices": [{"entries": []}]}, "'dim' of family spec must be at least 1, got 0"),
     ],
 )
 def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):

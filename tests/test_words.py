@@ -2,6 +2,7 @@
 
 import json
 import math
+import weakref
 from functools import partial
 
 import numpy as np
@@ -112,6 +113,20 @@ def test_compound_banks_built_once_per_family():
     assert fam.compound_banks is banks and sorted(banks) == [1, 2, 3, 4]
     for bank in banks.values():
         assert not bank.flags.writeable
+
+
+@pytest.mark.parametrize("word", [(0.9, 1.7), (0, 1.0), (np.float64(1.0),), (True, 0), (0, np.bool_(True))])
+def test_word_letters_must_be_integers(word):
+    # a single word refuses a letter that is not an integer, as the batch
+    # path refuses an array that is not of integers; numpy ints pass
+    fam = scaled_rotation_pair()
+    with pytest.raises(ValueError, match="word contains an invalid member index"):
+        words.log_gap_ratio(fam, word, 1)
+    with pytest.raises(ValueError, match="word contains an invalid member index"):
+        words.scaled_word_product(fam, word)
+    with pytest.raises(ValueError, match="word contains an invalid member index"):
+        words.scaled_word_product(fam, np.array([[0.9, 1.7]]))
+    assert words.log_gap_ratio(fam, (np.int64(0), np.int32(1)), 1) == words.log_gap_ratio(fam, (0, 1), 1)
 
 
 def test_log_singular_values_match_direct_svd():
@@ -413,6 +428,29 @@ def test_pruned_gap_search_matches_oracle_on_random_families(dim, index_draw, me
     index = 1 + index_draw % (dim - 1)
     cfg = SearchConfig(max_len=6, budget=budget, beam_width=beam_width)
     assert list(words.enumerate_gaps(fam, index, cfg).per_length) == gap_search_oracle(fam, index, cfg)
+
+
+def test_no_chunk_kernels_outlive_their_scores(monkeypatch):
+    # a chunk's kernels (and with them its Gram matrices) are dropped once
+    # its scores are taken, so when a kernel is built the only live ones are
+    # the earlier orders of its own chunk
+    alive = weakref.WeakSet()
+    live_at_build = []
+
+    class Tracked(linalg.TopSingular):
+        def __init__(self, stack):
+            live_at_build.append(len(alive))
+            super().__init__(stack)
+            alive.add(self)
+
+    monkeypatch.setattr(linalg, "TopSingular", Tracked)
+    monkeypatch.setattr(words, "CHUNK_SIZE", 64)
+    rng = np.random.default_rng(25)
+    fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
+    report = words.enumerate_gaps(fam, 2, SearchConfig(max_len=6, budget=10_000, beam_width=16))
+    # the longer lengths take several chunks of 21 parents each
+    assert report.per_length[-1].words_examined > 64
+    assert live_at_build and max(live_at_build) <= len(words._gap_orders(2, 4)) - 1
 
 
 def test_submultiplicative_exterior_norms():
