@@ -219,8 +219,8 @@ def cmd_multicone(args) -> int:
         return EXIT_INCONCLUSIVE
     except MulticoneConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
-        for eps, count in exc.table:
-            print(f"  epsilon={eps:.6g} components={count}", file=sys.stderr)
+        for name, value in exc.parts.items():
+            print(f"  {name}={value:.6g}", file=sys.stderr)
         return EXIT_NOT_DOMINATED
     out = Path(args.out)
     _write_json(out / "multicone.json", mc.to_json_dict())

@@ -30,8 +30,10 @@ class DominationGateError(DomsplitError):
 
 
 class MulticoneConstructionError(DomsplitError):
-    """Multicone construction failed; carries the (epsilon, component count) scan table."""
+    """Multicone construction failed; carries the best radius and the parts
+    of its margin bound by name (radius, u, g, spread, chart_slack), or no
+    parts when there was no sample to search."""
 
-    def __init__(self, message: str, table: list[tuple[float, int]]):
+    def __init__(self, message: str, parts: dict[str, float]):
         super().__init__(message)
-        self.table = table
+        self.parts = parts

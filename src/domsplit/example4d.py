@@ -252,6 +252,8 @@ class ExampleConfig:
     def __post_init__(self):
         if not 1 <= self.grid_n <= MAX_GRID_N:
             raise ValueError(f"grid_n must be from 1 to {MAX_GRID_N}, got {self.grid_n}")
+        # refuses a sample size out of range here, not after the lambda scan
+        MulticoneConfig(attractor_words=self.attractor_words)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Invariant multicones: attractor sampling, the strict invariance check,
-the adapted metric, and epsilon-neighborhood component analysis.
+the adapted metric, the radius search and the component analysis.
 
 Interior/closure conditions on finite samples are realized as numeric
 margins; every verdict carries its margin rather than a bare boolean.
@@ -56,6 +56,8 @@ class MulticoneConfig:
             value = getattr(self, name)
             if not 1 <= value <= cap:
                 raise ValueError(f"{name} must be from 1 to {cap}, got {value}")
+        if self.attractor_rng_seed < 0:
+            raise ValueError(f"attractor_rng_seed must be at least 0, got {self.attractor_rng_seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,9 +261,11 @@ def strictly_invariant(
     DISTANCE_RESOLUTION, from the arcsine near pi/2).  Its
     limit: with E_a taken among the centers, a valid multicone whose
     components are nearly perpendicular (two arcs of P^1 about pi/2 apart)
-    can be rejected.  No fallback is added: every passing call of the
-    output digest's runs has a chart slack pi/2 - chart - r of at least
-    0.55 rad.  G(d, d) is one point, so chart = inf and i = d never passes.
+    is rejected, as for the output digest's two interleaved members at
+    lambda = 8.  The multicones of its other runs have a chart slack
+    pi/2 - chart - r of at least 0.49 rad, and of 0.11 rad for three
+    interleaved members.  G(d, d) is one point, so chart = inf and i = d
+    never passes.
 
     The sweep evaluates only the probes that can set the margin.  Take a
     member M_j and a center E_k with complement frame E_k^perp, F_jk the
@@ -289,9 +293,10 @@ def strictly_invariant(
     kernels, row by row.  Everything that does not depend on the radius
     (the complement frames and images of the centers, L, u, S, alpha, beta
     and the chart) is one pass over the pairs; ``build_multicone``
-    computes it once and hands it to every call, as ``centers``.  The
-    nearest-point search (``worst_nearest_angle``) prunes its own rows by
-    the same kind of bound.
+    computes it once, chooses its radius from it, and hands it to its one
+    call, as ``centers``.  The nearest-point search
+    (``worst_nearest_angle``) prunes its own rows by the same kind of
+    bound.
     """
     frames = cone.frames
     if not len(frames):
@@ -411,9 +416,8 @@ def adapted_metric(
     return float(total) if total.ndim == 0 else total
 
 
-def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage tree of the points and their component count at each
-    link radius.
+def _single_linkage(dist: np.ndarray) -> np.ndarray:
+    """Single-linkage tree of the points.
 
     The tree is a minimum spanning tree by Prim's algorithm (Prim 1957), as
     (n - 1, 3) rows (parent, child, height) sorted by height.  Every point
@@ -423,8 +427,8 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
     symmetric.  The heights are exact entries of ``dist``, and their sorted
     multiset is that of every minimum spanning tree, so it does not depend
     on how ties are broken.  The points joined by pairs at distance <= t are
-    joined by the tree's edges of height <= t, so the count at t is n minus
-    the number of those edges (Gower & Ross 1969).
+    joined by the tree's edges of height <= t, so the component count at t
+    is n minus the number of those edges (Gower & Ross 1969).
     """
     n = dist.shape[0]
     # best[b]: distance from point b to the tree grown from point 0, through
@@ -444,9 +448,7 @@ def _single_linkage(dist: np.ndarray, link_radii: np.ndarray) -> tuple[np.ndarra
         np.copyto(best, row, where=closer)
         parent[closer] = b
     tree = np.array(edges, dtype=float).reshape(-1, 3)
-    tree = tree[np.argsort(tree[:, 2], kind="stable")]
-    counts = n - np.searchsorted(tree[:, 2], link_radii, side="right")
-    return tree, counts
+    return tree[np.argsort(tree[:, 2], kind="stable")]
 
 
 def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
@@ -471,51 +473,72 @@ def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...
     return tuple(tuple(g) for g in groups.values())
 
 
-# the epsilon scan: EPSILON_GRID_SIZE geometric radii, and a plateau spans
-# a factor of at least PLATEAU_FACTOR
-PLATEAU_FACTOR = 1.5
-EPSILON_GRID_SIZE = 48
-
 # The uniform absolute accuracy of ``frame_stack_distances``: its sine is
 # good to a few ulps, and the arcsine turns that into at most about
-# sqrt(2^-52) = 2^-26 rad near pi/2.  Distances at or below it count as one
-# point.
+# sqrt(2^-52) = 2^-26 rad near pi/2.  No smaller radius is searched.
 DISTANCE_RESOLUTION = 2.0**-26
 
+# the radius search: RADIUS_GRID geometric radii, then RADIUS_REFINEMENTS
+# steps of two radii each, 64 bounds in all
+RADIUS_GRID = 32
+RADIUS_REFINEMENTS = 16
 
-def _epsilon_grid(dist: np.ndarray) -> np.ndarray:
-    """The radii the epsilon scan tries, for a cloud's distance matrix,
-    whose entries at or below ``DISTANCE_RESOLUTION`` it sets to 0 in place.
 
-    The grid starts at a quarter of the smallest distance left above 0; a
-    cloud with none, one point up to the resolution, takes the default grid.
-    """
-    dist[dist <= DISTANCE_RESOLUTION] = 0.0
-    positive = dist[dist > 0.0]
-    if positive.size == 0:
-        return np.geomspace(1e-4, 1.0, EPSILON_GRID_SIZE)
-    lo = float(positive.min()) / 4.0
-    hi = max(float(np.max(dist)) * 0.75, lo * 4.0)
-    return np.geomspace(lo, hi, EPSILON_GRID_SIZE)
+def _worst_reach(centers: _CenterPass, radius: float) -> tuple[float, float]:
+    """(u_jk, g_jk(radius)) of the (member, center) pair with the largest
+    sum, the pair's bound on the distance from its ball's images to the
+    nearest center (see ``strictly_invariant``)."""
+    growth = _ball_growth(centers, radius)
+    worst = int(np.argmax(centers.upper + growth))
+    return float(centers.upper.flat[worst]), float(growth.flat[worst])
+
+
+def _best_radius(centers: _CenterPass, lo: float, hi: float) -> float:
+    """The radius r in (lo, hi) with the largest bound r - u - g of
+    ``_worst_reach``: the best of RADIUS_GRID geometric radii strictly
+    between lo and hi, then RADIUS_REFINEMENTS steps, each of which tries
+    the radii a factor of the square root of the last step above and below
+    the best so far.  The steps add up to less than one grid step, so every
+    radius tried lies in (lo, hi)."""
+
+    def bound_at(r: float) -> float:
+        return r - sum(_worst_reach(centers, r))
+
+    grid = np.geomspace(lo, hi, RADIUS_GRID + 2)[1:-1].tolist()
+    bounds = [bound_at(r) for r in grid]
+    a = int(np.argmax(bounds))
+    best, bound, step = grid[a], bounds[a], grid[1] / grid[0]
+    for _ in range(RADIUS_REFINEMENTS):
+        step = math.sqrt(step)
+        for r in (best / step, best * step):
+            b = bound_at(r)
+            if b > bound:
+                best, bound = r, b
+    return best
 
 
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
 
-    Requires (or overrides) a Dominated verdict.  The radius is chosen where
-    the single-linkage component count is stable across a factor of at least
-    PLATEAU_FACTOR of radii; candidates must then pass the strict
-    invariance check.  With no passing candidate the (epsilon, component
-    count) table is raised as a construction failure.
+    Requires (or overrides) a Dominated verdict.  The radius r maximizes the
+    closed-form bound on the invariance margin, r - max over (member j,
+    center k) of [u_jk + g_jk(r)], less the largest spread of the center
+    images on a sampled curve; u and g are those of ``strictly_invariant``,
+    read off the one center pass of the build.  The search runs between
+    max u + spread, below which no bound is positive, and pi/2 - chart,
+    above which the chart test fails (up to pi/2 when that leaves no room,
+    so that the failure reports a radius).  One ``strictly_invariant`` call
+    at r decides, and its sampled margin is the one reported.  On a finite
+    family its sweep lies within u + g of the centers, so that margin is at
+    least the bound, up to rounding.  With no pass, the construction
+    failure carries the radius and the parts of its bound.
 
-    The counts come from one single-linkage tree of the attractor cloud:
-    points at link distance <= 2 epsilon fall in one component exactly when
-    the tree joins them by edges of height <= 2 epsilon, so the count at
-    epsilon is n minus the number of such edges (Gower & Ross 1969).  The
-    next edge, the first above 2 epsilon, joins the two closest components,
-    so the component gap is its height less 2 epsilon and always positive.
-    Only the upper triangle of the pairwise distance matrix is read for the
-    tree; the components themselves are formed only for a new best radius.
+    The components are those of the single-linkage tree of the attractor
+    cloud at link 2r: points at distance <= 2r fall in one component exactly
+    when the tree joins them by edges of height <= 2r (Gower & Ross 1969).
+    The next edge, the first above 2r, joins the two closest components, so
+    the component gap is its height less 2r and always positive.  Only the
+    upper triangle of the pairwise distance matrix is read for the tree.
     """
     cfg = config or MulticoneConfig()
     if not cfg.override_domination_gate:
@@ -534,52 +557,28 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     )
     frames = cloud.frames
     if not len(frames):
-        raise MulticoneConstructionError("attractor sample is empty", table=[])
+        raise MulticoneConstructionError("attractor sample is empty", parts={})
     dist = frame_stack_distances(frames, frames)
-    # one pass over the (member, center) pairs serves every radius tried; its
-    # chart reads dist as computed, so it is that of a pass on its own
     centers = _center_pass(family, frames, dist)
-    grid = _epsilon_grid(dist)
-    tree, counts = _single_linkage(dist, 2.0 * grid)
-    table = [(float(eps), int(count)) for eps, count in zip(grid, counts)]
-
-    # The sweep at any radius starts from the center images, so its worst
-    # distance and spread are at least the center pass's: the margin at eps
-    # is at most eps - worst - spread, and no smaller eps can pass
-    skip_below = centers.worst + float(centers.spread.max(initial=0.0))
-    # each radius's plateau runs to the last radius of its count
-    ends = np.append(np.flatnonzero(np.diff(counts)), len(grid) - 1)
-    ends = ends[np.searchsorted(ends, np.arange(len(grid)))]
-    tried = np.flatnonzero((grid[ends] / grid >= PLATEAU_FACTOR) & (grid >= skip_below))
-
-    failures: list[str] = []
-    best: Multicone | None = None
-    for a in tried.tolist():
-        eps, count = table[a]
-        if best is not None and count != len(best.components):
-            break  # next plateau has a different component count: keep the best
-        cone = replace(cloud, radius=eps)
-        ok, margin = strictly_invariant(family, cone, centers)
-        gap = float(tree[len(frames) - count, 2]) - 2.0 * eps if count > 1 else math.inf
-        if ok:
-            if best is None or margin > best.invariance_margin:
-                comps = _components_at(tree, 2.0 * eps)
-                best = Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)
-            elif margin < best.invariance_margin:
-                break  # margins decay past the sweet spot: stop scanning
-            continue
-        if best is not None:
-            break
+    # built before the invariance call's large arrays: built after them, its
+    # many small arrays kept about 30 MB of freed heap resident between
+    # builds (d = 4, i = 2, 256 points)
+    tree = _single_linkage(dist)
+    spread = float(centers.spread.max(initial=0.0))
+    lo = max(float(centers.upper.max()) + spread, DISTANCE_RESOLUTION)
+    hi = math.pi / 2 - centers.chart
+    radius = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
+    cone = replace(cloud, radius=radius)
+    ok, margin = strictly_invariant(family, cone, centers)
+    if not ok:
+        u, g = _worst_reach(centers, radius)
+        parts = {"radius": radius, "u": u, "g": g, "spread": spread, "chart_slack": hi - radius}
         # strictly_invariant rejects a positive margin only by the chart test
-        chart = "; fails the chart test" if margin > 0.0 else ""
-        failures.append(
-            f"eps={eps:.4g}: invariance margin {margin:.4g}, component gap {gap:.4g}{chart}"
+        raise MulticoneConstructionError(
+            f"the best radius {radius:.4g} fails the invariance check: sampled margin {margin:.4g}, "
+            f"bound {radius - u - g - spread:.4g}" + ("; fails the chart test" if margin > 0.0 else ""),
+            parts=parts,
         )
-    if best is not None:
-        return best
-    raise MulticoneConstructionError(
-        "no epsilon plateau passed invariance and separation checks"
-        + ("; tried " + " | ".join(failures) if failures else ""),
-        table=table,
-    )
-
+    comps = _components_at(tree, 2.0 * radius)
+    gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * radius if len(comps) > 1 else math.inf
+    return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)

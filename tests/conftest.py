@@ -56,6 +56,18 @@ def conjugated_diagonal_family(
     )
 
 
+def interleaved_family(members: int, lam: float) -> MatrixFamily:
+    """Members with eigenvalues lam and 1/lam whose unstable and stable
+    lines interleave on P^1: member j has unstable line j pi/k and stable
+    line j pi/k - pi/(2k), for k members."""
+    mats = []
+    for j in range(members):
+        unstable, stable = j * math.pi / members, (j - 0.5) * math.pi / members
+        P = np.array([[math.cos(unstable), math.cos(stable)], [math.sin(unstable), math.sin(stable)]])
+        mats.append(P @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(P))
+    return MatrixFamily.from_matrices(mats, [f"M{j}" for j in range(members)])
+
+
 def isometry_family(dim: int, members: int, seed: int) -> MatrixFamily:
     rng = np.random.default_rng(seed)
     mats = [random_orthogonal(dim, rng) for _ in range(members)]

@@ -97,6 +97,7 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("check", "--beam", "0", "beam_width must be at least 1, got 0"),
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
         ("multicone", "--words", "0", f"attractor_words must be from 1 to {multicone.MAX_ATTRACTOR_WORDS}, got 0"),
+        ("multicone", "--seed", "-1", "attractor_rng_seed must be at least 0, got -1"),
         ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
         ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
         ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
@@ -418,8 +419,8 @@ def test_multicone_command(diag_spec, rotation_spec, tmp_path):
 )
 def test_multicone_builds_on_a_cloud_of_one_plane(entries, index, seed, tmp_path):
     # a conjugated diagonal family's attractor is one plane up to rounding:
-    # its distances lie at or below DISTANCE_RESOLUTION, so the scan takes
-    # the default grid, as for the exactly diagonal family
+    # its distances lie at or below DISTANCE_RESOLUTION, and it builds one
+    # component, as the exactly diagonal family does
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps({"generator": {"kind": "conjugated_diagonal", "entries": entries, "rotation_seed": seed}})

@@ -11,6 +11,7 @@ from domsplit import example4d as ex
 from domsplit.errors import ConditioningError, MulticoneConstructionError, NumericalError
 from domsplit.grassmann import Plane, transverse
 from domsplit.linalg import cross_ratio, principal_angles
+from domsplit.multicone import MAX_ATTRACTOR_WORDS
 
 
 def test_curve_endpoints_exact():
@@ -210,7 +211,7 @@ def test_invariance_scan_rejects_weak_scaling():
 
 @pytest.mark.parametrize(
     "error, reported",
-    [(MulticoneConstructionError("no plateau", table=[]), True), (ValueError("bad plane"), False)],
+    [(MulticoneConstructionError("no radius", parts={}), True), (ValueError("bad plane"), False)],
 )
 def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
     # a construction failure is a reportable outcome; any other exception
@@ -225,7 +226,7 @@ def test_run_side_reports_only_package_failures(monkeypatch, error, reported):
     if reported:
         side = ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
         assert not side.passed
-        assert side.failing_stage == "multicone: no plateau"
+        assert side.failing_stage == "multicone: no radius"
     else:
         with pytest.raises(ValueError, match="bad plane"):
             ex._run_side(fam, fam, [], [], ("a", "c"), cfg)
@@ -260,6 +261,14 @@ def test_failing_stage_names_first_failing_side(monkeypatch, side_passes, skew_o
     assert next(calls, None) is None  # all four sides ran
     assert report.failing_stage == stage
     assert report.passed == (stage is None)
+
+
+@pytest.mark.parametrize("words", [0, MAX_ATTRACTOR_WORDS + 1, 5000])
+def test_attractor_words_out_of_range_refused_by_the_config(words):
+    # refused when the config is made, before the lambda scan and the gap
+    # searches, which may fail first and never reach the build
+    with pytest.raises(ValueError, match=f"attractor_words must be from 1 to {MAX_ATTRACTOR_WORDS}, got {words}"):
+        ex.ExampleConfig(grid_n=12, attractor_words=words)
 
 
 def test_report_json_round_trip_small():

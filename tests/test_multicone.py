@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import conjugated_diagonal_family, rotation2
+from conftest import conjugated_diagonal_family, interleaved_family, rotation2
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -272,10 +272,9 @@ def test_strictly_invariant_rejects_another_cones_pass(diag21):
 
 
 def test_center_pass_runs_once_per_build(monkeypatch, dominated_suite):
-    # every invariance call of a build reuses one center pass, and the
-    # builds make as many calls as the unpruned sweep did (counted on the
-    # ten dominated suite families, the multicone benchmark's families at
-    # seed 0)
+    # a build makes one center pass, searches its radius on it, and makes
+    # one invariance call at that radius (counted on the ten dominated suite
+    # families, the multicone benchmark's families at seed 0)
     passes = []
     calls = []
     center_pass = multicone._center_pass
@@ -296,7 +295,7 @@ def test_center_pass_runs_once_per_build(monkeypatch, dominated_suite):
         calls.append(0)
         build_multicone(case.family, case.index)
     assert passes == [1] * 10
-    assert calls == [2, 7, 1, 1, 1, 7, 1, 1, 1, 1]
+    assert calls == [1] * 10
 
 
 def _center_complements(frames: np.ndarray) -> np.ndarray:
@@ -471,20 +470,14 @@ def test_build_multicone_projective_identification():
 
 
 def test_build_multicone_two_components():
-    # two strongly hyperbolic members whose attracting directions sit a
-    # quarter-turn apart while each repelling direction stays far from both
-    # attractors: the joint attractor splits into two separated clusters
-    A = np.diag([9.0, 1.0])
-    R = rotation2(math.pi / 4)
-    B = R @ A @ R.T
-    mixed = MatrixFamily.from_matrices([A, B], ["A", "B"])
+    # a multicone of several components: three hyperbolic members whose
+    # unstable lines (0, pi/3, 2pi/3) interleave with their stable lines on
+    # P^1: an arc joining two unstable lines crosses a stable line, so every
+    # invariant multicone has a component about each unstable line
+    mixed = interleaved_family(3, 6.0)
     assert words.is_dominated(mixed, 1).verdict.kind == words.DOMINATED
-    cfg = MulticoneConfig(attractor_word_len=25, attractor_words=64)
-    mc = build_multicone(mixed, 1, cfg)
-    # the attractor is Cantor-like, so the first stable plateau may refine
-    # the two primary clusters further; the two attracting directions must
-    # in any case land in distinct, separated components
-    assert len(mc.components) >= 2
+    mc = build_multicone(mixed, 1)
+    assert len(mc.components) == 3
     assert mc.component_gap > 0
     assert mc.invariance_margin > 0
 
@@ -493,7 +486,7 @@ def test_build_multicone_two_components():
         idx = int(np.argmin(dists))
         return next(ci for ci, comp in enumerate(mc.components) if idx in comp)
 
-    assert component_of(direction(0.0)) != component_of(direction(math.pi / 4))
+    assert sorted(component_of(direction(j * math.pi / 3)) for j in range(3)) == [0, 1, 2]
 
 
 @st.composite
@@ -501,7 +494,7 @@ def linkage_clouds(draw):
     """(dist, link radii) of a clustered cloud of frames in G(i, d).
 
     Points are cluster centers plus jitter (none: exact duplicates, so zero
-    distances), the radii are the 48-point build grid doubled plus zero and
+    distances), the radii are a 48-point geometric grid plus zero and
     entries of ``dist`` itself (ties), and ``dist`` may have its lower
     triangle nudged up by one ulp, as a GEMM-built matrix can differ from its
     transpose in the last bits.
@@ -528,8 +521,9 @@ def linkage_clouds(draw):
 
 
 def _link_radii(upper: np.ndarray, ties) -> np.ndarray:
-    """The 48-point build grid of a cloud's upper-triangle distances,
-    doubled, then zero and the given distances in ascending order."""
+    """48 geometric link radii from 2e-4 to 1.5 times the largest of a
+    cloud's upper-triangle distances, then zero and the given distances in
+    ascending order."""
     top = max(float(upper.max(initial=0.0)), 1e-6)
     grid = np.geomspace(top / 1e4, 0.75 * top, 48)
     return np.concatenate([2.0 * grid, [0.0], np.sort(ties)])
@@ -554,25 +548,22 @@ def _arc_cloud() -> tuple[np.ndarray, np.ndarray]:
 @example(_arc_cloud())
 def test_single_linkage_matches_union_find(cloud):
     # one tree reproduces the pair-by-pair union-find at every radius: the
-    # counts, the partitions and their order (by smallest member), and the
-    # gap between components, read off the tree's next edge as
-    # ``build_multicone`` does; its heights are scipy's merge heights.  Tree
-    # and components read the upper triangle only, so the gap oracle gets it
-    # mirrored
+    # partitions and their order (by smallest member), and the gap between
+    # components, read off the tree's next edge as ``build_multicone`` does;
+    # its heights are scipy's merge heights.  Tree and components read the
+    # upper triangle only, so the gap oracle gets it mirrored
     dist, link_radii = cloud
     upper = np.triu(dist) + np.triu(dist, 1).T
-    tree, counts = multicone._single_linkage(dist, link_radii)
-    assert len(counts) == len(link_radii)
+    tree = multicone._single_linkage(dist)
     assert np.all(np.diff(tree[:, 2]) >= 0.0)
     assert np.array_equal(tree[:, 2], single_linkage_heights_oracle(dist))
-    for link, count in zip(link_radii.tolist(), counts.tolist()):
+    for link in link_radii.tolist():
         want = union_find_components(dist, link)
         comps = multicone._components_at(tree, link)
         assert comps == want
-        assert count == len(want)
-        eps = link / 2.0
-        gap = tree[len(dist) - count, 2] - 2.0 * eps if count > 1 else math.inf
-        assert gap == component_gap_oracle(upper, comps, eps)
+        radius = link / 2.0
+        gap = tree[len(dist) - len(comps), 2] - 2.0 * radius if len(comps) > 1 else math.inf
+        assert gap == component_gap_oracle(upper, comps, radius)
 
 
 def test_build_multicone_all_duplicate_cloud(diag21):
@@ -582,22 +573,9 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     cloud = attractor(diag21, 1, cfg.attractor_word_len, word_count=cfg.attractor_words)
     dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
-    assert multicone._single_linkage(dist, np.array([0.0]))[1].tolist() == [1]
+    assert multicone._components_at(multicone._single_linkage(dist), 0.0) == (tuple(range(len(dist))),)
     mc = build_multicone(diag21, 1, cfg)
     assert mc.components == (tuple(range(len(cloud.frames))),)
-
-
-def test_sub_resolution_cloud_takes_default_grid():
-    # pairs at or below DISTANCE_RESOLUTION count as one point: a cloud whose
-    # positive distances all lie there takes the default grid
-    R = multicone.DISTANCE_RESOLUTION
-    dist = np.array([[0.0, 1e-16, 1e-9], [1e-16, 0.0, R], [1e-9, R, 0.0]])
-    grid = multicone._epsilon_grid(dist)
-    assert np.array_equal(grid, np.geomspace(1e-4, 1.0, multicone.EPSILON_GRID_SIZE))
-    assert not np.any(dist)
-    # one distance above it starts the grid at a quarter of that distance
-    dist[0, 2] = dist[2, 0] = 2.0 * R
-    assert multicone._epsilon_grid(dist)[0] == R / 2.0
 
 
 def test_build_multicone_gate(caplog):
@@ -605,24 +583,60 @@ def test_build_multicone_gate(caplog):
     with pytest.raises(DominationGateError):
         build_multicone(fam, 1)
     # override the gate: every power of a rotation has gap ratio 1, so every
-    # attractor product is skipped with a warning and no epsilon is scanned
+    # attractor product is skipped with a warning and no radius is searched
     with caplog.at_level("WARNING", logger="domsplit.multicone"):
         with pytest.raises(MulticoneConstructionError, match="attractor sample is empty") as err:
             build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
-    assert err.value.table == []
+    assert err.value.parts == {}
     assert "256 sampled products had ill-defined top frames" in caplog.text
 
 
-def test_build_multicone_no_plateau_carries_table():
+def test_build_multicone_failure_carries_margin_parts():
     # diag(2, 1) with a rotation is not dominated; with the gate overridden
-    # the attractor is non-empty, so the epsilon scan runs and fails with its
-    # whole table attached
+    # the attractor is non-empty, so the radius search runs and fails with
+    # the parts of its best radius's bound attached, which is negative
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
-    with pytest.raises(MulticoneConstructionError, match="no epsilon plateau") as err:
+    with pytest.raises(MulticoneConstructionError, match="fails the invariance check") as err:
         build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
-    assert len(err.value.table) == multicone.EPSILON_GRID_SIZE == 48
-    # every tried radius has a positive margin: the chart test rejected it
-    assert "fails the chart test" in str(err.value)
+    parts = err.value.parts
+    assert list(parts) == ["radius", "u", "g", "spread", "chart_slack"]
+    assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
+    assert "fails the chart test" not in str(err.value)
+    # two interleaved members are dominated, and their bound is positive,
+    # but their clusters sit pi/2 apart: the chart test rejects every radius
+    with pytest.raises(MulticoneConstructionError, match="fails the chart test") as err:
+        build_multicone(interleaved_family(2, 8.0), 1)
+    parts = err.value.parts
+    assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] > 0.1
+    assert parts["chart_slack"] < 0.0
+
+
+@pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_margin_at_the_chosen_radius_is_at_least_the_bound(monkeypatch, dim, index, seed):
+    # on a finite family every ball's image lies within u + g of a center,
+    # so the sampled margin at the chosen radius is at least the closed-form
+    # bound r - max(u + g), up to the rounding of the distances; a repeated
+    # build picks the same radius, bit for bit
+    fam = conjugated_diagonal_family(dim, index, 3, seed=seed, gap=1.5, noise=0.3)
+    cfg = MulticoneConfig(attractor_word_len=20, attractor_words=64, override_domination_gate=True)
+    calls = []
+    check = multicone.strictly_invariant
+
+    def recording_check(family, cone, centers):
+        ok, margin = check(family, cone, centers)
+        calls.append((cone.radius, margin, sum(multicone._worst_reach(centers, cone.radius))))
+        return ok, margin
+
+    monkeypatch.setattr(multicone, "strictly_invariant", recording_check)
+    for _ in range(2):
+        try:
+            build_multicone(fam, index, cfg)
+        except MulticoneConstructionError:
+            pass
+    (radius, margin, reach), again = calls
+    assert margin >= radius - reach - multicone.DISTANCE_RESOLUTION
+    assert again[0] == radius
 
 
 def test_multicone_json_round_trip(diag21):
@@ -696,17 +710,15 @@ def test_strictly_invariant_monotone_under_subfamily(dominated_suite):
     assert sub_margin >= full_margin - 1e-12
 
 
-def test_multicone_duality_disjoint(dominated_suite):
-    # the stable multicone (inverse family, complementary index) shares no
-    # direction with the unstable one: two balls share one exactly when the
-    # smallest principal angle between their centers is at most the sum of
-    # their radii
-    from domsplit.linalg import principal_angles
-
-    case = dominated_suite[2]
-    fam, i = case.family, case.index
-    d = fam.dim
-    unstable = build_multicone(fam, i)
-    stable = build_multicone(fam.inverse(), d - i)
-    smallest = principal_angles(unstable.cone.frames[:, None], stable.cone.frames[None])[..., 0]
-    assert float(smallest.min()) > unstable.cone.radius + stable.cone.radius
+def test_unstable_multicone_transverse_to_stable_attractor(dominated_suite):
+    # every plane of the unstable multicone is transverse to every plane S
+    # of the stable attractor (inverse family, complementary index): a plane
+    # within r of a center E_k lies within theta_max(E_k, S^perp) + r of
+    # S^perp, and a plane less than pi/2 from S^perp meets S only in 0
+    cfg = MulticoneConfig(override_domination_gate=True)
+    for case in dominated_suite:
+        fam, i = case.family, case.index
+        unstable = build_multicone(fam, i, cfg)
+        stable = attractor(fam.inverse(), fam.dim - i, cfg.attractor_word_len, cfg.attractor_words)
+        reach = frame_stack_distances(unstable.cone.frames, complement_frames(stable.frames))
+        assert float(reach.max()) + unstable.cone.radius < math.pi / 2

@@ -27,12 +27,15 @@ checkouts can be compared with ``diff``.  The runs are:
 - ``domsplit multicone`` on the ``conjugated_diagonal`` generator with
   entries [3, 2, 1] at index 1 (rotation seed 0) and [4, 3, 1, 0.5] at
   index 2 (rotation seeds 0-3), whose attractors are one plane up to
-  rounding, in ``one_plane/``.
+  rounding, in ``one_plane/``;
+- ``domsplit multicone`` on 2 x 2 families whose unstable and stable lines
+  interleave on P^1, 3 members at lambda 6 (three components) and 2 at
+  lambda 8 (refused by the chart test), in ``interleaved/``.
 
 Exit codes are collected in ``exit_codes.txt``, and those of the
-``isometry4d`` and ``one_plane`` runs in an ``exit_codes.txt`` of their
-own; all are hashed with the rest, and ``tools/compare_outputs.py`` gates
-them.  Every ``.json``
+``isometry4d``, ``one_plane`` and ``interleaved`` runs in an
+``exit_codes.txt`` of their own; all are hashed with the rest, and
+``tools/compare_outputs.py`` gates them.  Every ``.json``
 written must also parse as strict JSON, without the ``NaN``, ``Infinity``
 and ``-Infinity`` tokens that Python's json module writes and reads by
 default; if one does not, the tool names it and exits 1.  The whole set
@@ -72,6 +75,8 @@ PERTURBED_3D = {
 }
 # (entries, index, rotation seeds) of the one_plane runs
 ONE_PLANE = (([3, 2, 1], 1, (0,)), ([4, 3, 1, 0.5], 2, (0, 1, 2, 3)))
+# (members, lambda) of the interleaved runs
+INTERLEAVED = ((3, 6), (2, 8))
 
 
 def _families() -> dict[str, tuple[dict, tuple[int, ...]]]:
@@ -88,6 +93,18 @@ def _isometries(dim: int, members: int, seed: int) -> dict:
     Q, R = np.linalg.qr(np.random.default_rng(seed).normal(size=(members, dim, dim)))
     Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
     return {"dim": dim, "matrices": [{"label": f"Q{j}", "entries": M.ravel().tolist()} for j, M in enumerate(Q)]}
+
+
+def _interleaved(members: int, lam: float) -> dict:
+    """Member j has eigenvalues lam and 1/lam, unstable line j pi/k and
+    stable line (j - 1/2) pi/k, for k members."""
+    mats = []
+    for j in range(members):
+        unstable, stable = j * math.pi / members, (j - 0.5) * math.pi / members
+        P = np.array([[math.cos(unstable), math.cos(stable)], [math.sin(unstable), math.sin(stable)]])
+        M = P @ np.diag([lam, 1.0 / lam]) @ np.linalg.inv(P)
+        mats.append({"label": f"M{j}", "entries": M.ravel().tolist()})
+    return {"dim": 2, "matrices": mats}
 
 
 def _run(codes: list[str], name: str, argv: list[str]) -> None:
@@ -143,6 +160,15 @@ def run_all(out: Path) -> None:
             spec.write_text(json.dumps({"generator": generator}))
             _run(codes, run, ["multicone", str(spec), "--index", str(index), "--out", str(one / run)])
     (one / "exit_codes.txt").write_text("\n".join(codes) + "\n")
+
+    inter, codes = out / "interleaved", []
+    inter.mkdir()
+    for members, lam in INTERLEAVED:
+        run = f"multicone_k{members}_lambda{lam}"
+        spec = inter / f"{run}.spec.json"
+        spec.write_text(json.dumps(_interleaved(members, lam)))
+        _run(codes, run, ["multicone", str(spec), "--index", "1", "--out", str(inter / run)])
+    (inter / "exit_codes.txt").write_text("\n".join(codes) + "\n")
 
 
 def _reject_constant(token: str):
