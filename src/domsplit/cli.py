@@ -4,8 +4,12 @@
 Family specification files are JSON with exactly one of "matrices" (explicit
 entries, row-major) or "generator".  Exit codes are a stable contract:
 0 = dominated / full pass, 2 = not dominated / stage failure,
-3 = inconclusive / gate refusal, 1 = error.  Output files are written to a
-temporary name and renamed, so no command leaves partial files behind.
+3 = inconclusive / gate refusal, 1 = error.  ``multicone`` runs its
+domination gate, the gap search that ``--max-len``, ``--budget`` and
+``--beam`` set, only when the multicone it builds carries no positive
+closed-form bound on its invariance margin; the gate refuses every verdict
+but dominated.  Output files are written to a temporary name and renamed, so
+no command leaves partial files behind.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from .words import MatrixFamily, SearchConfig
 log = logging.getLogger(__name__)
 
 
-# the largest attractor sizes.  With the gate overridden, a 4-d, index-2
+# the largest attractor sizes.  The construction of a 4-d, index-2
 # family peaks at 547 MB with 1,024 words and at 594 MB with 2,048; above
 # that the n^2 distance matrix of the component analysis takes over.  The
 # drawn letters take 8 bytes each: 164 MB for 2,048 words of 10,000.
@@ -44,6 +44,15 @@ MAX_ATTRACTOR_WORD_LEN = 10_000
 
 @dataclass(frozen=True)
 class MulticoneConfig:
+    """Settings of ``build_multicone``.
+
+    The attractor is ``attractor_words`` words of ``attractor_word_len``
+    letters drawn with ``attractor_rng_seed``.  ``gate_search`` sets only
+    the domination gate, the gap search that runs when the construction
+    fails or passes without a positive closed-form bound;
+    ``override_domination_gate`` skips that gate.
+    """
+
     attractor_word_len: int = 40
     attractor_words: int = 256
     attractor_rng_seed: int = 2024
@@ -51,7 +60,7 @@ class MulticoneConfig:
     gate_search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
-        # refused here, before the domination gate's gap search runs
+        # refused here, before the construction runs
         for name, cap in (("attractor_words", MAX_ATTRACTOR_WORDS), ("attractor_word_len", MAX_ATTRACTOR_WORD_LEN)):
             value = getattr(self, name)
             if not 1 <= value <= cap:
@@ -493,13 +502,13 @@ def _worst_reach(centers: _CenterPass, radius: float) -> tuple[float, float]:
     return float(centers.upper.flat[worst]), float(growth.flat[worst])
 
 
-def _best_radius(centers: _CenterPass, lo: float, hi: float) -> float:
+def _best_radius(centers: _CenterPass, lo: float, hi: float) -> tuple[float, float]:
     """The radius r in (lo, hi) with the largest bound r - u - g of
-    ``_worst_reach``: the best of RADIUS_GRID geometric radii strictly
-    between lo and hi, then RADIUS_REFINEMENTS steps, each of which tries
-    the radii a factor of the square root of the last step above and below
-    the best so far.  The steps add up to less than one grid step, so every
-    radius tried lies in (lo, hi)."""
+    ``_worst_reach``, and that bound: the best of RADIUS_GRID geometric radii
+    strictly between lo and hi, then RADIUS_REFINEMENTS steps, each of which
+    tries the radii a factor of the square root of the last step above and
+    below the best so far.  The steps add up to less than one grid step, so
+    every radius tried lies in (lo, hi)."""
 
     def bound_at(r: float) -> float:
         return r - sum(_worst_reach(centers, r))
@@ -514,24 +523,67 @@ def _best_radius(centers: _CenterPass, lo: float, hi: float) -> float:
             b = bound_at(r)
             if b > bound:
                 best, bound = r, b
-    return best
+    return best, bound
 
 
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
 
-    Requires (or overrides) a Dominated verdict.  The radius r maximizes the
-    closed-form bound on the invariance margin, r - max over (member j,
-    center k) of [u_jk + g_jk(r)], less the largest spread of the center
-    images on a sampled curve; u and g are those of ``strictly_invariant``,
-    read off the one center pass of the build.  The search runs between
-    max u + spread, below which no bound is positive, and pi/2 - chart,
-    above which the chart test fails (up to pi/2 when that leaves no room,
-    so that the failure reports a radius).  One ``strictly_invariant`` call
-    at r decides, and its sampled margin is the one reported.  On a finite
-    family its sweep lies within u + g of the centers, so that margin is at
-    least the bound, up to rounding.  With no pass, the construction
-    failure carries the radius and the parts of its bound.
+    The construction (``_construct``) runs first.  When its one
+    ``strictly_invariant`` call passes and the closed-form bound at its
+    radius, r - u - g - spread, exceeds DISTANCE_RESOLUTION, the multicone
+    certifies domination by itself (Bochi-Gourmelon, arXiv 0808.3811, Thm B)
+    and is returned with no gap search.  Otherwise the domination gate
+    decides: ``words.is_dominated`` with ``gate_search`` runs, after the
+    construction's arrays are released, so that the peak of a run that needs
+    it is the larger of the two stages, not their sum.  A verdict other than
+    Dominated raises DominationGateError; a Dominated one re-raises the
+    construction failure, or returns the sampled pass.  The gate's settings
+    are checked before the construction (``words.check_search``).  With
+    ``override_domination_gate`` the construction's outcome stands and no
+    gate runs.
+    """
+    cfg = config or MulticoneConfig()
+    if cfg.override_domination_gate:
+        return _construct(family, index, cfg)[0]
+    words.check_search(family, index, cfg.gate_search)
+    failure = None
+    try:
+        mc, bound = _construct(family, index, cfg)
+    except MulticoneConstructionError as exc:
+        # its traceback holds the construction's frames, and with them its
+        # arrays; the failure is raised again without it
+        failure = exc.with_traceback(None)
+    else:
+        if bound > DISTANCE_RESOLUTION:
+            return mc
+    report = words.is_dominated(family, index, cfg.gate_search)
+    if report.verdict.kind != words.DOMINATED:
+        raise DominationGateError(
+            f"family verdict is {report.verdict.kind}; pass "
+            "override_domination_gate=True to build anyway"
+        )
+    if failure is not None:
+        raise failure
+    return mc
+
+
+def _construct(family: MatrixFamily, index: int, cfg: MulticoneConfig) -> tuple[Multicone, float]:
+    """The multicone of the sampled attractor, and the closed-form bound on
+    its invariance margin at its radius (see ``build_multicone``).
+
+    The radius r maximizes the closed-form bound on the invariance margin,
+    r - max over (member j, center k) of [u_jk + g_jk(r)], less the largest
+    spread of the center images on a sampled curve; u and g are those of
+    ``strictly_invariant``, read off the one center pass of the build.  The
+    search runs between max u + spread, below which no bound is positive,
+    and pi/2 - chart, above which the chart test fails (up to pi/2 when that
+    leaves no room, so that the failure reports a radius).  One
+    ``strictly_invariant`` call at r decides, and its sampled margin is the
+    one reported.  On a finite family its sweep lies within u + g of the
+    centers, so that margin is at least the bound, up to rounding.  With no
+    pass, the construction failure carries the radius and the parts of its
+    bound.
 
     The components are those of the single-linkage tree of the attractor
     cloud at link 2r: points at distance <= 2r fall in one component exactly
@@ -540,14 +592,6 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     the component gap is its height less 2r and always positive.  Only the
     upper triangle of the pairwise distance matrix is read for the tree.
     """
-    cfg = config or MulticoneConfig()
-    if not cfg.override_domination_gate:
-        report = words.is_dominated(family, index, cfg.gate_search)
-        if report.verdict.kind != words.DOMINATED:
-            raise DominationGateError(
-                f"family verdict is {report.verdict.kind}; pass "
-                "override_domination_gate=True to build anyway"
-            )
     cloud = attractor(
         family,
         index,
@@ -567,7 +611,7 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     spread = float(centers.spread.max(initial=0.0))
     lo = max(float(centers.upper.max()) + spread, DISTANCE_RESOLUTION)
     hi = math.pi / 2 - centers.chart
-    radius = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
+    radius, bound = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
     cone = replace(cloud, radius=radius)
     ok, margin = strictly_invariant(family, cone, centers)
     if not ok:
@@ -581,4 +625,4 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         )
     comps = _components_at(tree, 2.0 * radius)
     gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * radius if len(comps) > 1 else math.inf
-    return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)
+    return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap), bound - spread

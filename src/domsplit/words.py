@@ -450,6 +450,16 @@ def _log_gaps(
     return out, beam
 
 
+def _check_limits(family: MatrixFamily, index: int, cfg: SearchConfig) -> None:
+    linalg.check_index(index, family.dim)
+    if cfg.budget < family.size:
+        raise ValueError(f"budget ({cfg.budget}) is below the family size ({family.size})")
+    if cfg.max_len < 2:
+        raise ValueError("max_len must be at least 2")
+    if cfg.beam_width < 1:
+        raise ValueError(f"beam_width must be at least 1, got {cfg.beam_width}")
+
+
 def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Per-length worst gap ratios (fit and verdict left empty).
 
@@ -458,15 +468,9 @@ def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None
     for a fixed configuration.
     """
     cfg = config or SearchConfig()
+    _check_limits(family, index, cfg)
     m, d = family.size, family.dim
-    linalg.check_index(index, d)
     max_len, budget, width = cfg.max_len, cfg.budget, cfg.beam_width
-    if budget < m:
-        raise ValueError(f"budget ({budget}) is below the family size ({m})")
-    if max_len < 2:
-        raise ValueError("max_len must be at least 2")
-    if width < 1:
-        raise ValueError(f"beam_width must be at least 1, got {width}")
 
     ks = _gap_orders(index, d)
     bank = family.compound_banks
@@ -603,16 +607,25 @@ RESIDUAL_BOUND = 0.05
 MARGIN_SLACK = 0.1
 
 
+def check_search(family: MatrixFamily, index: int, config: SearchConfig) -> None:
+    """Refuse the settings ``is_dominated`` cannot run with, before any
+    search: a ``max_len`` too short to fit a decay, an index outside the
+    family's range, a budget below the family size or an empty beam."""
+    if config.max_len < MIN_FIT_LENGTHS:
+        raise ValueError(f"max_len must be at least {MIN_FIT_LENGTHS} to fit a decay, got {config.max_len}")
+    _check_limits(family, index, config)
+
+
 def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Gap enumeration, decay fit, and a three-way domination verdict.
 
     A periodic flat witness wins over the fit (constructive evidence beats
     extrapolation); Inconclusive is an explicit outcome with a reason.
-    A ``max_len`` too short to fit is refused before the search runs.
+    Settings it cannot run with are refused before the search runs
+    (``check_search``).
     """
     config = config or SearchConfig()
-    if config.max_len < MIN_FIT_LENGTHS:
-        raise ValueError(f"max_len must be at least {MIN_FIT_LENGTHS} to fit a decay, got {config.max_len}")
+    check_search(family, index, config)
     report = fit_decay(enumerate_gaps(family, index, config))
     witness = _periodic_witness(family, index, report)
     if witness is not None:

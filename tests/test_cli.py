@@ -98,6 +98,9 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
         ("multicone", "--words", "0", f"attractor_words must be from 1 to {multicone.MAX_ATTRACTOR_WORDS}, got 0"),
         ("multicone", "--seed", "-1", "attractor_rng_seed must be at least 0, got -1"),
+        ("multicone", "--beam", "0", "beam_width must be at least 1, got 0"),
+        ("multicone", "--max-len", "3", "max_len must be at least 4 to fit a decay, got 3"),
+        ("multicone", "--budget", "0", "budget (0) is below the family size (1)"),
         ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
         ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
         ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
@@ -412,6 +415,28 @@ def test_multicone_command(diag_spec, rotation_spec, tmp_path):
     # gate refusal without the override flag
     code = cli.main(["multicone", str(rotation_spec), "--index", "1", "--out", str(out)])
     assert code == 3
+
+
+def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkeypatch):
+    # diag(1.05, 1) is dominated; the multicone at the best radius carries a
+    # positive closed-form bound, so it builds with no gap search and exits
+    # 0.  `check` still answers not_dominated with witness (A,): the gap
+    # route's witness rule misjudges slow domination (ROADMAP item 3)
+    spec = tmp_path / "slow.json"
+    spec.write_text(json.dumps({"dim": 2, "matrices": [{"label": "A", "entries": [1.05, 0, 0, 1]}]}))
+    family = cli.load_family_spec(spec)
+    _, bound = multicone._construct(family, 1, multicone.MulticoneConfig())
+    assert bound > multicone.DISTANCE_RESOLUTION
+    searches = []
+    real = words.is_dominated
+    monkeypatch.setattr(words, "is_dominated", lambda *a: searches.append(a) or real(*a))
+    out = tmp_path / "mc"
+    assert cli.main(["multicone", str(spec), "--index", "1", "--out", str(out)]) == 0
+    assert searches == []
+    assert json.loads((out / "multicone.json").read_text())["invariance_margin"] > 0.0
+    assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck")]) == 2
+    report = json.loads((tmp_path / "ck" / "gap_report.json").read_text())
+    assert report["verdict"]["kind"] == words.NOT_DOMINATED
 
 
 @pytest.mark.parametrize(

@@ -591,6 +591,42 @@ def test_build_multicone_gate(caplog):
     assert "256 sampled products had ill-defined top frames" in caplog.text
 
 
+def test_gate_runs_only_without_a_proof(monkeypatch, dominated_suite):
+    # a default build searches gaps only when its construction fails or
+    # passes without a positive closed-form bound: never on the ten
+    # dominated suite families, whose builds equal the override's bit for
+    # bit, and once on each family below, with the gate's outcome
+    searches = []
+    real = words.is_dominated
+
+    def spy(*args):
+        searches.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(words, "is_dominated", spy)
+    override = MulticoneConfig(override_domination_gate=True)
+    for case in dominated_suite:
+        mc = build_multicone(case.family, case.index)
+        want = build_multicone(case.family, case.index, override)
+        assert mc.cone.radius == want.cone.radius
+        assert mc.invariance_margin == want.invariance_margin
+        assert mc.components == want.components
+        assert mc.component_gap == want.component_gap
+    assert searches == []
+    refused = [
+        MatrixFamily.from_matrices([rotation2(1.0)], ["R"]),
+        MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"]),
+    ]
+    for fam in refused:
+        with pytest.raises(DominationGateError):
+            build_multicone(fam, 1)
+        assert len(searches) == 1
+        searches.clear()
+    with pytest.raises(MulticoneConstructionError, match="fails the chart test"):
+        build_multicone(interleaved_family(2, 8.0), 1)
+    assert len(searches) == 1
+
+
 def test_build_multicone_failure_carries_margin_parts():
     # diag(2, 1) with a rotation is not dominated; with the gate overridden
     # the attractor is non-empty, so the radius search runs and fails with

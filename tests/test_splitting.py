@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rotation2, scaled_rotation_pair
+from conftest import conjugated_diagonal_family, rotation2, scaled_rotation_pair
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
@@ -67,17 +67,38 @@ def test_default_window_length(diag21):
     assert n == math.ceil(8 / math.log10(2.0))
 
 
-def test_default_window_length_matches_per_prefix_loop(cross_validation_suite):
-    # one walk over the capped word finds the prefix the letter-by-letter
-    # loop finds: dominated families of 2 and 3 members in d = 2..4, and a
-    # planar isometry pair, which never drops below the target and so
-    # reaches the cap
-    cases = [(j, seed) for j in (0, 3, 5, 9) for seed in (0, 4)] + [(12, 0)]
-    for j, seed in cases:
-        fam, index = cross_validation_suite[j].family, cross_validation_suite[j].index
-        want = window_length_oracle(fam, index, seed, splitting.WINDOW_GAP_TARGET, splitting.WINDOW_CAP)
-        assert default_window_length(fam, index, seed) == want
-    assert want == splitting.WINDOW_CAP
+def test_default_window_length_matches_per_prefix_loop(cross_validation_suite, monkeypatch):
+    # the walks over a short prefix and then the capped word find the
+    # prefix the letter-by-letter loop finds: dominated families of 2 and 3
+    # members in d = 2..4, which cross within the short prefix; diag(1.5, 1)
+    # and a 3-member family of gap 1.5, which cross after it; and a planar
+    # isometry pair, which never drops below the target and so reaches the
+    # cap.  Only a family that does not cross within the prefix walks the
+    # capped word
+    suite = [cross_validation_suite[j] for j in (0, 3, 5, 9)]
+    fast = [(c.family, c.index, seed) for c in suite for seed in (0, 4)]
+    slow = [
+        (MatrixFamily.from_matrices([np.diag([1.5, 1.0])], ["A"]), 1, 0),
+        (conjugated_diagonal_family(3, 2, 3, seed=1, gap=1.5, noise=0.3), 2, 0),
+    ]
+    isometry = cross_validation_suite[12]
+    capped = [(isometry.family, isometry.index, 0)]
+    walked = []
+    walk = words._compound_log_walk
+
+    def recording_walk(family, word, *args, **kwargs):
+        walked.append(len(word))
+        return walk(family, word, *args, **kwargs)
+
+    monkeypatch.setattr(words, "_compound_log_walk", recording_walk)
+    prefix, cap = splitting.WINDOW_PREFIX, splitting.WINDOW_CAP
+    for cases, low, high in ((fast, 1, prefix), (slow, prefix + 1, cap - 1), (capped, cap, cap)):
+        for fam, index, seed in cases:
+            want = window_length_oracle(fam, index, seed, splitting.WINDOW_GAP_TARGET, cap)
+            assert low <= want <= high
+            walked.clear()
+            assert default_window_length(fam, index, seed) == want
+            assert walked == ([prefix] if want <= prefix else [prefix, cap])
 
 
 def test_default_window_length_checks_index(diag21):
