@@ -9,7 +9,6 @@ local semiconvexity.
 
 from .errors import (
     ConditioningError,
-    DominationGateError,
     DomsplitError,
     IllDefinedSplittingError,
     MulticoneConstructionError,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConditioningError",
     "ConeSample",
-    "DominationGateError",
     "DomsplitError",
     "GapReport",
     "IllDefinedSplittingError",

@@ -4,12 +4,10 @@
 Family specification files are JSON with exactly one of "matrices" (explicit
 entries, row-major) or "generator".  Exit codes are a stable contract:
 0 = dominated / full pass, 2 = not dominated / stage failure,
-3 = inconclusive / gate refusal, 1 = error.  ``multicone`` runs its
-domination gate, the gap search that ``--max-len``, ``--budget`` and
-``--beam`` set, only when the multicone it builds carries no positive
-closed-form bound on its invariance margin; the gate refuses every verdict
-but dominated.  Output files are written to a temporary name and renamed, so
-no command leaves partial files behind.
+3 = inconclusive / no certificate, 1 = error.  ``multicone`` runs no gap
+search: the multicone it builds is the certificate, and a build without one
+exits 3.  Output files are written to a temporary name and renamed, so no
+command leaves partial files behind.
 """
 
 from __future__ import annotations
@@ -26,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import example4d, multicone, splitting, words
-from .errors import DomsplitError, DominationGateError, MulticoneConstructionError
+from .errors import DomsplitError, MulticoneConstructionError
 from .words import FamilySource, MatrixFamily, SearchConfig
 
 EXIT_OK = 0
@@ -189,13 +187,10 @@ def load_family_spec(path: str | Path) -> MatrixFamily:
 # commands
 
 
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(max_len=args.max_len, budget=args.budget, beam_width=args.beam)
-
-
 def cmd_check(args) -> int:
     family = load_family_spec(args.input)
-    report = words.is_dominated(family, args.index, _search_config(args))
+    config = SearchConfig(max_len=args.max_len, budget=args.budget, beam_width=args.beam)
+    report = words.is_dominated(family, args.index, config)
     out = Path(args.out)
     _write_json(out / "gap_report.json", report.to_json_dict())
     _write_csv(out / "gap_report.csv", report.csv_rows())
@@ -213,19 +208,14 @@ def cmd_multicone(args) -> int:
         attractor_word_len=args.word_len,
         attractor_words=args.words,
         attractor_rng_seed=args.seed,
-        override_domination_gate=args.override_domination_gate,
-        gate_search=_search_config(args),
     )
     try:
         mc = multicone.build_multicone(family, args.index, config)
-    except DominationGateError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except MulticoneConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
+        print(f"no certificate: {exc}", file=sys.stderr)
         for name, value in exc.parts.items():
             print(f"  {name}={value:.6g}", file=sys.stderr)
-        return EXIT_NOT_DOMINATED
+        return EXIT_INCONCLUSIVE
     out = Path(args.out)
     _write_json(out / "multicone.json", mc.to_json_dict())
     for which in range(len(mc.components)):
@@ -301,27 +291,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # the gap-search limits, with the library's defaults
-    search = argparse.ArgumentParser(add_help=False)
-    defaults = SearchConfig()
-    search.add_argument("--max-len", type=int, default=defaults.max_len)
-    search.add_argument("--budget", type=int, default=defaults.budget)
-    search.add_argument("--beam", type=int, default=defaults.beam_width)
-
-    p = sub.add_parser("check", parents=[search], help="gap-decay domination verdict for a family")
+    search = SearchConfig()
+    p = sub.add_parser("check", help="gap-decay domination verdict for a family")
     p.add_argument("input", help="family spec JSON file")
     p.add_argument("--index", type=int, required=True)
+    p.add_argument("--max-len", type=int, default=search.max_len)
+    p.add_argument("--budget", type=int, default=search.budget)
+    p.add_argument("--beam", type=int, default=search.beam_width)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
     # the attractor settings, with the library's defaults
     attractor = multicone.MulticoneConfig()
-    p = sub.add_parser("multicone", parents=[search], help="build a strictly invariant multicone")
+    p = sub.add_parser("multicone", help="build a strictly invariant multicone")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
     p.add_argument("--word-len", type=int, default=attractor.attractor_word_len)
     p.add_argument("--words", type=int, default=attractor.attractor_words)
     p.add_argument("--seed", type=int, default=attractor.attractor_rng_seed)
-    p.add_argument("--override-domination-gate", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_multicone)
 

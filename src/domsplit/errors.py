@@ -25,14 +25,13 @@ class ConditioningError(DomsplitError):
     """A constructed basis is too ill-conditioned to trust."""
 
 
-class DominationGateError(DomsplitError):
-    """Multicone construction refused because the family is not certified dominated."""
-
-
 class MulticoneConstructionError(DomsplitError):
-    """Multicone construction failed; carries the best radius and the parts
-    of its margin bound by name (radius, u, g, spread, chart_slack), or no
-    parts when there was no sample to search."""
+    """Multicone construction yielded no certificate: no attractor sample,
+    or the best radius fails the invariance check or has no positive
+    closed-form bound.  This says nothing about the family being dominated.
+    Carries the best radius and the parts of its margin bound by name
+    (radius, u, g, spread, chart_slack), or no parts when there was no
+    sample to search."""
 
     def __init__(self, message: str, parts: dict[str, float]):
         super().__init__(message)

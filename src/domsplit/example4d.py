@@ -393,9 +393,10 @@ def _run_side(
     )
     if report.verdict.kind != words.DOMINATED:
         return failed
-    # the multicone is certified on the refined sampling (the gate already
-    # ran on the coarse family above)
-    mc_cfg = MulticoneConfig(attractor_words=cfg.attractor_words, override_domination_gate=True)
+    # the multicone is certified on the refined sampling; the gap verdict
+    # above, on the coarse family, is the side's own stage, which the
+    # build does not run
+    mc_cfg = MulticoneConfig(attractor_words=cfg.attractor_words)
     try:
         cone = build_multicone(refined_family, 2, mc_cfg)
     except DomsplitError as exc:  # construction failure is a reportable outcome

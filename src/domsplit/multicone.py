@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg, words
-from .errors import DominationGateError, MulticoneConstructionError, NumericalError
+from .errors import MulticoneConstructionError, NumericalError
 from .grassmann import (
     ConeSample,
     complement_frames,
@@ -29,7 +29,7 @@ from .grassmann import (
 )
 from .grassmann import line_trace, projectivize  # noqa: F401  (not called here: the bench tracer wraps these names)
 from .jsonio import JsonRecord
-from .words import MatrixFamily, SearchConfig
+from .words import MatrixFamily
 
 log = logging.getLogger(__name__)
 
@@ -44,20 +44,13 @@ MAX_ATTRACTOR_WORD_LEN = 10_000
 
 @dataclass(frozen=True)
 class MulticoneConfig:
-    """Settings of ``build_multicone``.
-
-    The attractor is ``attractor_words`` words of ``attractor_word_len``
-    letters drawn with ``attractor_rng_seed``.  ``gate_search`` sets only
-    the domination gate, the gap search that runs when the construction
-    fails or passes without a positive closed-form bound;
-    ``override_domination_gate`` skips that gate.
+    """Settings of ``build_multicone``: its attractor is ``attractor_words``
+    words of ``attractor_word_len`` letters drawn with ``attractor_rng_seed``.
     """
 
     attractor_word_len: int = 40
     attractor_words: int = 256
     attractor_rng_seed: int = 2024
-    override_domination_gate: bool = False
-    gate_search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
         # refused here, before the construction runs
@@ -529,61 +522,28 @@ def _best_radius(centers: _CenterPass, lo: float, hi: float) -> tuple[float, flo
 def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
 
-    The construction (``_construct``) runs first.  When its one
-    ``strictly_invariant`` call passes and the closed-form bound at its
-    radius, r - u - g - spread, exceeds DISTANCE_RESOLUTION, the multicone
-    certifies domination by itself (Bochi-Gourmelon, arXiv 0808.3811, Thm B)
-    and is returned with no gap search.  Otherwise the domination gate
-    decides: ``words.is_dominated`` with ``gate_search`` runs, after the
-    construction's arrays are released, so that the peak of a run that needs
-    it is the larger of the two stages, not their sum.  A verdict other than
-    Dominated raises DominationGateError; a Dominated one re-raises the
-    construction failure, or returns the sampled pass.  The gate's settings
-    are checked before the construction (``words.check_search``).  With
-    ``override_domination_gate`` the construction's outcome stands and no
-    gate runs.
-    """
-    cfg = config or MulticoneConfig()
-    if cfg.override_domination_gate:
-        return _construct(family, index, cfg)[0]
-    words.check_search(family, index, cfg.gate_search)
-    failure = None
-    try:
-        mc, bound = _construct(family, index, cfg)
-    except MulticoneConstructionError as exc:
-        # its traceback holds the construction's frames, and with them its
-        # arrays; the failure is raised again without it
-        failure = exc.with_traceback(None)
-    else:
-        if bound > DISTANCE_RESOLUTION:
-            return mc
-    report = words.is_dominated(family, index, cfg.gate_search)
-    if report.verdict.kind != words.DOMINATED:
-        raise DominationGateError(
-            f"family verdict is {report.verdict.kind}; pass "
-            "override_domination_gate=True to build anyway"
-        )
-    if failure is not None:
-        raise failure
-    return mc
-
-
-def _construct(family: MatrixFamily, index: int, cfg: MulticoneConfig) -> tuple[Multicone, float]:
-    """The multicone of the sampled attractor, and the closed-form bound on
-    its invariance margin at its radius (see ``build_multicone``).
-
     The radius r maximizes the closed-form bound on the invariance margin,
-    r - max over (member j, center k) of [u_jk + g_jk(r)], less the largest
-    spread of the center images on a sampled curve; u and g are those of
-    ``strictly_invariant``, read off the one center pass of the build.  The
-    search runs between max u + spread, below which no bound is positive,
+    r - max over (member j, center k) of [u_jk + g_jk(r)]; u and g are those
+    of ``strictly_invariant``, read off the one center pass of the build.
+    The search runs between max u plus the largest spread of the center
+    images on a sampled curve, below which no sampled margin is positive,
     and pi/2 - chart, above which the chart test fails (up to pi/2 when that
     leaves no room, so that the failure reports a radius).  One
     ``strictly_invariant`` call at r decides, and its sampled margin is the
     one reported.  On a finite family its sweep lies within u + g of the
-    centers, so that margin is at least the bound, up to rounding.  With no
-    pass, the construction failure carries the radius and the parts of its
-    bound.
+    centers, so that margin is at least the bound, up to rounding.
+
+    The multicone is returned only when that call passes and the bound at r
+    exceeds DISTANCE_RESOLUTION.  A strictly invariant multicone transverse
+    to a plane certifies domination by itself (Bochi-Gourmelon, arXiv
+    0808.3811, Thm B), so no gap search runs.  The spread is not subtracted
+    from the bound: it is 0 on a finite family, and on a sampled curve the
+    sampled margin already subtracts the spread of the probe images, while
+    the spread of the center images can exceed the bound of a cone that
+    passes (0.0316 against 0.0286 on the unstable side of the example at
+    grid 40).  Any other outcome raises MulticoneConstructionError with the
+    radius and the parts of its bound: no certificate, which says nothing
+    about the family being dominated or not.
 
     The components are those of the single-linkage tree of the attractor
     cloud at link 2r: points at distance <= 2r fall in one component exactly
@@ -592,6 +552,7 @@ def _construct(family: MatrixFamily, index: int, cfg: MulticoneConfig) -> tuple[
     the component gap is its height less 2r and always positive.  Only the
     upper triangle of the pairwise distance matrix is read for the tree.
     """
+    cfg = config or MulticoneConfig()
     cloud = attractor(
         family,
         index,
@@ -608,21 +569,28 @@ def _construct(family: MatrixFamily, index: int, cfg: MulticoneConfig) -> tuple[
     # many small arrays kept about 30 MB of freed heap resident between
     # builds (d = 4, i = 2, 256 points)
     tree = _single_linkage(dist)
+    # n x n, 32 MB at MAX_ATTRACTOR_WORDS: not held through the invariance call
+    del dist
     spread = float(centers.spread.max(initial=0.0))
     lo = max(float(centers.upper.max()) + spread, DISTANCE_RESOLUTION)
     hi = math.pi / 2 - centers.chart
     radius, bound = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
     cone = replace(cloud, radius=radius)
     ok, margin = strictly_invariant(family, cone, centers)
-    if not ok:
+    if not (ok and bound > DISTANCE_RESOLUTION):
         u, g = _worst_reach(centers, radius)
         parts = {"radius": radius, "u": u, "g": g, "spread": spread, "chart_slack": hi - radius}
         # strictly_invariant rejects a positive margin only by the chart test
+        if ok:
+            reason = "passes the invariance check with no positive bound"
+        elif margin > 0.0:
+            reason = "fails the chart test"
+        else:
+            reason = "fails the invariance check"
         raise MulticoneConstructionError(
-            f"the best radius {radius:.4g} fails the invariance check: sampled margin {margin:.4g}, "
-            f"bound {radius - u - g - spread:.4g}" + ("; fails the chart test" if margin > 0.0 else ""),
+            f"the best radius {radius:.4g} {reason}: sampled margin {margin:.4g}, bound {bound:.4g}",
             parts=parts,
         )
     comps = _components_at(tree, 2.0 * radius)
     gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * radius if len(comps) > 1 else math.inf
-    return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap), bound - spread
+    return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)

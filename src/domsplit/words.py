@@ -607,25 +607,19 @@ RESIDUAL_BOUND = 0.05
 MARGIN_SLACK = 0.1
 
 
-def check_search(family: MatrixFamily, index: int, config: SearchConfig) -> None:
-    """Refuse the settings ``is_dominated`` cannot run with, before any
-    search: a ``max_len`` too short to fit a decay, an index outside the
-    family's range, a budget below the family size or an empty beam."""
-    if config.max_len < MIN_FIT_LENGTHS:
-        raise ValueError(f"max_len must be at least {MIN_FIT_LENGTHS} to fit a decay, got {config.max_len}")
-    _check_limits(family, index, config)
-
-
 def is_dominated(family: MatrixFamily, index: int, config: SearchConfig | None = None) -> GapReport:
     """Gap enumeration, decay fit, and a three-way domination verdict.
 
     A periodic flat witness wins over the fit (constructive evidence beats
     extrapolation); Inconclusive is an explicit outcome with a reason.
-    Settings it cannot run with are refused before the search runs
-    (``check_search``).
+    Settings it cannot run with are refused before the search runs: a
+    ``max_len`` too short to fit a decay, an index outside the family's
+    range, a budget below the family size or an empty beam.
     """
     config = config or SearchConfig()
-    check_search(family, index, config)
+    if config.max_len < MIN_FIT_LENGTHS:
+        raise ValueError(f"max_len must be at least {MIN_FIT_LENGTHS} to fit a decay, got {config.max_len}")
+    _check_limits(family, index, config)
     report = fit_decay(enumerate_gaps(family, index, config))
     witness = _periodic_witness(family, index, report)
     if witness is not None:

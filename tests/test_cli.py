@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import interleaved_family
 from domsplit import cli, example4d, multicone, splitting, words
 from domsplit.words import GapReport, SearchConfig
 
@@ -98,9 +99,6 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
         ("multicone", "--words", "0", f"attractor_words must be from 1 to {multicone.MAX_ATTRACTOR_WORDS}, got 0"),
         ("multicone", "--seed", "-1", "attractor_rng_seed must be at least 0, got -1"),
-        ("multicone", "--beam", "0", "beam_width must be at least 1, got 0"),
-        ("multicone", "--max-len", "3", "max_len must be at least 4 to fit a decay, got 3"),
-        ("multicone", "--budget", "0", "budget (0) is below the family size (1)"),
         ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
         ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
         ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
@@ -116,13 +114,13 @@ def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, fla
 @pytest.mark.parametrize("flag", ["--words", "--word-len"])
 def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsys, monkeypatch, flag):
     calls = []
-    real = words.is_dominated
+    real = multicone.attractor
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(words, "is_dominated", spy)
+    monkeypatch.setattr(multicone, "attractor", spy)
     code = cli.main(["multicone", str(diag_spec), "--index", "1", flag, "0", "--out", str(tmp_path / "o")])
     assert code == 1
     assert "must be from 1 to" in capsys.readouterr().err
@@ -132,7 +130,7 @@ def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsy
 @pytest.mark.parametrize(
     "command, index, flags",
     [
-        ("multicone", "2", ["--override-domination-gate"]),
+        ("multicone", "2", []),
         ("splitting", "2", ["--past-len", "5"]),
         ("splitting", "0", ["--past-len", "5"]),
     ],
@@ -412,21 +410,18 @@ def test_multicone_command(diag_spec, rotation_spec, tmp_path):
     payload = json.loads((out / "multicone.json").read_text())
     assert len(payload["components"]) == 1
     assert (out / "component_0.csv").exists()
-    # gate refusal without the override flag
+    # a rotation has no attractor sample: no certificate
     code = cli.main(["multicone", str(rotation_spec), "--index", "1", "--out", str(out)])
     assert code == 3
 
 
 def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkeypatch):
     # diag(1.05, 1) is dominated; the multicone at the best radius carries a
-    # positive closed-form bound, so it builds with no gap search and exits
-    # 0.  `check` still answers not_dominated with witness (A,): the gap
+    # positive closed-form bound, which every build needs, so it builds with
+    # no gap search and exits 0.  `check` still answers not_dominated with witness (A,): the gap
     # route's witness rule misjudges slow domination (ROADMAP item 3)
     spec = tmp_path / "slow.json"
     spec.write_text(json.dumps({"dim": 2, "matrices": [{"label": "A", "entries": [1.05, 0, 0, 1]}]}))
-    family = cli.load_family_spec(spec)
-    _, bound = multicone._construct(family, 1, multicone.MulticoneConfig())
-    assert bound > multicone.DISTANCE_RESOLUTION
     searches = []
     real = words.is_dominated
     monkeypatch.setattr(words, "is_dominated", lambda *a: searches.append(a) or real(*a))
@@ -437,6 +432,21 @@ def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkey
     assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck")]) == 2
     report = json.loads((tmp_path / "ck" / "gap_report.json").read_text())
     assert report["verdict"]["kind"] == words.NOT_DOMINATED
+
+
+def test_multicone_without_a_certificate_exits_inconclusive(tmp_path):
+    # two interleaved members at lambda 8 are dominated, and `check` says
+    # so, but their clusters sit pi/2 apart and the chart test refuses every
+    # radius: the build yields no certificate, which is exit 3, never the
+    # not_dominated exit 2
+    family = interleaved_family(2, 8.0)
+    matrices = [{"label": label, "entries": m.ravel().tolist()} for label, m in zip(family.labels, family.stack)]
+    spec = tmp_path / "interleaved.json"
+    spec.write_text(json.dumps({"dim": 2, "matrices": matrices}))
+    assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck")]) == 0
+    out = tmp_path / "mc"
+    assert cli.main(["multicone", str(spec), "--index", "1", "--out", str(out)]) == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -556,9 +566,6 @@ def test_parser_defaults_are_library_defaults():
     expected = {
         "check": {"max_len": search.max_len, "budget": search.budget, "beam": search.beam_width},
         "multicone": {
-            "max_len": search.max_len,
-            "budget": search.budget,
-            "beam": search.beam_width,
             "word_len": attractor.attractor_word_len,
             "words": attractor.attractor_words,
             "seed": attractor.attractor_rng_seed,

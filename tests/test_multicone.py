@@ -28,7 +28,7 @@ from oracles import (
 
 from domsplit import multicone, words
 from domsplit.example4d import axis_plane
-from domsplit.errors import DominationGateError, MulticoneConstructionError
+from domsplit.errors import MulticoneConstructionError
 from domsplit.grassmann import (
     ConeSample,
     Plane,
@@ -579,61 +579,38 @@ def test_build_multicone_all_duplicate_cloud(diag21):
 
 
 def test_build_multicone_gate(caplog):
+    # every power of a rotation has gap ratio 1, so every attractor product
+    # is skipped with a warning and no radius is searched
     fam = MatrixFamily.from_matrices([rotation2(1.0)], ["R"])
-    with pytest.raises(DominationGateError):
-        build_multicone(fam, 1)
-    # override the gate: every power of a rotation has gap ratio 1, so every
-    # attractor product is skipped with a warning and no radius is searched
     with caplog.at_level("WARNING", logger="domsplit.multicone"):
         with pytest.raises(MulticoneConstructionError, match="attractor sample is empty") as err:
-            build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
+            build_multicone(fam, 1)
     assert err.value.parts == {}
     assert "256 sampled products had ill-defined top frames" in caplog.text
 
 
-def test_gate_runs_only_without_a_proof(monkeypatch, dominated_suite):
-    # a default build searches gaps only when its construction fails or
-    # passes without a positive closed-form bound: never on the ten
-    # dominated suite families, whose builds equal the override's bit for
-    # bit, and once on each family below, with the gate's outcome
+def test_sampled_pass_without_a_positive_bound_is_no_certificate(monkeypatch):
+    # the closed-form bound is the soundness guard: diag(2, 1) with a
+    # rotation is not dominated and its best bound is about -0.07, so even a
+    # passing invariance check builds nothing, and no gap search runs
+    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
     searches = []
-    real = words.is_dominated
-
-    def spy(*args):
-        searches.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(words, "is_dominated", spy)
-    override = MulticoneConfig(override_domination_gate=True)
-    for case in dominated_suite:
-        mc = build_multicone(case.family, case.index)
-        want = build_multicone(case.family, case.index, override)
-        assert mc.cone.radius == want.cone.radius
-        assert mc.invariance_margin == want.invariance_margin
-        assert mc.components == want.components
-        assert mc.component_gap == want.component_gap
+    monkeypatch.setattr(words, "is_dominated", lambda *a, **k: searches.append(a))
+    monkeypatch.setattr(multicone, "strictly_invariant", lambda *a: (True, 0.1))
+    with pytest.raises(MulticoneConstructionError, match="with no positive bound") as err:
+        build_multicone(fam, 1)
+    parts = err.value.parts
+    assert parts["radius"] - parts["u"] - parts["g"] < -0.05
     assert searches == []
-    refused = [
-        MatrixFamily.from_matrices([rotation2(1.0)], ["R"]),
-        MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"]),
-    ]
-    for fam in refused:
-        with pytest.raises(DominationGateError):
-            build_multicone(fam, 1)
-        assert len(searches) == 1
-        searches.clear()
-    with pytest.raises(MulticoneConstructionError, match="fails the chart test"):
-        build_multicone(interleaved_family(2, 8.0), 1)
-    assert len(searches) == 1
 
 
 def test_build_multicone_failure_carries_margin_parts():
-    # diag(2, 1) with a rotation is not dominated; with the gate overridden
-    # the attractor is non-empty, so the radius search runs and fails with
-    # the parts of its best radius's bound attached, which is negative
+    # diag(2, 1) with a rotation is not dominated; its attractor is
+    # non-empty, so the radius search runs and fails with the parts of its
+    # best radius's bound attached, which is negative
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
     with pytest.raises(MulticoneConstructionError, match="fails the invariance check") as err:
-        build_multicone(fam, 1, MulticoneConfig(override_domination_gate=True))
+        build_multicone(fam, 1)
     parts = err.value.parts
     assert list(parts) == ["radius", "u", "g", "spread", "chart_slack"]
     assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
@@ -655,7 +632,7 @@ def test_sampled_margin_at_the_chosen_radius_is_at_least_the_bound(monkeypatch, 
     # bound r - max(u + g), up to the rounding of the distances; a repeated
     # build picks the same radius, bit for bit
     fam = conjugated_diagonal_family(dim, index, 3, seed=seed, gap=1.5, noise=0.3)
-    cfg = MulticoneConfig(attractor_word_len=20, attractor_words=64, override_domination_gate=True)
+    cfg = MulticoneConfig(attractor_word_len=20, attractor_words=64)
     calls = []
     check = multicone.strictly_invariant
 
@@ -751,7 +728,7 @@ def test_unstable_multicone_transverse_to_stable_attractor(dominated_suite):
     # of the stable attractor (inverse family, complementary index): a plane
     # within r of a center E_k lies within theta_max(E_k, S^perp) + r of
     # S^perp, and a plane less than pi/2 from S^perp meets S only in 0
-    cfg = MulticoneConfig(override_domination_gate=True)
+    cfg = MulticoneConfig()
     for case in dominated_suite:
         fam, i = case.family, case.index
         unstable = build_multicone(fam, i, cfg)

@@ -30,7 +30,8 @@ checkouts can be compared with ``diff``.  The runs are:
   rounding, in ``one_plane/``;
 - ``domsplit multicone`` on 2 x 2 families whose unstable and stable lines
   interleave on P^1, 3 members at lambda 6 (three components) and 2 at
-  lambda 8 (refused by the chart test), in ``interleaved/``.
+  lambda 8 (refused by the chart test: no certificate, exit 3, though the
+  family is dominated), in ``interleaved/``.
 
 Exit codes are collected in ``exit_codes.txt``, and those of the
 ``isometry4d``, ``one_plane`` and ``interleaved`` runs in an
