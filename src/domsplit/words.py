@@ -42,6 +42,16 @@ need an eigen-solve, so no chunk's Gram matrices outlive their bounds.  A
 pruned word can neither be a maximum nor enter a beam, ties all survive,
 and the kernel gives the same bits on a row subset, so every output is
 exactly that of scoring all words.
+
+A length holds only the rows the next length reads; row r extends the
+previous length's row r // m by the letter r % m.  When the next length is
+exhaustive, every row's compounds, logs and word are stored, filled chunk
+by chunk in place.  The last length stores none, and neither does a length
+before a beam while it scores: each chunk is scored in its own buffers, the
+witness is read off its parent, and once the length is scored the
+``beam_width`` survivors alone are formed again from their parents, by the
+same ``matmul``, norm and log steps and so with the same bits.  A length
+after a beam is never exact.
 """
 
 from __future__ import annotations
@@ -388,7 +398,9 @@ class SearchConfig:
 
 
 # new words per batch (at least one word's extensions by every member): a
-# batch holds its compounds and their Gram matrices, of every order, at once
+# batch holds its compounds and their Gram matrices, of every order, at
+# once; at the last length and before a beam, the compounds of one batch
+# are all the length holds of them
 CHUNK_SIZE = 16384
 
 # a word is pruned only when its score's upper bound is this many nats below
@@ -450,6 +462,14 @@ def _log_gaps(
     return out, beam
 
 
+def _normalize(prod: np.ndarray, parent_logs: np.ndarray) -> np.ndarray:
+    """Divide each product of an ``(n, a, a)`` stack by its Frobenius norm,
+    in place, and return the parents' logs with each norm's log added."""
+    nrm = np.linalg.norm(prod, axis=(-2, -1))
+    prod /= nrm[:, None, None]
+    return parent_logs + np.log(nrm)
+
+
 def _check_limits(family: MatrixFamily, index: int, cfg: SearchConfig) -> None:
     linalg.check_index(index, family.dim)
     if cfg.budget < family.size:
@@ -477,60 +497,61 @@ def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None
     words = np.zeros((1, 0), dtype=np.int32)
     mats = {k: np.eye(bank[k].shape[1])[None].copy() for k in ks}
     logs = {k: np.zeros(1) for k in ks}
-    scores = np.zeros(1)
     complete = True
 
     stats: list[GapLengthStat] = []
     for length in range(1, max_len + 1):
+        # row r of this length extends parent r // m by the letter r % m
         count = words.shape[0]
-        exact = complete and count * m <= budget
-        if count * m > budget and count > width:
-            keep = np.argsort(-scores, kind="stable")[:width]
-            words = words[keep]
-            mats = {k: mats[k][keep] for k in ks}
-            logs = {k: logs[k][keep] for k in ks}
-            count = words.shape[0]
-
-        # this length's words, compounds, logs and scores, filled chunk by
-        # chunk in place: no second copy of them is ever held
         rows = count * m
-        new_words = np.empty((rows, length), dtype=np.int32)
-        new_mats = {k: np.empty((rows, *bank[k].shape[1:])) for k in ks}
-        new_logs = {k: np.empty(rows) for k in ks}
+        exact = complete and rows <= budget
+        # the next length keeps only the width best of these rows
+        beam_next = length < max_len and rows * m > budget and rows > width
+        # store only the rows the next length reads: all of them, filled
+        # chunk by chunk in place, when it is exhaustive; none after the
+        # last length; before a beam the width best, formed from their
+        # parents once the length is scored
+        stored = length < max_len and not beam_next
+        new_mats = {k: np.empty((rows, *bank[k].shape[1:])) for k in ks} if stored else {}
+        new_logs = {k: np.empty(rows) for k in ks} if stored else {}
         scores = np.empty(rows)
         best_val = -math.inf
         best_word: Word = ()
-        # the next length keeps only the width best of these words
-        beam_next = length < max_len and count * m * m > budget and count * m > width
         beam = np.empty(0) if beam_next else None
         step = max(1, CHUNK_SIZE // m)
         for lo in range(0, count, step):
             sl = slice(lo, min(lo + step, count))
             n_par = sl.stop - sl.start
             out = slice(lo * m, sl.stop * m)
-            cw = new_words[out]
-            cw[:, :-1] = np.repeat(words[sl], m, axis=0)
-            cw[:, -1] = np.tile(np.arange(m, dtype=np.int32), n_par)
-            cm = {}
+            cm, cl = {}, {}
             for k in ks:
-                prod = new_mats[k][out]
+                prod = new_mats[k][out] if stored else np.empty((n_par * m, *bank[k].shape[1:]))
                 np.matmul(mats[k][sl][:, None], bank[k][None], out=prod.reshape(n_par, m, *prod.shape[1:]))
-                nrm = np.linalg.norm(prod, axis=(-2, -1))
-                prod /= nrm[:, None, None]
                 cm[k] = prod
-                new_logs[k][out] = np.repeat(logs[k][sl], m) + np.log(nrm)
+                cl[k] = _normalize(prod, np.repeat(logs[k][sl], m))
+                if stored:
+                    new_logs[k][out] = cl[k]
             cs = scores[out]
-            cs[:], beam = _log_gaps(cm, {k: new_logs[k][out] for k in ks}, index, best_val, beam, width)
+            cs[:], beam = _log_gaps(cm, cl, index, best_val, beam, width)
             arg = int(np.argmax(cs))
             if cs[arg] > best_val:
                 best_val = float(cs[arg])
-                best_word = tuple(int(j) for j in cw[arg])
-
-        words, mats, logs = new_words, new_mats, new_logs
-        complete = exact
+                best_word = (*words[lo + arg // m].tolist(), arg % m)
         stats.append(
             GapLengthStat(length=length, max_log_ratio=best_val, words_examined=rows, exact=exact, witness=best_word)
         )
+
+        if length < max_len:
+            kept = np.argsort(-scores, kind="stable")[:width] if beam_next else np.arange(rows)
+            parents, letters = np.divmod(kept, m)
+            if beam_next:
+                # the chunk loop's steps on the kept rows alone, bit for bit
+                new_mats = {k: np.matmul(mats[k][parents], bank[k][letters]) for k in ks}
+                new_logs = {k: _normalize(new_mats[k], logs[k][parents]) for k in ks}
+            words = np.column_stack((words[parents], letters)).astype(np.int32)
+            mats, logs = new_mats, new_logs
+        # a length after a beam is never exact, whatever its row count
+        complete = exact and not beam_next
     return GapReport(
         index=index,
         family=FamilySummary(dim=d, labels=family.labels, source=family.source),

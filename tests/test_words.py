@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import weakref
 from functools import partial
 
@@ -22,7 +23,7 @@ from oracles import (
     word_product,
 )
 
-from domsplit import linalg, words
+from domsplit import example4d, linalg, words
 from domsplit.errors import SingularMatrixError
 from domsplit.words import (
     DOMINATED,
@@ -374,12 +375,23 @@ def test_isometry_gap_search_needs_no_eigen_solver(cross_validation_suite, monke
 
 @pytest.mark.parametrize("chunk_size", [None, 2, 40])
 @pytest.mark.parametrize(
-    "cfg", [SearchConfig(max_len=8, budget=10_000), SearchConfig(max_len=8, budget=2_000, beam_width=64)]
+    "cfg",
+    [
+        SearchConfig(max_len=8, budget=10_000),
+        SearchConfig(max_len=8, budget=2_000, beam_width=64),
+        SearchConfig(max_len=8, budget=2_000, beam_width=1),
+        # beam_width x m fits the budget right after the cut: those lengths
+        # are still not exact
+        SearchConfig(max_len=9, budget=50, beam_width=7),
+        # every family of two or three members is cut at length 1
+        SearchConfig(max_len=6, budget=3, beam_width=1),
+    ],
 )
 def test_pruned_gap_search_matches_unpruned_oracle(cross_validation_suite, monkeypatch, cfg, chunk_size):
     # pruned rows can set neither a maximum nor a beam, so every per-length
     # maximum, witness, count and exact flag is bit-equal to scoring every
-    # word; small chunks carry the cut from one chunk to the next
+    # word; small chunks carry the cut from one chunk to the next, and the
+    # beam's survivors, formed again from their parents, carry the same bits
     if chunk_size is not None:
         monkeypatch.setattr(words, "CHUNK_SIZE", chunk_size)
     cases = [(c.family, c.index) for c in cross_validation_suite]
@@ -451,6 +463,32 @@ def test_no_chunk_kernels_outlive_their_scores(monkeypatch):
     # the longer lengths take several chunks of 21 parents each
     assert report.per_length[-1].words_examined > 64
     assert live_at_build and max(live_at_build) <= len(words._gap_orders(2, 4)) - 1
+
+
+@pytest.mark.parametrize("case", ["last_length", "before_beam"])
+def test_gap_search_holds_no_stack_the_next_length_does_not_read(case):
+    # the last length's rows, and those of a length before a beam, are
+    # scored chunk by chunk and never stored whole: one warm search peaks
+    # below the bytes of that length's compounds alone (its row count is
+    # the largest exhaustive one: the last length here, length 3 of the
+    # example's coarse search, whose next length keeps 256 of 64,000 rows)
+    if case == "last_length":
+        rng = np.random.default_rng(0)
+        fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
+        cfg = SearchConfig(max_len=10, budget=1_000_000)
+    else:
+        fam, cfg = example4d.curve_family(32.0, 40), example4d.SEARCH
+    report = words.enumerate_gaps(fam, 2, cfg)
+    rows = max(s.words_examined for s in report.per_length if s.exact)
+    stack_bytes = rows * sum(fam.compound_banks[k][0].nbytes for k in words._gap_orders(2, fam.dim))
+    tracemalloc.start()
+    try:
+        again = words.enumerate_gaps(fam, 2, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == report
+    assert peak < stack_bytes
 
 
 def test_submultiplicative_exterior_norms():
