@@ -243,14 +243,11 @@ def sin_max_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     0), the closed form ``(sqrt((a + d)^2 + (b - c)^2) + sqrt((a - d)^2 +
     (b + c)^2)) / 2`` of ``linalg.TopSingular`` for 2 x 2 entries (each term
     is non-negative, so nothing cancels, and the entries are at most 1, so
-    ``sqrt`` can stand in for the slower ``hypot``).  When the narrower
-    side alone is 2, the entries are summed, in place and one pair at a
-    time, into the 2 x 2 Gram matrix ``[[a, b], [b, c]]`` of that side, and
-    ``sigma_1^2 = (a + c) / 2 + sqrt(((a - c) / 2)^2 + b^2)``, a sum of
-    non-negative terms.  ``linalg.operator_norms`` takes anything wider.
-    The arrays can span (rows x centers), so the 2 x 2 forms reuse their
-    operands in place, and a wider one runs on blocks of rows whose entries
-    together take about one (a, b) array.
+    ``sqrt`` can stand in for the slower ``hypot``), and
+    ``linalg.operator_norms`` for anything wider.  The arrays can span
+    (rows x centers), so the 2 x 2 form reuses its operands in place, and a
+    wider one runs on blocks of rows whose entries together take about one
+    (a, b) array.
     """
     i = A.shape[2]
     C = np.linalg.qr(B, mode="complete")[0][:, :, i:]
@@ -284,31 +281,6 @@ def sin_max_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         top += a
         top *= 0.5
         return top
-    if min(i, k) == 2:
-        # pairs of entries across the narrow side, one index of the wide side
-        # at a time, summed into the 2 x 2 Gram matrix [[a, b], [b, c]]
-        if i == 2:
-            pairs = ((A[:, :, 0] @ C[:, :, l].T, A[:, :, 1] @ C[:, :, l].T) for l in range(k))
-        else:
-            pairs = ((A[:, :, c] @ C[:, :, 0].T, A[:, :, c] @ C[:, :, 1].T) for c in range(i))
-        a, b, c = (np.zeros((len(A), len(B))) for _ in range(3))
-        for x, y in pairs:
-            b += np.multiply(x, y)
-            x *= x
-            a += x
-            y *= y
-            c += y
-            del x, y  # one pair alive at a time
-        half_gap = np.subtract(a, c)
-        half_gap *= 0.5
-        half_gap *= half_gap
-        b *= b
-        half_gap += b
-        np.sqrt(half_gap, out=half_gap)
-        a += c
-        a *= 0.5
-        a += half_gap
-        return np.sqrt(a, out=a)
     sines = np.empty((len(A), len(B)))
     # at least two rows a block, as a one-row product could round otherwise
     for rows in np.array_split(np.arange(len(A)), max(1, min(k * i, len(A) // 2))):

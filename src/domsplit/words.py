@@ -45,13 +45,14 @@ exactly that of scoring all words.
 
 A length holds only the rows the next length reads; row r extends the
 previous length's row r // m by the letter r % m.  When the next length is
-exhaustive, every row's compounds, logs and word are stored, filled chunk
-by chunk in place.  The last length stores none, and neither does a length
+exhaustive, every row's compounds and logs are stored, filled chunk by
+chunk in place.  The last length stores none, and neither does a length
 before a beam while it scores: each chunk is scored in its own buffers, the
 witness is read off its parent, and once the length is scored the
-``beam_width`` survivors alone are formed again from their parents, by the
-same ``matmul``, norm and log steps and so with the same bits.  A length
-after a beam is never exact.
+``beam_width`` survivors alone are formed again from their parents, a chunk
+of rows at a time, by the same ``matmul``, norm and log steps and so with
+the same bits.  The stored rows' words are formed from their parents' once
+the length is scored.  A length after a beam is never exact.
 """
 
 from __future__ import annotations
@@ -400,7 +401,8 @@ class SearchConfig:
 # new words per batch (at least one word's extensions by every member): a
 # batch holds its compounds and their Gram matrices, of every order, at
 # once; at the last length and before a beam, the compounds of one batch
-# are all the length holds of them
+# are all the length holds of them, and a beam's survivors are formed this
+# many rows at a time
 CHUNK_SIZE = 16384
 
 # a word is pruned only when its score's upper bound is this many nats below
@@ -508,7 +510,7 @@ def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None
         # the next length keeps only the width best of these rows
         beam_next = length < max_len and rows * m > budget and rows > width
         # store only the rows the next length reads: all of them, filled
-        # chunk by chunk in place, when it is exhaustive; none after the
+        # chunk by chunk in place, when it is exhaustive; none at the
         # last length; before a beam the width best, formed from their
         # parents once the length is scored
         stored = length < max_len and not beam_next
@@ -542,13 +544,22 @@ def enumerate_gaps(family: MatrixFamily, index: int, config: SearchConfig | None
         )
 
         if length < max_len:
-            kept = np.argsort(-scores, kind="stable")[:width] if beam_next else np.arange(rows)
-            parents, letters = np.divmod(kept, m)
             if beam_next:
-                # the chunk loop's steps on the kept rows alone, bit for bit
-                new_mats = {k: np.matmul(mats[k][parents], bank[k][letters]) for k in ks}
-                new_logs = {k: _normalize(new_mats[k], logs[k][parents]) for k in ks}
-            words = np.column_stack((words[parents], letters)).astype(np.int32)
+                kept = np.argsort(-scores, kind="stable")[:width].astype(np.int32)
+                parents, letters = np.divmod(kept, m)
+                # the chunk loop's steps on the kept rows alone, bit for bit,
+                # a chunk at a time into their stack
+                new_mats = {k: np.empty((len(kept), *bank[k].shape[1:])) for k in ks}
+                new_logs = {k: np.empty(len(kept)) for k in ks}
+                for lo in range(0, len(kept), CHUNK_SIZE):
+                    sl = slice(lo, lo + CHUNK_SIZE)
+                    for k in ks:
+                        prod = new_mats[k][sl]
+                        np.matmul(mats[k][parents[sl]], bank[k][letters[sl]], out=prod)
+                        new_logs[k][sl] = _normalize(prod, logs[k][parents[sl]])
+            else:
+                parents, letters = np.divmod(np.arange(rows, dtype=np.int32), m)
+            words = np.column_stack((words[parents], letters))
             mats, logs = new_mats, new_logs
         # a length after a beam is never exact, whatever its row count
         complete = exact and not beam_next

@@ -156,22 +156,6 @@ def test_worst_nearest_angle_matches_full_reduction(stacks):
     assert np.all(upper >= nearest - 1e-7)
 
 
-@pytest.mark.parametrize("d, i", [(5, 2), (5, 3), (6, 2), (6, 4), (7, 5)])
-def test_sin_max_pairs_of_a_narrow_side_of_two_match_svd(d, i):
-    # min(i, d - i) = 2 with d >= 5 takes the 2 x 2 Gram form: sigma_1 of
-    # C_b^T A_a for any orthonormal complement basis C_b, and 0 up to
-    # rounding for equal planes
-    rng = np.random.default_rng(d * 10 + i)
-    B = _orthonormal_stack(rng.normal(size=(7, d, i)))
-    A = np.concatenate([_orthonormal_stack(rng.normal(size=(9, d, i))), B[:3]])
-    got = grassmann.sin_max_pairs(A, B)
-    C = grassmann.complement_frames(B)
-    want = np.linalg.svd(np.swapaxes(C, 1, 2)[None] @ A[:, None], compute_uv=False)[..., 0]
-    assert got.shape == (12, 7)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)
-    assert np.all(got[np.arange(9, 12), np.arange(3)] <= 1e-15)
-
-
 def test_transverse_examples():
     E = Plane.span(e(0), e(1))
     F = Plane.span(e(2), e(3))

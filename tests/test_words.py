@@ -465,22 +465,32 @@ def test_no_chunk_kernels_outlive_their_scores(monkeypatch):
     assert live_at_build and max(live_at_build) <= len(words._gap_orders(2, 4)) - 1
 
 
-@pytest.mark.parametrize("case", ["last_length", "before_beam"])
-def test_gap_search_holds_no_stack_the_next_length_does_not_read(case):
+@pytest.mark.parametrize("case", ["last_length", "before_beam", "wide_beam"])
+def test_gap_search_holds_no_stack_the_next_length_does_not_read(case, monkeypatch):
     # the last length's rows, and those of a length before a beam, are
     # scored chunk by chunk and never stored whole: one warm search peaks
     # below the bytes of that length's compounds alone (its row count is
     # the largest exhaustive one: the last length here, length 3 of the
     # example's coarse search, whose next length keeps 256 of 64,000 rows)
+    rng = np.random.default_rng(0)
+    fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
     if case == "last_length":
-        rng = np.random.default_rng(0)
-        fam = MatrixFamily.from_matrices([random_invertible(4, rng) for _ in range(3)])
         cfg = SearchConfig(max_len=10, budget=1_000_000)
-    else:
+    elif case == "before_beam":
         fam, cfg = example4d.curve_family(32.0, 40), example4d.SEARCH
+    else:
+        # a beam of all but one of length 9's 19,683 rows: the survivors are
+        # held, and forming them a chunk at a time holds no second stack of
+        # their size (gathering their parents and letters whole would hold
+        # two more)
+        cfg = SearchConfig(max_len=10, budget=30_000, beam_width=3**9 - 1)
+        monkeypatch.setattr(words, "CHUNK_SIZE", 1024)
     report = words.enumerate_gaps(fam, 2, cfg)
-    rows = max(s.words_examined for s in report.per_length if s.exact)
-    stack_bytes = rows * sum(fam.compound_banks[k][0].nbytes for k in words._gap_orders(2, fam.dim))
+    row_bytes = sum(fam.compound_banks[k][0].nbytes for k in words._gap_orders(2, fam.dim))
+    if case == "wide_beam":
+        limit = 2 * cfg.beam_width * row_bytes
+    else:
+        limit = max(s.words_examined for s in report.per_length if s.exact) * row_bytes
     tracemalloc.start()
     try:
         again = words.enumerate_gaps(fam, 2, cfg)
@@ -488,7 +498,7 @@ def test_gap_search_holds_no_stack_the_next_length_does_not_read(case):
     finally:
         tracemalloc.stop()
     assert again == report
-    assert peak < stack_bytes
+    assert peak < limit
 
 
 def test_submultiplicative_exterior_norms():
