@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -87,11 +88,15 @@ def _float(value, what: str) -> float:
     return x
 
 
-def _scalar(spec: dict, key: str, default, kind: type, what: str):
-    """``spec[key]``, or ``default`` if it is missing, as a checked ``kind``."""
+def _scalar(spec: dict, key: str, default, kind: type, what: str, least: float = -math.inf):
+    """``spec[key]``, or ``default`` if it is missing, as a checked ``kind``
+    of at least ``least``."""
     what = f"{key!r} of {what}"
     value = _checked(spec.get(key, default), kind, what)
-    return value if kind is int else _float(value, what)
+    value = value if kind is int else _float(value, what)
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
 
 
 def _required(spec: dict, key: str, what: str):
@@ -129,7 +134,8 @@ def _build_generator(spec) -> MatrixFamily:
         return example4d.curve_family(lam, samples)
     if kind == "conjugated_diagonal":
         entries = _numbers(_required(spec, "entries", what), f"the entries of {what}")
-        seed = _scalar(spec, "rotation_seed", 0, int, what)
+        # numpy's generators refuse a negative seed without naming it
+        seed = _scalar(spec, "rotation_seed", 0, int, what, least=0)
         rng = np.random.default_rng(seed)
         d = len(entries)
         basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -142,7 +148,7 @@ def _build_generator(spec) -> MatrixFamily:
     if kind == "random_perturbation":
         base = load_family_dict(_required(spec, "base", what))
         noise = _scalar(spec, "noise", 0.0, float, what)
-        seed = _scalar(spec, "seed", 0, int, what)
+        seed = _scalar(spec, "seed", 0, int, what, least=0)
         copies = _scalar(spec, "copies", 1, int, what)
         # values below 1 are refused by ``perturb_family``
         limit = max(1, MAX_CURVE_SAMPLES // base.size)
@@ -239,6 +245,8 @@ def cmd_splitting(args) -> int:
             raise ValueError(f"{flag} must be at least 1, got {value}")
         if value is not None and value > MAX_WINDOW_LEN:
             raise ValueError(f"{flag} must be from 1 to {MAX_WINDOW_LEN}, got {value}")
+    if args.word_seed < 0:
+        raise ValueError(f"--word-seed must be at least 0, got {args.word_seed}")
     rng = np.random.default_rng(args.word_seed)
     past_len = args.past_len
     if past_len is None:
@@ -283,6 +291,9 @@ def cmd_example4d(args) -> int:
     return EXIT_NOT_DOMINATED
 
 
+# built once per process: ``main`` may run many times in one, and parsing
+# leaves the parser unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domsplit",

@@ -172,8 +172,8 @@ def family_matrices(ts, lam: float) -> np.ndarray:
     plane is verified to 1e-10 before returning.  Every step works on the
     whole stack and gives each matrix the bits of a one-parameter call.
     """
-    if lam <= 1.0:
-        raise ValueError("lam must exceed 1")
+    if not 1.0 < lam < math.inf:
+        raise ValueError(f"lam must exceed 1 and be finite, got {lam}")
     ts = np.asarray(ts, dtype=float)
     p1 = curve_frames(FIRST, ts)
     p2 = curve_frames(SECOND, ts)

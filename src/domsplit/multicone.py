@@ -418,61 +418,33 @@ def adapted_metric(
     return float(total) if total.ndim == 0 else total
 
 
-def _single_linkage(dist: np.ndarray) -> np.ndarray:
-    """Single-linkage tree of the points.
+def _components(dist: np.ndarray, link: float) -> tuple[tuple[tuple[int, ...], ...], float]:
+    """Components of the points joined by pairs at distance <= link, ordered
+    by smallest member, members ascending, and their gap: the smallest
+    distance between points of different components less ``link``, +inf for
+    one component.
 
-    The tree is a minimum spanning tree by Prim's algorithm (Prim 1957), as
-    (n - 1, 3) rows (parent, child, height) sorted by height.  Every point
-    but point 0 is the child of exactly one row, so the rows of height <= t
-    form a forest of parent links.  Only the upper triangle of ``dist`` is
-    read: a distance matrix built by matrix products need not be bitwise
-    symmetric.  The heights are exact entries of ``dist``, and their sorted
-    multiset is that of every minimum spanning tree, so it does not depend
-    on how ties are broken.  The points joined by pairs at distance <= t are
-    joined by the tree's edges of height <= t, so the component count at t
-    is n minus the number of those edges (Gower & Ross 1969).
+    Only the upper triangle of ``dist`` is read: a distance matrix built by
+    matrix products need not be bitwise symmetric.  A breadth-first search
+    from the smallest unlabeled point labels every point it reaches by that
+    point, its component's smallest member; no point of an earlier
+    component is joined to it, so the unlabeled points are the unreached
+    ones.  With one component no pair is apart and the minimum is its
+    initial inf.
     """
     n = dist.shape[0]
-    # best[b]: distance from point b to the tree grown from point 0, through
-    # its nearest tree point parent[b]; inf once b is in the tree
-    best = np.concatenate([[math.inf], dist[0, 1:]])
-    parent = np.zeros(n, dtype=int)
-    outside = np.arange(n) > 0
-    closer = np.empty(n, dtype=bool)
-    edges = []
-    for _ in range(n - 1):
-        b = int(best.argmin())
-        edges.append((parent[b], b, best[b]))
-        best[b], outside[b] = math.inf, False
-        row = np.concatenate((dist[:b, b], dist[b, b:]))
-        np.less(row, best, out=closer)
-        closer &= outside
-        np.copyto(best, row, where=closer)
-        parent[closer] = b
-    tree = np.array(edges, dtype=float).reshape(-1, 3)
-    return tree[np.argsort(tree[:, 2], kind="stable")]
-
-
-def _components_at(tree: np.ndarray, link_radius: float) -> tuple[tuple[int, ...], ...]:
-    """Components of the points joined by the tree's edges of height <=
-    link_radius, ordered by smallest member, members ascending.
-
-    Those edges are parent links, and each component is the subtree of the
-    one member whose link is not kept.  Pointer jumping (``up = up[up]``)
-    labels every point by that member in about log2(depth) rounds.
-    """
-    joined = tree[: np.searchsorted(tree[:, 2], link_radius, side="right")].astype(int)
-    up = np.arange(len(tree) + 1)
-    up[joined[:, 1]] = joined[:, 0]
-    jumped = up[up]
-    while not np.array_equal(jumped, up):
-        up, jumped = jumped, jumped[jumped]
-    # in member order, each label is first met at its component's smallest
-    # member
-    groups: dict[int, list[int]] = {}
-    for a, label in enumerate(up.tolist()):
-        groups.setdefault(label, []).append(a)
-    return tuple(tuple(g) for g in groups.values())
+    joined = np.triu(dist <= link, 1)
+    joined |= joined.T
+    label = np.full(n, -1)
+    while (label < 0).any():
+        a = int(np.argmax(label < 0))
+        frontier = np.arange(n) == a
+        while frontier.any():
+            label[frontier] = a
+            frontier = joined[frontier].any(axis=0) & (label < 0)
+    comps = tuple(tuple(np.flatnonzero(label == a).tolist()) for a in range(n) if label[a] == a)
+    apart = np.triu(label[:, None] != label, 1)
+    return comps, float(np.min(dist, where=apart, initial=math.inf)) - link
 
 
 # The uniform absolute accuracy of ``frame_stack_distances``: its sine is
@@ -545,12 +517,9 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     radius and the parts of its bound: no certificate, which says nothing
     about the family being dominated or not.
 
-    The components are those of the single-linkage tree of the attractor
-    cloud at link 2r: points at distance <= 2r fall in one component exactly
-    when the tree joins them by edges of height <= 2r (Gower & Ross 1969).
-    The next edge, the first above 2r, joins the two closest components, so
-    the component gap is its height less 2r and always positive.  Only the
-    upper triangle of the pairwise distance matrix is read for the tree.
+    The components are those of the attractor cloud at link 2r: points at
+    distance <= 2r fall in one component.  The component gap is the
+    smallest distance between components less 2r, so it is always positive.
     """
     cfg = config or MulticoneConfig()
     cloud = attractor(
@@ -565,16 +534,13 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
         raise MulticoneConstructionError("attractor sample is empty", parts={})
     dist = frame_stack_distances(frames, frames)
     centers = _center_pass(family, frames, dist)
-    # built before the invariance call's large arrays: built after them, its
-    # many small arrays kept about 30 MB of freed heap resident between
-    # builds (d = 4, i = 2, 256 points)
-    tree = _single_linkage(dist)
-    # n x n, 32 MB at MAX_ATTRACTOR_WORDS: not held through the invariance call
-    del dist
     spread = float(centers.spread.max(initial=0.0))
     lo = max(float(centers.upper.max()) + spread, DISTANCE_RESOLUTION)
     hi = math.pi / 2 - centers.chart
     radius, bound = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
+    comps, gap = _components(dist, 2.0 * radius)
+    # n x n, 32 MB at MAX_ATTRACTOR_WORDS: not held through the invariance call
+    del dist
     cone = replace(cloud, radius=radius)
     ok, margin = strictly_invariant(family, cone, centers)
     if not (ok and bound > DISTANCE_RESOLUTION):
@@ -591,6 +557,4 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
             f"the best radius {radius:.4g} {reason}: sampled margin {margin:.4g}, bound {bound:.4g}",
             parts=parts,
         )
-    comps = _components_at(tree, 2.0 * radius)
-    gap = float(tree[len(frames) - len(comps), 2]) - 2.0 * radius if len(comps) > 1 else math.inf
     return Multicone(cone=cone, components=comps, invariance_margin=margin, component_gap=gap)

@@ -13,9 +13,8 @@ grouped sweep replaced, built on the same image map and distance, so it
 pins the restructuring and not the per-pair arithmetic.
 ``ball_probes_oracle`` builds each probe alone, with its complement
 directions taken inline from an SVD rather than from the center pass.
-The component references are the pair-by-pair loops the single-linkage
-tree replaced, and ``single_linkage_heights_oracle`` is scipy's merge
-heights, which the in-house tree replaced.
+The component references are pair-by-pair loops: a union-find over every
+pair, and the gap as a minimum block by block over component pairs.
 ``window_length_oracle``, ``periodic_witness_oracle``,
 ``transverse_pairs_oracle``, ``angle_decay_oracle``,
 ``compound_log_walk_oracle`` and ``suffix_restricted_logs_oracle`` are the
@@ -48,7 +47,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.cluster.hierarchy import linkage
 
 from domsplit import linalg, multicone, splitting, words
 from domsplit.grassmann import (
@@ -552,11 +550,3 @@ def family_matrix_oracle(t: float, lam: float) -> np.ndarray:
         frames.append(Plane.from_spanning(np.column_stack([b, np.append(direction, 0.0)])).frame)
     basis = np.hstack(frames)
     return basis @ np.diag([lam, lam, 1.0 / lam, 1.0 / lam]) @ np.linalg.inv(basis)
-
-
-def single_linkage_heights_oracle(dist: np.ndarray) -> np.ndarray:
-    """Ascending merge heights of scipy's single linkage on the upper
-    triangle of ``dist``."""
-    n = dist.shape[0]
-    merges = linkage(dist[np.triu_indices(n, 1)], method="single") if n > 1 else np.empty((0, 4))
-    return merges[:, 2]

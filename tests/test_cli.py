@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,7 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
         ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
         ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
+        ("splitting", "--word-seed", "-1", "--word-seed must be at least 0, got -1"),
     ],
 )
 def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, flag, value, message):
@@ -235,6 +237,12 @@ _PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices":
         # numpy's reshape would take a negative dim whose square fits
         ({"dim": -2, "matrices": [{"entries": [2, 0, 0, 1]}]}, "'dim' of family spec must be at least 1, got -2"),
         ({"dim": 0, "matrices": [{"entries": []}]}, "'dim' of family spec must be at least 1, got 0"),
+        # numpy's generators refuse a negative seed without naming it
+        (
+            {"generator": {"kind": "conjugated_diagonal", "entries": [2, 1], "rotation_seed": -4}},
+            "'rotation_seed' of generator 'conjugated_diagonal' must be at least 0, got -4",
+        ),
+        ({"generator": {**_PERTURBED_DIAG, "seed": -7}}, "'seed' of generator 'random_perturbation' must be at least 0, got -7"),
     ],
 )
 def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):
@@ -366,7 +374,8 @@ def test_scalar_spec_fields_take_json_numbers():
 
 
 # every command runs on numpy alone: scipy is blocked at import, and none
-# of its modules may be loaded
+# of its modules may be loaded.  Nor may numpy.ma, which numpy loads only on
+# demand (np.unique, for one, imports it) and which adds about 0.6 MB of RSS
 _NO_SCIPY_PROBE = """
 import importlib.abc, json, sys
 
@@ -386,7 +395,11 @@ codes = [
 ]
 example = ["example4d", "--grid", "8", "--lambda", "1.01", "--skip-perturbed", "--out", f"{out}/example4d"]
 codes.append(cli.main(example))
-print(json.dumps({"codes": codes, "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy")}))
+print(json.dumps({
+    "codes": codes,
+    "scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+    "numpy.ma": sorted(name for name in sys.modules if name.split(".")[:2] == ["numpy", "ma"]),
+}))
 """
 
 
@@ -401,6 +414,7 @@ def test_no_command_loads_scipy(diag_spec, tmp_path):
     # the example at lambda 1.01 fails its invariance scan, as with scipy
     assert result["codes"] == [0, 0, 0, 2]
     assert result["scipy"] == []
+    assert result["numpy.ma"] == []
 
 
 def test_multicone_command(diag_spec, rotation_spec, tmp_path):
@@ -555,6 +569,18 @@ def test_example4d_weak_lambda_fails_with_margins(tmp_path, capsys):
     report = json.loads((out / "example4d_report.json").read_text())
     assert report["lambda"] is None
     assert not report["scan"][0]["passed"]
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_example4d_non_finite_lambda_exits_one_without_warnings(lam, tmp_path, capsys):
+    # refused before any matrix is formed: inf once printed numpy's
+    # RuntimeWarnings, and nan passed lam <= 1 and failed later
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["example4d", "--grid", "8", "--lambda", lam, "--skip-perturbed", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: lam must exceed 1 and be finite, got {lam}\n"
+    assert caught == []
 
 
 def test_parser_defaults_are_library_defaults():

@@ -150,8 +150,9 @@ def test_curve_family_matches_per_parameter_loop(lam, samples):
 
 def test_family_matrices_error_paths(monkeypatch):
     ts = ex.parameter_grid(5)
-    with pytest.raises(ValueError, match="lam must exceed 1"):
-        ex.family_matrices(ts, 1.0)
+    for lam in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam must exceed 1"):
+            ex.family_matrices(ts, lam)
     with pytest.raises(ValueError, match="outside"):
         ex.family_matrices([0.5, 4.0], 8.0)
     good = ex.curve_frames

@@ -21,7 +21,6 @@ from oracles import (
     line_trace_oracle,
     random_orthogonal,
     scaled_word_product_oracle,
-    single_linkage_heights_oracle,
     sweep_points_oracle,
     union_find_components,
 )
@@ -532,9 +531,10 @@ def _link_radii(upper: np.ndarray, ties) -> np.ndarray:
 def _arc_cloud() -> tuple[np.ndarray, np.ndarray]:
     """(dist, link radii) of 256 lines of G(1, 2) at equal steps on one arc.
 
-    Prim's tree is one path of depth 255, the deepest tree for pointer
-    jumping.  The ties are the adjacent distances, which differ by rounding:
-    the smallest, the median and the largest.
+    At a link of at least the largest step the cloud is one path of 255
+    links, the deepest breadth-first search; below it, runs of neighbors.
+    The ties are the adjacent distances, which differ by rounding: the
+    smallest, the median and the largest.
     """
     frames = frame_stack([direction(0.005 * k) for k in range(256)])
     dist = frame_stack_distances(frames, frames)
@@ -546,34 +546,27 @@ def _arc_cloud() -> tuple[np.ndarray, np.ndarray]:
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(linkage_clouds())
 @example(_arc_cloud())
-def test_single_linkage_matches_union_find(cloud):
-    # one tree reproduces the pair-by-pair union-find at every radius: the
-    # partitions and their order (by smallest member), and the gap between
-    # components, read off the tree's next edge as ``build_multicone`` does;
-    # its heights are scipy's merge heights.  Tree and components read the
-    # upper triangle only, so the gap oracle gets it mirrored
+def test_components_match_union_find(cloud):
+    # the labeling reproduces the pair-by-pair union-find at every radius:
+    # the partitions and their order (by smallest member), and the gap
+    # between components.  Both read the upper triangle only, so the gap
+    # oracle gets it mirrored
     dist, link_radii = cloud
     upper = np.triu(dist) + np.triu(dist, 1).T
-    tree = multicone._single_linkage(dist)
-    assert np.all(np.diff(tree[:, 2]) >= 0.0)
-    assert np.array_equal(tree[:, 2], single_linkage_heights_oracle(dist))
     for link in link_radii.tolist():
-        want = union_find_components(dist, link)
-        comps = multicone._components_at(tree, link)
-        assert comps == want
-        radius = link / 2.0
-        gap = tree[len(dist) - len(comps), 2] - 2.0 * radius if len(comps) > 1 else math.inf
-        assert gap == component_gap_oracle(upper, comps, radius)
+        comps, gap = multicone._components(dist, link)
+        assert comps == union_find_components(dist, link)
+        assert gap == component_gap_oracle(upper, comps, link / 2.0)
 
 
 def test_build_multicone_all_duplicate_cloud(diag21):
     # every attractor point of diag(2, 1) is the same plane, so every pair
-    # distance is an exact zero; zero-length tree edges must still join
+    # distance is an exact zero; pairs at distance zero must still join
     cfg = MulticoneConfig()
     cloud = attractor(diag21, 1, cfg.attractor_word_len, word_count=cfg.attractor_words)
     dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
-    assert multicone._components_at(multicone._single_linkage(dist), 0.0) == (tuple(range(len(dist))),)
+    assert multicone._components(dist, 0.0) == ((tuple(range(len(dist))),), math.inf)
     mc = build_multicone(diag21, 1, cfg)
     assert mc.components == (tuple(range(len(cloud.frames))),)
 
