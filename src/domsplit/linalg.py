@@ -17,11 +17,11 @@ within ``PIN_RTOL / 4`` relative.  ``top_singular_values`` is its
 one-call form; ``operator_norms`` extends it to rectangular stacks.
 
 Every Gram matrix here comes from ``gram_matrices``, which forms ``X X^T``
-with one GEMM per matrix on a contiguous copy of its transpose, block by
-block, without a transpose buffer beside a large stack.  numpy sends
-``X @ swapaxes(X, -1, -2)`` on a stack of small matrices to its per-matrix
-syrk path, about twice as slow (and bit-equal at n = 3, 4 and 6); a copy of
-the whole stack's transpose would raise the peak memory by its size.
+with one GEMM per matrix on a contiguous copy of its transpose, one block of
+``GRAM_BLOCK`` matrices at a time.  numpy sends ``X @ swapaxes(X, -1, -2)``
+on a stack of small matrices to its per-matrix syrk path, about twice as
+slow (and bit-equal at n = 3, 4 and 6); a copy of the whole stack's
+transpose would raise the peak memory by its size.
 """
 
 from __future__ import annotations
@@ -65,33 +65,19 @@ def gram_matrices(stack: np.ndarray) -> np.ndarray:
     """``X X^T`` of every matrix of a ``(..., p, q)`` stack, with one GEMM
     call per matrix, so a row's Gram depends on that row alone.
 
-    A stack of at most ``GRAM_BLOCK`` matrices has its transpose copied into
-    one buffer.  A larger one, such as a gap search chunk, is formed in
-    blocks from its end: each block's transpose is copied into the part of
-    the output not yet formed, just below the block, and the blocks shrink
-    near the start so that this part always holds the copy; only the last
-    few matrices, under 1 KB of them, get a buffer of their own.  So a large
-    stack allocates no more than the plain product does: a separate
-    block-sized buffer, even one of 18 KB, raised the ``gap_suite``
-    benchmark's peak RSS by 0.2 to 0.3 MB.
+    Each block of ``GRAM_BLOCK`` matrices has its transpose copied into one
+    buffer, made once per call and reused, so the call holds the output and
+    one block's transpose (not the whole stack's) at its peak.
     """
     p, q = stack.shape[-2:]
     flat = stack.reshape(-1, p, q)
     out = np.empty((len(flat), p, p))
-    spare = out.reshape(-1)
-    hi = len(flat)
-    while hi:
-        size = min(GRAM_BLOCK, hi * p // (p + q))
-        if len(flat) <= GRAM_BLOCK or size == 0 or hi * q * p < 128:
-            size, trans = hi, np.empty((hi, q, p))
-        else:
-            # (hi - size) p p >= size q p: the rows below hold the copy
-            below = (hi - size) * p * p
-            trans = spare[below - size * q * p : below].reshape(size, q, p)
-        block = flat[hi - size : hi]
-        np.copyto(trans, np.swapaxes(block, -1, -2))
-        np.matmul(block, trans, out=out[hi - size : hi])
-        hi -= size
+    trans = np.empty((min(len(flat), GRAM_BLOCK), q, p))
+    for lo in range(0, len(flat), GRAM_BLOCK):
+        block = flat[lo : lo + GRAM_BLOCK]
+        buf = trans[: len(block)]
+        np.copyto(buf, np.swapaxes(block, -1, -2))
+        np.matmul(block, buf, out=out[lo : lo + GRAM_BLOCK])
     return out.reshape(*stack.shape[:-2], p, p)
 
 
@@ -110,9 +96,8 @@ class TopSingular:
     non-negative so their sum cannot cancel; both bounds are that value.
 
     For n >= 3 everything reads ``G = C C^T``, from ``gram_matrices``:
-    block by block on a contiguous transpose held in the output, since
-    numpy's syrk path for the strided product is the slower one and a
-    transpose buffer would add to the peak memory.  The object keeps no
+    block by block on a contiguous transpose, since numpy's syrk path for
+    the strided product is the slower one.  The object keeps no
     Gram: ``values`` forms that of just the rows it eigen-solves again,
     bit-equal to those rows of the first, so a gap search, which solves
     few of its rows, holds no chunk's Gram past its bounds.  From

@@ -35,9 +35,12 @@ log = logging.getLogger(__name__)
 
 
 # the largest attractor sizes.  The construction of a 4-d, index-2
-# family peaks at 547 MB with 1,024 words and at 594 MB with 2,048; above
-# that the n^2 distance matrix of the component analysis takes over.  The
-# drawn letters take 8 bytes each: 164 MB for 2,048 words of 10,000.
+# family (the benchmark suite's dominated_6, 2 members; max RSS of a fresh
+# process, one BLAS thread) peaks at 63 MB with 256 words, 428 MB with
+# 1,024 and 457 MB with 2,048: the invariance check's nearest-point
+# searches set the peak at 1,024, and the center pass's n^2 image-center
+# distances at 2,048.  The drawn letters take 8 bytes each: 164 MB for
+# 2,048 words of 10,000.
 MAX_ATTRACTOR_WORDS = 2048
 MAX_ATTRACTOR_WORD_LEN = 10_000
 

@@ -410,19 +410,19 @@ CHUNK_SIZE = 16384
 GAP_PRUNE_SLACK = 1e-9
 
 
-# The bounds and the exact scores stay two functions, not one loop body, for
-# memory: returning from _log_gaps drops a chunk's kernels before the next
-# chunk forms its products and Gram matrices, and returning from _candidates
-# drops the upper and lower bounds before the kept rows' eigen-solve.
-
-
-def _candidates(
-    kernels: dict[int, linalg.TopSingular], logs: dict[int, np.ndarray], index: int, best_val: float, beam, width: int
+def _log_gaps(
+    mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], index: int, best_val: float, beam, width: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Mask of the rows whose score bounds do not rule out that they beat
-    ``best_val`` or, when ``beam`` is not None (the next length beams), enter
-    its beam; ``beam`` holds the ``width`` largest lower bounds of this
-    length so far, and is returned with this chunk's rows taken in."""
+    """Log gap ratio of every row, and the beam's lower bounds.
+
+    A row gets its exact score only when its score bounds do not rule out
+    that it beats ``best_val`` or, when ``beam`` is not None (the next
+    length beams), enters the beam; every other row gets -inf.  ``beam``
+    holds the ``width`` largest lower bounds of this length so far, and is
+    returned with this chunk's rows taken in."""
+    # one Gram per order for the bounds and the pin; the eigen-solve of
+    # the kept rows forms theirs again
+    kernels = {k: linalg.TopSingular(mats[k]) for k in mats}
     # the score adds log sigma_1 at orders i - 1 and i + 1 and takes
     # twice the order i off: each bound takes each term from its own side
     upper = lower = 0.0
@@ -445,18 +445,7 @@ def _candidates(
         if beam.size > width:
             beam = np.partition(beam, -width)[-width:].copy()
         cut = float(np.min(beam)) if beam.size == width else -math.inf
-    return upper >= cut - GAP_PRUNE_SLACK, beam
-
-
-def _log_gaps(
-    mats: dict[int, np.ndarray], logs: dict[int, np.ndarray], index: int, best_val: float, beam, width: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Log gap ratio of every row, and the beam's lower bounds; rows ruled
-    out by ``_candidates`` get -inf instead of their exact score."""
-    # one Gram per order for the bounds and the pin; the eigen-solve of
-    # the kept rows forms theirs again
-    kernels = {k: linalg.TopSingular(mats[k]) for k in mats}
-    keep, beam = _candidates(kernels, logs, index, best_val, beam, width)
+    keep = upper >= cut - GAP_PRUNE_SLACK
     tops = {k: logs[k][keep] + np.log(kernels[k].values(keep)) for k in kernels}
     low = tops[index - 1] if index > 1 else 0.0
     out = np.full(keep.shape, -math.inf)

@@ -429,6 +429,23 @@ def test_multicone_command(diag_spec, rotation_spec, tmp_path):
     assert code == 3
 
 
+def test_multicone_attractor_warning_reaches_stderr(tmp_path):
+    # the CLI sets up no logging, so the warning goes through logging's
+    # last-resort handler; a fresh process, since pytest installs handlers
+    # of its own in this one
+    spec = tmp_path / "rot.json"
+    spec.write_text(json.dumps({"dim": 2, "matrices": [{"label": "R", "entries": [0, -1, 1, 0]}]}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from domsplit import cli; sys.exit(cli.main(sys.argv[1:]))",
+         "multicone", str(spec), "--index", "1", "--out", str(tmp_path / "mc")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 3
+    assert "attractor: 256 sampled products had ill-defined top frames" in done.stderr
+
+
 def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkeypatch):
     # diag(1.05, 1) is dominated; the multicone at the best radius carries a
     # positive closed-form bound, which every build needs, so it builds with
@@ -569,6 +586,13 @@ def test_example4d_weak_lambda_fails_with_margins(tmp_path, capsys):
     report = json.loads((out / "example4d_report.json").read_text())
     assert report["lambda"] is None
     assert not report["scan"][0]["passed"]
+
+
+def test_example4d_large_lambda_exits_one_as_singular(tmp_path, capsys):
+    # the curve family fails its invertibility test, not a plane check
+    code = cli.main(["example4d", "--grid", "8", "--lambda", "1e6", "--skip-perturbed", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "numerically singular" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])

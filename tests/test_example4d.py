@@ -8,7 +8,7 @@ import pytest
 from oracles import central_difference, family_matrix_oracle, line_distance
 
 from domsplit import example4d as ex
-from domsplit.errors import ConditioningError, MulticoneConstructionError, NumericalError
+from domsplit.errors import ConditioningError, MulticoneConstructionError, NumericalError, SingularMatrixError
 from domsplit.grassmann import Plane, transverse
 from domsplit.linalg import cross_ratio, principal_angles
 from domsplit.multicone import MAX_ATTRACTOR_WORDS
@@ -177,6 +177,16 @@ def test_family_matrices_error_paths(monkeypatch):
         with pytest.raises(NumericalError, match=f"{plane} plane at t=0.0"):
             ex.family_matrices(ts, 8.0)
         monkeypatch.setattr(ex.np.linalg, "inv", inv)
+
+
+def test_large_lambda_fails_the_invertibility_test_not_the_plane_check():
+    # both planes' scalar action checks allow A's rounding, about lam 2^-52;
+    # with an absolute rule the second plane failed from lam = 3e5 on.  Such
+    # a lam reaches the family's own test: sigma_min / sigma_max ~ lam^-2
+    assert ex.curve_family(1e5, 8).size == 8
+    for lam in (3e5, 1e6):
+        with pytest.raises(SingularMatrixError, match="numerically singular"):
+            ex.curve_family(lam, 8)
 
 
 def test_cross_ratio_of_axis_points():

@@ -1,6 +1,7 @@
 """Singular-value primitives against oracles and closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,20 @@ def test_gram_matrices_equal_the_unblocked_product(n):
     X = rng.normal(size=(2 * block + 3, n, n))
     rows = rng.random(len(X)) < 0.3
     assert np.array_equal(linalg.gram_matrices(X[rows]), linalg.gram_matrices(X)[rows])
+
+
+def test_gram_matrices_hold_one_block_of_transpose():
+    # the peak is the output (X's size) and one block's transpose buffer,
+    # not a copy of the whole stack's transpose (the output's size again)
+    n, rows = 6, 3 * linalg.GRAM_BLOCK + 5
+    X = np.random.default_rng(7).normal(size=(rows, n, n))
+    tracemalloc.start()
+    try:
+        linalg.gram_matrices(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + linalg.GRAM_BLOCK * n * n * X.itemsize + 4096
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
