@@ -36,11 +36,12 @@ log = logging.getLogger(__name__)
 
 # the largest attractor sizes.  The construction of a 4-d, index-2
 # family (the benchmark suite's dominated_6, 2 members; max RSS of a fresh
-# process, one BLAS thread) peaks at 63 MB with 256 words, 428 MB with
-# 1,024 and 457 MB with 2,048: the invariance check's nearest-point
-# searches set the peak at 1,024, and the center pass's n^2 image-center
-# distances at 2,048.  The drawn letters take 8 bytes each: 164 MB for
-# 2,048 words of 10,000.
+# process, one BLAS thread) peaks at 63 MB with 256 words, 86 MB with
+# 1,024 and 231 MB with 2,048.  By tracemalloc, the invariance check's
+# nearest-point searches set the peak at 256 (25 MB), and the n x n
+# center distances (``frame_stack_distances``) at 1,024 (48 MB, the
+# invariance check 44 MB) and 2,048 (192 MB).  The drawn letters take 8
+# bytes each: 164 MB for 2,048 words of 10,000.
 MAX_ATTRACTOR_WORDS = 2048
 MAX_ATTRACTOR_WORD_LEN = 10_000
 
@@ -90,9 +91,10 @@ class Multicone(JsonRecord):
         return replace(self.cone, frames=self.cone.frames[list(self.components[which])])
 
 
-# image-center pairs per nearest-point search in ``strictly_invariant``;
-# bounds the memory of one search
-_GROUP_PAIRS = 5_000_000
+# image-center pairs per nearest-point search in ``_center_pass`` and
+# ``strictly_invariant``; bounds the memory of one search, about 10 bytes
+# a pair (d = 4, i = 2)
+_GROUP_PAIRS = 1_000_000
 
 # Allowance, in radians, by which a (member, center) pair's bound on its
 # probe images may fall short of the value to beat and still have those
@@ -125,11 +127,11 @@ def _ball_probes(frames: np.ndarray, complements: np.ndarray, radius: float) -> 
 
 def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
     """Index chunks of ``rows`` image rows, each searched against ``width``
-    centers: at least ``max(2, _GROUP_PAIRS // width)`` rows each (all of
-    them if fewer) and under twice that, so a search holds about
-    ``_GROUP_PAIRS`` pairs."""
+    centers: at most ``max(2, _GROUP_PAIRS // width)`` rows each, so a
+    search holds at most ``_GROUP_PAIRS`` pairs (``2 * width`` when width
+    exceeds half of it)."""
     size = max(2, _GROUP_PAIRS // max(width, 1))
-    return np.array_split(np.arange(rows), max(1, rows // size))
+    return np.array_split(np.arange(rows), max(1, math.ceil(rows / size)))
 
 
 def _inverse_norm_and_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

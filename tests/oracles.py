@@ -300,23 +300,24 @@ def window_length_oracle(family, index: int, seed: int, target: float, cap: int)
 
 
 def periodic_witness_oracle(family, index: int, report):
-    """First candidate root all of whose powers stay at or above the ratio
-    floor, walking each power from scratch."""
-    max_len = report.per_length[-1].length
+    """First candidate root whose product's eigenvalue moduli at positions
+    index and index + 1 agree to ``words.WITNESS_RTOL``: each letter's
+    compound minor by minor, their product by repeated ``np.matmul``, then
+    ``np.linalg.eigvals``, whose top two moduli have the ratio
+    ``|lambda_(index+1)| / |lambda_index|``."""
     candidates = [(j,) for j in range(family.size)] + [s.witness for s in report.per_length]
+    letters = [compound_matrix_oracle(M, index) for M in family.stack]
     seen = set()
     for cand in candidates:
         root = words._primitive_root(cand)
         if root in seen:
             continue
         seen.add(root)
-        n_powers = max_len // len(root)
-        if n_powers < words.MIN_WITNESS_POWERS:
-            continue
-        if all(
-            words.log_gap_ratio(family, root * k, index) >= math.log(words.RATIO_FLOOR)
-            for k in range(1, n_powers + 1)
-        ):
+        P = np.eye(len(letters[0]))
+        for j in root:
+            P = np.matmul(P, letters[j])
+        top, second = sorted(np.abs(np.linalg.eigvals(P)), reverse=True)[:2]
+        if top - second <= words.WITNESS_RTOL * top:
             return root
     return None
 

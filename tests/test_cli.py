@@ -446,11 +446,12 @@ def test_multicone_attractor_warning_reaches_stderr(tmp_path):
     assert "attractor: 256 sampled products had ill-defined top frames" in done.stderr
 
 
-def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkeypatch):
-    # diag(1.05, 1) is dominated; the multicone at the best radius carries a
-    # positive closed-form bound, which every build needs, so it builds with
-    # no gap search and exits 0.  `check` still answers not_dominated with witness (A,): the gap
-    # route's witness rule misjudges slow domination (ROADMAP item 3)
+def test_check_and_multicone_agree_on_slow_domination(tmp_path, monkeypatch):
+    # diag(1.05, 1) is dominated: the multicone at the best radius carries a
+    # positive closed-form bound and builds with no gap search (exit 0), and
+    # `check` finds no eigenvalue witness and fits the decay (exit 0).  At
+    # diag(1.001, 1) the fitted slope is not below -DOMINATED_MARGIN, so
+    # `check` is inconclusive (exit 3), never not_dominated
     spec = tmp_path / "slow.json"
     spec.write_text(json.dumps({"dim": 2, "matrices": [{"label": "A", "entries": [1.05, 0, 0, 1]}]}))
     searches = []
@@ -460,9 +461,13 @@ def test_multicone_certifies_a_slow_family_that_check_misjudges(tmp_path, monkey
     assert cli.main(["multicone", str(spec), "--index", "1", "--out", str(out)]) == 0
     assert searches == []
     assert json.loads((out / "multicone.json").read_text())["invariance_margin"] > 0.0
-    assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck")]) == 2
+    assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck")]) == 0
     report = json.loads((tmp_path / "ck" / "gap_report.json").read_text())
-    assert report["verdict"]["kind"] == words.NOT_DOMINATED
+    assert report["verdict"]["kind"] == words.DOMINATED
+    spec.write_text(json.dumps({"dim": 2, "matrices": [{"label": "A", "entries": [1.001, 0, 0, 1]}]}))
+    assert cli.main(["check", str(spec), "--index", "1", "--out", str(tmp_path / "ck_slow")]) == 3
+    report = json.loads((tmp_path / "ck_slow" / "gap_report.json").read_text())
+    assert report["verdict"]["kind"] == words.INCONCLUSIVE
 
 
 def test_multicone_without_a_certificate_exits_inconclusive(tmp_path):

@@ -108,7 +108,22 @@ def test_strictly_invariant_spread_allowance_only_for_curves():
     assert margin_s < margin_e
 
 
-@pytest.mark.parametrize("group_pairs", [1, 2_000, multicone._GROUP_PAIRS])
+@pytest.mark.parametrize(
+    "width", [1, multicone._GROUP_PAIRS // 300, multicone._GROUP_PAIRS // 3, multicone._GROUP_PAIRS]
+)
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 301, 1_000])
+def test_row_chunks_hold_a_search_to_group_pairs(rows, width):
+    # the chunks cover every row once, in order, and none is longer than
+    # max(2, _GROUP_PAIRS // width) rows, so a search holds at most
+    # _GROUP_PAIRS image-center pairs, or 2 * width
+    chunks = multicone._row_chunks(rows, width)
+    assert np.array_equal(np.concatenate(chunks), np.arange(rows))
+    assert max(len(c) for c in chunks) <= max(2, multicone._GROUP_PAIRS // width)
+
+
+# 5,000,000 pairs, like the default, put every pair of this small case in
+# one search
+@pytest.mark.parametrize("group_pairs", [1, 2_000, 5_000_000])
 @pytest.mark.parametrize("dim, index", [(2, 1), (4, 2)])
 def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pairs, dim, index):
     # the spread taken from the member images inside the grouped sweep equals

@@ -27,6 +27,7 @@ from domsplit import example4d, linalg, words
 from domsplit.errors import SingularMatrixError
 from domsplit.words import (
     DOMINATED,
+    INCONCLUSIVE,
     NOT_DOMINATED,
     GapReport,
     MatrixFamily,
@@ -304,11 +305,54 @@ def _assert_flat_witness(family, witness, index, max_len=12, floor=0.1):
         assert ratio >= floor
 
 
-def test_periodic_witness_matches_per_power_loop(cross_validation_suite):
-    # one walk over the top power decides as a walk per power does, on
-    # dominated families (no witness), on isometries (a witness), on a
-    # diagonal whose 8th power is the first below the ratio floor, and on a
-    # pair whose products AB are flat while the prefixes ABA are not
+# two upper-triangular members, dominated at index 2, under one fixed
+# orthogonal conjugation: a product's second and third eigenvalues sit
+# near 1e-25 of its first, below the rounding of the product itself
+_TRIANGULAR_PAIR = [
+    np.array([[1000.0, 5, 3], [0, 3, 2], [0, 0, 1]]),
+    np.array([[800.0, -4, 6], [0, 2.5, -3], [0, 0, 1.2]]),
+]
+_TRIANGULAR_BASIS = np.linalg.qr(np.array([[2.0, 1, 0], [1, 3, 1], [0, 1, 4]]))[0]
+
+
+@pytest.mark.parametrize(
+    "mats, index, kind, witness",
+    [
+        ([np.diag([1.001, 1.0])], 1, INCONCLUSIVE, None),
+        ([np.diag([1.01, 1.0])], 1, INCONCLUSIVE, None),
+        ([np.diag([1.05, 1.0])], 1, DOMINATED, None),
+        ([np.diag([1.21, 1.0])], 1, DOMINATED, None),
+        ([np.diag([1.22, 1.0])], 1, DOMINATED, None),
+        ([np.array([[1.0, 1.0], [0.0, 1.0]])], 1, NOT_DOMINATED, (0,)),
+        ([_TRIANGULAR_BASIS @ T @ _TRIANGULAR_BASIS.T for T in _TRIANGULAR_PAIR], 2, DOMINATED, None),
+    ],
+    ids=["diag_1.001", "diag_1.01", "diag_1.05", "diag_1.21", "diag_1.22", "parabolic", "triangular_pair"],
+)
+def test_is_dominated_spectral_witness_verdicts(mats, index, kind, witness):
+    # a slow diagonal has distinct eigenvalue moduli, so no witness: the fit
+    # decides, and a slope not below -DOMINATED_MARGIN is inconclusive; the
+    # parabolic's repeated eigenvalue is the witness.  The triangular pair's
+    # small eigenvalues, read off the plain product, come out as a conjugate
+    # pair of equal moduli; read off its compound they do not
+    verdict = words.is_dominated(MatrixFamily.from_matrices(mats), index).verdict
+    assert (verdict.kind, verdict.witness) == (kind, witness)
+
+
+@pytest.mark.parametrize("theta", np.linspace(0.05, 3.1, 12))
+def test_rotated_parabolic_is_never_dominated(theta):
+    # rounding splits the conjugated defective pair by about sqrt(eps), far
+    # above WITNESS_RTOL: the witness may be lost, and the fit then leaves
+    # the family inconclusive, never dominated
+    P = rotation2(theta) @ np.array([[1.0, 1.0], [0.0, 1.0]]) @ rotation2(theta).T
+    verdict = words.is_dominated(MatrixFamily.from_matrices([P]), 1).verdict
+    assert verdict.kind in (NOT_DOMINATED, INCONCLUSIVE)
+
+
+def test_periodic_witness_matches_spectral_oracle(cross_validation_suite):
+    # the spectral test decides as the plain product of the letters'
+    # compounds does, on dominated families (no witness), on isometries (a
+    # witness), on a slowly dominated diagonal (no witness), and on a pair
+    # whose product AB is a multiple of the identity while neither letter is
     cfg = SearchConfig(max_len=8, budget=2_000, beam_width=64)
     last_power = MatrixFamily.from_matrices([np.diag([1.36, 1.0])], ["D"])
     alternating = MatrixFamily.from_matrices([np.diag([20.0, 1.0]), np.diag([1.0, 20.0])], ["A", "B"])
