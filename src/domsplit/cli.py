@@ -147,7 +147,7 @@ def _build_generator(spec) -> MatrixFamily:
         )
     if kind == "random_perturbation":
         base = load_family_dict(_required(spec, "base", what))
-        noise = _scalar(spec, "noise", 0.0, float, what)
+        noise = _scalar(spec, "noise", 0.0, float, what, least=0.0)
         seed = _scalar(spec, "seed", 0, int, what, least=0)
         copies = _scalar(spec, "copies", 1, int, what)
         # values below 1 are refused by ``perturb_family``

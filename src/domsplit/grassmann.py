@@ -229,6 +229,43 @@ def complement_frames(frames: np.ndarray) -> np.ndarray:
     return U[:, :, : d - i]
 
 
+# GEMM outputs per row block of the all-pairs kernels (``_row_blocks``):
+# 4 MB of float64, so a kernel's temporaries stay a few such blocks however
+# many pairs it takes.
+BLOCK_OUTPUTS = 2**19
+
+
+def _row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Consecutive slices covering ``rows`` rows of ``per_row`` GEMM outputs
+    each, of ``size = max(2, BLOCK_OUTPUTS // per_row)`` rows, the last one
+    also taking the remainder (at most ``2 size - 1`` rows in all).  A slice
+    is a lone row only when ``rows`` is 1, as a one-row product could take
+    another BLAS path with other rounding."""
+    size = max(2, BLOCK_OUTPUTS // max(per_row, 1))
+    count = max(1, rows // size)
+    return [slice(b * size, rows if b == count - 1 else (b + 1) * size) for b in range(count)]
+
+
+def _sine_blocks(A: np.ndarray, B: np.ndarray):
+    """``(rows, sines)`` for each row block of A, with ``sines`` the
+    ``sin_max_pairs`` of ``A[rows]`` against B, all blocks against one QR
+    complement of B."""
+    i = A.shape[2]
+    C = np.linalg.qr(B, mode="complete")[0][:, :, i:]
+    k = C.shape[2]
+    for rows in _row_blocks(len(A), len(B) * k * i):
+        # row-major over the (d - i) x i entries, each a contiguous (rows, b) array
+        entries = [A[rows, :, c] @ C[:, :, l].T for l in range(k) for c in range(i)]
+        if min(i, k) <= 1:
+            sines = np.sqrt(sum(e * e for e in entries))
+        elif i == k == 2:
+            a, b, c, d = entries
+            sines = (np.sqrt((a + d) ** 2 + (b - c) ** 2) + np.sqrt((a - d) ** 2 + (b + c) ** 2)) / 2
+        else:
+            sines = linalg.operator_norms(np.stack(entries, axis=-1).reshape(*entries[0].shape, k, i))
+        yield rows, sines
+
+
 def sin_max_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """sin(theta_max) for every pair of frames of two (n, d, i) stacks,
     shaped (a, b).
@@ -237,62 +274,28 @@ def sin_max_pairs(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     d - i columns of its complete QR factor, about five times cheaper than
     the SVD of ``complement_frames``, whose basis the ball probes need.  The
     (d - i) x i entries come from one GEMM per (frame column, complement
-    column), each a contiguous (a, b) array, and are read directly, so nearly
-    equal planes keep full precision.  sigma_1 is the root of the sum of
-    squares when min(i, d - i) <= 1 (planes that fill the space are at sine
-    0), the closed form ``(sqrt((a + d)^2 + (b - c)^2) + sqrt((a - d)^2 +
+    column) and are read directly, so nearly equal planes keep full
+    precision.  sigma_1 is the root of the sum of squares when
+    min(i, d - i) <= 1 (planes that fill the space are at sine 0), the
+    closed form ``(sqrt((a + d)^2 + (b - c)^2) + sqrt((a - d)^2 +
     (b + c)^2)) / 2`` of ``linalg.TopSingular`` for 2 x 2 entries (each term
     is non-negative, so nothing cancels, and the entries are at most 1, so
     ``sqrt`` can stand in for the slower ``hypot``), and
-    ``linalg.operator_norms`` for anything wider.  The arrays can span
-    (rows x centers), so the 2 x 2 form reuses its operands in place, and a
-    wider one runs on blocks of rows whose entries together take about one
-    (a, b) array.
+    ``linalg.operator_norms`` for anything wider.  The rows of A run in the
+    blocks of ``_row_blocks``, of about BLOCK_OUTPUTS entries each, so the
+    call holds a few blocks beside its (a, b) result, and each row's sines
+    are the same whatever block holds it.
     """
-    i = A.shape[2]
-    C = np.linalg.qr(B, mode="complete")[0][:, :, i:]
-    k = C.shape[2]
-
-    def entries(rows: np.ndarray):
-        # row-major over the (d - i) x i entries, each formed when it is read
-        return (rows[:, :, c] @ C[:, :, l].T for l in range(k) for c in range(i))
-
-    if min(i, k) <= 1:
-        total = np.zeros((len(A), len(B)))
-        for entry in entries(A):
-            entry *= entry
-            total += entry
-            del entry  # one entry alive at a time
-        return np.sqrt(total, out=total)
-    if i == k == 2:
-        a, b, c, d = entries(A)
-        top = np.add(a, d)
-        top *= top
-        other = np.subtract(b, c)
-        other *= other
-        top += other
-        np.sqrt(top, out=top)
-        a -= d
-        a *= a
-        b += c
-        b *= b
-        a += b
-        np.sqrt(a, out=a)
-        top += a
-        top *= 0.5
-        return top
     sines = np.empty((len(A), len(B)))
-    # at least two rows a block, as a one-row product could round otherwise
-    for rows in np.array_split(np.arange(len(A)), max(1, min(k * i, len(A) // 2))):
-        block = np.stack(list(entries(A[rows])), axis=-1)
-        sines[rows] = linalg.operator_norms(block.reshape(len(rows), len(B), k, i))
+    for rows, block in _sine_blocks(A, B):
+        sines[rows] = block
     return sines
 
 
 def frame_stack_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise largest principal angles between two stacks of frames."""
     sines = sin_max_pairs(A, B)
-    # rounding can take a sine past 1; in place, as the arrays can be large
+    # rounding can take a sine past 1; in place, as the (a, b) result can be large
     return np.arcsin(np.minimum(sines, 1.0, out=sines), out=sines)
 
 
@@ -312,7 +315,7 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     """``max over A of (distance to the nearest frame of B)``, and per frame
     of A an upper bound on its own nearest distance.
 
-    One GEMM on flattened projection matrices gives, for every pair,
+    A GEMM on flattened projection matrices gives, for every pair,
     ``s = i - <P_a, P_b> = sum_k sin^2(theta_k)``; at most
     ``k = min(i, d - i)`` principal angles are nonzero, so
     ``s / k <= sin^2(theta_max) <= s``.  Each row's nearest distance is then
@@ -326,11 +329,14 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     only rows that provably do not set the result.  Planes that fill the
     space (i = d) are all at distance 0.
 
-    The kernel always runs on at least two rows (a lone row twice), as a
-    one-row product could take another BLAS path with other rounding; so
-    each row's distance is the same whatever other rows the call holds.
-    The angle is monotone in the sine, so the reduction happens on the sines
-    and a single arcsine finishes the job.
+    Both the bounds and the kept rows' sines are formed and reduced row
+    block by row block (``_row_blocks``), the sines against one QR
+    complement of B, so no whole (rows x len(B)) array is held.  The kernel
+    always runs on at least two rows (a lone row twice), as a one-row
+    product could take another BLAS path with other rounding; so each row's
+    distance is the same whatever other rows the call holds.  The angle is
+    monotone in the sine, so the reduction happens on the sines and a single
+    arcsine finishes the job.
     """
     d, i = A.shape[1], A.shape[2]
     k = min(i, d - i)
@@ -338,10 +344,11 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
         return 0.0, np.zeros(A.shape[0])
     PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
     PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
-    upper = i - (PA @ PB.T).max(axis=1)
+    upper = np.concatenate([i - (PA[rows] @ PB.T).max(axis=1) for rows in _row_blocks(len(A), len(B))])
     keep = np.flatnonzero(upper >= upper.max() / k - NEAREST_PRUNE_SLACK)
-    sines = sin_max_pairs(A[np.resize(keep, max(len(keep), 2))], B)
-    worst = float(np.arcsin(min(sines.min(axis=1).max(), 1.0)))
+    kept = A[np.resize(keep, max(len(keep), 2))]
+    nearest = np.max([sines.min(axis=1).max() for _, sines in _sine_blocks(kept, B)])
+    worst = float(np.arcsin(min(nearest, 1.0)))
     return worst, np.arcsin(np.sqrt(np.clip(upper, 0.0, 1.0)))
 
 

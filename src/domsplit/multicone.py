@@ -36,11 +36,11 @@ log = logging.getLogger(__name__)
 
 # the largest attractor sizes.  The construction of a 4-d, index-2
 # family (the benchmark suite's dominated_6, 2 members; max RSS of a fresh
-# process, one BLAS thread) peaks at 63 MB with 256 words, 86 MB with
-# 1,024 and 231 MB with 2,048.  By tracemalloc, the invariance check's
-# nearest-point searches set the peak at 256 (25 MB), and the n x n
-# center distances (``frame_stack_distances``) at 1,024 (48 MB, the
-# invariance check 44 MB) and 2,048 (192 MB).  The drawn letters take 8
+# process, one BLAS thread) peaks at 48 MB with 256 words, 56 MB with
+# 1,024 and 88 MB with 2,048.  By tracemalloc, the invariance check's
+# nearest-point search sets the peak at 256 (10 MB), and the center pass's
+# search, which runs while the n x n center distances are held (32 MB at
+# 2,048), at 1,024 (18 MB) and 2,048 (43 MB).  The drawn letters take 8
 # bytes each: 164 MB for 2,048 words of 10,000.
 MAX_ATTRACTOR_WORDS = 2048
 MAX_ATTRACTOR_WORD_LEN = 10_000
@@ -91,11 +91,6 @@ class Multicone(JsonRecord):
         return replace(self.cone, frames=self.cone.frames[list(self.components[which])])
 
 
-# image-center pairs per nearest-point search in ``_center_pass`` and
-# ``strictly_invariant``; bounds the memory of one search, about 10 bytes
-# a pair (d = 4, i = 2)
-_GROUP_PAIRS = 1_000_000
-
 # Allowance, in radians, by which a (member, center) pair's bound on its
 # probe images may fall short of the value to beat and still have those
 # probes evaluated; far above the rounding of the computed distances (at
@@ -123,15 +118,6 @@ def _ball_probes(frames: np.ndarray, complements: np.ndarray, radius: float) -> 
         sign = np.where((np.arange(n) + p) % 2 == 0, 1.0, -1.0)[:, None]
         probes[:, p, :, c] = cos_r * frames[:, :, c] + sign * sin_r * complements[:, :, l]
     return probes
-
-
-def _row_chunks(rows: int, width: int) -> list[np.ndarray]:
-    """Index chunks of ``rows`` image rows, each searched against ``width``
-    centers: at most ``max(2, _GROUP_PAIRS // width)`` rows each, so a
-    search holds at most ``_GROUP_PAIRS`` pairs (``2 * width`` when width
-    exceeds half of it)."""
-    size = max(2, _GROUP_PAIRS // max(width, 1))
-    return np.array_split(np.arange(rows), max(1, math.ceil(rows / size)))
 
 
 def _inverse_norm_and_solve(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +171,7 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray, dist: np.ndarray | No
     m = family.size
     Y = np.matmul(family.stack[:, None], frames[None]).reshape(m * n, d, i)
     F = image_frames(Y)
-    searched = [nearest_angles(F[rows], frames) for rows in _row_chunks(m * n, n)]
-    worst = max(w for w, _ in searched)
-    upper = np.concatenate([u for _, u in searched])
+    worst, upper = nearest_angles(F, frames)
     complements = complement_frames(frames)
     if i < d:
         # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the
@@ -301,14 +285,16 @@ def strictly_invariant(
     (the complement frames and images of the centers, L, u, S, alpha, beta
     and the chart) is one pass over the pairs; ``build_multicone``
     computes it once, chooses its radius from it, and hands it to its one
-    call, as ``centers``.  The nearest-point search
-    (``worst_nearest_angle``) prunes its own rows by the same kind of
-    bound.
+    call, as ``centers``.  The nearest-point searches, one over the center
+    images and one over the kept probe images, each take all their rows in
+    one call (``nearest_angles``, ``worst_nearest_angle``), which prunes its
+    own rows by the same kind of bound and holds its memory to a few row
+    blocks of ``grassmann.BLOCK_OUTPUTS`` outputs.
     """
     frames = cone.frames
     if not len(frames):
         raise ValueError("cone sample must be non-empty")
-    n, d, i = frames.shape
+    _, d, i = frames.shape
     if d != family.dim:
         raise ValueError("family and cone dimensions do not match")
     if centers is None:
@@ -321,9 +307,7 @@ def strictly_invariant(
         growth = _ball_growth(centers, cone.radius)
         j, k = np.nonzero(~(centers.upper + growth < worst - PROBE_PRUNE_SLACK))
         if len(j):
-            images = _probe_images(family.stack, probes, j, k)
-            for rows in _row_chunks(len(images), n):
-                worst = max(worst, worst_nearest_angle(images[rows], frames))
+            worst = max(worst, worst_nearest_angle(_probe_images(family.stack, probes, j, k), frames))
         if len(centers.spread):
             bound = growth[:-1] + centers.spread + growth[1:]
             j, k = np.nonzero(~(bound < spread - PROBE_PRUNE_SLACK))

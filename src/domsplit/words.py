@@ -165,6 +165,8 @@ def perturb_family(family: MatrixFamily, noise: float, seed: int, copies: int = 
     """
     if copies < 1:
         raise ValueError(f"copies must be at least 1, got {copies}")
+    if not noise >= 0.0:  # NaN fails too
+        raise ValueError(f"noise must be at least 0, got {noise}")
     m, d = family.size, family.dim
     draw = np.random.default_rng(seed).uniform(-noise, noise, (m, copies, d, d))
     suffixes = ["~"] if copies == 1 else [f"~{c}" for c in range(copies)]

@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from domsplit import linalg, multicone, splitting, words
+from domsplit import linalg, splitting, words
 from domsplit.grassmann import (
     TRANSVERSALITY_TOL,
     Plane,
@@ -511,26 +511,20 @@ def adapted_metric_oracle(family, first, second, n_trunc: int, stable_sample, be
 
 def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
     """``strictly_invariant`` as one unpruned sweep: the images of every
-    center and boundary probe under every member, searched for the worst
-    nearest-center distance in member groups of at most
-    ``multicone._GROUP_PAIRS`` image-center pairs, and for a sampled curve
-    the largest distance between the images of one probe under adjacent
-    members.  The chart test passes where some center is within pi/2 - r of
-    every center (never for i = d)."""
+    center and boundary probe under every member, searched in one call for
+    the worst nearest-center distance, and for a sampled curve the largest
+    distance between the images of one probe under adjacent members.  The
+    chart test passes where some center is within pi/2 - r of every center
+    (never for i = d)."""
     frames = cone.frames
     probes = sweep_points_oracle(frames, cone.radius)
-    curve = family.source.kind == "sampled_curve"
-    worst = spread = 0.0
-    prev = None
-    group = max(1, multicone._GROUP_PAIRS // max(probes.shape[0] * frames.shape[0], 1))
-    for lo in range(0, family.size, group):
-        images = act_frames(family.stack[lo : lo + group], probes)
-        if curve:
-            for cur in images.reshape(-1, *probes.shape):
-                if prev is not None:
-                    spread = max(spread, float(np.max(grass_distance(prev, cur))))
-                prev = cur
-        worst = max(worst, worst_nearest_angle(images, frames))
+    images = act_frames(family.stack, probes)
+    worst = worst_nearest_angle(images, frames)
+    spread = 0.0
+    if family.source.kind == "sampled_curve":
+        per_member = images.reshape(-1, *probes.shape)
+        for prev, cur in zip(per_member, per_member[1:]):
+            spread = max(spread, float(np.max(grass_distance(prev, cur))))
     margin = cone.radius - worst - spread
     if cone.grass_index == frames.shape[1]:
         return False, margin

@@ -243,6 +243,8 @@ _PERTURBED_DIAG = {"kind": "random_perturbation", "base": {"dim": 2, "matrices":
             "'rotation_seed' of generator 'conjugated_diagonal' must be at least 0, got -4",
         ),
         ({"generator": {**_PERTURBED_DIAG, "seed": -7}}, "'seed' of generator 'random_perturbation' must be at least 0, got -7"),
+        # numpy's uniform refuses a negative width as "high - low < 0"
+        ({"generator": {**_PERTURBED_DIAG, "noise": -0.5}}, "'noise' of generator 'random_perturbation' must be at least 0.0, got -0.5"),
     ],
 )
 def test_malformed_spec_exits_one_with_error(spec, message, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,8 +123,10 @@ def _orthonormal_stack(raw: np.ndarray) -> np.ndarray:
 
 @st.composite
 def frame_stacks(draw):
-    """(A, B) stacks of frames in G(i, d): random, clustered around B
-    (1e-3 jitter) or exact duplicates of frames of B."""
+    """(A, B, block outputs) with A and B stacks of frames in G(i, d):
+    random, clustered around B (1e-3 jitter) or exact duplicates of frames
+    of B, and the kernels' ``BLOCK_OUTPUTS``: 1, for two-row blocks, or the
+    default."""
     i = draw(st.sampled_from((1, 2, 3)))
     d = draw(st.integers(min_value=max(2, i), max_value=5))
     n = draw(st.integers(min_value=1, max_value=40))
@@ -137,23 +140,60 @@ def frame_stacks(draw):
         A = B[rng.integers(m, size=n)].copy()
         if kind == "clustered":
             A = _orthonormal_stack(A + 1e-3 * rng.normal(size=A.shape))
-    return A, B
+    return A, B, draw(st.sampled_from((1, grassmann.BLOCK_OUTPUTS)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(frame_stacks())
 def test_worst_nearest_angle_matches_full_reduction(stacks):
-    A, B = stacks
-    got = grassmann.worst_nearest_angle(A, B)
+    A, B, block_outputs = stacks
+    default = grassmann.worst_nearest_angle(A, B), grassmann.sin_max_pairs(A, B)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grassmann, "BLOCK_OUTPUTS", block_outputs)
+        got = grassmann.worst_nearest_angle(A, B)
+        worst, upper = grassmann.nearest_angles(A, B)
+        sines = grassmann.sin_max_pairs(A, B)
+    # the row blocks change no bit of the sines, on every branch of the
+    # kernel, and so none of the worst distance; the upper bounds, GEMMs
+    # over d^2 entries, can round otherwise in a block's last rows and are
+    # only held to bound
+    assert worst == got == default[0]
+    assert np.array_equal(sines, default[1])
     want = brute_force_worst_nearest_angle(A, B)
     assert abs(math.cos(got) - math.cos(want)) <= 1e-9
     assert abs(got - want) <= 2e-7
     # the per-row upper bounds from the same projection GEMM hold, up to
     # the rounding of s near zero
-    worst, upper = grassmann.nearest_angles(A, B)
-    assert worst == got
     nearest = np.array([brute_force_worst_nearest_angle(A[a : a + 1], B) for a in range(len(A))])
     assert np.all(upper >= nearest - 1e-7)
+
+
+@pytest.mark.parametrize(
+    "per_row", [1, grassmann.BLOCK_OUTPUTS // 300, grassmann.BLOCK_OUTPUTS // 3, grassmann.BLOCK_OUTPUTS]
+)
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 5, 301, 1_000])
+def test_row_blocks_cover_rows_in_bounded_slices(rows, per_row):
+    # the slices cover every row once, in order, each of size to
+    # 2 size - 1 rows (fewer only when all rows fit in one), so a block
+    # holds at most about BLOCK_OUTPUTS outputs and is never a lone row
+    # among several
+    size = max(2, grassmann.BLOCK_OUTPUTS // per_row)
+    blocks = grassmann._row_blocks(rows, per_row)
+    assert np.array_equal(np.concatenate([np.arange(rows)[b] for b in blocks]), np.arange(rows))
+    assert all(min(rows, size) <= b.stop - b.start <= 2 * size - 1 for b in blocks)
+
+
+def test_frame_stack_distances_peak_memory_stays_near_its_result():
+    # the kernel's temporaries are a few row blocks, not several (a, b)
+    # arrays: 1,024 frames against themselves make an 8 MB result
+    A = _orthonormal_stack(np.random.default_rng(9).normal(size=(1024, 4, 2)))
+    tracemalloc.start()
+    try:
+        grassmann.frame_stack_distances(A, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 1024 * 1024 * 8
 
 
 def test_transverse_examples():

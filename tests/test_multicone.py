@@ -25,7 +25,7 @@ from oracles import (
     union_find_components,
 )
 
-from domsplit import multicone, words
+from domsplit import grassmann, multicone, words
 from domsplit.example4d import axis_plane
 from domsplit.errors import MulticoneConstructionError
 from domsplit.grassmann import (
@@ -108,27 +108,14 @@ def test_strictly_invariant_spread_allowance_only_for_curves():
     assert margin_s < margin_e
 
 
-@pytest.mark.parametrize(
-    "width", [1, multicone._GROUP_PAIRS // 300, multicone._GROUP_PAIRS // 3, multicone._GROUP_PAIRS]
-)
-@pytest.mark.parametrize("rows", [1, 2, 3, 5, 301, 1_000])
-def test_row_chunks_hold_a_search_to_group_pairs(rows, width):
-    # the chunks cover every row once, in order, and none is longer than
-    # max(2, _GROUP_PAIRS // width) rows, so a search holds at most
-    # _GROUP_PAIRS image-center pairs, or 2 * width
-    chunks = multicone._row_chunks(rows, width)
-    assert np.array_equal(np.concatenate(chunks), np.arange(rows))
-    assert max(len(c) for c in chunks) <= max(2, multicone._GROUP_PAIRS // width)
-
-
-# 5,000,000 pairs, like the default, put every pair of this small case in
-# one search
-@pytest.mark.parametrize("group_pairs", [1, 2_000, 5_000_000])
+# a block of 1 output gives two-row blocks; 5,000,000 outputs put every row
+# of this small case in one block, as the default does
+@pytest.mark.parametrize("block_outputs", [1, 2_000, 5_000_000])
 @pytest.mark.parametrize("dim, index", [(2, 1), (4, 2)])
-def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pairs, dim, index):
-    # the spread taken from the member images inside the grouped sweep equals
-    # the standalone adjacent-member loop exactly, whatever the grouping; an
-    # explicit family with the same members gets no spread
+def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, block_outputs, dim, index):
+    # the spread taken from the member images inside the sweep equals the
+    # standalone adjacent-member loop exactly, whatever the kernels' row
+    # blocks; an explicit family with the same members gets no spread
     rng = np.random.default_rng(5)
     base = np.diag(np.geomspace(4.0, 1.0, dim))
     gen = rng.normal(size=(dim, dim))
@@ -144,7 +131,7 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
         Plane.from_spanning(top.frame + 0.1 * rng.normal(size=(dim, index))) for _ in range(12)
     )
     cone = ConeSample(index, pts, 0.3)
-    monkeypatch.setattr(multicone, "_GROUP_PAIRS", group_pairs)
+    monkeypatch.setattr(grassmann, "BLOCK_OUTPUTS", block_outputs)
     _, margin_e = strictly_invariant(explicit, cone)
     _, margin_s = strictly_invariant(sampled, cone)
 
@@ -160,7 +147,7 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, group_pa
 
 @st.composite
 def invariance_cases(draw):
-    """(family, cone, group size) for the pruned sweep against the unpruned
+    """(family, cone, block size) for the pruned sweep against the unpruned
     one.
 
     Planes are i-planes of R^d with 2 <= d <= 5 and i <= d (so i = d too);
@@ -170,8 +157,8 @@ def invariance_cases(draw):
     direction, so that ``beta tan r >= 1`` leaves some pairs with no growth
     bound; the source is explicit or a sampled curve.  Centers
     jitter around the top coordinate plane (none: all equal), the radius is
-    zero or positive, and the nearest searches run in groups of the default
-    size or of a single pair.
+    zero or positive, and the all-pairs kernels run in row blocks of the
+    default size (``grassmann.BLOCK_OUTPUTS``) or of two rows.
     """
     i = draw(st.sampled_from((1, 2, 3)))
     d = draw(st.integers(min_value=max(i, 2), max_value=5))
@@ -181,7 +168,7 @@ def invariance_cases(draw):
     radius = draw(st.sampled_from((0.0, 0.02, 0.15, 0.5)))
     jitter = draw(st.sampled_from((0.0, 0.05, 0.3)))
     collapse = draw(st.sampled_from((None, 1e-3)))
-    group_pairs = draw(st.sampled_from((1, multicone._GROUP_PAIRS)))
+    block_outputs = draw(st.sampled_from((1, grassmann.BLOCK_OUTPUTS)))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     gen = rng.normal(size=(d, d))
     gen = 0.1 * (gen - gen.T)
@@ -194,7 +181,7 @@ def invariance_cases(draw):
     source = words.FamilySource(kind="sampled_curve" if curve else "explicit", sample_count=members)
     family = MatrixFamily.from_matrices(mats, labels, source)
     frames = np.linalg.qr(np.eye(d)[:, :i] + jitter * rng.normal(size=(n, d, i)))[0]
-    return family, ConeSample(i, frames, radius), group_pairs
+    return family, ConeSample(i, frames, radius), block_outputs
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -202,9 +189,9 @@ def invariance_cases(draw):
 def test_strictly_invariant_matches_unpruned_sweep(case):
     # the pruned sweep gives the verdict and margin of evaluating every
     # probe, bit for bit, with the center pass computed inside or handed in
-    family, cone, group_pairs = case
+    family, cone, block_outputs = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(multicone, "_GROUP_PAIRS", group_pairs)
+        mp.setattr(grassmann, "BLOCK_OUTPUTS", block_outputs)
         want = brute_force_strictly_invariant(family, cone)
         assert strictly_invariant(family, cone) == want
         centers = multicone._center_pass(family, cone.frames)

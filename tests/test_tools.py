@@ -1,4 +1,4 @@
-"""The output comparison and digest tools on small trees."""
+"""The output comparison, digest, line-count and peak-memory tools on small inputs."""
 
 import json
 import sys
@@ -9,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 
 import compare_outputs  # noqa: E402
+import peak_memory  # noqa: E402
 import src_lines  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,6 +168,19 @@ def test_src_lines_counts_code_lines_only(tmp_path, capsys):
     assert src_lines.main([str(tmp_path / "pkg")]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "lines", "code"], ["planted.py", "11", "3"], ["total", "11", "3"]]
+
+
+@pytest.mark.parametrize("head_peak, code", [(16.0, 0), (16.1, 0), (16.101, 1), (3.0, 0)])
+def test_peak_compare_fails_only_above_the_allowance(head_peak, code, tmp_path, capsys):
+    # a head peak more than 0.1 MB above its base fails, whatever the other
+    # workloads do; a workload the base lacks is not compared
+    base = tmp_path / "base.txt"
+    head = tmp_path / "head.txt"
+    base.write_text("gap_suite  16.000 MB  (23 of 23 operations ok)\nexample4d  18.363 MB  (1 of 1 operations ok)\n")
+    head.write_text(f"gap_suite  {head_peak:.3f} MB\nexample4d  17.002 MB\nnew_workload  99.000 MB\n")
+    assert peak_memory.main(["--compare", str(base), str(head)]) == code
+    out = capsys.readouterr().out
+    assert ("gap_suite: tracemalloc peak 16.000 ->" in out) == bool(code)
 
 
 def _refuse_constant(name):

@@ -620,3 +620,9 @@ def test_perturb_family_deterministic():
 def test_perturb_family_rejects_copies_below_one(copies):
     with pytest.raises(ValueError, match=f"copies must be at least 1, got {copies}"):
         words.perturb_family(scaled_rotation_pair(), 1e-3, seed=5, copies=copies)
+
+
+@pytest.mark.parametrize("noise", [-1e-3, math.nan])
+def test_perturb_family_rejects_negative_noise(noise):
+    with pytest.raises(ValueError, match=f"noise must be at least 0, got {noise}"):
+        words.perturb_family(scaled_rotation_pair(), noise, seed=5)

@@ -3,6 +3,7 @@
 Run from a checkout:
 
     python tools/peak_memory.py [TREE] [--workload NAME]
+    python tools/peak_memory.py --compare BASE HEAD
 
 ``TREE`` defaults to this checkout.  The workloads are those of
 ``TREE/bench/workloads.py``, run on ``TREE/src/`` at workload seed 0, and
@@ -15,6 +16,10 @@ numpy buffers made during the pass), and how many of its operations passed
 their check.  Unlike the benchmark's ``peak_rss_mb``, the peak does not
 move with heap layout, so a change of a few KB at the peak shows; tracing
 every allocation makes the pass several times slower.
+
+``--compare`` reads two files of such lines, the output at a base and at a
+head, names every workload whose head peak exceeds its base peak by more
+than ``ALLOWANCE_MB``, and exits with status 1 if there is one.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
+# the most a workload's peak may grow under ``--compare``: the benchmark's
+# peak_rss_mb bound
+ALLOWANCE_MB = 0.1
 
 
 def _one_pass(workload, outdir: Path, workloads):
@@ -61,11 +69,33 @@ def _measure(tree: Path, name: str, workloads) -> None:
     print(f"{name:16s} {peak / 2**20:9.3f} MB  ({ok} of {len(result.ops)} operations ok)", flush=True)
 
 
+def _peaks(path: Path) -> dict[str, float]:
+    return {line.split()[0]: float(line.split()[1]) for line in path.read_text().splitlines()}
+
+
+def compare(base: Path, head: Path) -> int:
+    """Print each workload of both peak files whose head peak exceeds its
+    base peak by more than ALLOWANCE_MB; 1 if one does, else 0."""
+    before, after = _peaks(base), _peaks(head)
+    worse = [name for name in after if name in before and after[name] > before[name] + ALLOWANCE_MB]
+    for name in worse:
+        print(
+            f"{name}: tracemalloc peak {before[name]:.3f} -> {after[name]:.3f} MB, "
+            f"more than {ALLOWANCE_MB} MB above the base"
+        )
+    return 1 if worse else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", nargs="?", type=Path, default=ROOT)
     parser.add_argument("--workload", help="measure only this workload, in this process")
+    parser.add_argument(
+        "--compare", nargs=2, type=Path, metavar=("BASE", "HEAD"), help="compare two files of peak lines instead"
+    )
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        return compare(*args.compare)
     tree = args.tree.resolve()
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
