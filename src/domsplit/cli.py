@@ -48,8 +48,9 @@ def _write_atomic(path: Path, data: str) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    # strict JSON: a NaN or inf that no field writes as null raises here
-    _write_atomic(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    # one line of strict JSON: a NaN or inf that no field writes as null
+    # raises here; without indent, json uses its C encoder
+    _write_atomic(path, json.dumps(payload, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
@@ -252,8 +253,8 @@ def cmd_splitting(args) -> int:
     if past_len is None:
         past_len = splitting.default_window_length(family, args.index, args.word_seed)
     future_len = past_len if args.future_len is None else args.future_len
-    past = tuple(int(j) for j in rng.integers(family.size, size=past_len))
-    future = tuple(int(j) for j in rng.integers(family.size, size=future_len))
+    past = tuple(rng.integers(family.size, size=past_len).tolist())
+    future = tuple(rng.integers(family.size, size=future_len).tolist())
     estimate = splitting.splitting_from_window(family, past, future, args.index)
     check = splitting.verify_domination(family, estimate, future)
     out = Path(args.out)

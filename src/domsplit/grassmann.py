@@ -154,11 +154,11 @@ class ConeSample:
 
     def csv_rows(self) -> list[list]:
         """One row per frame column: point index, column index, then entries."""
-        rows = []
-        for idx, frame in enumerate(self.frames):
-            for col in range(frame.shape[1]):
-                rows.append([idx, col] + [repr(float(x)) for x in frame[:, col]])
-        return rows
+        return [
+            [idx, col, *map(repr, column)]
+            for idx, frame in enumerate(np.swapaxes(self.frames, 1, 2).tolist())
+            for col, column in enumerate(frame)
+        ]
 
 
 def act(matrix, plane: Plane) -> Plane:

@@ -218,10 +218,10 @@ def verify_domination(family: MatrixFamily, estimate: SplittingEstimate, word) -
     envelope_intercept = float(np.max(yf - tail_slope * xf))
     passes = bool(tail_slope < -SLOPE_MARGIN and global_slope < -SLOPE_MARGIN)
     with np.errstate(over="ignore"):
-        curve = tuple(float(np.exp(v)) for v in log_curve)
+        curve = tuple([float(np.exp(v)) for v in log_curve])
     return DominationCheck(
         ratio_curve=curve,
-        log_ratio_curve=tuple(float(v) for v in log_curve),
+        log_ratio_curve=tuple([float(v) for v in log_curve]),
         passes=passes,
         fitted_slope=float(tail_slope),
         fitted_intercept=envelope_intercept,

@@ -145,7 +145,7 @@ class MatrixFamily:
         )
 
     def word_labels(self, word: Word) -> tuple[str, ...]:
-        return tuple(self.labels[j] for j in word)
+        return tuple([self.labels[j] for j in word])
 
     @cached_property
     def compound_banks(self) -> dict[int, np.ndarray]:
@@ -184,7 +184,10 @@ def _validate_word(family: MatrixFamily, word) -> Word:
     # as in the batch path, a letter is an integer (not a bool) of 0..m-1
     if any(isinstance(j, bool) or not isinstance(j, (int, np.integer)) or not 0 <= j < family.size for j in w):
         raise ValueError("word contains an invalid member index")
-    return tuple(int(j) for j in w)
+    # from a list, not a generator: CPython builds a generator's tuple at a
+    # guessed length and resizes it, so the freed tuple joins the free list
+    # of another length, which only a full collection empties
+    return tuple([int(j) for j in w])
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ def _rescaled(P: np.ndarray, log_scale: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _gap_orders(index: int, d: int) -> tuple[int, ...]:
     """The compound orders that ``log(sigma_{index+1} / sigma_index)`` reads:
     index - 1, index and index + 1, those of them in 1..d."""
-    return tuple(k for k in (index - 1, index, index + 1) if 1 <= k <= d)
+    return tuple([k for k in (index - 1, index, index + 1) if 1 <= k <= d])
 
 
 def _compound_log_walk(family: MatrixFamily, word, suffix: bool, orders=None) -> np.ndarray:

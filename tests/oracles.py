@@ -34,6 +34,9 @@ invariance sweep without its ball-growth pruning: every boundary probe of
 every center under every member, with the same probes, image map and
 distance kernels, so the two must agree bit for bit; its chart test reads
 the same all-pairs distances.
+``cone_csv_rows_oracle`` is the per-entry loop that wrote a cone's CSV rows
+before they were read off one ``tolist()``, so the two must agree byte for
+byte.
 ``family_matrix_oracle`` is the example's per-parameter construction: each
 plane's line, lift and frame built alone, from 1-D vector norms and one
 single-matrix SVD, inverse and product at a time.  ``family_arrays_oracle``
@@ -530,6 +533,16 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
         return False, margin
     reach = frame_stack_distances(frames, frames).max(axis=1)
     return margin > 0.0 and bool(np.any(reach + cone.radius < math.pi / 2)), margin
+
+
+def cone_csv_rows_oracle(frames: np.ndarray) -> list[list]:
+    """``ConeSample.csv_rows`` entry by entry: each numpy entry converted
+    by ``float`` and written by ``repr``."""
+    rows = []
+    for idx, frame in enumerate(frames):
+        for col in range(frame.shape[1]):
+            rows.append([idx, col] + [repr(float(x)) for x in frame[:, col]])
+    return rows
 
 
 def family_matrix_oracle(t: float, lam: float) -> np.ndarray:

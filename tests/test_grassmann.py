@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     brute_force_worst_nearest_angle,
+    cone_csv_rows_oracle,
     grass_distance_oracle,
     line_trace_oracle,
     random_invertible,
@@ -369,6 +370,17 @@ def test_cone_sample_from_planes_equals_stack():
     assert np.array_equal(b.frames, a.frames)
     back = ConeSample.from_json_dict(json.loads(json.dumps(b.to_json_dict())))
     assert np.array_equal(back.frames, a.frames)
+
+
+@pytest.mark.parametrize("n", [0, 1, 300])
+@pytest.mark.parametrize("i, d", [(i, d) for i in (1, 2, 3) for d in range(i + 1, 6)])
+def test_cone_csv_rows_match_per_entry_loop(i, d, n):
+    # n = 0 is the empty cone, whose frames are a (0, 0, i) stack
+    rng = np.random.default_rng(100 * i + 10 * d + n)
+    cone = ConeSample(i, grassmann.orthonormal_frames(rng.normal(size=(n, d, i))), 0.1)
+    rows = cone.csv_rows()
+    assert len(rows) == n * i
+    assert rows == cone_csv_rows_oracle(cone.frames)
 
 
 def test_cone_sample_rejects_bad_stacks():

@@ -148,6 +148,17 @@ def test_json_writer_refuses_nan(tmp_path):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_json_writer_writes_one_line(tmp_path):
+    # one line of JSON and a newline, even with a newline inside a string,
+    # and it reloads equal to the payload
+    payload = {"radius": 0.1, "tiny": 5e-324, "zero": -0.0, "count": 3, "passed": True,
+               "note": "a\nb", "missing": None, "frames": [[[1.0, 0.0]], [[-0.6, 0.8]]], "nested": {"x": []}}
+    cli._write_json(tmp_path / "x.json", payload)
+    text = (tmp_path / "x.json").read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text) == payload
+
+
 @pytest.fixture()
 def full_example_report():
     """A hand-built report with every nested record present."""

@@ -53,7 +53,7 @@ def test_identical_trees_are_same(tmp_path):
     lines, moved = _report(tmp_path, BASE, BASE)
     assert not moved
     assert all(line.startswith("same") for line in lines[:-1])
-    assert lines[-1] == "4 same, 0 changed, 0 added, 0 removed; 0 gate changes"
+    assert lines[-1] == "4 same, 0 layout, 0 changed, 0 added, 0 removed; 0 gate changes"
 
 
 def test_numeric_moves_report_largest_difference(tmp_path):
@@ -93,7 +93,7 @@ def test_gate_values_and_file_sets_are_flagged(tmp_path):
     assert "GATE passed: True -> False" in text
     assert "GATE verdict.kind: 'dominated' -> 'inconclusive'" in text
     assert "removed  run/table.csv" in text and "added    new.json" in text
-    assert lines[-1] == "0 same, 3 changed, 1 added, 1 removed; 4 gate changes"
+    assert lines[-1] == "0 same, 0 layout, 3 changed, 1 added, 1 removed; 4 gate changes"
 
 
 @pytest.mark.parametrize("key", ["passed", "lambda"])
@@ -104,7 +104,7 @@ def test_dropped_gate_key_is_a_gate_change(key, tmp_path, capsys):
     assert compare_outputs.main([str(tmp_path / "parent"), str(tmp_path / "change")]) == 1
     out = capsys.readouterr().out
     assert "    GATE keys ['lambda', 'margin', 'passed'] -> " in out
-    assert out.splitlines()[-1] == "3 same, 1 changed, 0 added, 0 removed; 1 gate changes"
+    assert out.splitlines()[-1] == "3 same, 0 layout, 1 changed, 0 added, 0 removed; 1 gate changes"
 
 
 def test_dropped_plain_key_is_discrete(tmp_path, capsys):
@@ -116,7 +116,22 @@ def test_dropped_plain_key_is_discrete(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "    discrete keys ['components', 'note', 'radius', 'semiconvexity_audit', 'verdict'] -> " in out
     assert "GATE" not in out
-    assert out.splitlines()[-1] == "3 same, 1 changed, 0 added, 0 removed; 0 gate changes"
+    assert out.splitlines()[-1] == "3 same, 0 layout, 1 changed, 0 added, 0 removed; 0 gate changes"
+
+
+def test_layout_only_changes_are_layout(tmp_path):
+    # the same values written with an indent are layout; a moved float in
+    # the re-indented file is still changed
+    indented = json.dumps(BASE["run/multicone.json"], indent=2)
+    lines, moved = _report(tmp_path, BASE, dict(BASE, **{"run/multicone.json": indented}))
+    assert not moved
+    assert "layout   run/multicone.json" in lines
+    assert lines[-1] == "3 same, 1 layout, 0 changed, 0 added, 0 removed; 0 gate changes"
+    shifted = json.dumps(dict(BASE["run/multicone.json"], radius=0.0087), indent=2)
+    lines, moved = _report(tmp_path / "moved", BASE, dict(BASE, **{"run/multicone.json": shifted}))
+    assert not moved
+    assert "changed  run/multicone.json  max|delta| 1e-05 at radius" in lines
+    assert lines[-1] == "3 same, 0 layout, 1 changed, 0 added, 0 removed; 0 gate changes"
 
 
 def _output_digest(monkeypatch):

@@ -6,8 +6,10 @@ Run from a checkout, with the trees kept by the digest tool:
     python tools/output_digest.py /path/to/change_tree   # in this checkout
     python tools/compare_outputs.py /path/to/parent_tree /path/to/change_tree
 
-One line per file says ``same``, ``changed``, ``added`` or ``removed``.  A
-changed file also gives the largest absolute difference between its
+One line per file says ``same``, ``layout``, ``changed``, ``added`` or
+``removed``.  A ``layout`` file differs in its bytes only: no number,
+discrete value or gate value moved (JSON written with another indent, say).
+A changed file also gives the largest absolute difference between its
 numbers, and where it is.  JSON files are compared value by value; other
 files line by line, with the numbers in each line or string compared as
 numbers and the text around them as text.  Integers (indices, counts,
@@ -135,7 +137,7 @@ def compare_trees(parent: Path, change: Path) -> tuple[list[str], bool]:
 
     old_files, new_files = files(parent), files(change)
     lines: list[str] = []
-    counts = {"same": 0, "changed": 0, "added": 0, "removed": 0}
+    counts = {"same": 0, "layout": 0, "changed": 0, "added": 0, "removed": 0}
     gate_moves = 0
     for rel in sorted(old_files | new_files):
         if rel not in new_files:
@@ -147,8 +149,9 @@ def compare_trees(parent: Path, change: Path) -> tuple[list[str], bool]:
             if old == new:
                 status, detail = "same", []
             else:
-                status = "changed"
                 diff = compare_file(rel, old, new)
+                moved = diff.max_at is not None or diff.changes or diff.gate
+                status = "changed" if moved else "layout"
                 gate_moves += len(diff.gate)
                 if diff.max_at is not None:
                     rel = f"{rel}  max|delta| {diff.max_delta:.3g} at {diff.max_at or '(top)'}"

@@ -132,7 +132,7 @@ def run_all(out: Path) -> None:
     for name, perturbed in (("verify_example", False), ("verify_example_perturbed", True)):
         config = example4d.ExampleConfig(grid_n=40, attractor_words=128, run_perturbed=perturbed)
         report = example4d.verify_example(config=config)
-        (out / f"{name}.json").write_text(json.dumps(report.to_json_dict(), indent=2))
+        cli._write_json(out / f"{name}.json", report.to_json_dict())
 
     for seed in (0, 3):
         specs = out / f"suite_seed{seed}_specs"
