@@ -26,7 +26,7 @@ from .linalg import (
     principal_angles,
     singular_spectrum,
 )
-from .multicone import Multicone, MulticoneConfig, build_multicone, strictly_invariant
+from .multicone import Multicone, build_multicone, strictly_invariant
 from .splitting import SplittingEstimate, splitting_from_window, verify_domination
 from .words import (
     GapReport,
@@ -48,7 +48,6 @@ __all__ = [
     "IllDefinedSplittingError",
     "MatrixFamily",
     "Multicone",
-    "MulticoneConfig",
     "MulticoneConstructionError",
     "NumericalError",
     "Plane",

@@ -211,13 +211,8 @@ def cmd_check(args) -> int:
 
 def cmd_multicone(args) -> int:
     family = load_family_spec(args.input)
-    config = multicone.MulticoneConfig(
-        attractor_word_len=args.word_len,
-        attractor_words=args.words,
-        attractor_rng_seed=args.seed,
-    )
     try:
-        mc = multicone.build_multicone(family, args.index, config)
+        mc = multicone.build_multicone(family, args.index, args.words)
     except MulticoneConstructionError as exc:
         print(f"no certificate: {exc}", file=sys.stderr)
         for name, value in exc.parts.items():
@@ -234,27 +229,14 @@ def cmd_multicone(args) -> int:
     return EXIT_OK
 
 
-# the longest window words: on a 4-d family, 100,000 letters peak near
-# 100 MB and take about 4 s, both growing linearly with the length
-MAX_WINDOW_LEN = 100_000
-
-
 def cmd_splitting(args) -> int:
     family = load_family_spec(args.input)
-    for flag, value in (("--past-len", args.past_len), ("--future-len", args.future_len)):
-        if value is not None and value < 1:
-            raise ValueError(f"{flag} must be at least 1, got {value}")
-        if value is not None and value > MAX_WINDOW_LEN:
-            raise ValueError(f"{flag} must be from 1 to {MAX_WINDOW_LEN}, got {value}")
     if args.word_seed < 0:
         raise ValueError(f"--word-seed must be at least 0, got {args.word_seed}")
     rng = np.random.default_rng(args.word_seed)
-    past_len = args.past_len
-    if past_len is None:
-        past_len = splitting.default_window_length(family, args.index, args.word_seed)
-    future_len = past_len if args.future_len is None else args.future_len
-    past = tuple(rng.integers(family.size, size=past_len).tolist())
-    future = tuple(rng.integers(family.size, size=future_len).tolist())
+    length = splitting.default_window_length(family, args.index, args.word_seed)
+    past = tuple(rng.integers(family.size, size=length).tolist())
+    future = tuple(rng.integers(family.size, size=length).tolist())
     estimate = splitting.splitting_from_window(family, past, future, args.index)
     check = splitting.verify_domination(family, estimate, future)
     out = Path(args.out)
@@ -292,11 +274,21 @@ def cmd_example4d(args) -> int:
     return EXIT_NOT_DOMINATED
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose refusals (an unknown flag, a value of the
+    wrong type, a missing argument) are errors that ``main`` reports and
+    exits 1 on: argparse's own exit 2 is the not-dominated code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 # built once per process: ``main`` may run many times in one, and parsing
 # leaves the parser unchanged
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="domsplit",
         description="Decide and certify domination for compact sets of invertible matrices.",
     )
@@ -313,22 +305,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_check)
 
-    # the attractor settings, with the library's defaults
-    attractor = multicone.MulticoneConfig()
     p = sub.add_parser("multicone", help="build a strictly invariant multicone")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--word-len", type=int, default=attractor.attractor_word_len)
-    p.add_argument("--words", type=int, default=attractor.attractor_words)
-    p.add_argument("--seed", type=int, default=attractor.attractor_rng_seed)
+    p.add_argument("--words", type=int, default=multicone.ATTRACTOR_WORDS)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_multicone)
 
     p = sub.add_parser("splitting", help="estimate and verify a splitting from windows")
     p.add_argument("input")
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--past-len", type=int, default=None)
-    p.add_argument("--future-len", type=int, default=None)
     p.add_argument("--word-seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_splitting)
@@ -344,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except json.JSONDecodeError as exc:
         print(f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)

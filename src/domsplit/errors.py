@@ -8,10 +8,6 @@ class DomsplitError(Exception):
 class NumericalError(DomsplitError):
     """A numerical routine failed to converge or produced invalid output."""
 
-    def __init__(self, message: str, label: str | None = None):
-        super().__init__(message if label is None else f"{message} [{label}]")
-        self.label = label
-
 
 class SingularMatrixError(DomsplitError, ValueError):
     """Input matrix is singular, or numerically indistinguishable from singular."""

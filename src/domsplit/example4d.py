@@ -28,7 +28,7 @@ from .grassmann import (
     projectivize,
 )
 from .jsonio import JsonRecord
-from .multicone import MulticoneConfig, build_multicone, strictly_invariant
+from .multicone import build_multicone, check_attractor_words, strictly_invariant
 from .words import FamilySource, MatrixFamily, SearchConfig
 
 CURVE_DOMAIN = (0.0, math.pi)
@@ -252,7 +252,7 @@ class ExampleConfig:
         if not 1 <= self.grid_n <= MAX_GRID_N:
             raise ValueError(f"grid_n must be from 1 to {MAX_GRID_N}, got {self.grid_n}")
         # refuses a sample size out of range here, not after the lambda scan
-        MulticoneConfig(attractor_words=self.attractor_words)
+        check_attractor_words(self.attractor_words)
 
 
 @dataclass(frozen=True)
@@ -395,9 +395,8 @@ def _run_side(
     # the multicone is certified on the refined sampling; the gap verdict
     # above, on the coarse family, is the side's own stage, which the
     # build does not run
-    mc_cfg = MulticoneConfig(attractor_words=cfg.attractor_words)
     try:
-        cone = build_multicone(refined_family, 2, mc_cfg)
+        cone = build_multicone(refined_family, 2, cfg.attractor_words)
     except DomsplitError as exc:  # construction failure is a reportable outcome
         return replace(failed, failing_stage=f"multicone: {exc}")
 

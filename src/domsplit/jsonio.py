@@ -24,6 +24,7 @@ witness's member labels to the codec's output.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import types
 import typing
@@ -35,6 +36,12 @@ from .grassmann import Plane
 
 def _key(f: dataclasses.Field) -> str:
     return f.metadata.get("key", f.name)
+
+
+# read once per record class: ``dataclasses.fields`` builds a new tuple,
+# and ``get_type_hints`` evaluates every annotation, on each call
+_fields = functools.cache(dataclasses.fields)
+_hints = functools.cache(typing.get_type_hints)
 
 
 def encode(value):
@@ -73,7 +80,7 @@ class JsonRecord:
 
     def to_json_dict(self) -> dict:
         out = {}
-        for f in dataclasses.fields(self):
+        for f in _fields(type(self)):
             value = getattr(self, f.name)
             null_as = f.metadata.get("null_as")
             null = null_as is not None and (value == null_as or math.isnan(null_as) and math.isnan(value))
@@ -82,9 +89,9 @@ class JsonRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict):
-        hints = typing.get_type_hints(cls)
+        hints = _hints(cls)
         kwargs = {}
-        for f in dataclasses.fields(cls):
+        for f in _fields(cls):
             if _key(f) not in data:
                 continue
             value = data[_key(f)]

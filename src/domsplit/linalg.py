@@ -198,13 +198,13 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(top_singular_values(gram_matrices(stack if p < q else np.swapaxes(stack, -1, -2))))
 
 
-def singular_values(matrix, label: str | None = None) -> np.ndarray:
+def singular_values(matrix) -> np.ndarray:
     """Singular values of a square matrix, sorted non-increasing."""
     M = as_square(matrix)
     try:
         return np.linalg.svd(M, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular value computation failed", label=label) from exc
+        raise NumericalError("singular value computation failed") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +251,7 @@ def check_invertible(matrix, label=None) -> np.ndarray:
     try:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError("singular value computation failed", label=label if single else None) from exc
+        raise NumericalError("singular value computation failed") from exc
     bad = np.flatnonzero(s[:, -1] <= INVERTIBILITY_RTOL * s[:, 0])
     if bad.size:
         j = bad[0]

@@ -34,36 +34,25 @@ from .words import MatrixFamily
 log = logging.getLogger(__name__)
 
 
-# the largest attractor sizes.  The construction of a 4-d, index-2
+# the attractor of ``build_multicone``: words of ATTRACTOR_WORD_LEN letters,
+# ATTRACTOR_WORDS of them unless the caller asks for another count, drawn
+# with ``attractor``'s default seed
+ATTRACTOR_WORD_LEN = 40
+ATTRACTOR_WORDS = 256
+# the largest attractor size.  The construction of a 4-d, index-2
 # family (the benchmark suite's dominated_6, 2 members; max RSS of a fresh
 # process, one BLAS thread) peaks at 48 MB with 256 words, 56 MB with
 # 1,024 and 88 MB with 2,048.  By tracemalloc, the invariance check's
 # nearest-point search sets the peak at 256 (10 MB), and the center pass's
 # search, which runs while the n x n center distances are held (32 MB at
-# 2,048), at 1,024 (18 MB) and 2,048 (43 MB).  The drawn letters take 8
-# bytes each: 164 MB for 2,048 words of 10,000.
+# 2,048), at 1,024 (18 MB) and 2,048 (43 MB).
 MAX_ATTRACTOR_WORDS = 2048
-MAX_ATTRACTOR_WORD_LEN = 10_000
 
 
-@dataclass(frozen=True)
-class MulticoneConfig:
-    """Settings of ``build_multicone``: its attractor is ``attractor_words``
-    words of ``attractor_word_len`` letters drawn with ``attractor_rng_seed``.
-    """
-
-    attractor_word_len: int = 40
-    attractor_words: int = 256
-    attractor_rng_seed: int = 2024
-
-    def __post_init__(self):
-        # refused here, before the construction runs
-        for name, cap in (("attractor_words", MAX_ATTRACTOR_WORDS), ("attractor_word_len", MAX_ATTRACTOR_WORD_LEN)):
-            value = getattr(self, name)
-            if not 1 <= value <= cap:
-                raise ValueError(f"{name} must be from 1 to {cap}, got {value}")
-        if self.attractor_rng_seed < 0:
-            raise ValueError(f"attractor_rng_seed must be at least 0, got {self.attractor_rng_seed}")
+def check_attractor_words(count: int) -> None:
+    """Refuse an attractor size outside 1..MAX_ATTRACTOR_WORDS."""
+    if not 1 <= count <= MAX_ATTRACTOR_WORDS:
+        raise ValueError(f"attractor_words must be from 1 to {MAX_ATTRACTOR_WORDS}, got {count}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,7 +469,7 @@ def _best_radius(centers: _CenterPass, lo: float, hi: float) -> tuple[float, flo
     return best, bound
 
 
-def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | None = None) -> Multicone:
+def build_multicone(family: MatrixFamily, index: int, attractor_words: int = ATTRACTOR_WORDS) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
 
     The radius r maximizes the closed-form bound on the invariance margin,
@@ -510,14 +499,8 @@ def build_multicone(family: MatrixFamily, index: int, config: MulticoneConfig | 
     distance <= 2r fall in one component.  The component gap is the
     smallest distance between components less 2r, so it is always positive.
     """
-    cfg = config or MulticoneConfig()
-    cloud = attractor(
-        family,
-        index,
-        cfg.attractor_word_len,
-        word_count=cfg.attractor_words,
-        rng_seed=cfg.attractor_rng_seed,
-    )
+    check_attractor_words(attractor_words)
+    cloud = attractor(family, index, ATTRACTOR_WORD_LEN, word_count=attractor_words)
     frames = cloud.frames
     if not len(frames):
         raise MulticoneConstructionError("attractor sample is empty", parts={})

@@ -99,10 +99,6 @@ def test_check_short_max_len_refused_before_search(diag_spec, tmp_path, capsys, 
         ("check", "--beam", "0", "beam_width must be at least 1, got 0"),
         ("check", "--beam", "-3", "beam_width must be at least 1, got -3"),
         ("multicone", "--words", "0", f"attractor_words must be from 1 to {multicone.MAX_ATTRACTOR_WORDS}, got 0"),
-        ("multicone", "--seed", "-1", "attractor_rng_seed must be at least 0, got -1"),
-        ("splitting", "--past-len", "0", "--past-len must be at least 1, got 0"),
-        ("splitting", "--past-len", "-3", "--past-len must be at least 1, got -3"),
-        ("splitting", "--future-len", "0", "--future-len must be at least 1, got 0"),
         ("splitting", "--word-seed", "-1", "--word-seed must be at least 0, got -1"),
     ],
 )
@@ -113,8 +109,13 @@ def test_size_flags_below_one_exit_one(diag_spec, tmp_path, capsys, command, fla
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--words", "--word-len"])
-def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsys, monkeypatch, flag):
+@pytest.mark.parametrize(
+    "flag, message",
+    # --word-len is no longer a flag: the parser refuses it before the gate
+    [("--words", "must be from 1 to"), ("--word-len", "unrecognized arguments: --word-len 0")],
+    ids=["--words", "--word-len"],
+)
+def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsys, monkeypatch, flag, message):
     calls = []
     real = multicone.attractor
 
@@ -125,7 +126,7 @@ def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsy
     monkeypatch.setattr(multicone, "attractor", spy)
     code = cli.main(["multicone", str(diag_spec), "--index", "1", flag, "0", "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "must be from 1 to" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert calls == []
 
 
@@ -133,8 +134,8 @@ def test_multicone_size_below_one_refused_before_gate(diag_spec, tmp_path, capsy
     "command, index, flags",
     [
         ("multicone", "2", []),
-        ("splitting", "2", ["--past-len", "5"]),
-        ("splitting", "0", ["--past-len", "5"]),
+        ("splitting", "2", ["--word-seed", "5"]),
+        ("splitting", "0", ["--word-seed", "5"]),
     ],
 )
 def test_index_outside_range_exits_one(diag_spec, tmp_path, capsys, command, index, flags):
@@ -144,17 +145,51 @@ def test_index_outside_range_exits_one(diag_spec, tmp_path, capsys, command, ind
     assert f"error: index must be in 1..1, got {index}" in capsys.readouterr().err
 
 
-def test_splitting_window_lengths(diag_spec, tmp_path):
-    # an explicit length is used as given; the future window defaults to the
-    # past one's length
+@pytest.mark.parametrize("word_seed", [0, 7])
+def test_splitting_windows_have_default_length(word_seed, tmp_path):
+    # both windows are as long as the library's default window for the
+    # word seed
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"dim": 2, "matrices": [{"entries": [1.5, 0.3, 0, 1]}, {"entries": [1.2, 0, 0.4, 1]}]}))
     out = tmp_path / "o"
-    assert cli.main(["splitting", str(diag_spec), "--index", "1", "--past-len", "3", "--out", str(out)]) == 0
+    argv = ["splitting", str(path), "--index", "1", "--word-seed", str(word_seed), "--out", str(out)]
+    assert cli.main(argv) == 0
     payload = json.loads((out / "splitting.json").read_text())
-    assert len(payload["window_past"]) == len(payload["window_future"]) == 3
-    argv = ["splitting", str(diag_spec), "--index", "1", "--past-len", "3", "--future-len", "4"]
-    assert cli.main([*argv, "--out", str(out)]) == 0
-    payload = json.loads((out / "splitting.json").read_text())
-    assert (len(payload["window_past"]), len(payload["window_future"])) == (3, 4)
+    length = splitting.default_window_length(cli.load_family_spec(path), 1, word_seed)
+    assert length > 1
+    assert len(payload["window_past"]) == len(payload["window_future"]) == length
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "SPEC", "--index", "1", "--foo"], "unrecognized arguments: --foo"),
+        (["check", "SPEC", "--index", "x"], "argument --index: invalid int value: 'x'"),
+        (["check", "SPEC"], "the following arguments are required: --index"),
+        (["multicone", "SPEC", "--index", "1", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["multicone", "SPEC", "--index", "1", "--word-len", "3"], "unrecognized arguments: --word-len 3"),
+        (["splitting", "SPEC", "--index", "1", "--past-len", "3"], "unrecognized arguments: --past-len 3"),
+        (["splitting", "SPEC", "--index", "1", "--future-len", "3"], "unrecognized arguments: --future-len 3"),
+    ],
+    ids=["unknown-flag", "non-integer-index", "missing-index", "seed", "word-len", "past-len", "future-len"],
+)
+def test_parser_errors_exit_one(argv, message, diag_spec, tmp_path, capsys):
+    # a refused command line is an error, not the not-dominated code 2 that
+    # argparse would exit with; nothing runs and nothing is written
+    out = tmp_path / "o"
+    argv = [str(diag_spec) if a == "SPEC" else a for a in argv]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: domsplit")
+    assert err.endswith(f"\nerror: {message}\n")
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: domsplit check")
 
 
 def test_spec_requires_exactly_one_source(tmp_path):
@@ -299,34 +334,41 @@ def test_example4d_samples_out_of_range_exit_one_before_building(samples, monkey
     assert "Traceback" not in err
 
 
-_WORDS_CAP, _WORD_LEN_CAP = multicone.MAX_ATTRACTOR_WORDS, multicone.MAX_ATTRACTOR_WORD_LEN
+_WORDS_CAP = multicone.MAX_ATTRACTOR_WORDS
 
 
 @pytest.mark.parametrize(
-    "command, target, flag, value, name, cap",
+    "command, flag, value",
     [
-        ("multicone", "build_multicone", "--words", _WORDS_CAP + 1, "attractor_words", _WORDS_CAP),
-        ("multicone", "build_multicone", "--words", 10**12, "attractor_words", _WORDS_CAP),
-        ("multicone", "build_multicone", "--word-len", _WORD_LEN_CAP + 1, "attractor_word_len", _WORD_LEN_CAP),
-        ("multicone", "build_multicone", "--word-len", 10**12, "attractor_word_len", _WORD_LEN_CAP),
-        ("splitting", "splitting_from_window", "--past-len", cli.MAX_WINDOW_LEN + 1, "--past-len", cli.MAX_WINDOW_LEN),
-        ("splitting", "splitting_from_window", "--past-len", 10**12, "--past-len", cli.MAX_WINDOW_LEN),
-        ("splitting", "splitting_from_window", "--future-len", 10**12, "--future-len", cli.MAX_WINDOW_LEN),
+        ("multicone", "--words", _WORDS_CAP + 1),
+        ("multicone", "--words", 10**12),
+        ("multicone", "--word-len", 41),
+        ("multicone", "--word-len", 10**12),
+        ("splitting", "--past-len", 10**5),
+        ("splitting", "--past-len", 10**12),
+        ("splitting", "--future-len", 10**12),
     ],
     ids=["words-over-cap", "words-huge", "word-len-over-cap", "word-len-huge", "past-over-cap", "past-huge", "future-huge"],
 )
-def test_size_flags_over_cap_exit_one_before_building(
-    command, target, flag, value, name, cap, diag_spec, monkeypatch, tmp_path, capsys
-):
-    # the bound is checked before the command allocates anything of that size
+def test_size_flags_over_cap_exit_one_before_building(command, flag, value, diag_spec, monkeypatch, tmp_path, capsys):
+    # the bound is checked before the command allocates anything of that
+    # size; the word and window lengths are no longer flags, so the parser
+    # refuses them before anything is built
     def never(*args, **kwargs):
-        raise AssertionError(f"{target} called")
+        raise AssertionError("built")
 
-    monkeypatch.setattr(multicone if command == "multicone" else splitting, target, never)
+    monkeypatch.setattr(multicone, "attractor", never)
     monkeypatch.setattr(splitting, "default_window_length", never)
+    monkeypatch.setattr(splitting, "splitting_from_window", never)
     code = cli.main([command, str(diag_spec), "--index", "1", flag, str(value), "--out", str(tmp_path / "o")])
     assert code == 1
-    assert capsys.readouterr().err == f"error: {name} must be from 1 to {cap}, got {value}\n"
+    err = capsys.readouterr().err
+    if flag == "--words":
+        assert err == f"error: attractor_words must be from 1 to {_WORDS_CAP}, got {value}\n"
+    else:
+        assert err.startswith("usage: domsplit")
+        assert err.endswith(f"\nerror: unrecognized arguments: {flag} {value}\n")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("copies", [cli.MAX_CURVE_SAMPLES + 1, 10**12, _HUGE], ids=["over-cap", "trillion", "huge"])
@@ -619,14 +661,9 @@ def test_parser_defaults_are_library_defaults():
     # so the CLI and the library cannot drift apart
     parser = cli.build_parser()
     search = SearchConfig()
-    attractor = multicone.MulticoneConfig()
     expected = {
         "check": {"max_len": search.max_len, "budget": search.budget, "beam": search.beam_width},
-        "multicone": {
-            "word_len": attractor.attractor_word_len,
-            "words": attractor.attractor_words,
-            "seed": attractor.attractor_rng_seed,
-        },
+        "multicone": {"words": multicone.ATTRACTOR_WORDS},
         "example4d": {"grid": example4d.ExampleConfig().grid_n},
     }
     for command, flags in expected.items():

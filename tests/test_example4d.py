@@ -275,9 +275,13 @@ def test_failing_stage_names_first_failing_side(monkeypatch, side_passes, skew_o
 
 
 @pytest.mark.parametrize("words", [0, MAX_ATTRACTOR_WORDS + 1, 5000])
-def test_attractor_words_out_of_range_refused_by_the_config(words):
+def test_attractor_words_out_of_range_refused_by_the_config(words, monkeypatch):
     # refused when the config is made, before the lambda scan and the gap
     # searches, which may fail first and never reach the build
+    def never(*args, **kwargs):
+        raise AssertionError("curve_family called")
+
+    monkeypatch.setattr(ex, "curve_family", never)
     with pytest.raises(ValueError, match=f"attractor_words must be from 1 to {MAX_ATTRACTOR_WORDS}, got {words}"):
         ex.ExampleConfig(grid_n=12, attractor_words=words)
 

@@ -1,13 +1,14 @@
 """The JSON layout of the result records: key names and order, round trips,
 and decoding of partial input."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from domsplit import cli, words
+from domsplit import cli, jsonio, words
 from domsplit import example4d as ex
 from domsplit.grassmann import ConeSample, Plane
 from domsplit.multicone import Multicone
@@ -127,19 +128,34 @@ def _strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-@pytest.mark.parametrize("window", ["--past-len", "--future-len"])
-def test_length_one_window_writes_null_indicator(tmp_path, diag_spec, window):
+def test_length_one_window_writes_null_indicator(tmp_path):
     # a length-1 window has no shortened window to compare against: the NaN
-    # indicator is written as null and read back as NaN
+    # indicator is written as null and read back as NaN.  The gap ratio of
+    # diag(1e9, 1) is below the window target after one letter
     from domsplit.splitting import SplittingEstimate
 
+    spec = tmp_path / "steep.json"
+    spec.write_text(json.dumps({"dim": 2, "matrices": [{"entries": [1e9, 0, 0, 1]}]}))
     out = tmp_path / "out"
-    assert cli.main(["splitting", str(diag_spec), "--index", "1", window, "1", "--out", str(out)]) == 0
+    assert cli.main(["splitting", str(spec), "--index", "1", "--out", str(out)]) == 0
     data = _strict_json((out / "splitting.json").read_text())
+    assert len(data["window_past"]) == len(data["window_future"]) == 1
     assert data["convergence_indicator"] is None
     est = SplittingEstimate.from_json_dict(data)
     assert math.isnan(est.convergence_indicator)
     assert est.to_json_dict() == {k: data[k] for k in est.to_json_dict()}
+
+
+def test_records_of_one_class_share_one_fields_tuple():
+    # the fields of a record class are read once, not once per record
+    a = ex.LambdaScanEntry(lam=2.0, unstable_margin=0.1, stable_margin=-0.2, passed=False)
+    b = ex.LambdaScanEntry(lam=4.0, unstable_margin=0.3, stable_margin=0.4, passed=True)
+    assert a.to_json_dict() == {"lambda": 2.0, "unstable_margin": 0.1, "stable_margin": -0.2, "passed": False}
+    misses = jsonio._fields.cache_info().misses
+    assert b.to_json_dict() == {"lambda": 4.0, "unstable_margin": 0.3, "stable_margin": 0.4, "passed": True}
+    assert jsonio._fields.cache_info().misses == misses
+    assert jsonio._fields(type(a)) is jsonio._fields(type(b)) == dataclasses.fields(b)
+    assert ex.LambdaScanEntry.from_json_dict(b.to_json_dict()) == b
 
 
 def test_json_writer_refuses_nan(tmp_path):

@@ -43,7 +43,9 @@ from domsplit.grassmann import (
     transverse,
 )
 from domsplit.multicone import (
-    MulticoneConfig,
+    ATTRACTOR_WORD_LEN,
+    ATTRACTOR_WORDS,
+    MAX_ATTRACTOR_WORDS,
     adapted_metric,
     attractor,
     build_multicone,
@@ -564,13 +566,23 @@ def test_components_match_union_find(cloud):
 def test_build_multicone_all_duplicate_cloud(diag21):
     # every attractor point of diag(2, 1) is the same plane, so every pair
     # distance is an exact zero; pairs at distance zero must still join
-    cfg = MulticoneConfig()
-    cloud = attractor(diag21, 1, cfg.attractor_word_len, word_count=cfg.attractor_words)
+    cloud = attractor(diag21, 1, ATTRACTOR_WORD_LEN, word_count=ATTRACTOR_WORDS)
     dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
     assert multicone._components(dist, 0.0) == ((tuple(range(len(dist))),), math.inf)
-    mc = build_multicone(diag21, 1, cfg)
+    mc = build_multicone(diag21, 1)
     assert mc.components == (tuple(range(len(cloud.frames))),)
+
+
+@pytest.mark.parametrize("count", [0, MAX_ATTRACTOR_WORDS + 1])
+def test_build_multicone_refuses_attractor_words_out_of_range(diag21, monkeypatch, count):
+    # refused before the attractor is drawn
+    def never(*args, **kwargs):
+        raise AssertionError("attractor called")
+
+    monkeypatch.setattr(multicone, "attractor", never)
+    with pytest.raises(ValueError, match=f"attractor_words must be from 1 to {MAX_ATTRACTOR_WORDS}, got {count}"):
+        build_multicone(diag21, 1, attractor_words=count)
 
 
 def test_build_multicone_gate(caplog):
@@ -627,7 +639,7 @@ def test_sampled_margin_at_the_chosen_radius_is_at_least_the_bound(monkeypatch, 
     # bound r - max(u + g), up to the rounding of the distances; a repeated
     # build picks the same radius, bit for bit
     fam = conjugated_diagonal_family(dim, index, 3, seed=seed, gap=1.5, noise=0.3)
-    cfg = MulticoneConfig(attractor_word_len=20, attractor_words=64)
+    monkeypatch.setattr(multicone, "ATTRACTOR_WORD_LEN", 20)
     calls = []
     check = multicone.strictly_invariant
 
@@ -639,7 +651,7 @@ def test_sampled_margin_at_the_chosen_radius_is_at_least_the_bound(monkeypatch, 
     monkeypatch.setattr(multicone, "strictly_invariant", recording_check)
     for _ in range(2):
         try:
-            build_multicone(fam, index, cfg)
+            build_multicone(fam, index, attractor_words=64)
         except MulticoneConstructionError:
             pass
     (radius, margin, reach), again = calls
@@ -723,10 +735,9 @@ def test_unstable_multicone_transverse_to_stable_attractor(dominated_suite):
     # of the stable attractor (inverse family, complementary index): a plane
     # within r of a center E_k lies within theta_max(E_k, S^perp) + r of
     # S^perp, and a plane less than pi/2 from S^perp meets S only in 0
-    cfg = MulticoneConfig()
     for case in dominated_suite:
         fam, i = case.family, case.index
-        unstable = build_multicone(fam, i, cfg)
-        stable = attractor(fam.inverse(), fam.dim - i, cfg.attractor_word_len, cfg.attractor_words)
+        unstable = build_multicone(fam, i)
+        stable = attractor(fam.inverse(), fam.dim - i, ATTRACTOR_WORD_LEN, ATTRACTOR_WORDS)
         reach = frame_stack_distances(unstable.cone.frames, complement_frames(stable.frames))
         assert float(reach.max()) + unstable.cone.radius < math.pi / 2
