@@ -225,7 +225,7 @@ def complement_frames(frames: np.ndarray) -> np.ndarray:
     (n, d, i) frame stack: the first d - i left singular vectors of
     ``I - F F^T``, one batched SVD for the whole stack."""
     d, i = frames.shape[1:]
-    U, _, _ = np.linalg.svd(np.eye(d)[None] - np.matmul(frames, np.swapaxes(frames, 1, 2)))
+    U, _, _ = np.linalg.svd(np.eye(d)[None] - linalg.gram_matrices(frames))
     return U[:, :, : d - i]
 
 
@@ -342,8 +342,8 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     k = min(i, d - i)
     if k == 0:
         return 0.0, np.zeros(A.shape[0])
-    PA = np.matmul(A, np.swapaxes(A, 1, 2)).reshape(A.shape[0], d * d)
-    PB = np.matmul(B, np.swapaxes(B, 1, 2)).reshape(B.shape[0], d * d)
+    PA = linalg.gram_matrices(A).reshape(A.shape[0], d * d)
+    PB = linalg.gram_matrices(B).reshape(B.shape[0], d * d)
     upper = np.concatenate([i - (PA[rows] @ PB.T).max(axis=1) for rows in _row_blocks(len(A), len(B))])
     keep = np.flatnonzero(upper >= upper.max() / k - NEAREST_PRUNE_SLACK)
     kept = A[np.resize(keep, max(len(keep), 2))]

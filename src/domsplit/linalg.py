@@ -234,20 +234,18 @@ def operator_norm(matrix) -> float:
     return float(singular_values(matrix)[0])
 
 
-def check_invertible(matrix, label=None) -> np.ndarray:
+def check_invertible(matrix, labels=None) -> np.ndarray:
     """Return the matrix if it passes the scale-free invertibility test.
 
-    An ``(m, d, d)`` stack is tested in one batched SVD; ``label`` is then
-    one label per matrix, and the error names the first matrix that fails.
+    An ``(m, d, d)`` stack is tested in one batched SVD; ``labels``, one
+    per matrix of a stack, then name the first matrix that fails.
     """
     M = np.asarray(matrix, dtype=float)
-    single = M.ndim == 2
-    stack = as_square(M)[None] if single else M
+    stack = as_square(M)[None] if M.ndim == 2 else M
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] == 0:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {M.shape}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix has non-finite entries")
-    labels = [label] if single else list(label or [None] * len(stack))
     try:
         s = np.linalg.svd(stack, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -258,7 +256,7 @@ def check_invertible(matrix, label=None) -> np.ndarray:
         raise SingularMatrixError(
             f"matrix is numerically singular (sigma_min/sigma_max = "
             f"{s[j, -1] / s[j, 0] if s[j, 0] > 0 else 0.0:.3e})"
-            + (f" [{labels[j]}]" if labels[j] else "")
+            + (f" [{labels[j]}]" if labels and labels[j] else "")
         )
     return M
 

@@ -41,11 +41,9 @@ ATTRACTOR_WORD_LEN = 40
 ATTRACTOR_WORDS = 256
 # the largest attractor size.  The construction of a 4-d, index-2
 # family (the benchmark suite's dominated_6, 2 members; max RSS of a fresh
-# process, one BLAS thread) peaks at 48 MB with 256 words, 56 MB with
-# 1,024 and 88 MB with 2,048.  By tracemalloc, the invariance check's
-# nearest-point search sets the peak at 256 (10 MB), and the center pass's
-# search, which runs while the n x n center distances are held (32 MB at
-# 2,048), at 1,024 (18 MB) and 2,048 (43 MB).
+# process, one BLAS thread) peaks at 39 MB with 256 words, 39 MB with
+# 1,024 and 40 MB with 2,048.  Its center net keeps one center, so by
+# tracemalloc the attractor sampling sets the peak: 0.3, 1.0 and 2.1 MB.
 MAX_ATTRACTOR_WORDS = 2048
 
 
@@ -212,6 +210,45 @@ def _probe_images(mats: np.ndarray, probes: np.ndarray, members, centers) -> np.
     return image_frames(images.reshape(-1, *probes.shape[2:]))
 
 
+# most (member, center) pairs whose probes one block of the spread sweep
+# images (``_adjacent_spread``): 0.5 MB of probe images in the example's
+# G(2, 4), so the sweep's peak stays below that of the nearest-point search
+# before it.  Imaging all 14,280 adjacent pairs of the example's lambda = 2
+# scan in one block read 71.4 MB of the benchmark's example4d peak_rss_mb,
+# against 68.7 MB in these blocks (medians of 3 runs of 4 s)
+SPREAD_BLOCK_PAIRS = 2048
+
+
+def _adjacent_spread(mats: np.ndarray, probes: np.ndarray, kept: np.ndarray) -> float:
+    """The largest distance between the images of one probe of center k
+    under members j and j + 1, over the (j, k) set in the (m - 1, n) mask
+    ``kept``; 0.0 when none is.
+
+    The member rows run in blocks of about SPREAD_BLOCK_PAIRS pairs.  A
+    block images each pair at either end of its kept (j, k) once (the pairs
+    of the member that ends it are imaged again by the next block), so the
+    sweep holds one block's images at a time.
+    """
+    spread = 0.0
+    step = max(1, SPREAD_BLOCK_PAIRS // kept.shape[1])
+    for lo in range(0, len(kept), step):
+        block = kept[lo : lo + step]
+        if not block.any():
+            continue
+        imaged = np.zeros((len(block) + 1, kept.shape[1]), dtype=bool)
+        imaged[:-1] |= block
+        imaged[1:] |= block
+        # the row of each imaged pair, in the row-major order of ``np.nonzero``
+        row = np.cumsum(imaged).reshape(imaged.shape) - 1
+        j, k = np.nonzero(imaged)
+        images = _probe_images(mats, probes, lo + j, k).reshape(-1, *probes.shape[1:])
+        j, k = np.nonzero(block)
+        here = images[row[j, k]].reshape(-1, *probes.shape[2:])
+        there = images[row[j + 1, k]].reshape(-1, *probes.shape[2:])
+        spread = max(spread, float(np.max(grass_distance(here, there))))
+    return spread
+
+
 def strictly_invariant(
     family: MatrixFamily, cone: ConeSample, centers: _CenterPass | None = None
 ) -> tuple[bool, float]:
@@ -278,7 +315,9 @@ def strictly_invariant(
     images and one over the kept probe images, each take all their rows in
     one call (``nearest_angles``, ``worst_nearest_angle``), which prunes its
     own rows by the same kind of bound and holds its memory to a few row
-    blocks of ``grassmann.BLOCK_OUTPUTS`` outputs.
+    blocks of ``grassmann.BLOCK_OUTPUTS`` outputs.  The spread sweep images
+    the pairs at both ends of its kept ones, each once, a block of member
+    rows at a time (``_adjacent_spread``).
     """
     frames = cone.frames
     if not len(frames):
@@ -299,11 +338,7 @@ def strictly_invariant(
             worst = max(worst, worst_nearest_angle(_probe_images(family.stack, probes, j, k), frames))
         if len(centers.spread):
             bound = growth[:-1] + centers.spread + growth[1:]
-            j, k = np.nonzero(~(bound < spread - PROBE_PRUNE_SLACK))
-            if len(j):
-                here = _probe_images(family.stack, probes, j, k)
-                there = _probe_images(family.stack, probes, j + 1, k)
-                spread = max(spread, float(np.max(grass_distance(here, there))))
+            spread = max(spread, _adjacent_spread(family.stack, probes, ~(bound < spread - PROBE_PRUNE_SLACK)))
     margin = cone.radius - worst - spread
     return margin > 0.0 and centers.chart + cone.radius < math.pi / 2, margin
 
@@ -469,8 +504,49 @@ def _best_radius(centers: _CenterPass, lo: float, hi: float) -> tuple[float, flo
     return best, bound
 
 
+# the radius, in radians, of the center net of ``build_multicone``: every
+# attractor point lies within NET_RADIUS of a center.  Nets at 0.01, 0.02
+# and 0.05 rad each certify every output digest run that the whole cloud
+# certifies; 0.01 keeps the example's sampled margins nearest the whole
+# cloud's (0.0095 and 0.0380 against 0.0073 and 0.0396 at grid 40 and 128
+# words, where 0.02 reads 0.0044 and 0.0249)
+NET_RADIUS = 0.01
+
+
+def _center_net(frames: np.ndarray, radius: float) -> np.ndarray:
+    """Ascending row indices of a greedy ``radius``-net of a frame stack.
+
+    Walking the frames in row order, a frame becomes a center when it lies
+    farther than ``radius`` from every center so far.  Each center forms
+    only its own column of ``frame_stack_distances`` against the n frames,
+    so a net of n' centers takes n n' distances.  Every frame then lies
+    within ``radius`` of a center by those columns, and each center farther
+    than ``radius`` from every earlier one.
+    """
+    nearest = np.full(len(frames), np.inf)
+    picks = [0]
+    while True:
+        a = picks[-1]
+        nearest = np.minimum(nearest, frame_stack_distances(frames, frames[a : a + 1])[:, 0])
+        # every frame up to a is within radius of a center; the next center
+        # is the first one after a that is not
+        far = np.flatnonzero(nearest[a + 1 :] > radius)
+        if not len(far):
+            return np.array(picks)
+        picks.append(a + 1 + int(far[0]))
+
+
 def build_multicone(family: MatrixFamily, index: int, attractor_words: int = ATTRACTOR_WORDS) -> Multicone:
     """Construct a strictly invariant multicone from the sampled attractor.
+
+    The centers are the greedy ``_center_net`` of the attractor cloud at
+    NET_RADIUS: every attractor point lies within NET_RADIUS of a center, so
+    balls of a radius r above it cover the cloud.  Theorem B (Bochi-Gourmelon,
+    arXiv 0808.3811) asks only for some finite union of balls that is
+    strictly invariant, so the cloud itself need not be the centers; the
+    suite's attractors of 256 points keep one or two.  Everything below
+    runs on the n' centers, and the build forms n n' distances for the net
+    and n'^2 among the centers, never the n x n of the cloud.
 
     The radius r maximizes the closed-form bound on the invariance margin,
     r - max over (member j, center k) of [u_jk + g_jk(r)]; u and g are those
@@ -495,15 +571,15 @@ def build_multicone(family: MatrixFamily, index: int, attractor_words: int = ATT
     radius and the parts of its bound: no certificate, which says nothing
     about the family being dominated or not.
 
-    The components are those of the attractor cloud at link 2r: points at
+    The components are those of the centers at link 2r: centers at
     distance <= 2r fall in one component.  The component gap is the
     smallest distance between components less 2r, so it is always positive.
     """
     check_attractor_words(attractor_words)
     cloud = attractor(family, index, ATTRACTOR_WORD_LEN, word_count=attractor_words)
-    frames = cloud.frames
-    if not len(frames):
+    if not len(cloud.frames):
         raise MulticoneConstructionError("attractor sample is empty", parts={})
+    frames = cloud.frames[_center_net(cloud.frames, NET_RADIUS)]
     dist = frame_stack_distances(frames, frames)
     centers = _center_pass(family, frames, dist)
     spread = float(centers.spread.max(initial=0.0))
@@ -511,9 +587,7 @@ def build_multicone(family: MatrixFamily, index: int, attractor_words: int = ATT
     hi = math.pi / 2 - centers.chart
     radius, bound = _best_radius(centers, lo, hi if lo < hi else math.pi / 2)
     comps, gap = _components(dist, 2.0 * radius)
-    # n x n, 32 MB at MAX_ATTRACTOR_WORDS: not held through the invariance call
-    del dist
-    cone = replace(cloud, radius=radius)
+    cone = ConeSample(index, frames, radius)
     ok, margin = strictly_invariant(family, cone, centers)
     if not (ok and bound > DISTANCE_RESOLUTION):
         u, g = _worst_reach(centers, radius)

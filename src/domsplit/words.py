@@ -114,7 +114,7 @@ class MatrixFamily:
             raise ValueError("family must have at least one member")
         if len(set(labels)) != len(labels):
             raise ValueError("member labels must be unique")
-        linalg.check_invertible(stack, label=labels)
+        linalg.check_invertible(stack, labels=labels)
         stack.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "stack", stack)

@@ -25,7 +25,7 @@ from oracles import (
     union_find_components,
 )
 
-from domsplit import grassmann, multicone, words
+from domsplit import example4d, grassmann, linalg, multicone, words
 from domsplit.example4d import axis_plane
 from domsplit.errors import MulticoneConstructionError
 from domsplit.grassmann import (
@@ -46,6 +46,7 @@ from domsplit.multicone import (
     ATTRACTOR_WORD_LEN,
     ATTRACTOR_WORDS,
     MAX_ATTRACTOR_WORDS,
+    NET_RADIUS,
     adapted_metric,
     attractor,
     build_multicone,
@@ -117,7 +118,8 @@ def test_strictly_invariant_spread_allowance_only_for_curves():
 def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, block_outputs, dim, index):
     # the spread taken from the member images inside the sweep equals the
     # standalone adjacent-member loop exactly, whatever the kernels' row
-    # blocks; an explicit family with the same members gets no spread
+    # blocks and the spread sweep's member blocks; an explicit family with
+    # the same members gets no spread
     rng = np.random.default_rng(5)
     base = np.diag(np.geomspace(4.0, 1.0, dim))
     gen = rng.normal(size=(dim, dim))
@@ -136,6 +138,10 @@ def test_strictly_invariant_spread_matches_standalone_loop(monkeypatch, block_ou
     monkeypatch.setattr(grassmann, "BLOCK_OUTPUTS", block_outputs)
     _, margin_e = strictly_invariant(explicit, cone)
     _, margin_s = strictly_invariant(sampled, cone)
+    # a spread block of one pair runs the spread sweep one member row at a
+    # time, to the same bits
+    monkeypatch.setattr(multicone, "SPREAD_BLOCK_PAIRS", 1)
+    assert strictly_invariant(sampled, cone)[1] == margin_s
 
     frames = frame_stack(pts)
     probes = sweep_points_oracle(frames, cone.radius)
@@ -202,6 +208,25 @@ def test_strictly_invariant_matches_unpruned_sweep(case):
             assert strictly_invariant(family, other, centers) == brute_force_strictly_invariant(
                 family, other
             )
+
+
+def test_strictly_invariant_matches_unpruned_sweep_with_every_spread_pair_kept():
+    # the example's unstable scan call at lambda = 2 on the refined grid of
+    # the default grid 40: no adjacent (member, center) pair's spread bound
+    # falls below the center images' spread, so every pair is imaged for
+    # both of its neighbors, in several blocks of member rows
+    ts = example4d.parameter_grid(40 * example4d.REFINE_FACTOR)
+    frames = example4d.curve_frames(example4d.FIRST, ts)
+    other = example4d.curve_frames(example4d.SECOND, ts)
+    angle = np.min(linalg.principal_angles(frames[:, None], other[None]))
+    cone = ConeSample(2, frames, example4d.NEIGHBORHOOD_FRACTION * float(angle))
+    fam = example4d.curve_family(2.0, len(ts))
+    centers = multicone._center_pass(fam, frames)
+    growth = multicone._ball_growth(centers, cone.radius)
+    bound = growth[:-1] + centers.spread + growth[1:]
+    assert np.all(bound >= centers.spread.max() - multicone.PROBE_PRUNE_SLACK)
+    assert len(bound) * len(frames) > 2 * multicone.SPREAD_BLOCK_PAIRS
+    assert strictly_invariant(fam, cone, centers) == brute_force_strictly_invariant(fam, cone)
 
 
 def test_one_dimensional_family_fails_the_chart_test():
@@ -570,8 +595,95 @@ def test_build_multicone_all_duplicate_cloud(diag21):
     dist = frame_stack_distances(cloud.frames, cloud.frames)
     assert np.all(dist == 0.0)
     assert multicone._components(dist, 0.0) == ((tuple(range(len(dist))),), math.inf)
+    # the center net keeps the first of the equal points
     mc = build_multicone(diag21, 1)
-    assert mc.components == (tuple(range(len(cloud.frames))),)
+    assert mc.components == ((0,),)
+    assert np.array_equal(mc.cone.frames, cloud.frames[:1])
+
+
+@st.composite
+def net_clouds(draw):
+    """(frames, radius) of a clustered cloud of frames in G(i, d): cluster
+    centers plus jitter (none: exact duplicates), some points repeated, and
+    a net radius from below the jitter to above the cluster spread."""
+    i = draw(st.sampled_from((1, 2)))
+    d = draw(st.integers(min_value=i + 1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=40))
+    clusters = draw(st.integers(min_value=1, max_value=4))
+    jitter = draw(st.sampled_from((0.0, 1e-3, 0.05)))
+    radius = draw(st.sampled_from((1e-4, NET_RADIUS, 0.1, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    frames = np.linalg.qr(rng.normal(size=(clusters, d, i)))[0][rng.integers(clusters, size=n)]
+    if jitter:
+        frames = np.linalg.qr(frames + jitter * rng.normal(size=frames.shape))[0]
+        frames[rng.random(n) < 0.3] = frames[0]
+    return frames, radius
+
+
+def _diag_rot_cloud():
+    # diag(2, 1) with a rotation: an attractor that fills P^1, 131 centers
+    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
+    return attractor(fam, 1, ATTRACTOR_WORD_LEN, ATTRACTOR_WORDS).frames, NET_RADIUS
+
+
+def _tie_cloud():
+    # the same cloud at a radius equal to the distance of its frame 1 from
+    # its frame 0, as the net's first column gives it: frame 1 is no center
+    frames, _ = _diag_rot_cloud()
+    return frames, float(frame_stack_distances(frames, frames[:1])[1, 0])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(net_clouds())
+@example(_diag_rot_cloud())
+@example(_tie_cloud())
+def test_center_net_is_the_greedy_net_in_row_order(cloud):
+    # read off each center's distance column, formed as the net forms it:
+    # the centers ascend from row 0, each lies farther than the radius from
+    # every earlier center, and every other frame lies within the radius
+    # of an earlier center, so every frame is within it of some center
+    frames, radius = cloud
+    picks = multicone._center_net(frames, radius)
+    assert picks[0] == 0 and np.all(np.diff(picks) > 0)
+    cols = np.column_stack([frame_stack_distances(frames, frames[a : a + 1])[:, 0] for a in picks])
+    for a in range(len(frames)):
+        earlier = cols[a, picks < a]
+        if a in picks:
+            assert np.all(earlier > radius)
+        else:
+            assert earlier.min() <= radius
+    assert np.all(cols.min(axis=1) <= radius)
+
+
+def test_build_multicone_runs_on_the_center_net(dominated_suite):
+    # the cone's frames are the net's centers of the attractor cloud, every
+    # part of the multicone is indexed by them, and a second build is the
+    # same bit for bit
+    for case in dominated_suite[:4] + dominated_suite[-2:]:
+        cloud = attractor(case.family, case.index, ATTRACTOR_WORD_LEN, ATTRACTOR_WORDS)
+        mc = build_multicone(case.family, case.index)
+        picks = multicone._center_net(cloud.frames, NET_RADIUS)
+        assert np.array_equal(mc.cone.frames, cloud.frames[picks])
+        assert sorted(sum(mc.components, ())) == list(range(len(picks)))
+        again = build_multicone(case.family, case.index)
+        assert np.array_equal(again.cone.frames, mc.cone.frames)
+        assert again.to_json_dict() == mc.to_json_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_dominated_suite_certifies_on_the_net(dominated_suite, seed):
+    # every dominated suite family certifies, conjugated by a workload
+    # seed's rotation as the benchmark's suite conjugates family j (seed 0:
+    # unconjugated); conjugation keeps every distance, so the nets agree in
+    # size
+    for j, case in enumerate(dominated_suite):
+        fam = case.family
+        if seed:
+            Q = random_orthogonal(fam.dim, np.random.default_rng([seed, j]))
+            fam = MatrixFamily(fam.labels, Q @ fam.stack @ Q.T, fam.source)
+        mc = build_multicone(fam, case.index)
+        assert mc.invariance_margin > 0.0
+        assert 1 <= len(mc.cone.frames) <= 2
 
 
 @pytest.mark.parametrize("count", [0, MAX_ATTRACTOR_WORDS + 1])
@@ -612,16 +724,27 @@ def test_sampled_pass_without_a_positive_bound_is_no_certificate(monkeypatch):
 
 
 def test_build_multicone_failure_carries_margin_parts():
-    # diag(2, 1) with a rotation is not dominated; its attractor is
+    # diag(3, 1) with a rotation is not dominated; its attractor is
     # non-empty, so the radius search runs and fails with the parts of its
     # best radius's bound attached, which is negative
-    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
+    fam = MatrixFamily.from_matrices([np.diag([3.0, 1.0]), rotation2(1.0)], ["A", "R"])
     with pytest.raises(MulticoneConstructionError, match="fails the invariance check") as err:
         build_multicone(fam, 1)
     parts = err.value.parts
     assert list(parts) == ["radius", "u", "g", "spread", "chart_slack"]
     assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
     assert "fails the chart test" not in str(err.value)
+    # so is diag(2, 1) with the rotation.  Its bound falls as the radius
+    # grows, so the search stops just above the largest u; there no probe
+    # image of its net's balls reaches the radius, and the sampled margin,
+    # about 7e-8, is positive.  Its attractor fills P^1, so the chart test
+    # refuses it
+    fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
+    with pytest.raises(MulticoneConstructionError, match="fails the chart test") as err:
+        build_multicone(fam, 1)
+    parts = err.value.parts
+    assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
+    assert parts["chart_slack"] < 0.0
     # two interleaved members are dominated, and their bound is positive,
     # but their clusters sit pi/2 apart: the chart test rejects every radius
     with pytest.raises(MulticoneConstructionError, match="fails the chart test") as err:
