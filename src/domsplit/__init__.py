@@ -15,13 +15,12 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .grassmann import ConeSample, Plane, act, grass_distance, transverse
+from .grassmann import ConeSample, Plane, grass_distance, transverse
 from .linalg import (
     SingularSpectrum,
     conorm,
     cross_ratio,
     exterior_norm,
-    gap_ratio,
     operator_norm,
     principal_angles,
     singular_spectrum,
@@ -56,14 +55,12 @@ __all__ = [
     "SingularSpectrum",
     "SplittingEstimate",
     "Verdict",
-    "act",
     "build_multicone",
     "conorm",
     "cross_ratio",
     "enumerate_gaps",
     "exterior_norm",
     "fit_decay",
-    "gap_ratio",
     "grass_distance",
     "is_dominated",
     "operator_norm",

@@ -23,8 +23,8 @@ class ConditioningError(DomsplitError):
 
 class MulticoneConstructionError(DomsplitError):
     """Multicone construction yielded no certificate: no attractor sample,
-    or the best radius fails the invariance check or has no positive
-    closed-form bound.  This says nothing about the family being dominated.
+    or the best radius has no positive closed-form bound, or fails the
+    chart test or the invariance check.  This says nothing about the family being dominated.
     Carries the best radius and the parts of its margin bound by name
     (radius, u, g, spread, chart_slack), or no parts when there was no
     sample to search."""

@@ -235,8 +235,12 @@ SEARCH = SearchConfig(max_len=8, budget=300_000, beam_width=256)
 # curve points per curve, and ruling heights per line, of the figure exports
 CSV_CURVE_POINTS = 256
 CSV_RULING_HEIGHTS = 9
-# the largest grid_n: the neighborhood radius step holds (REFINE_FACTOR
-# grid_n)^2 plane pairs, about 46 MB per million, so 500 peaks near 135 MB
+# the largest grid_n.  The lambda scan's ``strictly_invariant`` calls set
+# the peak: their center pass images all (REFINE_FACTOR grid_n)^2 (member,
+# center) pairs of the refined neighborhood, about 430 bytes each by
+# tracemalloc.  Max RSS of a fresh ``domsplit example4d --grid N --lambda 32
+# --skip-perturbed`` at one BLAS thread: 100 MB at N = 128, 291 MB at 250
+# and 1,034 MB at 500
 MAX_GRID_N = 500
 
 

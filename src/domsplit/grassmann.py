@@ -137,10 +137,6 @@ class ConeSample:
     def points(self) -> tuple[Plane, ...]:
         return tuple(Plane(f) for f in self.frames)
 
-    @property
-    def ambient_dim(self) -> int | None:
-        return self.frames.shape[1] if len(self.frames) else None
-
     def to_json_dict(self) -> dict:
         return {
             "grass_index": self.grass_index,
@@ -159,12 +155,6 @@ class ConeSample:
             for idx, frame in enumerate(np.swapaxes(self.frames, 1, 2).tolist())
             for col, column in enumerate(frame)
         ]
-
-
-def act(matrix, plane: Plane) -> Plane:
-    """Image of a plane under an invertible matrix, re-orthonormalized
-    (``act_frames`` of one matrix and one frame)."""
-    return Plane(act_frames(linalg.as_square(matrix)[None], plane.frame[None])[0])
 
 
 def grass_distance(first, second):
@@ -326,8 +316,8 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     ``NEAREST_PRUNE_SLACK``, which absorbs rounding) cannot hold the
     maximum, so the sine kernel (``sin_max_pairs``) runs only on the
     remaining rows, against all of B.  The pruning is conservative: it drops
-    only rows that provably do not set the result.  Planes that fill the
-    space (i = d) are all at distance 0.
+    only rows that provably do not set the result.  The planes are proper
+    (1 <= i <= d - 1), so k >= 1.
 
     Both the bounds and the kept rows' sines are formed and reduced row
     block by row block (``_row_blocks``), the sines against one QR
@@ -340,8 +330,6 @@ def nearest_angles(A: np.ndarray, B: np.ndarray) -> tuple[float, np.ndarray]:
     """
     d, i = A.shape[1], A.shape[2]
     k = min(i, d - i)
-    if k == 0:
-        return 0.0, np.zeros(A.shape[0])
     PA = linalg.gram_matrices(A).reshape(A.shape[0], d * d)
     PB = linalg.gram_matrices(B).reshape(B.shape[0], d * d)
     upper = np.concatenate([i - (PA[rows] @ PB.T).max(axis=1) for rows in _row_blocks(len(A), len(B))])

@@ -1,10 +1,10 @@
 """Exact-formula numerical primitives on small dense matrices.
 
-Singular spectra, operator norms and co-norms, singular-value gap ratios,
-exterior-power norms, cross-ratios on the projective line, and principal
-angles between subspaces.  Everything here is a pure function of its
-arguments (a ``TopSingular`` holds only what it computed from its stack)
-and is safe to call concurrently.
+Singular spectra, operator norms and co-norms, exterior-power norms,
+cross-ratios on the projective line, and principal angles between
+subspaces.  Everything here is a pure function of its arguments (a
+``TopSingular`` holds only what it computed from its stack) and is safe to
+call concurrently.
 
 ``TopSingular`` is the gap search's sigma_1 kernel, batched over
 ``(..., n, n)`` stacks without LAPACK SVD and within 1e-14 relative of
@@ -271,19 +271,6 @@ def check_index(index: int, d: int) -> None:
     """Raise unless ``index`` splits R^d into two nonzero parts (1..d-1)."""
     if not 1 <= index <= d - 1:
         raise ValueError(f"index must be in 1..{d - 1}, got {index}")
-
-
-def gap_ratio(matrix, index: int) -> float:
-    """Ratio ``sigma_{index+1} / sigma_index`` with 1-based ``index`` in ``1..d-1``.
-
-    The value lies in ``(0, 1]``; uniform exponential decay of this ratio over
-    all products of a family is the gap-based domination criterion.
-    """
-    s = singular_values(matrix)
-    check_index(index, len(s))
-    if s[index - 1] <= 0.0:
-        raise NumericalError(f"sigma_{index} is zero; gap ratio undefined")
-    return float(s[index] / s[index - 1])
 
 
 def exterior_norm(matrix, k: int) -> float:

@@ -134,8 +134,7 @@ class _CenterPass:
     member j to within ``arctan(alpha tan r / (1 - beta tan r))`` of F_jk
     (``_ball_growth``).  ``spread[j, k]`` is the distance between F_jk and
     F_(j+1)k on a sampled curve (no rows otherwise), and ``chart`` the
-    smallest over centers E_a of the largest distance from E_a to a center
-    (inf for i = d).
+    smallest over centers E_a of the largest distance from E_a to a center.
     """
 
     family: MatrixFamily
@@ -160,24 +159,20 @@ def _center_pass(family: MatrixFamily, frames: np.ndarray, dist: np.ndarray | No
     F = image_frames(Y)
     worst, upper = nearest_angles(F, frames)
     complements = complement_frames(frames)
-    if i < d:
-        # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the
-        # complement frame: graph(L) over E_k maps to graph(C L (A + B L)^-1)
-        # over F_jk
-        Z = np.matmul(family.stack[:, None], complements[None]).reshape(m * n, d, d - i)
-        Ft = np.swapaxes(F, 1, 2)
-        B = np.matmul(Ft, Z)
-        inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
-        alpha = linalg.operator_norms(Z - np.matmul(F, B)) * inv_norm
-        beta = linalg.operator_norms(K)
-    else:
-        alpha = beta = np.zeros(m * n)
+    # A = F^T Y, B = F^T Z and C = Z - F B with Z the image of the complement
+    # frame: graph(L) over E_k maps to graph(C L (A + B L)^-1) over F_jk
+    Z = np.matmul(family.stack[:, None], complements[None]).reshape(m * n, d, d - i)
+    Ft = np.swapaxes(F, 1, 2)
+    B = np.matmul(Ft, Z)
+    inv_norm, K = _inverse_norm_and_solve(np.matmul(Ft, Y), B)
+    alpha = linalg.operator_norms(Z - np.matmul(F, B)) * inv_norm
+    beta = linalg.operator_norms(K)
     spread = np.empty((0, n))
     if family.source.kind == "sampled_curve" and m > 1:
         spread = grass_distance(F[:-n], F[n:]).reshape(m - 1, n)
-    if dist is None and i < d:
+    if dist is None:
         dist = frame_stack_distances(frames, frames)
-    chart = float(dist.max(axis=1).min()) if i < d else math.inf
+    chart = float(dist.max(axis=1).min())
     return _CenterPass(
         family=family,
         frames=frames,
@@ -281,8 +276,8 @@ def strictly_invariant(
     is rejected, as for the output digest's two interleaved members at
     lambda = 8.  The multicones of its other runs have a chart slack
     pi/2 - chart - r of at least 0.49 rad, and of 0.11 rad for three
-    interleaved members.  G(d, d) is one point, so chart = inf and i = d
-    never passes.
+    interleaved members.  A cone in G(i, d) with i outside 1..d - 1 is
+    refused: G(d, d) is one point, of which no sample is a proper part.
 
     The sweep evaluates only the probes that can set the margin.  Take a
     member M_j and a center E_k with complement frame E_k^perp, F_jk the
@@ -325,12 +320,13 @@ def strictly_invariant(
     _, d, i = frames.shape
     if d != family.dim:
         raise ValueError("family and cone dimensions do not match")
+    linalg.check_index(i, d)
     if centers is None:
         centers = _center_pass(family, frames)
     elif centers.family is not family or not np.array_equal(centers.frames, frames):
         raise ValueError("the center pass belongs to another family or cone sample")
     worst, spread = centers.worst, float(centers.spread.max(initial=0.0))
-    if cone.radius > 0.0 and i < d:
+    if cone.radius > 0.0:
         probes = _ball_probes(frames, centers.complements, cone.radius)
         growth = _ball_growth(centers, cone.radius)
         j, k = np.nonzero(~(centers.upper + growth < worst - PROBE_PRUNE_SLACK))
@@ -357,13 +353,14 @@ def attractor(
 ) -> ConeSample:
     """Sampled forward attractor: top singular frames of long word products.
 
-    Each of the ``word_count`` sampled words of length ``word_len``
-    contributes the span of the first ``index`` left singular directions of
-    its product.  The first letter of each word cycles through the members
-    so every one-step target is represented.  Products whose gap ratio at
-    ``index`` is within GAP_WARNING_TOL of 1 are skipped and logged as
-    warnings.  The stable counterpart is this function on the inverse
-    family with index ``d - index``.
+    Each of the sampled words of length ``word_len`` contributes the span of
+    the first ``index`` left singular directions of its product.  The first
+    letter of each word cycles through the members, and there are
+    ``max(word_count, family.size)`` words, so every one-step target is
+    represented.  Products whose gap ratio at ``index`` is within
+    GAP_WARNING_TOL of 1 are skipped and logged as warnings.  The stable
+    counterpart is this function on the inverse family with index
+    ``d - index``.
     """
     linalg.check_index(index, family.dim)
     if word_len < 1:
@@ -371,8 +368,8 @@ def attractor(
     if word_count < 1:
         raise ValueError(f"word_count must be at least 1, got {word_count}")
     rng = np.random.default_rng(rng_seed)
-    first = np.arange(word_count) % family.size
-    rest = rng.integers(family.size, size=(word_count, word_len - 1))
+    first = np.arange(max(word_count, family.size)) % family.size
+    rest = rng.integers(family.size, size=(len(first), word_len - 1))
     P, _ = words.scaled_word_product(family, np.column_stack([first, rest]))
     try:
         U, s, _ = np.linalg.svd(P)
@@ -592,9 +589,11 @@ def build_multicone(family: MatrixFamily, index: int, attractor_words: int = ATT
     if not (ok and bound > DISTANCE_RESOLUTION):
         u, g = _worst_reach(centers, radius)
         parts = {"radius": radius, "u": u, "g": g, "spread": spread, "chart_slack": hi - radius}
-        # strictly_invariant rejects a positive margin only by the chart test
-        if ok:
-            reason = "passes the invariance check with no positive bound"
+        # decided by the bound first: a sampled margin near 0 changes sign
+        # with the net; strictly_invariant rejects a positive margin only by
+        # the chart test
+        if bound <= DISTANCE_RESOLUTION:
+            reason = "has no positive bound"
         elif margin > 0.0:
             reason = "fails the chart test"
         else:

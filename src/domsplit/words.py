@@ -23,8 +23,7 @@ runs here.  The walks step with one dot per normalization, which is what
 ``np.linalg.norm`` computes for a matrix, at half its call overhead.  Each
 order's walk is independent of the others, so a caller that reads only a
 gap ratio at index i walks only the orders i - 1, i and i + 1
-(``_gap_orders``), and gets those columns bit-equal to the full walk; the
-public prefix and suffix walks still compute all d orders.
+(``_gap_orders``), and gets those columns bit-equal to the full walk.
 
 The gap search reads only each length's maximum with its witness and, on a
 length before a beam length, the ``beam_width`` largest scores.  So it
@@ -289,24 +288,10 @@ def _compound_log_walk(family: MatrixFamily, word, suffix: bool, orders=None) ->
     return np.diff(top, axis=1)
 
 
-def log_singular_value_prefixes(family: MatrixFamily, word) -> np.ndarray:
-    """``out[n, j] = log sigma_{j+1}(product(word[:n]))`` for n = 0..len(word).
-
-    Computed through compound accumulations of every order, renormalized at
-    each step; row 0 is all zeros (the identity).
-    """
-    return _compound_log_walk(family, word, suffix=False)
-
-
-def log_singular_values(family: MatrixFamily, word) -> np.ndarray:
-    """Logs of all singular values of the word product, sorted non-increasing."""
-    return log_singular_value_prefixes(family, word)[-1]
-
-
 def log_gap_ratio(family: MatrixFamily, word, index: int) -> float:
     """``log(sigma_{index+1}/sigma_index)`` of the word product, 1-based index."""
     linalg.check_index(index, family.dim)
-    logs = log_singular_values(family, word)
+    logs = _compound_log_walk(family, word, False, _gap_orders(index, family.dim))[-1]
     return float(logs[index] - logs[index - 1])
 
 

@@ -473,10 +473,10 @@ def scaled_word_product_oracle(family, word) -> tuple[np.ndarray, float]:
 
 def attractor_oracle(family, index: int, word_len: int, word_count: int, rng_seed: int) -> np.ndarray:
     """The attractor's frames from one drawn word, one product and one SVD
-    at a time."""
+    at a time, at least one word per member."""
     rng = np.random.default_rng(rng_seed)
     spans = []
-    for w_idx in range(word_count):
+    for w_idx in range(max(word_count, family.size)):
         word = (w_idx % family.size, *map(int, rng.integers(family.size, size=word_len - 1)))
         spec = linalg.singular_spectrum(scaled_word_product_oracle(family, word)[0])
         if spec.values[index] < spec.values[index - 1] * (1.0 - GAP_WARNING_TOL):
@@ -517,8 +517,7 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
     center and boundary probe under every member, searched in one call for
     the worst nearest-center distance, and for a sampled curve the largest
     distance between the images of one probe under adjacent members.  The
-    chart test passes where some center is within pi/2 - r of every center
-    (never for i = d)."""
+    chart test passes where some center is within pi/2 - r of every center."""
     frames = cone.frames
     probes = sweep_points_oracle(frames, cone.radius)
     images = act_frames(family.stack, probes)
@@ -529,8 +528,6 @@ def brute_force_strictly_invariant(family, cone) -> tuple[bool, float]:
         for prev, cur in zip(per_member, per_member[1:]):
             spread = max(spread, float(np.max(grass_distance(prev, cur))))
     margin = cone.radius - worst - spread
-    if cone.grass_index == frames.shape[1]:
-        return False, margin
     reach = frame_stack_distances(frames, frames).max(axis=1)
     return margin > 0.0 and bool(np.any(reach + cone.radius < math.pi / 2)), margin
 

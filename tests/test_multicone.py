@@ -31,7 +31,6 @@ from domsplit.errors import MulticoneConstructionError
 from domsplit.grassmann import (
     ConeSample,
     Plane,
-    act,
     act_frames,
     complement_frames,
     frame_stack,
@@ -158,8 +157,8 @@ def invariance_cases(draw):
     """(family, cone, block size) for the pruned sweep against the unpruned
     one.
 
-    Planes are i-planes of R^d with 2 <= d <= 5 and i <= d (so i = d too);
-    d = 1 has its own test below.  Members are a
+    Planes are i-planes of R^d with 2 <= d <= 5 and i < d (i = d is
+    refused, see below).  Members are a
     slowly rotating curve of one dominated diagonal map (one member at the
     least), optionally with one member that nearly collapses a random
     direction, so that ``beta tan r >= 1`` leaves some pairs with no growth
@@ -169,7 +168,7 @@ def invariance_cases(draw):
     default size (``grassmann.BLOCK_OUTPUTS``) or of two rows.
     """
     i = draw(st.sampled_from((1, 2, 3)))
-    d = draw(st.integers(min_value=max(i, 2), max_value=5))
+    d = draw(st.integers(min_value=i + 1, max_value=5))
     members = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=12))
     curve = draw(st.booleans())
@@ -229,13 +228,13 @@ def test_strictly_invariant_matches_unpruned_sweep_with_every_spread_pair_kept()
     assert strictly_invariant(fam, cone, centers) == brute_force_strictly_invariant(fam, cone)
 
 
-def test_one_dimensional_family_fails_the_chart_test():
-    # G(1, 1) is one point, so no sample is a proper part of it: the check
-    # returns its margin and no pass, and does not raise
-    fam = MatrixFamily.from_matrices([np.array([[2.0]]), np.array([[-0.5]])], ["A", "B"])
-    ok, margin = strictly_invariant(fam, ConeSample(1, np.ones((1, 1, 1)), 0.1))
-    assert not ok and margin == pytest.approx(0.1)
-    assert multicone._center_pass(fam, np.ones((1, 1, 1))).chart == math.inf
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_strictly_invariant_refuses_planes_that_fill_the_space(d):
+    # G(d, d) is one point, so no sample is a proper part of it: a cone of
+    # d-planes of R^d is refused, as index d is everywhere else
+    fam = MatrixFamily.from_matrices([np.diag(np.geomspace(2.0, 1.0, d)), -0.5 * np.eye(d)], ["A", "B"])
+    with pytest.raises(ValueError, match=f"index must be in 1..{d - 1}, got {d}"):
+        strictly_invariant(fam, ConeSample(d, np.eye(d)[None], 0.1))
 
 
 @st.composite
@@ -331,7 +330,7 @@ def _center_complements(frames: np.ndarray) -> np.ndarray:
     return multicone._center_pass(identity, frames).complements
 
 
-@pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (3, 3)])
+@pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
 @pytest.mark.parametrize("radius", [0.0, 0.2])
 def test_ball_probes_match_inline_complements(dim, index, radius):
     rng = np.random.default_rng(10 * dim + index)
@@ -377,7 +376,7 @@ def test_act_frames_member_major(index):
     assert images.shape == (15, 4, index)
     for j, M in enumerate(mats):
         for k, p in enumerate(planes):
-            assert grass_distance(Plane(images[j * 5 + k]), act(M, p)) < 1e-12
+            assert grass_distance(Plane(images[j * 5 + k]), Plane.from_spanning(M @ p.frame)) < 1e-12
 
 
 def test_attractor_single_diagonal(diag21):
@@ -716,7 +715,7 @@ def test_sampled_pass_without_a_positive_bound_is_no_certificate(monkeypatch):
     searches = []
     monkeypatch.setattr(words, "is_dominated", lambda *a, **k: searches.append(a))
     monkeypatch.setattr(multicone, "strictly_invariant", lambda *a: (True, 0.1))
-    with pytest.raises(MulticoneConstructionError, match="with no positive bound") as err:
+    with pytest.raises(MulticoneConstructionError, match="has no positive bound") as err:
         build_multicone(fam, 1)
     parts = err.value.parts
     assert parts["radius"] - parts["u"] - parts["g"] < -0.05
@@ -728,19 +727,18 @@ def test_build_multicone_failure_carries_margin_parts():
     # non-empty, so the radius search runs and fails with the parts of its
     # best radius's bound attached, which is negative
     fam = MatrixFamily.from_matrices([np.diag([3.0, 1.0]), rotation2(1.0)], ["A", "R"])
-    with pytest.raises(MulticoneConstructionError, match="fails the invariance check") as err:
+    with pytest.raises(MulticoneConstructionError, match="has no positive bound") as err:
         build_multicone(fam, 1)
     parts = err.value.parts
     assert list(parts) == ["radius", "u", "g", "spread", "chart_slack"]
     assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
-    assert "fails the chart test" not in str(err.value)
     # so is diag(2, 1) with the rotation.  Its bound falls as the radius
     # grows, so the search stops just above the largest u; there no probe
     # image of its net's balls reaches the radius, and the sampled margin,
-    # about 7e-8, is positive.  Its attractor fills P^1, so the chart test
-    # refuses it
+    # about 7e-8, is positive, but the negative bound names the refusal.
+    # Its attractor fills P^1, so the chart test refuses it too
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0]), rotation2(1.0)], ["A", "R"])
-    with pytest.raises(MulticoneConstructionError, match="fails the chart test") as err:
+    with pytest.raises(MulticoneConstructionError, match="has no positive bound") as err:
         build_multicone(fam, 1)
     parts = err.value.parts
     assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] < 0.0
@@ -752,6 +750,42 @@ def test_build_multicone_failure_carries_margin_parts():
     parts = err.value.parts
     assert parts["radius"] - parts["u"] - parts["g"] - parts["spread"] > 0.1
     assert parts["chart_slack"] < 0.0
+
+
+@pytest.mark.parametrize("a, t", [(2.0, 1.0), (2.0, 0.5), (2.0, 2.0), (1.5, 1.0)])
+def test_refusal_reason_does_not_move_with_the_net(monkeypatch, a, t):
+    # diag(a, 1) with a rotation R(t) is not dominated.  Its sampled margin
+    # at the best radius is about +7e-8 on some nets and negative on others,
+    # so a reason read off its sign would move with the net radius; the
+    # bound, negative on every net, decides
+    fam = MatrixFamily.from_matrices([np.diag([a, 1.0]), rotation2(t)], ["A", "R"])
+    for net in (0.01, 0.02, 0.05):
+        monkeypatch.setattr(multicone, "NET_RADIUS", net)
+        with pytest.raises(MulticoneConstructionError, match="has no positive bound"):
+            build_multicone(fam, 1)
+
+
+def test_multicone_on_more_members_than_attractor_words():
+    # the example's unstable family refined to 300 members, more than the
+    # default 256 words: each member starts a word, so every one-step target
+    # is in the attractor and the build certifies
+    fam = example4d.curve_family(32.0, 300)
+    assert fam.size > ATTRACTOR_WORDS
+    mc = build_multicone(fam, 2)
+    assert mc.invariance_margin > 0.0
+
+
+def test_attractor_draws_a_word_per_member():
+    # six members with distinct top lines and words of one letter: two
+    # words asked for, six drawn, one per member
+    tops = np.linspace(0.0, 2.5, 6)
+    mats = [rotation2(s) @ np.diag([2.0, 1.0]) @ rotation2(-s) for s in tops]
+    fam = MatrixFamily.from_matrices(mats, [f"M{j}" for j in range(6)])
+    out = attractor(fam, 1, word_len=1, word_count=2)
+    assert len(out.points) == 6
+    for p, s in zip(out.points, tops):
+        assert grass_distance(p, direction(s)) < 1e-12
+    assert np.array_equal(out.frames, attractor_oracle(fam, 1, 1, 2, 2024))
 
 
 @pytest.mark.parametrize("dim, index", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
@@ -833,12 +867,8 @@ def test_attractor_invariance_bound(dominated_suite):
     case = dominated_suite[1]
     fam, i = case.family, case.index
     cloud = attractor(fam, i, word_len=30, word_count=32)
-    pts = list(cloud.points)
-    for M in fam.stack:
-        for p in pts:
-            moved = act(M, p)
-            dist = min(grass_distance(moved, q) for q in pts)
-            assert dist < 0.05
+    moved = act_frames(fam.stack, cloud.frames)
+    assert np.all(grass_distance(moved[:, None], cloud.frames[None]).min(axis=1) < 0.05)
 
 
 def test_strictly_invariant_monotone_under_subfamily(dominated_suite):

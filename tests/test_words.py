@@ -4,7 +4,6 @@ import json
 import math
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -136,7 +135,7 @@ def test_log_singular_values_match_direct_svd():
     fam = MatrixFamily.from_matrices([random_invertible(3, rng) for _ in range(2)])
     word = tuple(rng.integers(2, size=6))
     expected = np.log(np.linalg.svd(word_product(fam, word), compute_uv=False))
-    got = words.log_singular_values(fam, word)
+    got = words._compound_log_walk(fam, word, False)[-1]
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -151,8 +150,8 @@ def test_log_singular_value_walks_match_per_step_svd(dim):
     cases = [(fam, tuple(int(j) for j in rng.integers(3, size=n))) for n in (1, 7, 40, 200)]
     cases.append((iso, (0,) * 30))
     for family, word in cases:
-        for walk, suffix in ((words.log_singular_value_prefixes, False), (partial(words._compound_log_walk, suffix=True), True)):
-            got = walk(family, word)
+        for suffix in (False, True):
+            got = words._compound_log_walk(family, word, suffix)
             want = compound_log_walk_oracle(family, word, suffix)
             assert got.shape == (len(word) + 1, dim)
             assert np.all(got[0] == 0.0)
@@ -183,14 +182,15 @@ def test_log_singular_value_walks_match_linalg_norm_bit_for_bit(dim):
     fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(3)])
     for n in (1, 7, 40):
         word = tuple(int(j) for j in rng.integers(3, size=n))
-        for walk, suffix in ((words.log_singular_value_prefixes, False), (partial(words._compound_log_walk, suffix=True), True)):
-            assert np.array_equal(walk(fam, word), _walk_with_linalg_norm(fam, word, suffix))
+        for suffix in (False, True):
+            assert np.array_equal(words._compound_log_walk(fam, word, suffix), _walk_with_linalg_norm(fam, word, suffix))
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_gap_order_walks_match_the_full_walk_bit_for_bit(dim):
     # each order's walk is independent of the others, so walking only the
-    # orders a gap ratio at `index` reads gives its two columns unchanged
+    # orders a gap ratio at `index` reads gives its two columns unchanged,
+    # and log_gap_ratio, which walks only those, the full walk's difference
     rng = np.random.default_rng(80 + dim)
     fam = MatrixFamily.from_matrices([random_invertible(dim, rng) for _ in range(3)])
     word = tuple(int(j) for j in rng.integers(3, size=30))
@@ -200,6 +200,8 @@ def test_gap_order_walks_match_the_full_walk_bit_for_bit(dim):
             part = words._compound_log_walk(fam, word, suffix, words._gap_orders(index, dim))
             assert part.shape == full.shape
             assert np.array_equal(part[:, index - 1 : index + 1], full[:, index - 1 : index + 1])
+            if not suffix:
+                assert words.log_gap_ratio(fam, word, index) == full[-1, index] - full[-1, index - 1]
 
 
 def test_log_singular_values_survive_long_words():
@@ -207,7 +209,7 @@ def test_log_singular_values_survive_long_words():
     # singular value at length ~53 and overflow nothing, but the ratio must
     # stay exact
     fam = MatrixFamily.from_matrices([np.diag([2.0, 1.0])], ["A"])
-    logs = words.log_singular_values(fam, (0,) * 400)
+    logs = words._compound_log_walk(fam, (0,) * 400, False)[-1]
     assert logs[0] == pytest.approx(400 * math.log(2.0), rel=1e-12)
     assert logs[1] == pytest.approx(0.0, abs=1e-9)
 
@@ -553,11 +555,9 @@ def test_submultiplicative_exterior_norms():
         nv = int(rng.integers(1, 5))
         u = tuple(int(x) for x in rng.integers(3, size=nu))
         v = tuple(int(x) for x in rng.integers(3, size=nv))
+        lu, lv, luv = (words._compound_log_walk(fam, w, False)[-1] for w in (u, v, u + v))
         for k in (1, 2, 3):
-            lu = np.sum(words.log_singular_values(fam, u)[:k])
-            lv = np.sum(words.log_singular_values(fam, v)[:k])
-            luv = np.sum(words.log_singular_values(fam, u + v)[:k])
-            assert luv <= lu + lv + 1e-10
+            assert np.sum(luv[:k]) <= np.sum(lu[:k]) + np.sum(lv[:k]) + 1e-10
 
 
 def test_verdict_stable_under_conjugation():
